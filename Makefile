@@ -26,9 +26,11 @@ chaos-smoke:
 # Runtime invariant mode: rebuilds the serving/simulator suites with
 # -tags smiless_invariants, turning on in-code assertions (deadline-heap
 # ordering, admission-slot accounting, done-map idempotency, node health
-# transitions) and the goroutine-leak checker adopted by TestMain.
+# transitions, drivers writing through a history view) and the
+# goroutine-leak checker adopted by TestMain. The controller and baseline
+# suites ride along so every shipped driver runs under the history guard.
 invariants:
-	$(GO) test -tags smiless_invariants ./internal/serving/... ./internal/simulator/... ./internal/clock/...
+	$(GO) test -tags smiless_invariants ./internal/serving/... ./internal/simulator/... ./internal/clock/... ./internal/controller/... ./internal/baselines/...
 
 # Mirrors CI's lint and hygiene jobs: vet, the repo's own analyzer suite,
 # and gofmt.

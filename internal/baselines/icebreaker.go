@@ -90,15 +90,17 @@ func (b *IceBreaker) Setup(sim simulator.ControlPlane) {
 // offsets) and stretch keep-alives.
 func (b *IceBreaker) OnWindow(sim simulator.ControlPlane, now float64) {
 	counts := sim.CountsHistory()
-	hist := make([]float64, len(counts))
-	for i, c := range counts {
-		hist[i] = float64(c)
-	}
 	pred := 0.0
-	if len(hist) >= 8 {
+	if len(counts) >= 8 {
+		// FIP reads a bounded suffix of the history; convert only that.
+		recent := counts[len(counts)-b.fip.Span(len(counts)):]
+		hist := make([]float64, len(recent))
+		for i, c := range recent {
+			hist[i] = float64(c)
+		}
 		pred = b.fip.Predict(hist)
 	}
-	recentlyActive := len(hist) > 0 && hist[len(hist)-1] > 0
+	recentlyActive := len(counts) > 0 && counts[len(counts)-1] > 0
 	if pred >= 0.5 || recentlyActive {
 		for _, id := range sim.App().Graph.Nodes() {
 			// Warm everything for the start of the next window — the

@@ -8,6 +8,7 @@ package controller
 
 import (
 	"math"
+	"sort"
 	"strconv"
 
 	"smiless/internal/autoscaler"
@@ -97,6 +98,13 @@ type SMIless struct {
 	planITMean float64
 	offsets    map[dag.NodeID]float64
 	planInfer  map[dag.NodeID]float64
+
+	// events is the window-event reduction of the substrate's arrival log,
+	// extended at the top of every OnWindow; everything below that reasons
+	// about inter-arrival times reads its tail.
+	events windowEvents
+	// gapScratch backs updateQuantiles' sort of the recent gaps.
+	gapScratch [quantileGaps]float64
 
 	// Online Predictor: one forecaster instance per role, consumed strictly
 	// through the forecast.Forecaster interface and wrapped with the
@@ -430,36 +438,12 @@ func (s *SMIless) Setup(sim simulator.ControlPlane) {
 	}
 }
 
-// eventTimes reduces raw arrivals to window-level events: the first
-// arrival time in each non-empty window. The paper defines inter-arrival
-// time at this granularity (§IV-B2: "the time interval between two
-// consecutive non-zero predictions of invocation numbers"), which keeps a
-// burst of many requests inside one window from reading as a rate change.
-func eventTimes(sim simulator.ControlPlane) []float64 {
-	arr := sim.ArrivalTimes()
-	w := sim.Window()
-	var out []float64
-	lastWin := -1
-	for _, a := range arr {
-		wi := int(a / w)
-		if wi != lastWin {
-			out = append(out, a)
-			lastWin = wi
-		}
-	}
-	return out
-}
-
 // predictIT returns the predicted inter-arrival time.
-func (s *SMIless) predictIT(sim simulator.ControlPlane) float64 {
-	arr := eventTimes(sim)
-	if len(arr) < 2 {
-		return 10
-	}
+func (s *SMIless) predictIT() float64 {
 	// Moving-window estimate as baseline/fallback.
-	tail := arr
-	if len(tail) > 30 {
-		tail = tail[len(tail)-30:]
+	tail := s.events.tail(30)
+	if len(tail) < 2 {
+		return 10
 	}
 	mw := (tail[len(tail)-1] - tail[0]) / float64(len(tail)-1)
 	if mw <= 0 || math.IsNaN(mw) || math.IsInf(mw, 0) {
@@ -515,26 +499,6 @@ func (s *SMIless) predictCount(sim simulator.ControlPlane) int {
 	return best
 }
 
-// alignedSeries builds the dual-input series for the IAT predictor.
-func alignedSeries(sim simulator.ControlPlane) (iats, cnts []float64) {
-	arr := eventTimes(sim)
-	counts := sim.CountsHistory()
-	w := sim.Window()
-	for i := 1; i < len(arr); i++ {
-		iats = append(iats, arr[i]-arr[i-1])
-		wi := int(arr[i] / w)
-		if wi >= len(counts) {
-			wi = len(counts) - 1
-		}
-		if wi >= 0 {
-			cnts = append(cnts, float64(counts[wi]))
-		} else {
-			cnts = append(cnts, 0)
-		}
-	}
-	return iats, cnts
-}
-
 // observeForecasts streams the live series' new tail into the forecaster
 // wrappers: each Observe scores the in-flight forecasts registered on
 // earlier windows (the walk-forward quality harness) and feeds the drift
@@ -543,17 +507,22 @@ func (s *SMIless) observeForecasts(sim simulator.ControlPlane) {
 	if !s.Opts.UseLSTM {
 		return
 	}
-	iats, cnts := alignedSeries(sim)
-	for i := s.fedIAT; i < len(iats); i++ {
-		s.itFc.Observe(forecast.Observation{Value: iats[i], Cov: cnts[i]})
-	}
-	s.fedIAT = len(iats)
 	counts := sim.CountsHistory()
-	for i := s.fedCnt; i < len(counts); i++ {
-		s.cntFc.Observe(forecast.Observation{Value: float64(counts[i])})
+	w := sim.Window()
+	for ; s.fedIAT < s.events.gaps(); s.fedIAT++ {
+		s.itFc.Observe(s.events.observation(s.fedIAT, counts, w))
 	}
-	s.fedCnt = len(counts)
+	for ; s.fedCnt < len(counts); s.fedCnt++ {
+		s.cntFc.Observe(forecast.Observation{Value: float64(counts[s.fedCnt])})
+	}
 }
+
+// Refits see a bounded tail of each series. Every registered family predicts
+// from a bounded tail, so trimming cannot change the forecasts.
+const (
+	fitGaps    = 1500
+	fitWindows = 3000
+)
 
 // maybeTrain trains or refreshes the forecasters: on the configured
 // arrival-count schedule, or early when either role's one-step errors
@@ -562,7 +531,7 @@ func (s *SMIless) maybeTrain(sim simulator.ControlPlane) {
 	if !s.Opts.UseLSTM {
 		return
 	}
-	n := len(sim.ArrivalTimes())
+	n := s.events.seen
 	if n < s.Opts.TrainAfter {
 		return
 	}
@@ -570,28 +539,33 @@ func (s *SMIless) maybeTrain(sim simulator.ControlPlane) {
 		!s.itFc.Drifted() && !s.cntFc.Drifted() {
 		return
 	}
-	iats, cnts := alignedSeries(sim)
-	if len(iats) < 64 {
+	gaps := s.events.gaps()
+	if gaps < 64 {
 		return
 	}
-	// Bound training cost on long traces. Every registered family predicts
-	// from a bounded tail, so trimming cannot change the forecasts.
-	if len(iats) > 1500 {
-		iats = iats[len(iats)-1500:]
-		cnts = cnts[len(cnts)-1500:]
+	counts := sim.CountsHistory()
+	w := sim.Window()
+	first := gaps - fitGaps
+	if first < 0 {
+		first = 0
+	}
+	iats := make([]forecast.Observation, gaps-first)
+	for i := range iats {
+		// Covariates are re-read from counts as it stands now, not as it
+		// stood when the gap was fed (see windowEvents.observation).
+		iats[i] = s.events.observation(first+i, counts, w)
 	}
 	// A failed fit (e.g. ErrShortSeries) keeps the previous model serving.
-	_ = s.itFc.Refit(forecast.Obs(iats, cnts))
+	_ = s.itFc.Refit(iats)
 
-	counts := sim.CountsHistory()
-	hist := make([]float64, len(counts))
+	if len(counts) > fitWindows {
+		counts = counts[len(counts)-fitWindows:]
+	}
+	hist := make([]forecast.Observation, len(counts))
 	for i, c := range counts {
-		hist[i] = float64(c)
+		hist[i].Value = float64(c)
 	}
-	if len(hist) > 3000 {
-		hist = hist[len(hist)-3000:]
-	}
-	if err := s.cntFc.Refit(forecast.Obs(hist, nil)); err == nil {
+	if err := s.cntFc.Refit(hist); err == nil {
 		s.fcActive = true
 		s.trainedAt = n
 	}
@@ -609,25 +583,25 @@ func (s *SMIless) publishForecastStats(sim simulator.ControlPlane) {
 	st.ForecastCount = s.cntFc.Report()
 }
 
+// quantileGaps is how many recent inter-event gaps updateQuantiles ranks.
+const quantileGaps = 60
+
 // updateQuantiles refreshes the conservative inter-arrival quantiles from
 // the recent gap history, falling back to fractions of the point estimate
 // when history is thin.
 func (s *SMIless) updateQuantiles(sim simulator.ControlPlane, it float64) {
-	arr := eventTimes(sim)
-	var gaps []float64
-	start := len(arr) - 60
-	if start < 1 {
-		start = 1
-	}
-	for i := start; i < len(arr); i++ {
-		gaps = append(gaps, arr[i]-arr[i-1])
+	recent := s.events.tail(quantileGaps + 1)
+	gaps := s.gapScratch[:0]
+	for i := 1; i < len(recent); i++ {
+		gaps = append(gaps, recent[i]-recent[i-1])
 	}
 	if len(gaps) < 8 {
 		s.itLow = it * 0.3
 		s.itHigh = it * 3
 	} else {
-		s.itLow = mathx.Percentile(gaps, 10)
-		s.itHigh = mathx.Percentile(gaps, 99) * 1.3
+		sort.Float64s(gaps)
+		s.itLow = mathx.PercentileSorted(gaps, 10)
+		s.itHigh = mathx.PercentileSorted(gaps, 99) * 1.3
 	}
 	if s.itHigh < 2*sim.Window() {
 		s.itHigh = 2 * sim.Window()
@@ -639,10 +613,12 @@ func (s *SMIless) updateQuantiles(sim simulator.ControlPlane, it float64) {
 
 // OnWindow implements simulator.Driver.
 func (s *SMIless) OnWindow(sim simulator.ControlPlane, now float64) {
+	arrivals := sim.ArrivalTimes()
+	s.events.extend(arrivals, sim.Window())
 	s.observeForecasts(sim)
 	s.maybeTrain(sim)
 
-	it := s.predictIT(sim)
+	it := s.predictIT()
 	s.itMean = it
 	s.updateQuantiles(sim, it)
 
@@ -663,8 +639,8 @@ func (s *SMIless) OnWindow(sim simulator.ControlPlane, now float64) {
 	// (the Azure traces spend much of their life idle). Release the warm
 	// floor and let instances expire; the first request of the next busy
 	// phase pays one reactive right-pre-warmed start.
-	if all := sim.ArrivalTimes(); len(all) > 0 {
-		idleFor := now - all[len(all)-1]
+	if len(arrivals) > 0 {
+		idleFor := now - arrivals[len(arrivals)-1]
 		threshold := math.Max(30*it, 120)
 		if idleFor > threshold && !s.idleMode {
 			s.idleMode = true
@@ -703,6 +679,11 @@ func (s *SMIless) OnWindow(sim simulator.ControlPlane, now float64) {
 		// start that outlives the burst. Only large bursts (g >= 8) engage
 		// the Eq. (7)/(8) solver, which may pick a batching backend.
 		s.bursting = true
+		// Per-stage latency budget of the reactive (backlogged) solver.
+		var reactiveBudget float64
+		if backlog > 0 {
+			reactiveBudget = s.SLA * 0.8 / float64(sim.App().Graph.LongestPathLen())
+		}
 		for _, id := range sim.App().Graph.Nodes() {
 			prof := s.Profiles[id]
 			is := s.planInfer[id]
@@ -714,9 +695,8 @@ func (s *SMIless) OnWindow(sim simulator.ControlPlane, now float64) {
 			if gFn >= 8 {
 				var plan autoscaler.Plan
 				if backlog > 0 {
-					budget := s.SLA * 0.8 / float64(sim.App().Graph.LongestPathLen())
 					var err error
-					plan, err = s.scaler.DecideReactive(prof, gFn, sim.Window(), budget+prof.InitTime(s.plan.Configs[id]))
+					plan, err = s.scaler.DecideReactive(prof, gFn, sim.Window(), reactiveBudget+prof.InitTime(s.plan.Configs[id]))
 					if err != nil {
 						plan, _ = s.scaler.DecideOrFallback(prof, gFn, sim.Window(), is)
 					}
@@ -780,9 +760,8 @@ func (s *SMIless) OnWindow(sim simulator.ControlPlane, now float64) {
 
 	// Proactive pre-warming: when the next predicted arrival falls within
 	// the coming window, make sure each pre-warm function is warm in time.
-	arr := eventTimes(sim)
-	if len(arr) > 0 && !s.bursting {
-		last := arr[len(arr)-1]
+	if ev := s.events.times; len(ev) > 0 && !s.bursting {
+		last := ev[len(ev)-1]
 		// Two pre-warm horizons: the early quantile covers busy-phase
 		// arrivals ahead of prediction; the point prediction (LSTM or
 		// moving window) covers the long gap across an idle valley — the

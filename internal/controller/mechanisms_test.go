@@ -94,9 +94,9 @@ func TestReplanOnRegimeShift(t *testing.T) {
 	}
 }
 
-// TestEventTimesCollapsesBursts: many arrivals inside one window are one
+// TestWindowEventsCollapseBursts: many arrivals inside one window are one
 // event (the §IV-B2 granularity).
-func TestEventTimesCollapsesBursts(t *testing.T) {
+func TestWindowEventsCollapseBursts(t *testing.T) {
 	app := apps.Pipeline(1)
 	profiles := app.TrueProfiles(perfmodel.DefaultUncertainty)
 	drv := New(hardware.DefaultCatalog(), profiles, 2.0, liteOptions(4))
@@ -106,9 +106,8 @@ func TestEventTimesCollapsesBursts(t *testing.T) {
 	if st.Completed != 6 {
 		t.Fatalf("completed %d/6", st.Completed)
 	}
-	events := eventTimes(sim)
-	if len(events) != 2 {
-		t.Errorf("window events = %d, want 2 (bursts collapse)", len(events))
+	if events := drv.events.times; len(events) != 2 || events[0] != 10.1 || events[1] != 20.5 {
+		t.Errorf("window events = %v, want [10.1 20.5] (bursts collapse)", events)
 	}
 }
 

@@ -28,16 +28,26 @@ func (f *FIP) Name() string { return "FIP" }
 // spectrum on every prediction from the trailing window.
 func (f *FIP) Fit([]float64) {}
 
+// Span returns how many trailing entries of an n-long history Predict
+// transforms: the largest power of two within both n and Window. Callers
+// that build the history just for Predict need to supply only that suffix.
+func (f *FIP) Span(n int) int {
+	if n == 0 {
+		return 0
+	}
+	span := 1
+	for span*2 <= n && span*2 <= f.Window {
+		span *= 2
+	}
+	return span
+}
+
 // Predict implements CountPredictor.
 func (f *FIP) Predict(history []float64) float64 {
 	if len(history) == 0 {
 		return 0
 	}
-	// Take the largest power-of-two suffix within Window.
-	n := 1
-	for n*2 <= len(history) && n*2 <= f.Window {
-		n *= 2
-	}
+	n := f.Span(len(history))
 	seg := history[len(history)-n:]
 	spec := fft(toComplex(seg), false)
 

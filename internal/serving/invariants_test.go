@@ -5,6 +5,8 @@ package serving
 import (
 	"strings"
 	"testing"
+
+	"smiless/internal/simulator"
 )
 
 func TestInvariantModeEnabled(t *testing.T) {
@@ -29,4 +31,30 @@ func TestInvariantPanicsWithMessage(t *testing.T) {
 
 func TestInvariantHoldsSilently(t *testing.T) {
 	invariant(true, "never formatted")
+}
+
+// scribbler breaks the ControlPlane history contract: it writes through the
+// read-only arrival view.
+type scribbler struct{ *staticDriver }
+
+func (scribbler) OnWindow(cp simulator.ControlPlane, now float64) { cp.ArrivalTimes()[0] = -1 }
+
+// TestHistoryGuardCatchesWriteThroughView: a window tick whose driver writes
+// through a history view panics. The tick is dispatched on the test's own
+// goroutine (the runtime is never started), so the panic is recoverable.
+func TestHistoryGuardCatchesWriteThroughView(t *testing.T) {
+	rt, err := New(Config{App: testChain([]float64{0.1}, 1.0), SLA: 10}, scribbler{keepAliveDriver(1)})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	rt.arrivalTimes = []float64{0.25, 0.5}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "invariant violated") || !strings.Contains(msg, "history view") {
+			t.Fatalf("window tick with a scribbling driver: recovered %q, want a history-view invariant panic", msg)
+		}
+	}()
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	rt.handle(&event{kind: evWindow})
 }

@@ -374,7 +374,9 @@ func (rt *Runtime) handle(e *event) {
 	case evWindow:
 		rt.counts = append(rt.counts, rt.arrivalsThisWindow)
 		rt.arrivalsThisWindow = 0
+		guard := rt.guardHistory()
 		rt.driver.OnWindow(rt, rt.now())
+		guard.check(rt)
 		rt.samplePods()
 		rt.schedule(&event{at: e.at + rt.cfg.Window, kind: evWindow})
 	}
@@ -648,19 +650,20 @@ func (rt *Runtime) Snapshot() *simulator.RunStats {
 }
 
 // CountsHistoryLocked is the external (locked) counterpart of the
-// driver-facing CountsHistory.
+// driver-facing CountsHistory. It copies: the caller keeps the result after
+// rt.mu is released, while the event loop keeps appending to the log.
 func (rt *Runtime) CountsHistoryLocked() []int {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return rt.CountsHistory()
+	return append([]int(nil), rt.counts...)
 }
 
 // ArrivalTimesLocked is the external (locked) counterpart of the
-// driver-facing ArrivalTimes.
+// driver-facing ArrivalTimes; it copies for the same reason.
 func (rt *Runtime) ArrivalTimesLocked() []float64 {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return rt.ArrivalTimes()
+	return append([]float64(nil), rt.arrivalTimes...)
 }
 
 // LiveCost returns the cost accrued by still-live containers.
@@ -726,14 +729,17 @@ func (rt *Runtime) GetDirective(id dag.NodeID) simulator.Directive {
 	return rt.fn(id).directive
 }
 
-// CountsHistory returns completed per-window arrival counts so far.
+// CountsHistory returns completed per-window arrival counts so far, as a
+// read-only view under the ControlPlane history contract (rt.mu is held for
+// the whole driver callback, so the log cannot move under the driver).
 func (rt *Runtime) CountsHistory() []int {
-	return append([]int(nil), rt.counts...)
+	return rt.counts[:len(rt.counts):len(rt.counts)]
 }
 
-// ArrivalTimes returns every arrival timestamp observed so far.
+// ArrivalTimes returns every arrival timestamp observed so far, as a
+// read-only view under the ControlPlane history contract.
 func (rt *Runtime) ArrivalTimes() []float64 {
-	return append([]float64(nil), rt.arrivalTimes...)
+	return rt.arrivalTimes[:len(rt.arrivalTimes):len(rt.arrivalTimes)]
 }
 
 // QueueLen returns one function's ready-but-undispatched backlog.

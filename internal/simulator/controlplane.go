@@ -29,7 +29,16 @@ type ControlPlane interface {
 	GetDirective(id dag.NodeID) Directive
 
 	// CountsHistory returns completed per-window arrival counts so far;
-	// ArrivalTimes returns every application arrival timestamp observed.
+	// ArrivalTimes returns every application arrival timestamp observed, in
+	// arrival order. Both are views of the substrate's append-only logs, not
+	// copies: read-only, and valid only for the duration of the Setup or
+	// OnWindow callback that obtained them. A driver that needs history
+	// beyond the callback copies the part it needs (or keeps an index into
+	// the log — entries are never rewritten, so index i names the same
+	// entry on every later call). The views are cap-clipped, so append by
+	// the caller reallocates and cannot reach the substrate; writing
+	// through an element is a contract violation that `-tags
+	// smiless_invariants` turns into a panic.
 	CountsHistory() []int
 	ArrivalTimes() []float64
 

@@ -2,7 +2,10 @@
 
 package simulator
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // invariantsEnabled selects the runtime assertion layer: `go test -tags
 // smiless_invariants` (or `make invariants`) compiles every invariant()
@@ -18,4 +21,37 @@ func invariant(cond bool, format string, args ...any) {
 	if !cond {
 		panic("simulator: invariant violated: " + fmt.Sprintf(format, args...))
 	}
+}
+
+// historyGuard fingerprints the arrival and count logs ahead of a driver
+// callback; check, called after it, panics if the driver wrote through one
+// of the read-only views ArrivalTimes/CountsHistory handed it (the
+// ControlPlane history contract). The logs only ever grow, so the check
+// re-reads exactly the prefix that existed before the callback.
+type historyGuard struct {
+	arrivals, counts int
+	sum              uint64
+}
+
+func (s *Simulator) guardHistory() historyGuard {
+	return historyGuard{len(s.arrivalTimes), len(s.counts), historyChecksum(s.arrivalTimes, s.counts)}
+}
+
+func (g historyGuard) check(s *Simulator) {
+	invariant(len(s.arrivalTimes) >= g.arrivals && len(s.counts) >= g.counts &&
+		historyChecksum(s.arrivalTimes[:g.arrivals], s.counts[:g.counts]) == g.sum,
+		"driver %s wrote through a history view: the arrival/count logs changed under a callback", s.driver.Name())
+}
+
+// historyChecksum is FNV-1a over the raw log entries.
+func historyChecksum(arrivals []float64, counts []int) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for _, a := range arrivals {
+		h = (h ^ math.Float64bits(a)) * prime
+	}
+	for _, c := range counts {
+		h = (h ^ uint64(c)) * prime
+	}
+	return h
 }

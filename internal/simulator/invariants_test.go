@@ -5,6 +5,9 @@ package simulator
 import (
 	"strings"
 	"testing"
+
+	"smiless/internal/apps"
+	"smiless/internal/trace"
 )
 
 func TestInvariantModeEnabled(t *testing.T) {
@@ -29,4 +32,26 @@ func TestInvariantPanicsWithMessage(t *testing.T) {
 
 func TestInvariantHoldsSilently(t *testing.T) {
 	invariant(true, "never formatted")
+}
+
+// scribbler breaks the ControlPlane history contract: once there is an
+// arrival to overwrite, it writes through the read-only view.
+type scribbler struct{ *staticDriver }
+
+func (scribbler) OnWindow(cp ControlPlane, now float64) {
+	if arr := cp.ArrivalTimes(); len(arr) > 0 {
+		arr[0] = -1
+	}
+}
+
+func TestHistoryGuardCatchesWriteThroughView(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "invariant violated") || !strings.Contains(msg, "history view") {
+			t.Fatalf("run with a scribbling driver: recovered %q, want a history-view invariant panic", msg)
+		}
+	}()
+	sim := MustNew(Config{App: apps.Pipeline(2), SLA: 10, Seed: 1}, scribbler{keepAliveDriver(cpu(4), 30)})
+	sim.MustRun(&trace.Trace{Horizon: 10, Arrivals: []float64{0.5, 2.5}})
+	t.Fatal("a driver wrote through a history view and the run completed")
 }

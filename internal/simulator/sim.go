@@ -460,14 +460,16 @@ func (s *Simulator) GetDirective(id dag.NodeID) Directive {
 	return fs.directive
 }
 
-// CountsHistory returns completed per-window arrival counts so far.
+// CountsHistory returns completed per-window arrival counts so far, as a
+// read-only view under the ControlPlane history contract.
 func (s *Simulator) CountsHistory() []int {
-	return append([]int(nil), s.counts...)
+	return s.counts[:len(s.counts):len(s.counts)]
 }
 
-// ArrivalTimes returns all application arrival timestamps observed so far.
+// ArrivalTimes returns all application arrival timestamps observed so far,
+// as a read-only view under the ControlPlane history contract.
 func (s *Simulator) ArrivalTimes() []float64 {
-	return append([]float64(nil), s.arrivalTimes...)
+	return s.arrivalTimes[:len(s.arrivalTimes):len(s.arrivalTimes)]
 }
 
 // QueueLen returns the number of ready-but-undispatched invocations of a
@@ -785,7 +787,9 @@ func (s *Simulator) dispatch(e *event) {
 	case evWindow:
 		s.counts = append(s.counts, s.arrivalsThisWindow)
 		s.arrivalsThisWindow = 0
+		guard := s.guardHistory()
 		s.driver.OnWindow(s, s.now.Seconds())
+		guard.check(s)
 		s.samplePods()
 	}
 }
