@@ -54,6 +54,14 @@ type lstmForecaster struct {
 	cfg Config
 	inv *predictor.InvocationPredictor
 	iat *predictor.InterArrivalPredictor
+	// memo is the last forecast computed for the current (model, history),
+	// nil once either changes. PredictUpper repeats Predict at the same
+	// horizon every window, and the LSTM roll-forward is the family's
+	// whole prediction cost.
+	memo []float64
+	// valBuf and covBuf are the tail of the history split into the aligned
+	// series the predictors read, refilled for every roll-forward step.
+	valBuf, covBuf []float64
 }
 
 func (f *lstmForecaster) Name() string { return "lstm" }
@@ -75,7 +83,7 @@ func (f *lstmForecaster) Fit(hist []Observation) error {
 		}
 		f.replace(hist)
 		p.FitIAT(f.values(), f.covs())
-		f.iat = p
+		f.iat, f.memo = p, nil
 		return nil
 	}
 	p := predictor.NewInvocationPredictor(1, f.cfg.Seed)
@@ -87,26 +95,44 @@ func (f *lstmForecaster) Fit(hist []Observation) error {
 	}
 	f.replace(hist)
 	p.Fit(f.values())
-	f.inv = p
+	f.inv, f.memo = p, nil
 	return nil
 }
 
+// Predict returns the caller's own copy of the forecast, computing it only
+// when the model or the history changed since the last call at this horizon.
 func (f *lstmForecaster) Predict(horizon int) []float64 {
 	validHorizon(horizon)
+	if len(f.memo) != horizon {
+		f.memo = f.predict(horizon)
+	}
+	return append([]float64(nil), f.memo...)
+}
+
+func (f *lstmForecaster) predict(horizon int) []float64 {
 	switch {
 	case f.cfg.Role == RoleInterArrival && f.iat != nil:
-		return rollForward(f.hist, horizon, func(h []Observation) float64 {
-			s := series{hist: h}
-			return f.iat.PredictIAT(s.values(), s.covs())
+		return rollForward(f.tail(f.iat.SeqLen+horizon), horizon, func(h []Observation) float64 {
+			return f.iat.PredictIAT(f.split(h))
 		})
 	case f.cfg.Role == RoleCount && f.inv != nil:
-		return rollForward(f.hist, horizon, func(h []Observation) float64 {
-			s := series{hist: h}
-			return f.inv.Predict(s.values())
+		return rollForward(f.tail(f.inv.SeqLen+horizon), horizon, func(h []Observation) float64 {
+			vals, _ := f.split(h)
+			return f.inv.Predict(vals)
 		})
 	default:
 		return persistence(f.hist, horizon)
 	}
+}
+
+// split copies h's values and covariates into the forecaster's scratch.
+func (f *lstmForecaster) split(h []Observation) (vals, covs []float64) {
+	f.valBuf, f.covBuf = f.valBuf[:0], f.covBuf[:0]
+	for _, o := range h {
+		f.valBuf = append(f.valBuf, o.Value)
+		f.covBuf = append(f.covBuf, o.Cov)
+	}
+	return f.valBuf, f.covBuf
 }
 
 // PredictUpper implements UpperBounder for the count role: the bucket
@@ -118,7 +144,10 @@ func (f *lstmForecaster) PredictUpper(horizon int) []float64 {
 	return f.Predict(horizon)
 }
 
-func (f *lstmForecaster) Update(obs Observation) { f.append(obs) }
+func (f *lstmForecaster) Update(obs Observation) {
+	f.append(obs)
+	f.memo = nil
+}
 
 func (f *lstmForecaster) Clone(seed int64) Forecaster {
 	cfg := f.cfg

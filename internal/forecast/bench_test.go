@@ -32,7 +32,8 @@ func BenchmarkForecastFit(b *testing.B) {
 
 // BenchmarkForecastPredict measures the per-window forecast cost at the
 // controller's scoring horizon — the hot path, paid every decision window
-// in both substrates.
+// in both substrates. Nothing is observed between calls, so the lstm row is
+// its remembered forecast; its roll-forward is timed by the Observe row.
 func BenchmarkForecastPredict(b *testing.B) {
 	hist := benchSeries()
 	for _, name := range Names() {

@@ -202,7 +202,20 @@ func (s *series) replace(hist []Observation) {
 	if len(hist) > maxHistory {
 		hist = hist[len(hist)-maxHistory:]
 	}
-	s.hist = append(s.hist[:0:0], hist...)
+	// Into the array already held when it is large enough: a refit of a
+	// training-free family is then a memmove, not an allocation. append
+	// copies as memmove does, so hist may be a view of s.hist itself.
+	s.hist = append(s.hist[:0], hist...)
+}
+
+// tail returns the last n observations (all of them when there are fewer):
+// what a family whose model reads a bounded window hands to rollForward, so
+// a forecast costs the same at every history length.
+func (s *series) tail(n int) []Observation {
+	if len(s.hist) > n {
+		return s.hist[len(s.hist)-n:]
+	}
+	return s.hist
 }
 
 // values returns the target series; covs the covariate series.

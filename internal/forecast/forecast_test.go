@@ -2,6 +2,7 @@ package forecast
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -378,5 +379,127 @@ func TestSeriesTrimBounded(t *testing.T) {
 	}
 	if got := f.Predict(1)[0]; !bitsEq(got, float64(maxHistory+499)) {
 		t.Errorf("trim lost the tail: %v", got)
+	}
+}
+
+// lstmFixture is a training history per LSTM role. Counts are a square
+// wave (six windows at 2, six at 12): the bucket classifier answers in whole
+// buckets, and only a regime edge in its input window moves its forecast.
+// Gaps are the smooth synthetic series with its count covariate.
+func lstmFixture(role Role, n int) []Observation {
+	if role == RoleInterArrival {
+		return synth(n, 3, 2)
+	}
+	out := make([]Observation, n)
+	for i := range out {
+		out[i].Value = 2
+		if i/6%2 == 1 {
+			out[i].Value = 12
+		}
+	}
+	return out
+}
+
+func sameForecast(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d steps, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if !bitsEq(got[i], want[i]) {
+			t.Errorf("%s: step %d = %v, want %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+func forecastMoved(a, b []float64) bool {
+	for i := range a {
+		if !bitsEq(a[i], b[i]) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestLSTMForecastMemo pins the remembered forecast of lstmForecaster: it
+// may only ever answer what a roll-forward on the current model and history
+// would. The oracle for each state is a new instance brought to that state
+// and asked once, which cannot have anything remembered.
+func TestLSTMForecastMemo(t *testing.T) {
+	const horizon = 4
+	for _, role := range []Role{RoleCount, RoleInterArrival} {
+		cfg := Config{Seed: 3, Role: role}
+		histA, histB := lstmFixture(role, 96), lstmFixture(role, 140)
+		updates := []Observation{{Value: 12, Cov: 2}, {Value: 2, Cov: 1}, {Value: 2, Cov: 1}}
+		// reach builds a new forecaster, fits it and streams updates.
+		reach := func(hist []Observation, updates []Observation) Forecaster {
+			f := MustNew("lstm", cfg)
+			if err := f.Fit(hist); err != nil {
+				t.Fatalf("%v: Fit: %v", role, err)
+			}
+			for _, o := range updates {
+				f.Update(o)
+			}
+			return f
+		}
+
+		f := reach(histA, nil)
+		first := f.Predict(horizon)
+		sameForecast(t, role.String()+": PredictUpper after Predict", f.(UpperBounder).PredictUpper(horizon), first)
+		sameForecast(t, role.String()+": PredictUpper asked first", reach(histA, nil).(UpperBounder).PredictUpper(horizon), first)
+
+		// The caller owns what it gets back.
+		want := append([]float64(nil), first...)
+		first[0], first[horizon-1] = -1, -1
+		sameForecast(t, role.String()+": Predict after the caller scribbled on the last one", f.Predict(horizon), want)
+		// A shorter horizon is the prefix of the longer roll-forward.
+		sameForecast(t, role.String()+": Predict(2) after Predict(4)", f.Predict(2), want[:2])
+
+		// Every Update and every refit must be seen. A fixture whose
+		// forecast they never move would show nothing, so that is checked.
+		last, moved := f.Predict(horizon), false
+		for i := range updates {
+			f.Update(updates[i])
+			got := f.Predict(horizon)
+			sameForecast(t, fmt.Sprintf("%v: Predict after Update %d", role, i+1), got, reach(histA, updates[:i+1]).Predict(horizon))
+			moved = moved || forecastMoved(got, last)
+			last = got
+		}
+		if !moved {
+			t.Fatalf("%v: fixture too weak: no Update moved the forecast from %v", role, last)
+		}
+		if err := f.Fit(histB); err != nil {
+			t.Fatalf("%v: refit: %v", role, err)
+		}
+		got := f.Predict(horizon)
+		sameForecast(t, role.String()+": Predict after refit", got, reach(histB, nil).Predict(horizon))
+		if !forecastMoved(got, last) {
+			t.Fatalf("%v: fixture too weak: refit left the forecast at %v", role, last)
+		}
+	}
+}
+
+// TestLSTMPredictAllocsIndependentOfHistory is the forecast half of the
+// allocation contract: a roll-forward hands the predictor the tail it reads,
+// so its allocations (the forecast, the roll-forward scratch) do not grow
+// with the history behind that tail.
+func TestLSTMPredictAllocsIndependentOfHistory(t *testing.T) {
+	for _, role := range []Role{RoleCount, RoleInterArrival} {
+		f := MustNew("lstm", Config{Seed: 1, Role: role, Budget: BudgetOnline}).(*lstmForecaster)
+		if err := f.Fit(lstmFixture(role, 100)); err != nil {
+			t.Fatalf("%v: Fit: %v", role, err)
+		}
+		for _, n := range []int{100, 8000} {
+			for len(f.hist) < n {
+				f.Update(Observation{Value: float64(len(f.hist) % 7), Cov: 1})
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				f.memo = nil
+				f.Predict(4)
+			})
+			if allocs > 4 {
+				t.Errorf("%v: Predict(4) over %d observations: %v allocs, want <= 4", role, n, allocs)
+			}
+		}
 	}
 }

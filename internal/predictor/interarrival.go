@@ -23,6 +23,9 @@ type IATPredictor interface {
 // passed through a tanh activation and a linear layer to produce the next
 // inter-arrival time. Setting DualInput to false yields the paper's
 // SMIless-S ablation (single LSTM on inter-arrival times only).
+//
+// An instance is single-goroutine: FitIAT and PredictIAT both write the
+// model's scratch (input windows, LSTM tapes, merge activations).
 type InterArrivalPredictor struct {
 	// SeqLen is the input window length for both series.
 	SeqLen int
@@ -47,6 +50,12 @@ type InterArrivalPredictor struct {
 	iatNorm   float64
 	countNorm float64
 	seed      int64
+
+	// Scratch of the last forward pass, read back by backward.
+	winIAT, winCnt []float64 // SeqLen normalized inputs each
+	merged         []float64 // merge input: hIAT, then hCnt when DualInput
+	act            []float64 // tanh(merge output)
+	dY             [1]float64
 }
 
 // NewInterArrivalPredictor returns the dual-input predictor.
@@ -97,60 +106,33 @@ func (p *InterArrivalPredictor) zeroGrad() {
 	p.head.ZeroGrad()
 }
 
-// windowOf builds the normalized trailing window of one series.
-func windowOf(series []float64, seqLen int, norm float64) [][]float64 {
-	xs := make([][]float64, seqLen)
-	for i := 0; i < seqLen; i++ {
-		idx := len(series) - seqLen + i
-		v := 0.0
-		if idx >= 0 {
-			v = series[idx]
-		}
-		xs[i] = []float64{v / norm}
-	}
-	return xs
-}
-
-// forward runs the network, returning the scalar prediction (normalized)
-// plus the intermediate values needed for backprop.
-type iatForward struct {
-	hIAT, hCnt     []float64
-	cachesIAT      []*lstmCache
-	cachesCnt      []*lstmCache
-	merged, actOut []float64
-	y              float64
-}
-
-func (p *InterArrivalPredictor) forward(iats, counts []float64) *iatForward {
-	f := &iatForward{}
-	f.hIAT, f.cachesIAT = p.lstmIAT.Forward(windowOf(iats, p.SeqLen, p.iatNorm))
-	mergedIn := f.hIAT
+// forward runs the network and returns the scalar prediction (normalized),
+// leaving the intermediate values backward needs in the model's scratch.
+func (p *InterArrivalPredictor) forward(iats, counts []float64) float64 {
+	p.winIAT = trailingWindow(p.winIAT, p.SeqLen, iats, p.iatNorm)
+	p.merged = append(p.merged[:0], p.lstmIAT.Forward(p.winIAT)...)
 	if p.DualInput {
-		f.hCnt, f.cachesCnt = p.lstmCount.Forward(windowOf(counts, p.SeqLen, p.countNorm))
-		mergedIn = append(append([]float64(nil), f.hIAT...), f.hCnt...)
+		p.winCnt = trailingWindow(p.winCnt, p.SeqLen, counts, p.countNorm)
+		p.merged = append(p.merged, p.lstmCount.Forward(p.winCnt)...)
 	}
-	f.merged = mergedIn
-	pre := p.merge.Forward(mergedIn)
-	f.actOut = make([]float64, len(pre))
-	for i, v := range pre {
-		f.actOut[i] = math.Tanh(v)
+	for i, v := range p.merge.Forward(p.merged) {
+		p.act[i] = math.Tanh(v)
 	}
-	f.y = p.head.Forward(f.actOut)[0]
-	return f
+	return p.head.Forward(p.act)[0]
 }
 
 // backward propagates dY through head, activation, merge and both LSTMs.
-func (p *InterArrivalPredictor) backward(f *iatForward, dY float64) {
-	dAct := p.head.Backward(f.actOut, []float64{dY})
-	dPre := make([]float64, len(dAct))
-	for i := range dAct {
-		dPre[i] = dAct[i] * (1 - f.actOut[i]*f.actOut[i])
+func (p *InterArrivalPredictor) backward(dY float64) {
+	p.dY[0] = dY
+	dPre := p.head.Backward(p.act, p.dY[:])
+	for i, a := range p.act {
+		dPre[i] = dPre[i] * (1 - a*a)
 	}
-	dMerged := p.merge.Backward(f.merged, dPre)
+	dMerged := p.merge.Backward(p.merged, dPre)
 	h := p.lstmIAT.Hidden
-	p.lstmIAT.Backward(f.cachesIAT, dMerged[:h])
+	p.lstmIAT.Backward(dMerged[:h])
 	if p.DualInput {
-		p.lstmCount.Backward(f.cachesCnt, dMerged[h:])
+		p.lstmCount.Backward(dMerged[h:])
 	}
 }
 
@@ -175,25 +157,32 @@ func (p *InterArrivalPredictor) FitIAT(iats, counts []float64) {
 	}
 	p.merge = NewDense(r, mergeIn, p.Hidden)
 	p.head = NewDense(r, p.Hidden, 1)
+	p.merged = make([]float64, 0, mergeIn)
+	p.act = make([]float64, p.Hidden)
 	params, grads := p.params()
 	opt := NewAdam(0.005, params, grads)
 
 	for epoch := 0; epoch < p.Epochs; epoch++ {
 		for i := p.SeqLen; i < len(iats); i++ {
-			target := iats[i] / p.iatNorm
-			p.zeroGrad()
-			f := p.forward(iats[:i], counts[:i])
-			diff := f.y - target
-			// Asymmetric squared loss: over-estimations (diff > 0) are
-			// penalized OverPenalty times more.
-			w := 1.0
-			if diff > 0 && p.OverPenalty > 1 {
-				w = p.OverPenalty
-			}
-			p.backward(f, w*diff)
-			opt.Step(5)
+			p.trainSample(opt, iats, counts, i)
 		}
 	}
+}
+
+// trainSample takes one optimizer step on the example that predicts
+// iats[i] from the two series before it. It allocates nothing.
+func (p *InterArrivalPredictor) trainSample(opt *Adam, iats, counts []float64, i int) {
+	target := iats[i] / p.iatNorm
+	p.zeroGrad()
+	diff := p.forward(iats[:i], counts[:i]) - target
+	// Asymmetric squared loss: over-estimations (diff > 0) are penalized
+	// OverPenalty times more.
+	w := 1.0
+	if diff > 0 && p.OverPenalty > 1 {
+		w = p.OverPenalty
+	}
+	p.backward(w * diff)
+	opt.Step(5)
 }
 
 // PredictIAT implements IATPredictor. Untrained (FitIAT never ran, or only
@@ -204,8 +193,7 @@ func (p *InterArrivalPredictor) PredictIAT(iats, counts []float64) float64 {
 	if p.lstmIAT == nil || len(iats) == 0 {
 		return persistenceIAT(iats)
 	}
-	f := p.forward(iats, counts)
-	v := f.y * p.iatNorm
+	v := p.forward(iats, counts) * p.iatNorm
 	if v < 0 {
 		v = 0
 	}

@@ -25,6 +25,9 @@ type CountPredictor interface {
 // an LSTM classifier over buckets of size equal to the application's minimum
 // batch size, predicting the upper bound of the forecast bucket so that
 // underestimation (which causes SLA violations) is rare.
+//
+// An instance is single-goroutine: Fit and Predict both write the model's
+// scratch (input window, LSTM tape, class probabilities).
 type InvocationPredictor struct {
 	// BucketSize is the width of each classification bucket.
 	BucketSize int
@@ -48,6 +51,8 @@ type InvocationPredictor struct {
 	classes int
 	norm    float64 // normalization constant for inputs
 	seed    int64
+	win     []float64 // SeqLen normalized inputs, refilled by window
+	probs   []float64 // classes softmax outputs, then dLogits when training
 }
 
 // NewInvocationPredictor returns a predictor with the paper's defaults:
@@ -103,41 +108,55 @@ func (p *InvocationPredictor) Fit(counts []float64) {
 	r := mathx.NewRand(p.seed)
 	p.lstm = NewLSTM(r, 1, p.Hidden)
 	p.head = NewDense(r, p.Hidden, p.classes)
+	p.probs = make([]float64, p.classes)
 	lp, lg := p.lstm.Params()
 	dp, dg := p.head.Params()
 	opt := NewAdam(0.005, append(lp, dp...), append(lg, dg...))
 
 	for epoch := 0; epoch < p.Epochs; epoch++ {
 		for i := p.SeqLen; i < len(counts); i++ {
-			xs := p.window(counts[:i])
-			target := p.bucket(counts[i])
-			if target >= p.classes {
-				target = p.classes - 1
-			}
-			p.lstm.ZeroGrad()
-			p.head.ZeroGrad()
-			h, caches := p.lstm.Forward(xs)
-			logits := p.head.Forward(h)
-			_, dLogits := CrossEntropyGrad(logits, target)
-			dH := p.head.Backward(h, dLogits)
-			p.lstm.Backward(caches, dH)
-			opt.Step(5)
+			p.trainSample(opt, counts, i)
 		}
 	}
 }
 
-// window builds the normalized input sequence from the tail of history.
-func (p *InvocationPredictor) window(history []float64) [][]float64 {
-	xs := make([][]float64, p.SeqLen)
-	for i := 0; i < p.SeqLen; i++ {
-		idx := len(history) - p.SeqLen + i
+// trainSample takes one optimizer step on the example that predicts
+// counts[i]'s bucket from the windows before it. It allocates nothing.
+func (p *InvocationPredictor) trainSample(opt *Adam, counts []float64, i int) {
+	target := p.bucket(counts[i])
+	if target >= p.classes {
+		target = p.classes - 1
+	}
+	p.lstm.ZeroGrad()
+	p.head.ZeroGrad()
+	h := p.lstm.Forward(p.window(counts[:i]))
+	CrossEntropyGrad(p.probs, p.head.Forward(h), target)
+	p.lstm.Backward(p.head.Backward(h, p.probs))
+	opt.Step(5)
+}
+
+// window refills the normalized input sequence from the tail of history.
+func (p *InvocationPredictor) window(history []float64) []float64 {
+	p.win = trailingWindow(p.win, p.SeqLen, history, p.norm)
+	return p.win
+}
+
+// trailingWindow returns win, reallocated only when it is not seqLen long,
+// holding the last seqLen values of series divided by norm, zero-padded at
+// the front when series is shorter.
+func trailingWindow(win []float64, seqLen int, series []float64, norm float64) []float64 {
+	if len(win) != seqLen {
+		win = make([]float64, seqLen)
+	}
+	for i := range win {
+		idx := len(series) - seqLen + i
 		v := 0.0
 		if idx >= 0 {
-			v = history[idx]
+			v = series[idx]
 		}
-		xs[i] = []float64{v / p.norm}
+		win[i] = v / norm
 	}
-	return xs
+	return win
 }
 
 // Predict implements CountPredictor: the upper bound of the quantile
@@ -146,8 +165,8 @@ func (p *InvocationPredictor) Predict(history []float64) float64 {
 	if p.lstm == nil {
 		panic("predictor: Predict before Fit")
 	}
-	h, _ := p.lstm.Forward(p.window(history))
-	probs := Softmax(p.head.Forward(h))
+	h := p.lstm.Forward(p.window(history))
+	probs := Softmax(p.probs, p.head.Forward(h))
 	q := p.Quantile
 	if q <= 0 || q >= 1 {
 		q = 0.9

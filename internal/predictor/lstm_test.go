@@ -9,8 +9,8 @@ import (
 
 // seqLoss computes a scalar loss from an LSTM + Dense head over a fixed
 // input sequence: L = 0.5 * (y - target)^2 with y the dense output.
-func seqLoss(l *LSTM, d *Dense, xs [][]float64, target float64) float64 {
-	h, _ := l.Forward(xs)
+func seqLoss(l *LSTM, d *Dense, xs []float64, target float64) float64 {
+	h := l.Forward(xs)
 	y := d.Forward(h)[0]
 	diff := y - target
 	return 0.5 * diff * diff
@@ -22,17 +22,16 @@ func TestLSTMGradientCheck(t *testing.T) {
 	r := mathx.NewRand(42)
 	l := NewLSTM(r, 2, 3)
 	d := NewDense(r, 3, 1)
-	xs := [][]float64{{0.5, -0.3}, {0.1, 0.8}, {-0.6, 0.2}}
+	xs := []float64{0.5, -0.3, 0.1, 0.8, -0.6, 0.2} // three steps of width 2
 	target := 0.7
 
 	// Analytic gradients.
 	l.ZeroGrad()
 	d.ZeroGrad()
-	h, caches := l.Forward(xs)
+	h := l.Forward(xs)
 	y := d.Forward(h)[0]
 	dY := []float64{y - target}
-	dH := d.Backward(h, dY)
-	l.Backward(caches, dH)
+	l.Backward(d.Backward(h, dY))
 
 	const eps = 1e-6
 	check := func(name string, params, grads []float64) {
@@ -58,9 +57,9 @@ func TestLSTMGradientCheck(t *testing.T) {
 func TestLSTMForwardShapes(t *testing.T) {
 	r := mathx.NewRand(1)
 	l := NewLSTM(r, 1, 4)
-	h, caches := l.Forward([][]float64{{1}, {2}, {3}})
-	if len(h) != 4 || len(caches) != 3 {
-		t.Errorf("forward shapes: h=%d caches=%d", len(h), len(caches))
+	h := l.Forward([]float64{1, 2, 3})
+	if len(h) != 4 || l.steps != 3 {
+		t.Errorf("forward shapes: h=%d steps=%d", len(h), l.steps)
 	}
 	// Hidden state is bounded by tanh × sigmoid.
 	for _, v := range h {
@@ -78,7 +77,24 @@ func TestLSTMInputWidthPanics(t *testing.T) {
 			t.Error("wrong input width should panic")
 		}
 	}()
-	l.Forward([][]float64{{1}})
+	l.Forward([]float64{1})
+}
+
+// TestLSTMEmptySequenceOwnsItsResult pins the T = 0 corner: the zero state
+// comes back as the caller's own vector, so writing it cannot poison the
+// model's shared initial state for the next sequence.
+func TestLSTMEmptySequenceOwnsItsResult(t *testing.T) {
+	l := NewLSTM(mathx.NewRand(1), 1, 4)
+	want := append([]float64(nil), l.Forward([]float64{0.3, -0.2})...)
+	h0 := l.Forward(nil)
+	for i := range h0 {
+		if h0[i] != 0 { //lint:allow floateq the zero state is exactly zero
+			t.Fatalf("empty-sequence state[%d] = %v, want 0", i, h0[i])
+		}
+		h0[i] = 99
+	}
+	l.Backward(make([]float64, 4)) // no steps taped: must be a no-op
+	sameBits(t, "forward after a scribbled-on empty result", l.Forward([]float64{0.3, -0.2}), want)
 }
 
 func TestLSTMLearnsSimplePattern(t *testing.T) {
@@ -91,19 +107,19 @@ func TestLSTMLearnsSimplePattern(t *testing.T) {
 	dp, dg := d.Params()
 	opt := NewAdam(0.01, append(lp, dp...), append(lg, dg...))
 
-	sample := func() ([][]float64, float64) {
-		xs := make([][]float64, 5)
+	xs := make([]float64, 5)
+	sample := func() ([]float64, float64) {
 		for i := range xs {
-			xs[i] = []float64{r.Float64()}
+			xs[i] = r.Float64()
 		}
-		return xs, xs[4][0]
+		return xs, xs[4]
 	}
 	var loss0, lossN float64
 	for epoch := 0; epoch < 600; epoch++ {
 		xs, target := sample()
 		l.ZeroGrad()
 		d.ZeroGrad()
-		h, caches := l.Forward(xs)
+		h := l.Forward(xs)
 		y := d.Forward(h)[0]
 		loss := 0.5 * (y - target) * (y - target)
 		if epoch < 50 {
@@ -112,8 +128,7 @@ func TestLSTMLearnsSimplePattern(t *testing.T) {
 		if epoch >= 550 {
 			lossN += loss
 		}
-		dH := d.Backward(h, []float64{y - target})
-		l.Backward(caches, dH)
+		l.Backward(d.Backward(h, []float64{y - target}))
 		opt.Step(5)
 	}
 	if lossN >= loss0/4 {
@@ -122,7 +137,7 @@ func TestLSTMLearnsSimplePattern(t *testing.T) {
 }
 
 func TestSoftmax(t *testing.T) {
-	p := Softmax([]float64{1, 2, 3})
+	p := Softmax(make([]float64, 3), []float64{1, 2, 3})
 	sum := 0.0
 	for _, v := range p {
 		if v <= 0 || v >= 1 {
@@ -137,7 +152,7 @@ func TestSoftmax(t *testing.T) {
 		t.Errorf("softmax not monotone: %v", p)
 	}
 	// Numerical stability at large logits.
-	p = Softmax([]float64{1000, 1001})
+	p = Softmax(p, []float64{1000, 1001})
 	if math.IsNaN(p[0]) || math.IsNaN(p[1]) {
 		t.Error("softmax overflow")
 	}
@@ -145,7 +160,8 @@ func TestSoftmax(t *testing.T) {
 
 func TestCrossEntropyGrad(t *testing.T) {
 	logits := []float64{0.2, -0.5, 1.0}
-	loss, grad := CrossEntropyGrad(logits, 2)
+	grad := make([]float64, len(logits))
+	loss := CrossEntropyGrad(grad, logits, 2)
 	if loss <= 0 {
 		t.Errorf("loss = %v, want > 0", loss)
 	}
@@ -198,12 +214,41 @@ func TestDenseBackwardGradCheck(t *testing.T) {
 		orig := x[i]
 		x[i] = orig + eps
 		yp := d.Forward(x)
+		sp := yp[0] + yp[1]
 		x[i] = orig - eps
 		ym := d.Forward(x)
 		x[i] = orig
-		num := (yp[0] + yp[1] - ym[0] - ym[1]) / (2 * eps)
+		num := (sp - ym[0] - ym[1]) / (2 * eps)
 		if math.Abs(num-dx[i]) > 1e-6 {
 			t.Errorf("dX[%d]: analytic %v vs numeric %v", i, dx[i], num)
+		}
+	}
+}
+
+// TestTrainingSampleDoesNotAllocate is the allocation contract of the taped
+// kernel: once Fit has sized the model's scratch, one training sample —
+// forward, backward and the optimizer step — allocates nothing.
+func TestTrainingSampleDoesNotAllocate(t *testing.T) {
+	counts, iats := refSeries(60)
+
+	inv := NewInvocationPredictor(2, 1)
+	inv.Epochs = 1
+	inv.Fit(counts)
+	lp, lg := inv.lstm.Params()
+	dp, dg := inv.head.Params()
+	opt := NewAdam(0.005, append(lp, dp...), append(lg, dg...))
+	if n := testing.AllocsPerRun(20, func() { inv.trainSample(opt, counts, 40) }); n != 0 {
+		t.Errorf("InvocationPredictor training sample: %v allocs, want 0", n)
+	}
+
+	for _, dual := range []bool{true, false} {
+		iat := NewInterArrivalPredictor(1)
+		iat.Epochs, iat.DualInput = 1, dual
+		iat.FitIAT(iats, counts)
+		params, grads := iat.params()
+		opt := NewAdam(0.005, params, grads)
+		if n := testing.AllocsPerRun(20, func() { iat.trainSample(opt, iats, counts, 40) }); n != 0 {
+			t.Errorf("InterArrivalPredictor (dual=%v) training sample: %v allocs, want 0", dual, n)
 		}
 	}
 }
