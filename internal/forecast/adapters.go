@@ -6,10 +6,12 @@ import (
 
 // This file adapts the concrete predictors of internal/predictor to the
 // Forecaster interface. Each adapter keeps the observation history itself
-// (the concrete types are stateless with respect to history) and rebuilds
-// its model from the configured seed on every Fit, so refits are
-// reproducible and equivalent to constructing a fresh concrete predictor —
-// exactly what the controller's window loop historically did.
+// (the concrete types are stateless with respect to history). The first
+// successful Fit builds the model from the configured seed; the closed-form
+// and training-free families rebuild it on every later Fit as well, while
+// the LSTM pair continues training the fitted model on what arrived since
+// (see lstmForecaster.Fit). Either way the outputs are a pure function of
+// the Config and the sequence of Fit and Update calls.
 
 func init() {
 	Register("lstm", func(cfg Config) Forecaster { return &lstmForecaster{cfg: cfg} })
@@ -54,6 +56,9 @@ type lstmForecaster struct {
 	cfg Config
 	inv *predictor.InvocationPredictor
 	iat *predictor.InterArrivalPredictor
+	// fresh counts the Updates since the last successful Fit: how many of the
+	// next Fit's trailing observations the model has not trained on.
+	fresh int
 	// memo is the last forecast computed for the current (model, history),
 	// nil once either changes. PredictUpper repeats Predict at the same
 	// horizon every window, and the LSTM roll-forward is the family's
@@ -72,30 +77,43 @@ func (f *lstmForecaster) Name() string { return "lstm" }
 // activation gate the controller historically applied inline.
 const countFitMargin = 10
 
+// Fit trains from the seed the first time it succeeds. Every later Fit is a
+// warm refit: the fitted predictor keeps its weights, optimizer state and
+// normalization and trains on the observations Updated since the last
+// successful Fit — taken to be hist's last ones — plus an equally sized replay
+// sample of the older tail, so a refit costs what the new data costs, not
+// what the tail does. The count classifier alone starts over, when hist holds
+// a bucket its head has no class for (predictor.InvocationPredictor.Refit).
 func (f *lstmForecaster) Fit(hist []Observation) error {
 	if f.cfg.Role == RoleInterArrival {
-		p := predictor.NewInterArrivalPredictor(f.cfg.Seed)
-		if f.cfg.Budget == BudgetOnline {
-			p.Epochs = 3
+		p := f.iat
+		if p == nil {
+			p = predictor.NewInterArrivalPredictor(f.cfg.Seed)
+			if f.cfg.Budget == BudgetOnline {
+				p.Epochs = 3
+			}
 		}
 		if len(hist) <= p.SeqLen {
 			return ErrShortSeries
 		}
 		f.replace(hist)
-		p.FitIAT(f.values(), f.covs())
-		f.iat, f.memo = p, nil
+		p.RefitIAT(f.values(), f.covs(), f.fresh)
+		f.iat, f.memo, f.fresh = p, nil, 0
 		return nil
 	}
-	p := predictor.NewInvocationPredictor(1, f.cfg.Seed)
-	if f.cfg.Budget == BudgetOnline {
-		p.Epochs = 2
+	p := f.inv
+	if p == nil {
+		p = predictor.NewInvocationPredictor(1, f.cfg.Seed)
+		if f.cfg.Budget == BudgetOnline {
+			p.Epochs = 2
+		}
 	}
 	if len(hist) <= p.SeqLen+countFitMargin {
 		return ErrShortSeries
 	}
 	f.replace(hist)
-	p.Fit(f.values())
-	f.inv, f.memo = p, nil
+	p.Refit(f.values(), f.fresh)
+	f.inv, f.memo, f.fresh = p, nil, 0
 	return nil
 }
 
@@ -146,6 +164,7 @@ func (f *lstmForecaster) PredictUpper(horizon int) []float64 {
 
 func (f *lstmForecaster) Update(obs Observation) {
 	f.append(obs)
+	f.fresh++
 	f.memo = nil
 }
 
@@ -182,7 +201,8 @@ func (f *arimaForecaster) Predict(horizon int) []float64 {
 	if f.ar == nil {
 		return persistence(f.hist, horizon)
 	}
-	return rollForward(f.hist, horizon, func(h []Observation) float64 {
+	// AR(P) on the D-times differenced series reads the last P+D values.
+	return rollForward(f.tail(f.ar.P+f.ar.D+horizon), horizon, func(h []Observation) float64 {
 		s := series{hist: h}
 		return f.ar.Predict(s.values())
 	})
@@ -262,7 +282,7 @@ func (f *gbtForecaster) Predict(horizon int) []float64 {
 	if f.gbt == nil {
 		return persistence(f.hist, horizon)
 	}
-	return rollForward(f.hist, horizon, func(h []Observation) float64 {
+	return rollForward(f.tail(f.gbt.Lags+horizon), horizon, func(h []Observation) float64 {
 		s := series{hist: h}
 		return f.gbt.Predict(s.values())
 	})

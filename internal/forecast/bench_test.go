@@ -10,18 +10,45 @@ import (
 // in-loop refit size.
 func benchSeries() []Observation { return counts(400) }
 
-// BenchmarkForecastFit measures one full refit per family — the cost the
-// controller pays at TrainAfter/RetrainEvery boundaries and on drift trips.
-// ns/op and allocs/op feed BENCH_forecast.json via scripts/bench_forecast.sh
-// and gate regressions in CI.
+// BenchmarkForecastFit measures one first fit per family — a new instance
+// trained from its seed, the cost the controller pays once at TrainAfter.
+// Every iteration builds its own instance (a second Fit on a fitted LSTM is a
+// warm refit, timed by BenchmarkForecastRefit), so the training-free rows are
+// an instance plus its history array. ns/op and allocs/op feed
+// BENCH_forecast.json via scripts/bench_forecast.sh and gate regressions in CI.
 func BenchmarkForecastFit(b *testing.B) {
 	hist := benchSeries()
 	for _, name := range Names() {
 		b.Run(fmt.Sprintf("family=%s", name), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f := MustNew(name, Config{Seed: 1, Role: RoleCount, Budget: BudgetOnline})
+				if err := f.Fit(hist); err != nil {
+					b.Fatalf("Fit: %v", err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkForecastRefit measures one in-loop refit of a fitted instance, as
+// the controller pays at RetrainEvery boundaries and on drift trips: 32 new
+// observations (the drift detector's burn-in, the soonest a refit can follow
+// a fit) and a Fit on the tail they end.
+func BenchmarkForecastRefit(b *testing.B) {
+	hist := benchSeries()
+	for _, name := range Names() {
+		b.Run(fmt.Sprintf("family=%s", name), func(b *testing.B) {
 			f := MustNew(name, Config{Seed: 1, Role: RoleCount, Budget: BudgetOnline})
+			if err := f.Fit(hist); err != nil {
+				b.Fatalf("Fit: %v", err)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				for _, o := range hist[len(hist)-DefaultDriftMinSamples:] {
+					f.Update(o)
+				}
 				if err := f.Fit(hist); err != nil {
 					b.Fatalf("Fit: %v", err)
 				}

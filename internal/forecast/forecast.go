@@ -12,8 +12,8 @@
 // a hard-wired struct.
 //
 // Everything here is deterministic: a forecaster's outputs are a pure
-// function of its Config (seed, role, budget) and the observation sequence
-// it was fed. Clone produces an untrained instance with the same
+// function of its Config (seed, role, budget) and the sequence of Fit and
+// Update calls it received. Clone produces an untrained instance with the same
 // hyperparameters, so per-function or per-trace instances are reproducible
 // by construction.
 //
@@ -110,10 +110,15 @@ var ErrShortSeries = errors.New("forecast: series too short to fit")
 type Forecaster interface {
 	// Name identifies the forecaster family in experiment output.
 	Name() string
-	// Fit replaces the internal state, training on hist (oldest first). It
-	// returns ErrShortSeries when hist cannot support training; other
-	// errors are family-specific. After an error the previous fitted state,
-	// if any, is retained.
+	// Fit replaces the history with hist (oldest first) and trains on it.
+	// The first successful Fit trains from the Config's seed; a later one
+	// may continue from the fitted state instead of starting over, taking
+	// the observations Updated since the last successful Fit to be hist's
+	// last ones (the LSTM family does; the closed-form families refit
+	// whole). Either way the result is a pure function of the Config and
+	// the Fit/Update calls so far. It returns ErrShortSeries when hist
+	// cannot support training; other errors are family-specific. After an
+	// error the previous state — model and history — is retained.
 	Fit(hist []Observation) error
 	// Predict forecasts the next horizon steps after the last observation
 	// seen (Fit history plus Updates), index 0 being one step ahead.

@@ -423,8 +423,10 @@ func forecastMoved(a, b []float64) bool {
 
 // TestLSTMForecastMemo pins the remembered forecast of lstmForecaster: it
 // may only ever answer what a roll-forward on the current model and history
-// would. The oracle for each state is a new instance brought to that state
-// and asked once, which cannot have anything remembered.
+// would. The oracle for each state is a new instance taken through the same
+// Fit and Update calls and asked once, which cannot have anything remembered
+// (a refit continues from the fitted model, so a state is its whole call
+// sequence, not its last Fit).
 func TestLSTMForecastMemo(t *testing.T) {
 	const horizon = 4
 	for _, role := range []Role{RoleCount, RoleInterArrival} {
@@ -471,8 +473,12 @@ func TestLSTMForecastMemo(t *testing.T) {
 		if err := f.Fit(histB); err != nil {
 			t.Fatalf("%v: refit: %v", role, err)
 		}
+		oracle := reach(histA, updates)
+		if err := oracle.Fit(histB); err != nil {
+			t.Fatalf("%v: oracle refit: %v", role, err)
+		}
 		got := f.Predict(horizon)
-		sameForecast(t, role.String()+": Predict after refit", got, reach(histB, nil).Predict(horizon))
+		sameForecast(t, role.String()+": Predict after refit", got, oracle.Predict(horizon))
 		if !forecastMoved(got, last) {
 			t.Fatalf("%v: fixture too weak: refit left the forecast at %v", role, last)
 		}

@@ -121,6 +121,9 @@ func (d *Drift) Drifted() bool { return d.tripped }
 // Reset clears the detector state; call after acting on a drift (refit).
 // The completed run's mean error is kept as the absolute alarm's baseline,
 // so only errors materially worse than before the reset can re-trip it.
+// The first fit is preceded by no run, so after it the alarm has no baseline
+// and a series whose errors stay above TripMean trips it again MinSamples
+// later, once: every hard series pays a second fit that soon after its first.
 func (d *Drift) Reset() {
 	if d.n > 0 {
 		d.prevMean = d.mean
@@ -359,6 +362,11 @@ func EvaluateSeries(name string, cfg Config, hist []Observation, opts EvalOpts) 
 	if err != nil {
 		return QualityReport{}, err
 	}
+	return evaluate(f, hist, opts)
+}
+
+// evaluate is EvaluateSeries on a forecaster instance.
+func evaluate(f Forecaster, hist []Observation, opts EvalOpts) (QualityReport, error) {
 	horizon := opts.Horizon
 	if horizon < 1 {
 		horizon = 4

@@ -24,8 +24,8 @@ type IATPredictor interface {
 // inter-arrival time. Setting DualInput to false yields the paper's
 // SMIless-S ablation (single LSTM on inter-arrival times only).
 //
-// An instance is single-goroutine: FitIAT and PredictIAT both write the
-// model's scratch (input windows, LSTM tapes, merge activations).
+// An instance is single-goroutine: FitIAT, RefitIAT and PredictIAT all write
+// the model's scratch (input windows, LSTM tapes, merge activations).
 type InterArrivalPredictor struct {
 	// SeqLen is the input window length for both series.
 	SeqLen int
@@ -47,6 +47,7 @@ type InterArrivalPredictor struct {
 	lstmCount *LSTM
 	merge     *Dense // merged hidden -> hidden (with tanh)
 	head      *Dense // hidden -> 1
+	opt       *Adam  // over every module; lives on after FitIAT so RefitIAT continues from it
 	iatNorm   float64
 	countNorm float64
 	seed      int64
@@ -160,18 +161,33 @@ func (p *InterArrivalPredictor) FitIAT(iats, counts []float64) {
 	p.merged = make([]float64, 0, mergeIn)
 	p.act = make([]float64, p.Hidden)
 	params, grads := p.params()
-	opt := NewAdam(0.005, params, grads)
+	p.opt = NewAdam(0.005, params, grads)
+	p.train(iats, counts, len(iats))
+}
 
-	for epoch := 0; epoch < p.Epochs; epoch++ {
-		for i := p.SeqLen; i < len(iats); i++ {
-			p.trainSample(opt, iats, counts, i)
-		}
+// RefitIAT continues training the fitted model — same weights, optimizer
+// moments and normalization — on the aligned series, of which the last fresh
+// gaps arrived since the previous FitIAT or RefitIAT; see trainEpochs for
+// what it visits. Its cost follows fresh, not len(iats). On an unfitted
+// predictor it is FitIAT.
+func (p *InterArrivalPredictor) RefitIAT(iats, counts []float64, fresh int) {
+	if p.lstmIAT == nil {
+		p.FitIAT(iats, counts)
+		return
 	}
+	if len(counts) != len(iats) {
+		panic("predictor: iats and counts must be aligned")
+	}
+	p.train(iats, counts, fresh)
+}
+
+func (p *InterArrivalPredictor) train(iats, counts []float64, fresh int) {
+	trainEpochs(p.Epochs, p.SeqLen, len(iats), fresh, func(i int) { p.trainSample(iats, counts, i) })
 }
 
 // trainSample takes one optimizer step on the example that predicts
 // iats[i] from the two series before it. It allocates nothing.
-func (p *InterArrivalPredictor) trainSample(opt *Adam, iats, counts []float64, i int) {
+func (p *InterArrivalPredictor) trainSample(iats, counts []float64, i int) {
 	target := iats[i] / p.iatNorm
 	p.zeroGrad()
 	diff := p.forward(iats[:i], counts[:i]) - target
@@ -182,7 +198,7 @@ func (p *InterArrivalPredictor) trainSample(opt *Adam, iats, counts []float64, i
 		w = p.OverPenalty
 	}
 	p.backward(w * diff)
-	opt.Step(5)
+	p.opt.Step(5)
 }
 
 // PredictIAT implements IATPredictor. Untrained (FitIAT never ran, or only

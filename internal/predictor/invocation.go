@@ -26,8 +26,8 @@ type CountPredictor interface {
 // batch size, predicting the upper bound of the forecast bucket so that
 // underestimation (which causes SLA violations) is rare.
 //
-// An instance is single-goroutine: Fit and Predict both write the model's
-// scratch (input window, LSTM tape, class probabilities).
+// An instance is single-goroutine: Fit, Refit and Predict all write the
+// model's scratch (input window, LSTM tape, class probabilities).
 type InvocationPredictor struct {
 	// BucketSize is the width of each classification bucket.
 	BucketSize int
@@ -48,6 +48,7 @@ type InvocationPredictor struct {
 
 	lstm    *LSTM
 	head    *Dense
+	opt     *Adam // over lstm and head; lives on after Fit so Refit continues from it
 	classes int
 	norm    float64 // normalization constant for inputs
 	seed    int64
@@ -88,7 +89,9 @@ func (p *InvocationPredictor) upper(class int) float64 {
 	return float64(class * p.BucketSize)
 }
 
-// Fit implements CountPredictor.
+// Fit implements CountPredictor: it builds the model from the seed, sizes
+// the head and the input normalization from counts, and trains on every
+// example.
 func (p *InvocationPredictor) Fit(counts []float64) {
 	if len(counts) <= p.SeqLen {
 		panic(fmt.Sprintf("predictor: training series of %d windows shorter than SeqLen %d", len(counts), p.SeqLen))
@@ -111,18 +114,68 @@ func (p *InvocationPredictor) Fit(counts []float64) {
 	p.probs = make([]float64, p.classes)
 	lp, lg := p.lstm.Params()
 	dp, dg := p.head.Params()
-	opt := NewAdam(0.005, append(lp, dp...), append(lg, dg...))
+	p.opt = NewAdam(0.005, append(lp, dp...), append(lg, dg...))
+	p.train(counts, len(counts))
+}
 
-	for epoch := 0; epoch < p.Epochs; epoch++ {
-		for i := p.SeqLen; i < len(counts); i++ {
-			p.trainSample(opt, counts, i)
+// Refit continues training the fitted model — same weights, optimizer
+// moments, head and normalization — on counts, of which the last fresh
+// windows arrived since the previous Fit or Refit; see trainEpochs for what
+// it visits. Its cost follows fresh, not len(counts). Only a series the head
+// cannot represent, one whose largest bucket reaches the last class so that
+// no headroom is left above it, is fitted from scratch, as is any series on
+// an unfitted predictor.
+func (p *InvocationPredictor) Refit(counts []float64, fresh int) {
+	if p.lstm == nil {
+		p.Fit(counts)
+		return
+	}
+	for _, c := range counts {
+		if p.bucket(c) >= p.classes-1 {
+			p.Fit(counts)
+			return
+		}
+	}
+	p.train(counts, fresh)
+}
+
+func (p *InvocationPredictor) train(counts []float64, fresh int) {
+	trainEpochs(p.Epochs, p.SeqLen, len(counts), fresh, func(i int) { p.trainSample(counts, i) })
+}
+
+// trainEpochs is the training schedule of the LSTM family, from scratch and
+// warm alike. The examples of a series of n observations are its indices
+// first..n-1 (each predicts that observation from the ones before it). Every
+// epoch visits, in ascending order, an evenly spaced replay sample of the
+// examples older than the last fresh ones, as many as there are fresh ones,
+// and then the fresh ones. With fresh >= n-first that is every example once
+// and no replay: the from-scratch epoch.
+func trainEpochs(epochs, first, n, fresh int, step func(i int)) {
+	if n <= first || fresh <= 0 {
+		return
+	}
+	if fresh > n-first {
+		fresh = n - first
+	}
+	older := n - first - fresh
+	replay := fresh
+	if replay > older {
+		replay = older
+	}
+	for epoch := 0; epoch < epochs; epoch++ {
+		for j := 0; j < replay; j++ {
+			// The middle of the j-th of replay equal strata.
+			step(first + (2*j+1)*older/(2*replay))
+		}
+		for i := n - fresh; i < n; i++ {
+			step(i)
 		}
 	}
 }
 
 // trainSample takes one optimizer step on the example that predicts
 // counts[i]'s bucket from the windows before it. It allocates nothing.
-func (p *InvocationPredictor) trainSample(opt *Adam, counts []float64, i int) {
+func (p *InvocationPredictor) trainSample(counts []float64, i int) {
 	target := p.bucket(counts[i])
 	if target >= p.classes {
 		target = p.classes - 1
@@ -132,7 +185,7 @@ func (p *InvocationPredictor) trainSample(opt *Adam, counts []float64, i int) {
 	h := p.lstm.Forward(p.window(counts[:i]))
 	CrossEntropyGrad(p.probs, p.head.Forward(h), target)
 	p.lstm.Backward(p.head.Backward(h, p.probs))
-	opt.Step(5)
+	p.opt.Step(5)
 }
 
 // window refills the normalized input sequence from the tail of history.

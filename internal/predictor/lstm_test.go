@@ -234,10 +234,7 @@ func TestTrainingSampleDoesNotAllocate(t *testing.T) {
 	inv := NewInvocationPredictor(2, 1)
 	inv.Epochs = 1
 	inv.Fit(counts)
-	lp, lg := inv.lstm.Params()
-	dp, dg := inv.head.Params()
-	opt := NewAdam(0.005, append(lp, dp...), append(lg, dg...))
-	if n := testing.AllocsPerRun(20, func() { inv.trainSample(opt, counts, 40) }); n != 0 {
+	if n := testing.AllocsPerRun(20, func() { inv.trainSample(counts, 40) }); n != 0 {
 		t.Errorf("InvocationPredictor training sample: %v allocs, want 0", n)
 	}
 
@@ -245,9 +242,7 @@ func TestTrainingSampleDoesNotAllocate(t *testing.T) {
 		iat := NewInterArrivalPredictor(1)
 		iat.Epochs, iat.DualInput = 1, dual
 		iat.FitIAT(iats, counts)
-		params, grads := iat.params()
-		opt := NewAdam(0.005, params, grads)
-		if n := testing.AllocsPerRun(20, func() { iat.trainSample(opt, iats, counts, 40) }); n != 0 {
+		if n := testing.AllocsPerRun(20, func() { iat.trainSample(iats, counts, 40) }); n != 0 {
 			t.Errorf("InterArrivalPredictor (dual=%v) training sample: %v allocs, want 0", dual, n)
 		}
 	}

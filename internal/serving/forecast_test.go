@@ -47,6 +47,10 @@ func runForecastServing(t *testing.T, opts controller.Options) *simulator.RunSta
 		next := float64(i+1) * 2
 		stepUntil(t, rt, fake, func() bool { return fake.Now() >= next })
 	}
+	// The clock stands on the last window boundary: let the loop handle that
+	// tick, or the snapshot holds one scored forecast more or less depending
+	// on which goroutine runs first.
+	stepUntil(t, rt, fake, rt.Quiesced)
 	return rt.Snapshot()
 }
 

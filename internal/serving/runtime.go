@@ -274,10 +274,22 @@ func (rt *Runtime) wakeLoop() {
 	}
 }
 
+// runDue pops and handles, in deadline order, every event due at or before
+// the current clock reading; callers hold mu. The heap is only ever popped
+// here — the same discipline as the simulator's discrete-event loop.
+func (rt *Runtime) runDue() {
+	for len(rt.events) > 0 && rt.events[0].at <= rt.now() {
+		e := heap.Pop(&rt.events).(*event)
+		if invariantsEnabled {
+			invariant(e.at >= rt.lastPop, "deadline heap popped out of order: %.9f after %.9f (kind %d)", e.at, rt.lastPop, e.kind)
+			rt.lastPop = e.at
+		}
+		rt.handle(e)
+	}
+}
+
 // loop is the scheduler goroutine: sleep until the earliest event deadline,
-// then drain everything due under the lock. It is the only goroutine that
-// pops the heap, so events are always handled in deadline order — the same
-// discipline as the simulator's discrete-event loop.
+// then run everything due under the lock.
 func (rt *Runtime) loop() {
 	defer close(rt.loopDone)
 	for {
@@ -287,15 +299,16 @@ func (rt *Runtime) loop() {
 			return
 		}
 		rt.sleeping = false
+		// This pass serves any poke so far. A poke that raced the timer is
+		// still in the channel; left there it would start one more pass that
+		// Quiesced cannot see coming, and a fake-clock test advancing during
+		// that pass gets its timer registered past the event it is for.
 		rt.wakePending = false
-		for len(rt.events) > 0 && rt.events[0].at <= rt.now() {
-			e := heap.Pop(&rt.events).(*event)
-			if invariantsEnabled {
-				invariant(e.at >= rt.lastPop, "deadline heap popped out of order: %.9f after %.9f (kind %d)", e.at, rt.lastPop, e.kind)
-				rt.lastPop = e.at
-			}
-			rt.handle(e)
+		select {
+		case <-rt.wake:
+		default:
 		}
+		rt.runDue()
 		// Register the wake-up timer BEFORE publishing sleeping=true and
 		// releasing the lock: Quiesced (the fake-clock stepping probe) must
 		// only report true once the clock waiter for the earliest deadline
@@ -411,6 +424,17 @@ func (rt *Runtime) Invoke(ctx context.Context) (<-chan Result, error) {
 // seconds; budget 0 falls back to Config.DefaultDeadline (0 = unbounded).
 // Forwarding, failover and retries all respect the deadline: a request still
 // unresolved when it elapses fails with Result.DeadlineExceeded.
+//
+// Order: an arrival comes after every event that came due while the scheduler
+// loop slept. If the loop is asleep with no poke outstanding, whatever is due
+// is due because the clock moved, and the call runs it itself before it
+// admits the request, whichever of it and the loop's timer takes the lock
+// first: a request sent exactly on a decision-window boundary is counted in
+// the window that opens there and is admitted against the state the tick
+// left. With a poke outstanding the due events are what another caller
+// scheduled a moment ago (a zero-latency completion, a pre-warm at offset 0);
+// they stay with the loop pass that caller woke, so how long a call takes
+// does not depend on whose work happens to be pending.
 func (rt *Runtime) InvokeWithDeadline(ctx context.Context, budget float64) (<-chan Result, error) {
 	if ctx == nil {
 		ctx = context.Background() //lint:allow ctxflow nil-ctx compatibility fallback: the caller explicitly declined cancellation
@@ -426,6 +450,9 @@ func (rt *Runtime) InvokeWithDeadline(ctx context.Context, budget float64) (<-ch
 	if err := ctx.Err(); err != nil {
 		// The caller was gone before admission: do not burn a slot.
 		return nil, err
+	}
+	if rt.sleeping && !rt.wakePending {
+		rt.runDue()
 	}
 	if rt.inflight >= rt.cfg.MaxInflight {
 		rt.rejected++
