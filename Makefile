@@ -24,13 +24,14 @@ chaos-smoke:
 	sh scripts/chaos_smoke.sh
 
 # Runtime invariant mode: rebuilds the serving/simulator suites with
-# -tags smiless_invariants, turning on in-code assertions (deadline-heap
-# ordering, admission-slot accounting, done-map idempotency, node health
-# transitions, drivers writing through a history view) and the
+# -tags smiless_invariants, turning on in-code assertions (event-queue
+# ordering, end-of-run conservation of requests and cost, admission-slot
+# accounting, done-map idempotency, node health transitions, drivers writing
+# through a history view) and the
 # goroutine-leak checker adopted by TestMain. The controller and baseline
 # suites ride along so every shipped driver runs under the history guard.
 invariants:
-	$(GO) test -tags smiless_invariants ./internal/serving/... ./internal/simulator/... ./internal/clock/... ./internal/controller/... ./internal/baselines/...
+	$(GO) test -tags smiless_invariants ./internal/serving/... ./internal/simulator/... ./internal/eventq/... ./internal/clock/... ./internal/controller/... ./internal/baselines/...
 
 # Mirrors CI's lint and hygiene jobs: vet, the repo's own analyzer suite,
 # and gofmt.

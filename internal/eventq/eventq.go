@@ -1,0 +1,114 @@
+// Package eventq is the future-event queue both executors run on: the
+// discrete-event simulator (internal/simulator) pops it in virtual time, the
+// serving runtime (internal/serving) against a clock. It owns the one
+// same-instant order the system has:
+//
+//	events pop by ascending time; events on one bit-identical timestamp pop
+//	in ticket order, and a ticket is drawn when the event is pushed — or
+//	earlier, by Ticket, for an occurrence decided now whose queue entry is
+//	pushed later (a keep-alive deadline keeps the rank of the instant it was
+//	armed however often its entry is re-pushed).
+//
+// Entries are stored by value in a binary heap: no container/heap interface,
+// no boxing, and no allocation per event once the backing array has grown to
+// the run's high-water mark.
+//
+//lint:deterministic
+package eventq
+
+import "fmt"
+
+type entry[T any] struct {
+	at     float64
+	ticket uint64
+	v      T
+}
+
+func (a *entry[T]) before(b *entry[T]) bool {
+	if a.at != b.at { //lint:allow floateq exact tie-break: only bit-identical timestamps fall through to ticket order
+		return a.at < b.at
+	}
+	return a.ticket < b.ticket
+}
+
+// Queue is a min-heap of T ordered on (time, ticket). The zero value is an
+// empty queue.
+type Queue[T any] struct {
+	h       []entry[T]
+	tickets uint64
+	lastPop float64 // read and written only in smiless_invariants builds
+}
+
+// Len returns the number of queued events.
+func (q *Queue[T]) Len() int { return len(q.h) }
+
+// Ticket draws the next same-instant rank without pushing anything.
+func (q *Queue[T]) Ticket() uint64 {
+	q.tickets++
+	return q.tickets
+}
+
+// Push queues v at time at, ranked after everything pushed or ticketed so
+// far on the same timestamp.
+func (q *Queue[T]) Push(at float64, v T) { q.PushTicket(at, q.Ticket(), v) }
+
+// PushTicket queues v at time at under a rank drawn earlier with Ticket.
+func (q *Queue[T]) PushTicket(at float64, ticket uint64, v T) {
+	e := entry[T]{at, ticket, v}
+	q.h = append(q.h, e)
+	i := len(q.h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&q.h[parent]) {
+			break
+		}
+		q.h[i] = q.h[parent]
+		i = parent
+	}
+	q.h[i] = e
+}
+
+// NextAt returns the time of the earliest event; ok is false when the queue
+// is empty.
+func (q *Queue[T]) NextAt() (at float64, ok bool) {
+	if len(q.h) == 0 {
+		return 0, false
+	}
+	return q.h[0].at, true
+}
+
+// Pop removes and returns the earliest event and its time. It panics on an
+// empty queue. Builds tagged smiless_invariants also panic if a pop ever
+// runs backwards in time, which only a push into the past can cause.
+func (q *Queue[T]) Pop() (at float64, v T) {
+	top := q.h[0]
+	n := len(q.h) - 1
+	e := q.h[n]
+	q.h[n] = entry[T]{} // drop the slot's references
+	q.h = q.h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			child := 2*i + 1
+			if child >= n {
+				break
+			}
+			if r := child + 1; r < n && q.h[r].before(&q.h[child]) {
+				child = r
+			}
+			if !q.h[child].before(&e) {
+				break
+			}
+			q.h[i] = q.h[child]
+			i = child
+		}
+		q.h[i] = e
+	}
+	if invariantsEnabled {
+		if top.at < q.lastPop {
+			panic(fmt.Sprintf("eventq: invariant violated: popped %.9f after %.9f", top.at, q.lastPop))
+		}
+		q.lastPop = top.at
+	}
+	return top.at, top.v
+}

@@ -13,7 +13,9 @@
 package serving
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 
 	"smiless/internal/coldstart"
 	"smiless/internal/dag"
@@ -38,11 +40,20 @@ type container struct {
 	node      int // node agent the instance is placed on
 	state     int
 	initStart float64
-	idleEpoch int
 	batchSeq  int // validates in-flight timeout/hedge/failure events
-	assigned  []*nodeInv
-	batch     []*nodeInv
-	prewarmed bool
+	// Keep-alive, as in the simulator: idleAt is the deadline of the last
+	// armIdleTimer and idleTicket its same-instant rank; idleArmed drops
+	// when a batch starts. At most one queue entry per container is live —
+	// generation timerGen, due at timerAt (+Inf: none) — and it re-pushes
+	// itself when the deadline has moved later by the time it fires.
+	idleAt     float64
+	idleTicket uint64
+	idleArmed  bool
+	timerAt    float64
+	timerGen   int
+	assigned   []*nodeInv
+	batch      []*nodeInv
+	prewarmed  bool
 }
 
 // latWindow is the per-function ring of recent execution durations backing
@@ -54,9 +65,16 @@ type fnState struct {
 	spec specSampler
 	// class is the function's interference class (derived from the spec's
 	// Field at construction; test fakes default to the general class).
-	class      placement.Class
-	directive  simulator.Directive
-	containers map[int]*container
+	class     placement.Class
+	directive simulator.Directive
+	// Topology, fixed in New: position in graph order, predecessor count and
+	// successors, so the request path never asks the dag.Graph.
+	idx   int
+	npred int
+	succs []*fnState
+	// containers holds the live instances in id order: the first match of a
+	// scan is the lowest id, and its length is the live count.
+	containers []*container
 	queue      []*nodeInv
 
 	// Batch-linger state: while armed, dispatch onto idle instances is
@@ -88,22 +106,14 @@ func (f *fnState) recordLatency(d float64) {
 	f.latPos = (f.latPos + 1) % latWindow
 }
 
-func (f *fnState) liveCount() int {
-	n := 0
-	for _, c := range f.containers {
-		if c.state != cDead {
-			n++
-		}
-	}
-	return n
-}
+func (f *fnState) liveCount() int { return len(f.containers) }
 
 type appInv struct {
 	id        int
 	arrival   float64
 	deadline  float64 // absolute model time; 0 = unbounded
-	pending   map[dag.NodeID]int
-	done      map[dag.NodeID]bool
+	pending   []int   // unfinished predecessor count, by function index
+	done      []bool
 	remaining int
 	failed    bool
 	resolved  bool
@@ -115,7 +125,7 @@ type appInv struct {
 
 type nodeInv struct {
 	inv     *appInv
-	node    dag.NodeID
+	fs      *fnState
 	readyAt float64
 
 	attempts int
@@ -128,9 +138,9 @@ type nodeInv struct {
 // enqueue adds a ready node invocation and attempts dispatch.
 func (rt *Runtime) enqueue(ni *nodeInv) {
 	if rt.rec != nil && ni.span == nil {
-		ni.span = rt.rec.BeginNode(ni.inv.id, string(ni.node), rt.now(), ni.isHedge)
+		ni.span = rt.rec.BeginNode(ni.inv.id, string(ni.fs.id), rt.now(), ni.isHedge)
 	}
-	fs := rt.fns[ni.node]
+	fs := ni.fs
 	fs.queue = append(fs.queue, ni)
 	rt.pump(fs)
 }
@@ -210,19 +220,15 @@ func (rt *Runtime) holdForBatch(fs *fnState) bool {
 	if !fs.lingerArmed {
 		fs.lingerArmed = true
 		fs.lingerEpoch++
-		rt.schedule(&event{
-			at: rt.now() + rt.cfg.BatchLinger, kind: evLinger,
-			fn: fs.id, epoch: fs.lingerEpoch,
-		})
+		rt.schedule(rt.now()+rt.cfg.BatchLinger, event{kind: evLinger, fs: fs, epoch: fs.lingerEpoch})
 	}
 	return true
 }
 
 // onLinger fires when a batch aggregation window expires: whatever is
 // queued dispatches as a partial batch.
-func (rt *Runtime) onLinger(id dag.NodeID, epoch int) {
-	fs := rt.fns[id]
-	if fs == nil || !fs.lingerArmed || fs.lingerEpoch != epoch {
+func (rt *Runtime) onLinger(fs *fnState, epoch int) {
+	if !fs.lingerArmed || fs.lingerEpoch != epoch {
 		return
 	}
 	fs.lingerArmed = false
@@ -231,25 +237,23 @@ func (rt *Runtime) onLinger(id dag.NodeID, epoch int) {
 	fs.lingerExpired = false
 }
 
+// pickIdle returns the lowest-id idle container on a routable node.
 func (rt *Runtime) pickIdle(fs *fnState) *container {
-	var best *container
 	for _, c := range fs.containers {
-		if c.state == cIdle && rt.routable(c) && (best == nil || c.id < best.id) {
-			best = c
+		if c.state == cIdle && rt.routable(c) {
+			return c
 		}
 	}
-	return best
+	return nil
 }
 
 func (rt *Runtime) pickInitializing(fs *fnState) *container {
-	var best *container
 	for _, c := range fs.containers {
-		if c.state == cInitializing && rt.routable(c) && len(c.assigned) < fs.directive.Batch &&
-			(best == nil || c.id < best.id) {
-			best = c
+		if c.state == cInitializing && rt.routable(c) && len(c.assigned) < fs.directive.Batch {
+			return c
 		}
 	}
-	return best
+	return nil
 }
 
 // routable reports whether the control plane will dispatch new work to this
@@ -266,7 +270,7 @@ func (rt *Runtime) routable(c *container) bool {
 func (rt *Runtime) routableCount(fs *fnState) int {
 	n := 0
 	for _, c := range fs.containers {
-		if c.state != cDead && rt.routable(c) {
+		if rt.routable(c) {
 			n++
 		}
 	}
@@ -280,10 +284,11 @@ func (rt *Runtime) launch(fs *fnState, cfg hardware.Config, prewarmed bool) *con
 	c := &container{
 		id: rt.nextCont, fn: fs, cfg: cfg, node: rt.placeNode(fs),
 		state: cInitializing, initStart: rt.now(), prewarmed: prewarmed,
+		timerAt: math.Inf(1),
 	}
 	rt.nextCont++
-	fs.containers[c.id] = c
-	rt.conts[c.id] = c
+	fs.containers = append(fs.containers, c) // ids only grow: both lists stay ordered
+	rt.conts = append(rt.conts, c)
 	rt.nodes[c.node].conts++
 	rt.stats.Inits++
 	rt.beginInit(c)
@@ -306,16 +311,15 @@ func (rt *Runtime) beginInit(c *container) {
 	}
 	if rt.inj != nil {
 		if fail, frac := rt.inj.InitOutcome(string(c.fn.id)); fail {
-			rt.schedule(&event{at: rt.now() + dur*frac, kind: evInitFail, cid: c.id})
+			rt.schedule(rt.now()+dur*frac, event{kind: evInitFail, c: c})
 			return
 		}
 	}
-	rt.schedule(&event{at: rt.now() + dur, kind: evInitDone, cid: c.id})
+	rt.schedule(rt.now()+dur, event{kind: evInitDone, c: c})
 }
 
-func (rt *Runtime) onInitDone(cid int) {
-	c := rt.conts[cid]
-	if c == nil || c.state != cInitializing {
+func (rt *Runtime) onInitDone(c *container) {
+	if c.state != cInitializing {
 		return
 	}
 	c.state = cIdle
@@ -344,9 +348,8 @@ func (rt *Runtime) onInitDone(cid int) {
 // onInitFail handles an injected crash during initialization: the partial
 // init time is still billed, assigned work returns to the queue, and pump
 // relaunches.
-func (rt *Runtime) onInitFail(cid int) {
-	c := rt.conts[cid]
-	if c == nil || c.state != cInitializing {
+func (rt *Runtime) onInitFail(c *container) {
+	if c.state != cInitializing {
 		return
 	}
 	rt.stats.InitFailures++
@@ -384,8 +387,8 @@ func (rt *Runtime) startBatch(c *container, cause tracing.Phase) {
 	now := rt.now()
 	c.state = cBusy
 	c.batch = batch
-	c.idleEpoch++ // invalidate any pending idle timer
-	c.batchSeq++  // validates timeout/hedge/crash events for this batch
+	c.idleArmed = false // the keep-alive deadline is void until re-armed
+	c.batchSeq++        // validates timeout/hedge/crash events for this batch
 	if rt.rec != nil {
 		for _, ni := range batch {
 			ni.span.Dispatch(now, cause, c.initStart, c.id,
@@ -412,23 +415,22 @@ func (rt *Runtime) startBatch(c *container, cause tracing.Phase) {
 	rt.stats.BatchSum += len(batch)
 	if rt.inj != nil {
 		if fail, frac := rt.inj.ExecOutcome(string(fs.id)); fail {
-			rt.schedule(&event{at: now + dur*frac, kind: evExecFail, cid: c.id, epoch: c.batchSeq})
+			rt.schedule(now+dur*frac, event{kind: evExecFail, c: c, epoch: c.batchSeq})
 			return
 		}
 	}
-	rt.schedule(&event{at: now + dur, kind: evExecDone, cid: c.id, epoch: c.batchSeq})
+	rt.schedule(now+dur, event{kind: evExecDone, c: c, epoch: c.batchSeq})
 	if t := d.Retry.Timeout; t > 0 && dur > t {
-		rt.schedule(&event{at: now + t, kind: evExecTimeout, cid: c.id, epoch: c.batchSeq})
+		rt.schedule(now+t, event{kind: evExecTimeout, c: c, epoch: c.batchSeq})
 	}
 	if h := d.HedgeDelay; h > 0 && len(batch) == 1 && dur > h &&
 		!batch[0].isHedge && !batch[0].hedged {
-		rt.schedule(&event{at: now + h, kind: evHedge, cid: c.id, epoch: c.batchSeq})
+		rt.schedule(now+h, event{kind: evHedge, c: c, epoch: c.batchSeq})
 	}
 }
 
-func (rt *Runtime) onExecDone(cid, epoch int) {
-	c := rt.conts[cid]
-	if c == nil || c.state != cBusy || c.batchSeq != epoch {
+func (rt *Runtime) onExecDone(c *container, epoch int) {
+	if c.state != cBusy || c.batchSeq != epoch {
 		return
 	}
 	batch := c.batch
@@ -443,11 +445,10 @@ func (rt *Runtime) onExecDone(cid, epoch int) {
 	// Complete each member and release successors. A member whose request
 	// already failed, or whose node a hedge twin finished first, is
 	// discarded (first completion wins).
-	g := rt.cfg.App.Graph
 	counted := false
 	for _, ni := range batch {
 		inv := ni.inv
-		if inv.failed || inv.done[ni.node] {
+		if inv.failed || inv.done[fs.idx] {
 			ni.span.Finish(now, false)
 			continue
 		}
@@ -459,14 +460,14 @@ func (rt *Runtime) onExecDone(cid, epoch int) {
 			fs.successes++
 			counted = true
 		}
-		inv.done[ni.node] = true
+		inv.done[fs.idx] = true
 		inv.remaining--
 		invariant(inv.remaining >= 0, "request %d finished more members than its DAG has: remaining %d", inv.id, inv.remaining)
-		for _, succ := range g.Successors(ni.node) {
-			inv.pending[succ]--
-			invariant(inv.pending[succ] >= 0, "request %d released successor %s more times than it has predecessors", inv.id, succ)
-			if inv.pending[succ] == 0 {
-				rt.enqueue(&nodeInv{inv: inv, node: succ, readyAt: now})
+		for _, succ := range fs.succs {
+			inv.pending[succ.idx]--
+			invariant(inv.pending[succ.idx] >= 0, "request %d released successor %s more times than it has predecessors", inv.id, succ.id)
+			if inv.pending[succ.idx] == 0 {
+				rt.enqueue(&nodeInv{inv: inv, fs: succ, readyAt: now})
 			}
 		}
 		if inv.remaining == 0 {
@@ -493,8 +494,8 @@ func (rt *Runtime) onExecDone(cid, epoch int) {
 // reproducible accumulation.
 func (rt *Runtime) interferenceFactor(c *container) float64 {
 	var residents []placement.Resident
-	for _, o := range sortedConts(rt.conts) {
-		if o.id == c.id || o.node != c.node || o.state == cDead {
+	for _, o := range rt.conts {
+		if o == c || o.node != c.node {
 			continue
 		}
 		residents = append(residents, placement.Resident{
@@ -522,9 +523,8 @@ func (rt *Runtime) abortBatch(c *container) {
 	rt.pump(fs)
 }
 
-func (rt *Runtime) onExecFail(cid, epoch int) {
-	c := rt.conts[cid]
-	if c == nil || c.state != cBusy || c.batchSeq != epoch {
+func (rt *Runtime) onExecFail(c *container, epoch int) {
+	if c.state != cBusy || c.batchSeq != epoch {
 		return
 	}
 	rt.stats.ExecFailures++
@@ -532,9 +532,8 @@ func (rt *Runtime) onExecFail(cid, epoch int) {
 	rt.abortBatch(c)
 }
 
-func (rt *Runtime) onExecTimeout(cid, epoch int) {
-	c := rt.conts[cid]
-	if c == nil || c.state != cBusy || c.batchSeq != epoch {
+func (rt *Runtime) onExecTimeout(c *container, epoch int) {
+	if c.state != cBusy || c.batchSeq != epoch {
 		return
 	}
 	rt.stats.Timeouts++
@@ -546,7 +545,7 @@ func (rt *Runtime) onExecTimeout(cid, epoch int) {
 // policy: re-enqueue after backoff while attempts remain, otherwise the
 // whole request fails.
 func (rt *Runtime) retryMember(fs *fnState, ni *nodeInv) {
-	if ni.inv.failed || ni.isHedge || ni.inv.done[ni.node] {
+	if ni.inv.failed || ni.isHedge || ni.inv.done[fs.idx] {
 		return
 	}
 	ni.attempts++
@@ -582,7 +581,7 @@ func (rt *Runtime) retryMember(fs *fnState, ni *nodeInv) {
 		return
 	}
 	ni.span.Backoff(rt.now(), rt.now()+delay)
-	rt.schedule(&event{at: rt.now() + delay, kind: evRetry, ni: ni, fn: fs.id})
+	rt.schedule(rt.now()+delay, event{kind: evRetry, ni: ni})
 }
 
 // failInvocation marks a request permanently failed (retries exhausted) and
@@ -629,7 +628,7 @@ func (rt *Runtime) dropInvocation(inv *appInv, res Result) {
 
 // onRetry re-enqueues a backed-off member once its delay elapses.
 func (rt *Runtime) onRetry(ni *nodeInv) {
-	if ni == nil || ni.inv.failed || ni.inv.done[ni.node] {
+	if ni.inv.failed || ni.inv.done[ni.fs.idx] {
 		return
 	}
 	ni.readyAt = rt.now()
@@ -638,13 +637,12 @@ func (rt *Runtime) onRetry(ni *nodeInv) {
 
 // onHedge duplicates a slow single-member execution onto a second warm
 // instance; the first completion wins.
-func (rt *Runtime) onHedge(cid, epoch int) {
-	c := rt.conts[cid]
-	if c == nil || c.state != cBusy || c.batchSeq != epoch || len(c.batch) != 1 {
+func (rt *Runtime) onHedge(c *container, epoch int) {
+	if c.state != cBusy || c.batchSeq != epoch || len(c.batch) != 1 {
 		return
 	}
 	primary := c.batch[0]
-	if primary.inv.failed || primary.hedged || primary.isHedge || primary.inv.done[primary.node] {
+	if primary.inv.failed || primary.hedged || primary.isHedge || primary.inv.done[c.fn.idx] {
 		return
 	}
 	h := rt.pickIdle(c.fn)
@@ -652,15 +650,18 @@ func (rt *Runtime) onHedge(cid, epoch int) {
 		return // no spare warm instance: hedging never launches cold starts
 	}
 	primary.hedged = true
-	twin := &nodeInv{inv: primary.inv, node: primary.node, readyAt: rt.now(), isHedge: true}
+	twin := &nodeInv{inv: primary.inv, fs: c.fn, readyAt: rt.now(), isHedge: true}
 	if rt.rec != nil {
-		twin.span = rt.rec.BeginNode(primary.inv.id, string(primary.node), rt.now(), true)
+		twin.span = rt.rec.BeginNode(primary.inv.id, string(c.fn.id), rt.now(), true)
 	}
 	rt.stats.HedgesLaunched++
 	h.assigned = append(h.assigned, twin)
 	rt.startBatch(h, tracing.PhaseQueue)
 }
 
+// armIdleTimer sets the container's keep-alive deadline from the directive
+// in force now. Under AlwaysOn nothing is armed — and nothing is disarmed: a
+// deadline that survived since the last batch stays live.
 func (rt *Runtime) armIdleTimer(c *container) {
 	d := c.fn.directive
 	if d.Policy == coldstart.AlwaysOn {
@@ -671,13 +672,30 @@ func (rt *Runtime) armIdleTimer(c *container) {
 		// Grace period for drivers that leave KeepAlive unset.
 		ka = 10 * rt.cfg.Window
 	}
-	c.idleEpoch++
-	rt.schedule(&event{at: rt.now() + ka, kind: evIdleTimeout, cid: c.id, epoch: c.idleEpoch})
+	c.idleAt, c.idleTicket, c.idleArmed = rt.now()+ka, rt.events.Ticket(), true
+	if c.idleAt < c.timerAt {
+		// No entry is queued, or a directive cut KeepAlive under the one
+		// that is: queue one for this deadline, superseding it.
+		rt.pushIdleTimer(c)
+	}
 }
 
-func (rt *Runtime) onIdleTimeout(cid, epoch int) {
-	c := rt.conts[cid]
-	if c == nil || c.state != cIdle || c.idleEpoch != epoch {
+func (rt *Runtime) pushIdleTimer(c *container) {
+	c.timerGen++
+	c.timerAt = c.idleAt
+	rt.events.PushTicket(c.idleAt, c.idleTicket, event{kind: evIdleTimeout, c: c, epoch: c.timerGen})
+}
+
+func (rt *Runtime) onIdleTimeout(c *container, gen int) {
+	if gen != c.timerGen || c.state == cDead {
+		return // superseded by an entry for an earlier deadline
+	}
+	c.timerAt = math.Inf(1)
+	if !c.idleArmed || c.state != cIdle {
+		return // a batch ran since the deadline was armed
+	}
+	if c.idleAt > rt.now() {
+		rt.pushIdleTimer(c) // re-armed for later while this entry waited
 		return
 	}
 	if c.fn.liveCount() <= c.fn.directive.MinWarm {
@@ -703,8 +721,14 @@ func (rt *Runtime) terminate(c *container) {
 	life, cost := rt.billedLife(c, rt.now())
 	rt.stats.AddCost(string(c.fn.id), c.cfg, life, cost)
 	rt.nodes[c.node].conts--
-	delete(c.fn.containers, c.id)
-	delete(rt.conts, c.id)
+	c.fn.containers = dropContainer(c.fn.containers, c)
+	rt.conts = dropContainer(rt.conts, c)
+}
+
+// dropContainer removes c from an id-ordered container list, keeping order.
+func dropContainer(cs []*container, c *container) []*container {
+	i := slices.Index(cs, c)
+	return slices.Delete(cs, i, i+1)
 }
 
 func (rt *Runtime) completeInvocation(inv *appInv) {
@@ -740,8 +764,7 @@ func (rt *Runtime) completeInvocation(inv *appInv) {
 	})
 }
 
-func (rt *Runtime) onPrewarm(id dag.NodeID) {
-	fs := rt.fns[id]
+func (rt *Runtime) onPrewarm(fs *fnState) {
 	terminating := fs.directive.Policy == coldstart.Prewarm || fs.directive.Policy == coldstart.NoMitigation
 	for _, c := range fs.containers {
 		switch c.state {

@@ -16,8 +16,9 @@ const invariantsEnabled = true
 
 // invariant panics when cond is false. It guards properties the runtime's
 // correctness argument relies on but that no single function can prove
-// locally: deadline-heap pop ordering, admission-slot accounting,
-// done-map/completion idempotency and node health-transition legality.
+// locally: admission-slot accounting, done-map/completion idempotency and
+// node health-transition legality (event-queue pop order is eventq's own
+// check under the same tag).
 func invariant(cond bool, format string, args ...any) {
 	if !cond {
 		panic("serving: invariant violated: " + fmt.Sprintf(format, args...))

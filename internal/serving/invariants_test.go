@@ -56,5 +56,5 @@ func TestHistoryGuardCatchesWriteThroughView(t *testing.T) {
 	}()
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	rt.handle(&event{kind: evWindow})
+	rt.handle(event{kind: evWindow})
 }

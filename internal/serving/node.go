@@ -13,6 +13,7 @@ package serving
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"smiless/internal/placement"
@@ -63,7 +64,7 @@ type nodeAgent struct {
 	// held buffers node-side events (init/exec completions and crashes)
 	// that fired while the node was partitioned; they replay in order at
 	// heal.
-	held []*event
+	held []event
 }
 
 // NodeInfo is the externally visible snapshot of one node, served by the
@@ -167,8 +168,8 @@ func (rt *Runtime) placeAffinity(fs *fnState, pack bool) int {
 // Containers are visited in id order for reproducible float accumulation.
 func (rt *Runtime) classPressure(n int, class placement.Class) float64 {
 	total := 0.0
-	for _, c := range sortedConts(rt.conts) {
-		if c.node != n || c.state == cDead {
+	for _, c := range rt.conts {
+		if c.node != n {
 			continue
 		}
 		w := placement.DemandOf(c.cfg).MemBW
@@ -238,7 +239,7 @@ func (rt *Runtime) onGossip() {
 			rt.markNodeDown(i)
 		}
 	}
-	rt.schedule(&event{at: now + rt.cfg.GossipInterval, kind: evGossip})
+	rt.schedule(now+rt.cfg.GossipInterval, event{kind: evGossip})
 }
 
 // recoverNode returns a node to service once its heartbeats resume, settling
@@ -281,7 +282,7 @@ func (rt *Runtime) markNodeDown(i int) {
 // batch members over to live peers. Assigned-but-unstarted members requeue
 // via terminate.
 func (rt *Runtime) evictNode(i int) {
-	for _, c := range sortedConts(rt.conts) {
+	for _, c := range slices.Clone(rt.conts) { // terminate and failover edit the list
 		if c.node != i || c.state == cDead {
 			continue
 		}
@@ -303,16 +304,16 @@ func (rt *Runtime) evictNode(i int) {
 // peer. The originals keep executing behind the partition; twin and original
 // race, first completion wins.
 func (rt *Runtime) twinNodeInflight(i int) {
-	for _, c := range sortedConts(rt.conts) {
-		if c.node != i || c.state == cDead {
+	for _, c := range slices.Clone(rt.conts) { // failover launches edit the list
+		if c.node != i {
 			continue
 		}
 		members := append(append([]*nodeInv(nil), c.batch...), c.assigned...)
 		for _, ni := range members {
-			if ni.inv.failed || ni.inv.done[ni.node] || ni.isHedge {
+			if ni.inv.failed || ni.inv.done[ni.fs.idx] || ni.isHedge {
 				continue
 			}
-			twin := &nodeInv{inv: ni.inv, node: ni.node, readyAt: rt.now()}
+			twin := &nodeInv{inv: ni.inv, fs: ni.fs, readyAt: rt.now()}
 			rt.failoverMember(twin)
 		}
 	}
@@ -324,7 +325,7 @@ func (rt *Runtime) twinNodeInflight(i int) {
 // attempt count, so its next genuine failure still routes through the retry
 // policy, and its request's deadline still bounds total work.
 func (rt *Runtime) failoverMember(ni *nodeInv) {
-	if ni.inv.failed || ni.inv.done[ni.node] || ni.isHedge {
+	if ni.inv.failed || ni.inv.done[ni.fs.idx] || ni.isHedge {
 		return
 	}
 	rt.stats.Failovers++
@@ -335,8 +336,8 @@ func (rt *Runtime) failoverMember(ni *nodeInv) {
 
 // pumpAll re-dispatches queued work in graph order for determinism.
 func (rt *Runtime) pumpAll() {
-	for _, id := range rt.cfg.App.Graph.Nodes() {
-		if fs := rt.fns[id]; len(fs.queue) > 0 {
+	for _, fs := range rt.fnList {
+		if len(fs.queue) > 0 {
 			rt.pump(fs)
 		}
 	}

@@ -46,7 +46,17 @@ func runBoundaryArrivals(t *testing.T, n int) (*simulator.RunStats, []int, []flo
 		fake.AdvanceToNext()
 		mustInvoke(t, rt)
 	}
-	stepUntil(t, rt, fake, func() bool { return fake.Now() >= float64(n+1) && rt.Quiesced() })
+	// Step onto the tick that closes the last window and no further: a
+	// stepUntil here could find the loop asleep again between its two looks
+	// and carry the clock on to the tick after, now that no keep-alive entry
+	// is due in between to stop at.
+	quiesceBefore(float64(n + 1))
+	fake.AdvanceToNext()
+	for deadline := time.Now().Add(15 * time.Second); !rt.Quiesced(); time.Sleep(20 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("runtime did not settle at model time %v", fake.Now())
+		}
+	}
 	return rt.Snapshot(), rt.CountsHistoryLocked(), rt.ArrivalTimesLocked()
 }
 

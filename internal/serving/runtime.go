@@ -1,11 +1,10 @@
 package serving
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -13,6 +12,7 @@ import (
 	"smiless/internal/clock"
 	"smiless/internal/coldstart"
 	"smiless/internal/dag"
+	"smiless/internal/eventq"
 	"smiless/internal/faults"
 	"smiless/internal/hardware"
 	"smiless/internal/mathx"
@@ -41,43 +41,24 @@ const (
 	evWindow
 	evGossip         // health-detector tick
 	evDeadline       // per-request deadline elapsed
-	evNodeCrash      // scheduled NodeFault: process dies (cid = node)
-	evNodeRestart    // scheduled NodeFault: crashed node rejoins (cid = node)
-	evPartitionStart // scheduled NodeFault: node unreachable (cid = node)
-	evPartitionEnd   // scheduled NodeFault: partition heals (cid = node)
-	evPreempt        // spot preemption window begins (cid = node)
-	evPreemptEnd     // preempted capacity returns (cid = node)
+	evNodeCrash      // scheduled NodeFault: process dies
+	evNodeRestart    // scheduled NodeFault: crashed node rejoins
+	evPartitionStart // scheduled NodeFault: node unreachable
+	evPartitionEnd   // scheduled NodeFault: partition heals
+	evPreempt        // spot preemption window begins
+	evPreemptEnd     // preempted capacity returns
 )
 
+// event is one queued occurrence, stored by value in the runtime's
+// eventq.Queue, which carries its model-time deadline.
 type event struct {
-	at    float64 // model-time deadline in seconds
-	seq   int     // FIFO tie-break among equal deadlines
 	kind  int
-	cid   int // container id (node index for node events)
-	epoch int
-	fn    dag.NodeID
-	ni    *nodeInv
-	inv   *appInv // deadline events
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at { //lint:allow floateq heap tie-break: the seq comparison applies only on exact deadline collisions
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+	c     *container // container events
+	epoch int        // idle-timer generation, batch sequence or linger epoch
+	node  int        // node events
+	fs    *fnState   // prewarm and linger target
+	ni    *nodeInv   // retried invocation
+	inv   *appInv    // deadline events
 }
 
 // injector is the fault source (satisfied by *faults.Injector); kept as an
@@ -108,16 +89,18 @@ type Runtime struct {
 	prng   *rand.Rand // placement-only stream: p2c draws never perturb timing samples
 	inj    injector
 	rec    *tracing.Recorder
-	events eventHeap
-	seq    int
-	nodes  []*nodeAgent
-	// lastPop records the deadline of the most recently popped event; only
-	// written under -tags smiless_invariants, where the event loop asserts
-	// pops never run backwards.
-	lastPop float64
+	events eventq.Queue[event]
+	// windowAt is the deadline of the queued decision-window tick.
+	windowAt float64
+	nodes    []*nodeAgent
 
+	// fns resolves the driver-facing ids; fnList is the same set in graph
+	// order and sources the entry functions. conts holds every live
+	// container in id order, so float accumulation over it is reproducible.
 	fns      map[dag.NodeID]*fnState
-	conts    map[int]*container
+	fnList   []*fnState
+	sources  []*fnState
+	conts    []*container
 	nextCont int
 	nextInv  int
 
@@ -161,24 +144,35 @@ func New(cfg Config, driver simulator.Driver) (*Runtime, error) {
 		prng:     mathx.NewRand(cfg.Seed ^ 0x9e3779b9),
 		rec:      cfg.Recorder,
 		fns:      make(map[dag.NodeID]*fnState),
-		conts:    make(map[int]*container),
 		stats:    simulator.NewRunStats(cfg.SLA),
 		wake:     make(chan struct{}, 1),
 		stopCh:   make(chan struct{}),
 		loopDone: make(chan struct{}),
 	}
-	for _, id := range cfg.App.Graph.Nodes() {
-		rt.fns[id] = &fnState{
-			id:         id,
-			spec:       cfg.App.Spec(id),
-			class:      placement.ClassOf(cfg.App.Spec(id).Field),
-			containers: make(map[int]*container),
+	g := cfg.App.Graph
+	for i, id := range g.Nodes() {
+		fs := &fnState{
+			id:    id,
+			spec:  cfg.App.Spec(id),
+			class: placement.ClassOf(cfg.App.Spec(id).Field),
+			idx:   i,
+			npred: len(g.Predecessors(id)),
 			directive: normalize(simulator.Directive{
 				Config: hardware.Config{Kind: hardware.CPU, Cores: 1},
 				Policy: coldstart.KeepAlive,
 				Batch:  1, Instances: 1, KeepAlive: 60,
 			}),
 		}
+		rt.fns[id] = fs
+		rt.fnList = append(rt.fnList, fs)
+	}
+	for _, fs := range rt.fnList {
+		for _, succ := range g.Successors(fs.id) {
+			fs.succs = append(fs.succs, rt.fns[succ])
+		}
+	}
+	for _, src := range g.Sources() {
+		rt.sources = append(rt.sources, rt.fns[src])
 	}
 	rt.nodes = make([]*nodeAgent, cfg.Nodes)
 	for i := range rt.nodes {
@@ -215,19 +209,20 @@ func (rt *Runtime) Start() {
 	rt.started = true
 	rt.driver.Setup(rt)
 	now := rt.now()
-	rt.schedule(&event{at: now + rt.cfg.Window, kind: evWindow})
+	rt.windowAt = now + rt.cfg.Window
+	rt.schedule(rt.windowAt, event{kind: evWindow})
 	// Scheduled node faults: times are model seconds from the epoch.
 	if rt.cfg.Faults != nil {
 		for _, nf := range rt.cfg.Faults.NodeFaults {
 			switch nf.Kind {
 			case faults.NodeCrash:
-				rt.schedule(&event{at: now + nf.Start, kind: evNodeCrash, cid: nf.Node})
+				rt.schedule(now+nf.Start, event{kind: evNodeCrash, node: nf.Node})
 				if nf.End > nf.Start {
-					rt.schedule(&event{at: now + nf.End, kind: evNodeRestart, cid: nf.Node})
+					rt.schedule(now+nf.End, event{kind: evNodeRestart, node: nf.Node})
 				}
 			case faults.NodePartition:
-				rt.schedule(&event{at: now + nf.Start, kind: evPartitionStart, cid: nf.Node})
-				rt.schedule(&event{at: now + nf.End, kind: evPartitionEnd, cid: nf.Node})
+				rt.schedule(now+nf.Start, event{kind: evPartitionStart, node: nf.Node})
+				rt.schedule(now+nf.End, event{kind: evPartitionEnd, node: nf.Node})
 			}
 		}
 	}
@@ -235,14 +230,14 @@ func (rt *Runtime) Start() {
 	// seconds from the epoch.
 	if rt.cfg.PriceTrace != nil {
 		for _, w := range rt.cfg.PriceTrace.Preemptions {
-			rt.schedule(&event{at: now + w.Start, kind: evPreempt, cid: w.Node})
-			rt.schedule(&event{at: now + w.End, kind: evPreemptEnd, cid: w.Node})
+			rt.schedule(now+w.Start, event{kind: evPreempt, node: w.Node})
+			rt.schedule(now+w.End, event{kind: evPreemptEnd, node: w.Node})
 		}
 	}
 	// The detector only ticks when something can miss heartbeats: a
 	// multi-node pool, or scheduled node faults on a single node.
 	if rt.nodesActive() || (rt.cfg.Faults != nil && len(rt.cfg.Faults.NodeFaults) > 0) {
-		rt.schedule(&event{at: now + rt.cfg.GossipInterval, kind: evGossip})
+		rt.schedule(now+rt.cfg.GossipInterval, event{kind: evGossip})
 	}
 	rt.mu.Unlock()
 	go rt.loop()
@@ -253,11 +248,7 @@ func (rt *Runtime) Start() {
 func (rt *Runtime) now() float64 { return rt.clk.Now() }
 
 // schedule pushes one future event; callers hold mu.
-func (rt *Runtime) schedule(e *event) {
-	rt.seq++
-	e.seq = rt.seq
-	heap.Push(&rt.events, e)
-}
+func (rt *Runtime) schedule(at float64, e event) { rt.events.Push(at, e) }
 
 // wakeLoop pokes the scheduler loop to re-read the heap; callers hold mu.
 // Used by external entry points (Invoke) whose events the sleeping loop
@@ -275,17 +266,19 @@ func (rt *Runtime) wakeLoop() {
 }
 
 // runDue pops and handles, in deadline order, every event due at or before
-// the current clock reading; callers hold mu. The heap is only ever popped
+// the current clock reading; callers hold mu. The queue is only ever popped
 // here — the same discipline as the simulator's discrete-event loop.
 func (rt *Runtime) runDue() {
-	for len(rt.events) > 0 && rt.events[0].at <= rt.now() {
-		e := heap.Pop(&rt.events).(*event)
-		if invariantsEnabled {
-			invariant(e.at >= rt.lastPop, "deadline heap popped out of order: %.9f after %.9f (kind %d)", e.at, rt.lastPop, e.kind)
-			rt.lastPop = e.at
-		}
+	for rt.due() {
+		_, e := rt.events.Pop()
 		rt.handle(e)
 	}
+}
+
+// due reports whether the earliest queued event's deadline has passed.
+func (rt *Runtime) due() bool {
+	at, ok := rt.events.NextAt()
+	return ok && at <= rt.now()
 }
 
 // loop is the scheduler goroutine: sleep until the earliest event deadline,
@@ -315,8 +308,8 @@ func (rt *Runtime) loop() {
 		// exists, otherwise a test advancer could jump time past it via a
 		// stale waiter from an abandoned earlier registration.
 		var timer <-chan struct{}
-		if len(rt.events) > 0 {
-			timer = rt.clk.After(rt.events[0].at - rt.now())
+		if at, ok := rt.events.NextAt(); ok {
+			timer = rt.clk.After(at - rt.now())
 		}
 		rt.sleeping = true
 		rt.mu.Unlock()
@@ -334,56 +327,54 @@ func (rt *Runtime) loop() {
 // and exec completions or crashes) from a crashed node are dropped — the
 // work died with the process — and from a partitioned node they are held and
 // replayed in order when the partition heals.
-func (rt *Runtime) handle(e *event) {
-	if nodeSideEvent(e.kind) {
-		if c := rt.conts[e.cid]; c != nil {
-			n := rt.nodes[c.node]
-			if !n.alive {
-				return
-			}
-			if n.partitioned {
-				n.held = append(n.held, e)
-				return
-			}
+func (rt *Runtime) handle(e event) {
+	if c := e.c; nodeSideEvent(e.kind) && c.state != cDead {
+		n := rt.nodes[c.node]
+		if !n.alive {
+			return
+		}
+		if n.partitioned {
+			n.held = append(n.held, e)
+			return
 		}
 	}
 	switch e.kind {
 	case evInitDone:
-		rt.onInitDone(e.cid)
+		rt.onInitDone(e.c)
 	case evExecDone:
-		rt.onExecDone(e.cid, e.epoch)
+		rt.onExecDone(e.c, e.epoch)
 	case evIdleTimeout:
-		rt.onIdleTimeout(e.cid, e.epoch)
+		rt.onIdleTimeout(e.c, e.epoch)
 	case evPrewarm:
-		rt.onPrewarm(e.fn)
+		rt.onPrewarm(e.fs)
 	case evInitFail:
-		rt.onInitFail(e.cid)
+		rt.onInitFail(e.c)
 	case evExecFail:
-		rt.onExecFail(e.cid, e.epoch)
+		rt.onExecFail(e.c, e.epoch)
 	case evExecTimeout:
-		rt.onExecTimeout(e.cid, e.epoch)
+		rt.onExecTimeout(e.c, e.epoch)
 	case evHedge:
-		rt.onHedge(e.cid, e.epoch)
+		rt.onHedge(e.c, e.epoch)
 	case evRetry:
 		rt.onRetry(e.ni)
 	case evLinger:
-		rt.onLinger(e.fn, e.epoch)
+		rt.onLinger(e.fs, e.epoch)
 	case evGossip:
 		rt.onGossip()
 	case evDeadline:
 		rt.onDeadline(e.inv)
 	case evNodeCrash:
-		rt.onNodeCrash(e.cid)
+		rt.onNodeCrash(e.node)
 	case evNodeRestart:
-		rt.onNodeRestart(e.cid)
+		rt.onNodeRestart(e.node)
 	case evPartitionStart:
-		rt.onPartitionStart(e.cid)
+		rt.onPartitionStart(e.node)
 	case evPartitionEnd:
-		rt.onPartitionEnd(e.cid)
+		rt.onPartitionEnd(e.node)
 	case evPreempt:
-		rt.onPreempt(e.cid)
+		rt.onPreempt(e.node)
 	case evPreemptEnd:
-		rt.onPreemptEnd(e.cid)
+		rt.onPreemptEnd(e.node)
 	case evWindow:
 		rt.counts = append(rt.counts, rt.arrivalsThisWindow)
 		rt.arrivalsThisWindow = 0
@@ -391,7 +382,8 @@ func (rt *Runtime) handle(e *event) {
 		rt.driver.OnWindow(rt, rt.now())
 		guard.check(rt)
 		rt.samplePods()
-		rt.schedule(&event{at: e.at + rt.cfg.Window, kind: evWindow})
+		rt.windowAt += rt.cfg.Window
+		rt.schedule(rt.windowAt, event{kind: evWindow})
 	}
 }
 
@@ -406,7 +398,7 @@ func (rt *Runtime) Quiesced() bool {
 	if !rt.sleeping || rt.wakePending {
 		return false
 	}
-	return len(rt.events) == 0 || rt.events[0].at > rt.now()
+	return !rt.due()
 }
 
 // Invoke admits one application request and returns a channel that yields
@@ -458,9 +450,8 @@ func (rt *Runtime) InvokeWithDeadline(ctx context.Context, budget float64) (<-ch
 		rt.rejected++
 		return nil, ErrOverloaded
 	}
-	g := rt.cfg.App.Graph
-	for _, src := range g.Sources() {
-		if len(rt.fns[src].queue) >= rt.cfg.QueueCap {
+	for _, src := range rt.sources {
+		if len(src.queue) >= rt.cfg.QueueCap {
 			rt.rejected++
 			return nil, ErrOverloaded
 		}
@@ -473,7 +464,7 @@ func (rt *Runtime) InvokeWithDeadline(ctx context.Context, budget float64) (<-ch
 	inv, ch := rt.onArrival()
 	if budget > 0 {
 		inv.deadline = inv.arrival + budget
-		rt.schedule(&event{at: inv.deadline, kind: evDeadline, inv: inv})
+		rt.schedule(inv.deadline, event{kind: evDeadline, inv: inv})
 	}
 	// Watch for caller disconnect only when the context can actually be
 	// cancelled: fake-clock tests pass context.Background() and stay
@@ -531,13 +522,12 @@ func (rt *Runtime) onArrival() (*appInv, <-chan Result) {
 	now := rt.now()
 	rt.arrivalsThisWindow++
 	rt.arrivalTimes = append(rt.arrivalTimes, now)
-	g := rt.cfg.App.Graph
 	inv := &appInv{
 		id:        rt.nextInv,
 		arrival:   now,
-		pending:   make(map[dag.NodeID]int, g.Len()),
-		done:      make(map[dag.NodeID]bool, g.Len()),
-		remaining: g.Len(),
+		pending:   make([]int, len(rt.fnList)),
+		done:      make([]bool, len(rt.fnList)),
+		remaining: len(rt.fnList),
 		resCh:     make(chan Result, 1),
 		settled:   make(chan struct{}),
 	}
@@ -545,17 +535,16 @@ func (rt *Runtime) onArrival() (*appInv, <-chan Result) {
 	if rt.rec != nil {
 		rt.rec.BeginRequest(inv.id, now)
 	}
-	for _, id := range g.Nodes() {
-		inv.pending[id] = len(g.Predecessors(id))
+	for i, fs := range rt.fnList {
+		inv.pending[i] = fs.npred
 	}
-	for _, id := range g.Nodes() {
-		fs := rt.fns[id]
-		if fs.directive.PrewarmOnArrival && len(g.Predecessors(id)) > 0 {
-			rt.SchedulePrewarm(id, now+fs.directive.PathOffset)
+	for _, fs := range rt.fnList {
+		if fs.directive.PrewarmOnArrival && fs.npred > 0 {
+			rt.SchedulePrewarm(fs.id, now+fs.directive.PathOffset)
 		}
 	}
-	for _, src := range g.Sources() {
-		rt.enqueue(&nodeInv{inv: inv, node: src, readyAt: now})
+	for _, src := range rt.sources {
+		rt.enqueue(&nodeInv{inv: inv, fs: src, readyAt: now})
 	}
 	return inv, inv.resCh
 }
@@ -602,15 +591,8 @@ func (rt *Runtime) Close() {
 	rt.closed = true
 	// Settle the ledger: terminate in id order so float cost accumulation
 	// is reproducible.
-	ids := make([]int, 0, len(rt.conts))
-	for id := range rt.conts {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		if c := rt.conts[id]; c != nil && c.state != cDead {
-			rt.terminate(c)
-		}
+	for _, c := range slices.Clone(rt.conts) { // terminate edits the list
+		rt.terminate(c)
 	}
 	// Settle detector-declared down time still open at shutdown.
 	now := rt.now()
@@ -780,7 +762,7 @@ func (rt *Runtime) LiveInstances(id dag.NodeID) int { return rt.fn(id).liveCount
 func (rt *Runtime) EnsureConfigInstance(id dag.NodeID) {
 	fs := rt.fn(id)
 	for _, c := range fs.containers {
-		if c.state != cDead && c.cfg == fs.directive.Config {
+		if c.cfg == fs.directive.Config {
 			return
 		}
 	}
@@ -815,14 +797,8 @@ func (rt *Runtime) HasWarmMatching(id dag.NodeID) bool {
 // matches the directive, keeping at least MinWarm live instances.
 func (rt *Runtime) RetireMismatched(id dag.NodeID) {
 	fs := rt.fn(id)
-	ids := make([]int, 0, len(fs.containers))
-	for cid := range fs.containers {
-		ids = append(ids, cid)
-	}
-	sort.Ints(ids)
-	for _, cid := range ids {
-		c := fs.containers[cid]
-		if c != nil && c.state == cIdle && c.cfg != fs.directive.Config &&
+	for _, c := range slices.Clone(fs.containers) { // terminate edits the list
+		if c.state == cIdle && c.cfg != fs.directive.Config &&
 			fs.liveCount() > fs.directive.MinWarm+1 {
 			rt.terminate(c)
 		}
@@ -834,7 +810,7 @@ func (rt *Runtime) RetireMismatched(id dag.NodeID) {
 func (rt *Runtime) SchedulePrewarm(id dag.NodeID, at float64) {
 	fs := rt.fn(id)
 	start := coldstart.PrewarmStart(rt.now(), at, fs.directive.PrewarmLead)
-	rt.schedule(&event{at: start, kind: evPrewarm, fn: id})
+	rt.schedule(start, event{kind: evPrewarm, fs: fs})
 }
 
 // FunctionCost returns the cost attributable to one function so far:
@@ -844,11 +820,9 @@ func (rt *Runtime) FunctionCost(id dag.NodeID) float64 {
 	fs := rt.fn(id)
 	total := rt.stats.CostPerFn[string(id)]
 	now := rt.now()
-	for _, c := range sortedConts(fs.containers) {
-		if c.state != cDead {
-			_, cost := rt.billedLife(c, now)
-			total += cost
-		}
+	for _, c := range fs.containers {
+		_, cost := rt.billedLife(c, now)
+		total += cost
 	}
 	return total
 }
@@ -857,11 +831,9 @@ func (rt *Runtime) FunctionCost(id dag.NodeID) float64 {
 func (rt *Runtime) AccruedCost() float64 {
 	total := 0.0
 	now := rt.now()
-	for _, c := range sortedConts(rt.conts) {
-		if c.state != cDead {
-			_, cost := rt.billedLife(c, now)
-			total += cost
-		}
+	for _, c := range rt.conts {
+		_, cost := rt.billedLife(c, now)
+		total += cost
 	}
 	return total
 }
@@ -915,28 +887,10 @@ func (rt *Runtime) fn(id dag.NodeID) *fnState {
 	return fs
 }
 
-// sortedConts returns a container map's values ordered by id, so that
-// floating-point accumulation over them is reproducible.
-func sortedConts(m map[int]*container) []*container {
-	ids := make([]int, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	out := make([]*container, len(ids))
-	for i, id := range ids {
-		out[i] = m[id]
-	}
-	return out
-}
-
 // samplePods records pod-count and arrival series each window.
 func (rt *Runtime) samplePods() {
 	cpuPods, gpuPods := 0, 0
 	for _, c := range rt.conts {
-		if c.state == cDead {
-			continue
-		}
 		if c.cfg.Kind == hardware.CPU {
 			cpuPods++
 		} else {

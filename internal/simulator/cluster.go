@@ -54,7 +54,7 @@ type nodeState struct {
 	// held buffers node-side events (init/exec completions and crashes)
 	// that fired while the node was partitioned; they are replayed in
 	// order when the partition heals.
-	held []*event
+	held []event
 }
 
 // placeable reports whether the control plane will route new work to the

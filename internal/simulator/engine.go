@@ -13,36 +13,28 @@
 //lint:deterministic
 package simulator
 
-import (
-	"container/heap"
-
-	"smiless/internal/units"
-)
-
 // eventKind discriminates simulator events.
 type eventKind int
 
 const (
-	evArrival        eventKind = iota // application request arrival
-	evInitDone                        // container finished initializing
+	evInitDone       eventKind = iota // container finished initializing
 	evExecDone                        // container finished a batch
-	evIdleTimeout                     // keep-alive expired
+	evIdleTimeout                     // keep-alive queue entry due
 	evPrewarm                         // scheduled pre-warm point
-	evWindow                          // decision-window boundary
 	evInitFail                        // injected crash mid-initialization
 	evExecFail                        // injected crash mid-execution
 	evExecTimeout                     // gateway per-attempt timeout fired
 	evHedge                           // hedge point for a slow single execution
 	evRetry                           // backed-off retry becomes ready
-	evNodeDown                        // node outage begins (cid = node index)
-	evNodeUp                          // node outage ends (cid = node index)
-	evNodeCrash                       // node process dies silently (cid = node index)
-	evNodeRestart                     // crashed node rejoins empty (cid = node index)
-	evPartitionStart                  // node becomes unreachable (cid = node index)
-	evPartitionEnd                    // partition heals, held completions deliver (cid = node index)
+	evNodeDown                        // node outage begins
+	evNodeUp                          // node outage ends
+	evNodeCrash                       // node process dies silently
+	evNodeRestart                     // crashed node rejoins empty
+	evPartitionStart                  // node becomes unreachable
+	evPartitionEnd                    // partition heals, held completions deliver
 	evGossip                          // health-gossip tick: advance suspect/down/recovered
-	evPreempt                         // spot preemption window begins (cid = node index)
-	evPreemptEnd                      // preempted capacity returns (cid = node index)
+	evPreempt                         // spot preemption window begins
+	evPreemptEnd                      // preempted capacity returns
 )
 
 // nodeSide reports whether the event is a completion or failure emitted by
@@ -57,41 +49,16 @@ func (e *event) nodeSide() bool {
 	return false
 }
 
-// event is one scheduled occurrence. Timestamps are typed simulation time
-// (units.Duration since run start) so they cannot silently mix with raw
-// millisecond values.
+// event is one queued occurrence, stored by value in the run's eventq.Queue
+// (which carries its time). Application arrivals and decision-window ticks
+// are not events: Run merges them in from the trace and a counter.
 type event struct {
-	at   units.Duration
-	seq  int // tie-breaker for determinism
 	kind eventKind
-	// container events (node index for evNodeDown/evNodeUp)
-	cid int
-	// idle-timer epoch or batch sequence (stale events are ignored)
+	// c is the container of a container event; epoch its idle-timer
+	// generation or batch sequence (stale events are ignored).
+	c     *container
 	epoch int
-	// prewarm target function
-	fn string
-	// retried invocation (evRetry)
-	ni *nodeInv
+	node  int      // node events
+	fs    *fnState // prewarm target
+	ni    *nodeInv // retried invocation (evRetry)
 }
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at { //lint:allow floateq exact tie-break: only bit-identical timestamps fall through to the seq ordering
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-
-var _ heap.Interface = (*eventHeap)(nil)

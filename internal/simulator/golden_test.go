@@ -32,16 +32,16 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden.js
 // depends on the instant the run ends (see Simulator.Run), which is the one
 // thing such a change may move.
 type goldenDigest struct {
-	Completed, Failed, Violations                   int
-	Inits, WarmStarts, Executions, BatchSum         int
-	InitGated, CapacityBlocked                      int
-	InitFailures, ExecFailures, Timeouts, Retries   int
-	Stragglers, HedgesLaunched, HedgesWon           int
-	NodeDownEvents, EvictedContainers, Failovers    int
-	Preemptions, PreemptedContainers, BreakerTrips  int
-	DegradedWindows                                 int
-	E2E, E2EArrival                                 string // len:fnv64a of the raw float bits
-	CostAtLastArrival, CostSeries, AccruedLastFloat string
+	Completed, Failed, Violations                       int
+	Inits, WarmStarts, Executions, BatchSum             int
+	InitGated, CapacityBlocked                          int
+	InitFailures, ExecFailures, Timeouts, Retries       int
+	Stragglers, HedgesLaunched, HedgesWon               int
+	NodeDownEvents, EvictedContainers, Failovers        int
+	Preemptions, PreemptedContainers, BreakerTrips      int
+	DegradedWindows                                     int
+	E2E, E2EArrival                                     string // len:fnv64a of the raw float bits
+	CostAtLastArrival, CostSeries, AccruedAtLastArrival string
 }
 
 func hashFloats(xs []float64) string {
@@ -216,7 +216,7 @@ func runGolden(t *testing.T, app *apps.Application, sla float64, driver, scenari
 		Preemptions: st.Preemptions, PreemptedContainers: st.PreemptedContainers, BreakerTrips: st.BreakerTrips,
 		DegradedWindows: st.DegradedWindows,
 		E2E:             hashFloats(st.E2E), E2EArrival: hashFloats(st.E2EArrival),
-		CostAtLastArrival: g(probe.atLast), CostSeries: hashFloats(probe.series), AccruedLastFloat: g(probe.accruedLast),
+		CostAtLastArrival: g(probe.atLast), CostSeries: hashFloats(probe.series), AccruedAtLastArrival: g(probe.accruedLast),
 	}
 }
 

@@ -23,6 +23,21 @@ func invariant(cond bool, format string, args ...any) {
 	}
 }
 
+// checkConservation asserts, once finish has terminated the fleet, that every
+// billed second belongs to exactly one container: no container is left on
+// any list, and the ledger holds what was billed before plus what the live
+// containers owed at this instant (owed; summed in the same id order), split
+// exactly between the CPU and GPU books.
+func (s *Simulator) checkConservation(owed float64) {
+	invariant(len(s.conts) == 0 && len(s.pendingLaunch) == 0, "finish left %d containers live and %d launches pending", len(s.conts), len(s.pendingLaunch))
+	for _, fs := range s.fnList {
+		invariant(len(fs.containers) == 0, "finish left %d containers of %s live", len(fs.containers), fs.id)
+	}
+	st := s.stats
+	invariant(math.Abs(st.TotalCost-owed) <= 1e-9, "billed %.12f, but terminated plus accrued cost was %.12f", st.TotalCost, owed)
+	invariant(math.Abs(st.CPUCost+st.GPUCost-st.TotalCost) <= 1e-9, "CPU %.12f + GPU %.12f books do not add up to %.12f", st.CPUCost, st.GPUCost, st.TotalCost)
+}
+
 // historyGuard fingerprints the arrival and count logs ahead of a driver
 // callback; check, called after it, panics if the driver wrote through one
 // of the read-only views ArrivalTimes/CountsHistory handed it (the

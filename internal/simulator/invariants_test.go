@@ -55,3 +55,19 @@ func TestHistoryGuardCatchesWriteThroughView(t *testing.T) {
 	sim.MustRun(&trace.Trace{Horizon: 10, Arrivals: []float64{0.5, 2.5}})
 	t.Fatal("a driver wrote through a history view and the run completed")
 }
+
+// TestConservationCatchesMisbilling: the end-of-run ledger check passes on a
+// clean run (MustRun would have panicked) and fires once a dollar is billed
+// that no container owed.
+func TestConservationCatchesMisbilling(t *testing.T) {
+	sim := MustNew(Config{App: apps.Pipeline(2), SLA: 10, Seed: 1}, keepAliveDriver(cpu(4), 30))
+	st := sim.MustRun(&trace.Trace{Horizon: 10, Arrivals: []float64{0.5, 2.5}})
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "invariant violated") || !strings.Contains(msg, "billed") {
+			t.Fatalf("ledger off by a dollar: recovered %q, want a conservation invariant panic", msg)
+		}
+	}()
+	sim.checkConservation(st.TotalCost + 1)
+	t.Fatal("a ledger that disagrees with the per-container sum passed the check")
+}

@@ -1,16 +1,17 @@
 package simulator
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
-
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"smiless/internal/apps"
 	"smiless/internal/coldstart"
 	"smiless/internal/dag"
+	"smiless/internal/eventq"
 	"smiless/internal/faults"
 	"smiless/internal/hardware"
 	"smiless/internal/mathx"
@@ -104,12 +105,21 @@ type container struct {
 	state     int
 	initStart units.Duration
 	warmAt    units.Duration
-	idleEpoch int
 	batchSeq  int // validates in-flight timeout/hedge/failure events
-	node      int
-	assigned  []*nodeInv // waiting to run when init completes
-	batch     []*nodeInv // currently executing
-	prewarmed bool       // launched by a pre-warm, not by a waiting request
+	// Keep-alive: idleAt is the deadline of the last armIdleTimer and
+	// idleTicket its same-instant rank; idleArmed drops when a batch starts.
+	// At most one queue entry per container is live — generation timerGen,
+	// due at timerAt (+Inf: none) — and it re-pushes itself when the deadline
+	// has moved later by the time it fires.
+	idleAt     units.Duration
+	idleTicket uint64
+	idleArmed  bool
+	timerAt    units.Duration
+	timerGen   int
+	node       int
+	assigned   []*nodeInv // waiting to run when init completes
+	batch      []*nodeInv // currently executing
+	prewarmed  bool       // launched by a pre-warm, not by a waiting request
 }
 
 // latWindow is the per-function ring of recent execution durations backing
@@ -117,10 +127,17 @@ type container struct {
 const latWindow = 64
 
 type fnState struct {
-	id         dag.NodeID
-	spec       *apps.FunctionSpec
-	directive  Directive
-	containers map[int]*container
+	id        dag.NodeID
+	spec      *apps.FunctionSpec
+	directive Directive
+	// Topology, fixed in New: position in graph order, predecessor count and
+	// successors, so the event path never asks the dag.Graph.
+	idx   int
+	npred int
+	succs []*fnState
+	// containers holds the live instances in id order: the first match of a
+	// scan is the lowest id, and its length is the live count.
+	containers []*container
 	queue      []*nodeInv
 	inits      int
 
@@ -143,29 +160,22 @@ func (f *fnState) recordLatency(d float64) {
 	f.latPos = (f.latPos + 1) % latWindow
 }
 
-// liveCount returns containers not dead.
-func (f *fnState) liveCount() int {
-	n := 0
-	for _, c := range f.containers {
-		if c.state != cDead {
-			n++
-		}
-	}
-	return n
-}
+// liveCount returns the number of live containers (terminate removes dead
+// ones from the list).
+func (f *fnState) liveCount() int { return len(f.containers) }
 
 type appInv struct {
 	id        int
 	arrival   units.Duration
-	pending   map[dag.NodeID]int // unfinished predecessor count
-	done      map[dag.NodeID]bool
+	pending   []int // unfinished predecessor count, by function index
+	done      []bool
 	remaining int
 	failed    bool // a member exhausted its retries; the request is lost
 }
 
 type nodeInv struct {
 	inv     *appInv
-	node    dag.NodeID
+	fs      *fnState
 	readyAt units.Duration
 
 	// Resilience state: how many times this member has failed (crash,
@@ -280,11 +290,17 @@ type Simulator struct {
 	// now and horizon are typed simulation time; the float64 driver-facing
 	// API (Now, OnWindow) converts at the boundary.
 	now    units.Duration
-	events eventHeap
-	seq    int
+	events eventq.Queue[event]
+	// handled counts every arrival, window tick and queue event processed.
+	handled int
 
+	// fns resolves the driver-facing ids; fnList is the same set in graph
+	// order and sources the entry functions. conts holds every live
+	// container in id order, so float accumulation over it is reproducible.
 	fns           map[dag.NodeID]*fnState
-	conts         map[int]*container
+	fnList        []*fnState
+	sources       []*fnState
+	conts         []*container
 	nextCont      int
 	nextInv       int
 	pendingLaunch []*container // waiting for cluster capacity
@@ -390,20 +406,31 @@ func New(cfg Config, driver Driver) (*Simulator, error) {
 		prng:    mathx.NewRand(cfg.Seed ^ 0x9e3779b9),
 		cluster: newClusterState(cfg.Cluster),
 		fns:     make(map[dag.NodeID]*fnState),
-		conts:   make(map[int]*container),
 		stats:   newRunStats(cfg.SLA),
 	}
-	for _, id := range cfg.App.Graph.Nodes() {
-		s.fns[id] = &fnState{
-			id:         id,
-			spec:       cfg.App.Spec(id),
-			containers: make(map[int]*container),
+	g := cfg.App.Graph
+	for i, id := range g.Nodes() {
+		fs := &fnState{
+			id:    id,
+			spec:  cfg.App.Spec(id),
+			idx:   i,
+			npred: len(g.Predecessors(id)),
 			directive: Directive{
 				Config: hardware.Config{Kind: hardware.CPU, Cores: 1},
 				Policy: coldstart.KeepAlive,
 				Batch:  1, Instances: 1, KeepAlive: 60,
 			},
 		}
+		s.fns[id] = fs
+		s.fnList = append(s.fnList, fs)
+	}
+	for _, fs := range s.fnList {
+		for _, succ := range g.Successors(fs.id) {
+			fs.succs = append(fs.succs, s.fns[succ])
+		}
+	}
+	for _, src := range g.Sources() {
+		s.sources = append(s.sources, s.fns[src])
 	}
 	// Guard against the typed-nil interface trap: only assign when the
 	// injector is actually enabled.
@@ -441,10 +468,7 @@ func (s *Simulator) Window() float64 { return s.cfg.Window }
 // any queued work under the new policy (e.g. a burst rescale must be able
 // to launch instances for a backlog that accumulated under the old caps).
 func (s *Simulator) SetDirective(id dag.NodeID, d Directive) {
-	fs, ok := s.fns[id]
-	if !ok {
-		panic(fmt.Sprintf("simulator: unknown function %q", id))
-	}
+	fs := s.fn(id)
 	fs.directive = d.normalized()
 	if len(fs.queue) > 0 {
 		s.pump(fs)
@@ -452,12 +476,16 @@ func (s *Simulator) SetDirective(id dag.NodeID, d Directive) {
 }
 
 // GetDirective returns the current directive for one function.
-func (s *Simulator) GetDirective(id dag.NodeID) Directive {
+func (s *Simulator) GetDirective(id dag.NodeID) Directive { return s.fn(id).directive }
+
+// fn resolves a function id; a driver addressing a function outside the
+// application graph is a programming error.
+func (s *Simulator) fn(id dag.NodeID) *fnState {
 	fs, ok := s.fns[id]
 	if !ok {
 		panic(fmt.Sprintf("simulator: unknown function %q", id))
 	}
-	return fs.directive
+	return fs
 }
 
 // CountsHistory returns completed per-window arrival counts so far, as a
@@ -474,10 +502,10 @@ func (s *Simulator) ArrivalTimes() []float64 {
 
 // QueueLen returns the number of ready-but-undispatched invocations of a
 // function, letting drivers detect backlog.
-func (s *Simulator) QueueLen(id dag.NodeID) int { return len(s.fns[id].queue) }
+func (s *Simulator) QueueLen(id dag.NodeID) int { return len(s.fn(id).queue) }
 
 // LiveInstances returns the number of live containers for a function.
-func (s *Simulator) LiveInstances(id dag.NodeID) int { return s.fns[id].liveCount() }
+func (s *Simulator) LiveInstances(id dag.NodeID) int { return s.fn(id).liveCount() }
 
 // EnsureConfigInstance launches one instance of the function's current
 // directive configuration unless one is already live (idle, busy or
@@ -485,12 +513,9 @@ func (s *Simulator) LiveInstances(id dag.NodeID) int { return s.fns[id].liveCoun
 // flavor: the replacement warms in the background while the previous
 // generation keeps serving, making the transition hitless.
 func (s *Simulator) EnsureConfigInstance(id dag.NodeID) {
-	fs, ok := s.fns[id]
-	if !ok {
-		panic(fmt.Sprintf("simulator: unknown function %q", id))
-	}
+	fs := s.fn(id)
 	for _, c := range fs.containers {
-		if c.state != cDead && c.cfg == fs.directive.Config {
+		if c.cfg == fs.directive.Config {
 			return
 		}
 	}
@@ -501,10 +526,7 @@ func (s *Simulator) EnsureConfigInstance(id dag.NodeID) {
 // config until n are live (bounded by the directive's Instances cap). Used
 // by drivers that pre-scale ahead of a predicted burst.
 func (s *Simulator) EnsureInstances(id dag.NodeID, n int) {
-	fs, ok := s.fns[id]
-	if !ok {
-		panic(fmt.Sprintf("simulator: unknown function %q", id))
-	}
+	fs := s.fn(id)
 	if n > fs.directive.Instances {
 		n = fs.directive.Instances
 	}
@@ -516,10 +538,7 @@ func (s *Simulator) EnsureInstances(id dag.NodeID, n int) {
 // HasWarmMatching reports whether an idle or busy instance of the
 // function's current directive configuration exists.
 func (s *Simulator) HasWarmMatching(id dag.NodeID) bool {
-	fs, ok := s.fns[id]
-	if !ok {
-		panic(fmt.Sprintf("simulator: unknown function %q", id))
-	}
+	fs := s.fn(id)
 	for _, c := range fs.containers {
 		if (c.state == cIdle || c.state == cBusy) && c.cfg == fs.directive.Config {
 			return true
@@ -533,18 +552,9 @@ func (s *Simulator) HasWarmMatching(id dag.NodeID) bool {
 // call it after a re-plan once a matching instance is warm, so fleets do
 // not pay for two generations of configuration at once.
 func (s *Simulator) RetireMismatched(id dag.NodeID) {
-	fs, ok := s.fns[id]
-	if !ok {
-		panic(fmt.Sprintf("simulator: unknown function %q", id))
-	}
-	ids := make([]int, 0, len(fs.containers))
-	for cid := range fs.containers {
-		ids = append(ids, cid)
-	}
-	sort.Ints(ids)
-	for _, cid := range ids {
-		c := fs.containers[cid]
-		if c != nil && c.state == cIdle && c.cfg != fs.directive.Config &&
+	fs := s.fn(id)
+	for _, c := range slices.Clone(fs.containers) { // terminate edits the list
+		if c.state == cIdle && c.cfg != fs.directive.Config &&
 			fs.liveCount() > fs.directive.MinWarm+1 {
 			s.terminate(c)
 		}
@@ -554,36 +564,15 @@ func (s *Simulator) RetireMismatched(id dag.NodeID) {
 // FunctionCost returns the cost attributable to one function so far:
 // terminated containers' billed cost plus live containers' accrual.
 func (s *Simulator) FunctionCost(id dag.NodeID) float64 {
-	fs, ok := s.fns[id]
-	if !ok {
-		panic(fmt.Sprintf("simulator: unknown function %q", id))
-	}
+	fs := s.fn(id)
 	// Accrual is summed in container-id order: float addition is not
-	// associative, and map-order summation would let the randomized
-	// iteration order perturb driver decisions fed by this value.
+	// associative, and this value feeds driver decisions.
 	total := s.stats.CostPerFn[string(id)]
-	for _, c := range sortedContainers(fs.containers) {
-		if c.state != cDead {
-			_, cost := s.billedLife(c)
-			total += cost
-		}
+	for _, c := range fs.containers {
+		_, cost := s.billedLife(c)
+		total += cost
 	}
 	return total
-}
-
-// sortedContainers returns a map's containers ordered by id, so that
-// floating-point accumulation over them is reproducible.
-func sortedContainers(m map[int]*container) []*container {
-	ids := make([]int, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	out := make([]*container, len(ids))
-	for i, id := range ids {
-		out[i] = m[id]
-	}
-	return out
 }
 
 // Stats exposes the run statistics accumulated so far. Cost totals reflect
@@ -608,10 +597,7 @@ func (s *Simulator) FaultsEnabled() bool { return s.inj != nil }
 // function's recent observed execution durations, or 0 with no samples
 // yet. Drivers use it to place hedging thresholds.
 func (s *Simulator) ExecLatencyQuantile(id dag.NodeID, p float64) float64 {
-	fs, ok := s.fns[id]
-	if !ok {
-		panic(fmt.Sprintf("simulator: unknown function %q", id))
-	}
+	fs := s.fn(id)
 	return mathx.Percentile(fs.execLat, p)
 }
 
@@ -620,10 +606,7 @@ func (s *Simulator) ExecLatencyQuantile(id dag.NodeID, p float64) float64 {
 // nothing about the flavor) and successful batches — the raw feed for a
 // driver's per-function circuit breaker.
 func (s *Simulator) FnResilience(id dag.NodeID) (initFails, execFails, successes int) {
-	fs, ok := s.fns[id]
-	if !ok {
-		panic(fmt.Sprintf("simulator: unknown function %q", id))
-	}
+	fs := s.fn(id)
 	return fs.initFails, fs.execFails, fs.successes
 }
 
@@ -631,11 +614,9 @@ func (s *Simulator) FnResilience(id dag.NodeID) (initFails, execFails, successes
 // from their initialization start to now).
 func (s *Simulator) AccruedCost() float64 {
 	total := 0.0
-	for _, c := range sortedContainers(s.conts) {
-		if c.state != cDead {
-			_, cost := s.billedLife(c)
-			total += cost
-		}
+	for _, c := range s.conts {
+		_, cost := s.billedLife(c)
+		total += cost
 	}
 	return total
 }
@@ -644,83 +625,116 @@ func (s *Simulator) AccruedCost() float64 {
 // is scheduled to start at max(now, at − PrewarmLead) unless a live
 // instance already exists or will be warm in time.
 func (s *Simulator) SchedulePrewarm(id dag.NodeID, at float64) {
-	fs, ok := s.fns[id]
-	if !ok {
-		panic(fmt.Sprintf("simulator: unknown function %q", id))
-	}
+	fs := s.fn(id)
 	start := coldstart.PrewarmStart(s.now.Seconds(), at, fs.directive.PrewarmLead)
-	s.schedule(&event{at: units.Seconds(start), kind: evPrewarm, fn: string(id)})
+	s.schedule(units.Seconds(start), event{kind: evPrewarm, fs: fs})
 }
 
 // --- Run loop ----------------------------------------------------------
 
-func (s *Simulator) schedule(e *event) {
-	s.seq++
-	e.seq = s.seq
-	heap.Push(&s.events, e)
-}
+func (s *Simulator) schedule(at units.Duration, e event) { s.events.Push(at.Seconds(), e) }
 
 // Run replays the trace through the simulator and returns the collected
-// statistics. The run ends when all requests have resolved — completed or
-// failed — (or the safety horizon of trace.Horizon + 600 s is reached). A
-// nil or empty trace returns ErrEmptyTrace.
+// statistics. A nil or empty trace returns ErrEmptyTrace.
+//
+// Three sources feed the loop: a cursor over the trace's arrivals, the
+// decision-window tick (every Window, up to the first tick past
+// trace.Horizon) and the event queue. The earliest goes first; on one
+// timestamp an arrival precedes a window tick, which precedes queued events
+// in eventq order.
+//
+// End of run: the run ends at the first event past trace.Horizon that leaves
+// every request resolved — completed or failed — and no container busy or
+// initializing; containers still warm are billed up to that instant. With
+// nothing in flight that is the first window tick past the horizon, unless a
+// keep-alive expiry, pre-warm timer or node event falls before it. A
+// keep-alive queue entry that comes due only to find its deadline voided by
+// a batch or moved by a re-arm is bookkeeping, not an event. Nothing past the
+// safety horizon, trace.Horizon + 600 s, is run.
 func (s *Simulator) Run(tr *trace.Trace) (*RunStats, error) {
 	if tr == nil || tr.Len() == 0 {
 		return nil, ErrEmptyTrace
 	}
-	for _, at := range tr.Arrivals {
-		s.schedule(&event{at: units.Seconds(at), kind: evArrival})
+	arrivals := tr.Arrivals
+	if !sort.Float64sAreSorted(arrivals) {
+		arrivals = slices.Clone(arrivals)
+		sort.Float64s(arrivals)
 	}
 	s.horizon = units.Seconds(tr.Horizon + 600)
-	for w := s.cfg.Window; w <= tr.Horizon+s.cfg.Window; w += s.cfg.Window {
-		s.schedule(&event{at: units.Seconds(w), kind: evWindow})
-	}
 	if s.cfg.Faults != nil {
 		for _, o := range s.cfg.Faults.Outages {
 			if o.End <= o.Start {
 				continue
 			}
-			s.schedule(&event{at: units.Seconds(o.Start), kind: evNodeDown, cid: o.Node})
-			s.schedule(&event{at: units.Seconds(o.End), kind: evNodeUp, cid: o.Node})
+			s.schedule(units.Seconds(o.Start), event{kind: evNodeDown, node: o.Node})
+			s.schedule(units.Seconds(o.End), event{kind: evNodeUp, node: o.Node})
 		}
 		for _, nf := range s.cfg.Faults.NodeFaults {
 			switch nf.Kind {
 			case faults.NodeCrash:
-				s.schedule(&event{at: units.Seconds(nf.Start), kind: evNodeCrash, cid: nf.Node})
+				s.schedule(units.Seconds(nf.Start), event{kind: evNodeCrash, node: nf.Node})
 				if nf.End > nf.Start {
-					s.schedule(&event{at: units.Seconds(nf.End), kind: evNodeRestart, cid: nf.Node})
+					s.schedule(units.Seconds(nf.End), event{kind: evNodeRestart, node: nf.Node})
 				}
 			case faults.NodePartition:
-				s.schedule(&event{at: units.Seconds(nf.Start), kind: evPartitionStart, cid: nf.Node})
-				s.schedule(&event{at: units.Seconds(nf.End), kind: evPartitionEnd, cid: nf.Node})
+				s.schedule(units.Seconds(nf.Start), event{kind: evPartitionStart, node: nf.Node})
+				s.schedule(units.Seconds(nf.End), event{kind: evPartitionEnd, node: nf.Node})
 			}
 		}
 		// The detector only runs when a fault plan can starve heartbeats;
 		// plans without node faults stay byte-identical to earlier builds.
 		if len(s.cfg.Faults.NodeFaults) > 0 {
-			s.schedule(&event{at: units.Seconds(s.cfg.GossipInterval), kind: evGossip})
+			s.schedule(units.Seconds(s.cfg.GossipInterval), event{kind: evGossip})
 		}
 	}
 	if s.cfg.PriceTrace != nil {
 		for _, w := range s.cfg.PriceTrace.Preemptions {
-			s.schedule(&event{at: units.Seconds(w.Start), kind: evPreempt, cid: w.Node})
-			s.schedule(&event{at: units.Seconds(w.End), kind: evPreemptEnd, cid: w.Node})
+			s.schedule(units.Seconds(w.Start), event{kind: evPreempt, node: w.Node})
+			s.schedule(units.Seconds(w.End), event{kind: evPreemptEnd, node: w.Node})
 		}
 	}
 	s.driver.Setup(s)
 
-	outstanding := tr.Len()
-	for s.events.Len() > 0 {
-		e := heap.Pop(&s.events).(*event)
-		if e.at > s.horizon {
+	const (
+		srcNone = iota
+		srcQueue
+		srcWindow
+		srcArrival
+	)
+	tick, lastTick := s.cfg.Window, tr.Horizon+s.cfg.Window
+	for {
+		at, src := math.Inf(1), srcNone
+		if qat, ok := s.events.NextAt(); ok {
+			at, src = qat, srcQueue
+		}
+		if tick <= lastTick && tick <= at {
+			at, src = tick, srcWindow
+		}
+		if len(arrivals) > 0 && arrivals[0] <= at {
+			at, src = arrivals[0], srcArrival
+		}
+		if src == srcNone || units.Seconds(at) > s.horizon {
 			break
 		}
-		if e.at < s.now-1e-9 {
-			panic(fmt.Sprintf("simulator: time travel %.6f -> %.6f", s.now.Seconds(), e.at.Seconds()))
+		if units.Seconds(at) < s.now-1e-9 {
+			panic(fmt.Sprintf("simulator: time travel %.6f -> %.6f", s.now.Seconds(), at))
 		}
-		s.now = e.at
-		s.dispatch(e)
-		if s.stats.Completed+s.stats.FailedInvocations >= outstanding && s.allIdle() && s.now.Seconds() > tr.Horizon {
+		s.now = units.Seconds(at)
+		s.handled++
+		switch src {
+		case srcArrival:
+			arrivals = arrivals[1:]
+			s.onArrival()
+		case srcWindow:
+			tick += s.cfg.Window
+			s.onWindow()
+		case srcQueue:
+			_, e := s.events.Pop()
+			if !s.dispatch(e) {
+				continue // queue bookkeeping: nothing happened at this instant
+			}
+		}
+		if at > tr.Horizon && s.stats.Completed+s.stats.FailedInvocations >= tr.Len() && s.allIdle() {
 			break
 		}
 	}
@@ -728,70 +742,72 @@ func (s *Simulator) Run(tr *trace.Trace) (*RunStats, error) {
 	return s.stats, nil
 }
 
+// onWindow closes one decision window: the arrival count is logged and the
+// driver re-decides.
+func (s *Simulator) onWindow() {
+	s.counts = append(s.counts, s.arrivalsThisWindow)
+	s.arrivalsThisWindow = 0
+	guard := s.guardHistory()
+	s.driver.OnWindow(s, s.now.Seconds())
+	guard.check(s)
+	s.samplePods()
+}
+
 // dispatch routes one due event to its handler. Node-side events (init and
 // exec completions or crashes) from a crashed node are dropped — the work
 // died with the process — and from a partitioned node they are held on the
-// node and replayed in order when the partition heals.
-func (s *Simulator) dispatch(e *event) {
-	if e.nodeSide() {
-		if c := s.conts[e.cid]; c != nil && c.node >= 0 {
-			n := s.cluster.nodes[c.node]
-			if !n.alive {
-				return
-			}
-			if n.partitioned {
-				n.held = append(n.held, e)
-				return
-			}
+// node and replayed in order when the partition heals. It reports false for
+// a keep-alive entry that found its deadline voided or moved.
+func (s *Simulator) dispatch(e event) bool {
+	if c := e.c; e.nodeSide() && c.state != cDead && c.node >= 0 {
+		n := s.cluster.nodes[c.node]
+		if !n.alive {
+			return true
+		}
+		if n.partitioned {
+			n.held = append(n.held, e)
+			return true
 		}
 	}
 	switch e.kind {
-	case evArrival:
-		s.onArrival()
 	case evInitDone:
-		s.onInitDone(e.cid)
+		s.onInitDone(e.c)
 	case evExecDone:
-		s.onExecDone(e.cid)
+		s.onExecDone(e.c)
 	case evIdleTimeout:
-		s.onIdleTimeout(e.cid, e.epoch)
+		return s.onIdleTimeout(e.c, e.epoch)
 	case evPrewarm:
-		s.onPrewarm(dag.NodeID(e.fn))
+		s.onPrewarm(e.fs)
 	case evInitFail:
-		s.onInitFail(e.cid)
+		s.onInitFail(e.c)
 	case evExecFail:
-		s.onExecFail(e.cid, e.epoch)
+		s.onExecFail(e.c, e.epoch)
 	case evExecTimeout:
-		s.onExecTimeout(e.cid, e.epoch)
+		s.onExecTimeout(e.c, e.epoch)
 	case evHedge:
-		s.onHedge(e.cid, e.epoch)
+		s.onHedge(e.c, e.epoch)
 	case evRetry:
 		s.onRetry(e.ni)
 	case evNodeDown:
-		s.onNodeDown(e.cid)
+		s.onNodeDown(e.node)
 	case evNodeUp:
-		s.onNodeUp(e.cid)
+		s.onNodeUp(e.node)
 	case evNodeCrash:
-		s.onNodeCrash(e.cid)
+		s.onNodeCrash(e.node)
 	case evNodeRestart:
-		s.onNodeRestart(e.cid)
+		s.onNodeRestart(e.node)
 	case evPartitionStart:
-		s.onPartitionStart(e.cid)
+		s.onPartitionStart(e.node)
 	case evPartitionEnd:
-		s.onPartitionEnd(e.cid)
+		s.onPartitionEnd(e.node)
 	case evGossip:
 		s.onGossip()
 	case evPreempt:
-		s.onPreempt(e.cid)
+		s.onPreempt(e.node)
 	case evPreemptEnd:
-		s.onPreemptEnd(e.cid)
-	case evWindow:
-		s.counts = append(s.counts, s.arrivalsThisWindow)
-		s.arrivalsThisWindow = 0
-		guard := s.guardHistory()
-		s.driver.OnWindow(s, s.now.Seconds())
-		guard.check(s)
-		s.samplePods()
+		s.onPreemptEnd(e.node)
 	}
+	return true
 }
 
 // MustRun is Run that panics on error, for callers that construct the
@@ -805,7 +821,7 @@ func (s *Simulator) MustRun(tr *trace.Trace) *RunStats {
 }
 
 func (s *Simulator) allIdle() bool {
-	for _, fs := range s.fns {
+	for _, fs := range s.fnList {
 		if len(fs.queue) > 0 {
 			return false
 		}
@@ -822,22 +838,17 @@ func (s *Simulator) allIdle() bool {
 // are terminated in id order so floating-point cost accumulation is
 // deterministic run to run.
 func (s *Simulator) finish() {
-	ids := make([]int, 0, len(s.conts))
-	for id := range s.conts {
-		ids = append(ids, id)
+	owed := s.stats.TotalCost + s.AccruedCost()
+	for _, c := range slices.Clone(s.conts) { // terminate edits the list
+		s.terminate(c)
 	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		if c := s.conts[id]; c != nil && c.state != cDead {
-			s.terminate(c)
-		}
-	}
+	s.checkConservation(owed) // smiless_invariants builds only
 	// Requests that never resolved by the safety horizon (only possible
 	// under fault injection: work stranded behind a dead node or an
 	// exhausted queue) count as failed so availability reflects them.
-	if unresolved := s.nextInv - s.stats.Completed - s.stats.FailedInvocations; unresolved > 0 {
-		s.stats.FailedInvocations += unresolved
-	}
+	unresolved := s.nextInv - s.stats.Completed - s.stats.FailedInvocations
+	invariant(unresolved >= 0, "%d requests arrived but %d resolved: some request resolved twice", s.nextInv, s.nextInv-unresolved)
+	s.stats.FailedInvocations += unresolved
 	// Settle down time for nodes the detector still holds down at the end.
 	if s.cfg.Faults != nil && len(s.cfg.Faults.NodeFaults) > 0 {
 		for _, n := range s.cluster.nodes {
@@ -853,40 +864,38 @@ func (s *Simulator) finish() {
 func (s *Simulator) onArrival() {
 	s.arrivalsThisWindow++
 	s.arrivalTimes = append(s.arrivalTimes, s.now.Seconds())
-	g := s.cfg.App.Graph
 	inv := &appInv{
 		id:        s.nextInv,
 		arrival:   s.now,
-		pending:   make(map[dag.NodeID]int, g.Len()),
-		done:      make(map[dag.NodeID]bool, g.Len()),
-		remaining: g.Len(),
+		pending:   make([]int, len(s.fnList)),
+		done:      make([]bool, len(s.fnList)),
+		remaining: len(s.fnList),
 	}
 	s.nextInv++
 	if s.rec != nil {
 		s.rec.BeginRequest(inv.id, s.now.Seconds())
 	}
-	for _, id := range g.Nodes() {
-		inv.pending[id] = len(g.Predecessors(id))
+	for i, fs := range s.fnList {
+		inv.pending[i] = fs.npred
 	}
 	// Reactive pre-warming for functions that request it.
-	for _, id := range g.Nodes() {
-		fs := s.fns[id]
-		if fs.directive.PrewarmOnArrival && len(g.Predecessors(id)) > 0 {
-			s.SchedulePrewarm(id, s.now.Seconds()+fs.directive.PathOffset)
+	for _, fs := range s.fnList {
+		if fs.directive.PrewarmOnArrival && fs.npred > 0 {
+			s.SchedulePrewarm(fs.id, s.now.Seconds()+fs.directive.PathOffset)
 		}
 	}
 	// Entry function becomes ready immediately.
-	for _, src := range g.Sources() {
-		s.enqueue(&nodeInv{inv: inv, node: src, readyAt: s.now})
+	for _, src := range s.sources {
+		s.enqueue(&nodeInv{inv: inv, fs: src, readyAt: s.now})
 	}
 }
 
 // enqueue adds a ready node invocation and attempts dispatch.
 func (s *Simulator) enqueue(ni *nodeInv) {
 	if s.rec != nil && ni.span == nil {
-		ni.span = s.rec.BeginNode(ni.inv.id, string(ni.node), s.now.Seconds(), ni.isHedge)
+		ni.span = s.rec.BeginNode(ni.inv.id, string(ni.fs.id), s.now.Seconds(), ni.isHedge)
 	}
-	fs := s.fns[ni.node]
+	fs := ni.fs
 	fs.queue = append(fs.queue, ni)
 	s.pump(fs)
 }
@@ -958,26 +967,25 @@ func (s *Simulator) servable(c *container) bool {
 	return c.node < 0 || s.cluster.nodes[c.node].placeable()
 }
 
+// pickIdle returns the lowest-id idle container the control plane will
+// route to.
 func (s *Simulator) pickIdle(fs *fnState) *container {
-	var best *container
 	for _, c := range fs.containers {
-		if c.state == cIdle && s.servable(c) && (best == nil || c.id < best.id) {
-			best = c
+		if c.state == cIdle && s.servable(c) {
+			return c
 		}
 	}
-	return best
+	return nil
 }
 
 func (s *Simulator) pickInitializing(fs *fnState) *container {
-	var best *container
 	for _, c := range fs.containers {
 		if c.state == cInitializing && c.node >= 0 && s.servable(c) &&
-			len(c.assigned) < fs.directive.Batch &&
-			(best == nil || c.id < best.id) {
-			best = c
+			len(c.assigned) < fs.directive.Batch {
+			return c
 		}
 	}
-	return best
+	return nil
 }
 
 // launch starts a new container (cold start). When the cluster lacks
@@ -986,10 +994,11 @@ func (s *Simulator) launch(fs *fnState, cfg hardware.Config, prewarmed bool) *co
 	c := &container{
 		id: s.nextCont, fn: fs, cfg: cfg, state: cInitializing,
 		initStart: s.now, prewarmed: prewarmed, node: -1,
+		timerAt: units.Seconds(math.Inf(1)),
 	}
 	s.nextCont++
-	fs.containers[c.id] = c
-	s.conts[c.id] = c
+	fs.containers = append(fs.containers, c) // ids only grow: both lists stay ordered
+	s.conts = append(s.conts, c)
 	fs.inits++
 	s.stats.Inits++
 	node, ok := s.placeLaunch(fs.id, cfg)
@@ -1053,8 +1062,8 @@ func (s *Simulator) placeAffinity(id dag.NodeID, cfg hardware.Config, pack bool)
 // for reproducible float accumulation.
 func (s *Simulator) classPressure(n int, class placement.Class) float64 {
 	total := 0.0
-	for _, c := range sortedContainers(s.conts) {
-		if c.node != n || c.state == cDead {
+	for _, c := range s.conts {
+		if c.node != n {
 			continue
 		}
 		rc := placement.ClassOf(c.fn.spec.Field)
@@ -1072,8 +1081,8 @@ func (s *Simulator) classPressure(n int, class placement.Class) float64 {
 // c against the other live containers on its node, visited in id order.
 func (s *Simulator) interferenceFactor(c *container) float64 {
 	var residents []placement.Resident
-	for _, o := range sortedContainers(s.conts) {
-		if o.id == c.id || o.node != c.node || o.state == cDead {
+	for _, o := range s.conts {
+		if o == c || o.node != c.node {
 			continue
 		}
 		residents = append(residents, placement.Resident{
@@ -1102,17 +1111,16 @@ func (s *Simulator) beginInit(c *container) {
 	}
 	if s.inj != nil {
 		if fail, frac := s.inj.InitOutcome(string(c.fn.id)); fail {
-			s.schedule(&event{at: s.now + units.Seconds(dur*frac), kind: evInitFail, cid: c.id})
+			s.schedule(s.now+units.Seconds(dur*frac), event{kind: evInitFail, c: c})
 			return
 		}
 	}
 	c.warmAt = s.now + units.Seconds(dur)
-	s.schedule(&event{at: c.warmAt, kind: evInitDone, cid: c.id})
+	s.schedule(c.warmAt, event{kind: evInitDone, c: c})
 }
 
-func (s *Simulator) onInitDone(cid int) {
-	c := s.conts[cid]
-	if c == nil || c.state != cInitializing {
+func (s *Simulator) onInitDone(c *container) {
+	if c.state != cInitializing {
 		return
 	}
 	c.state = cIdle
@@ -1144,9 +1152,8 @@ func (s *Simulator) onInitDone(cid int) {
 // init time is still billed (the provider charges for the attempt, Eq. 3),
 // assigned work returns to the queue, and pump relaunches — the natural
 // retry for a cold start.
-func (s *Simulator) onInitFail(cid int) {
-	c := s.conts[cid]
-	if c == nil || c.state != cInitializing {
+func (s *Simulator) onInitFail(c *container) {
+	if c.state != cInitializing {
 		return
 	}
 	s.stats.InitFailures++
@@ -1184,8 +1191,8 @@ func (s *Simulator) startBatch(c *container, cause tracing.Phase) {
 	}
 	c.state = cBusy
 	c.batch = batch
-	c.idleEpoch++ // invalidate any pending idle timer
-	c.batchSeq++  // validates timeout/hedge/crash events for this batch
+	c.idleArmed = false // the keep-alive deadline is void until re-armed
+	c.batchSeq++        // validates timeout/hedge/crash events for this batch
 	if s.rec != nil {
 		now := s.now.Seconds()
 		for _, ni := range batch {
@@ -1221,23 +1228,22 @@ func (s *Simulator) startBatch(c *container, cause tracing.Phase) {
 		if fail, frac := s.inj.ExecOutcome(string(fs.id)); fail {
 			// The instance crashes partway through; the gateway's retry
 			// policy decides each member's fate in onExecFail.
-			s.schedule(&event{at: s.now + units.Seconds(dur*frac), kind: evExecFail, cid: c.id, epoch: c.batchSeq})
+			s.schedule(s.now+units.Seconds(dur*frac), event{kind: evExecFail, c: c, epoch: c.batchSeq})
 			return
 		}
 	}
-	s.schedule(&event{at: s.now + units.Seconds(dur), kind: evExecDone, cid: c.id, epoch: c.batchSeq})
+	s.schedule(s.now+units.Seconds(dur), event{kind: evExecDone, c: c, epoch: c.batchSeq})
 	if t := d.Retry.Timeout; t > 0 && dur > t {
-		s.schedule(&event{at: s.now + units.Seconds(t), kind: evExecTimeout, cid: c.id, epoch: c.batchSeq})
+		s.schedule(s.now+units.Seconds(t), event{kind: evExecTimeout, c: c, epoch: c.batchSeq})
 	}
 	if h := d.HedgeDelay; h > 0 && len(batch) == 1 && dur > h &&
 		!batch[0].isHedge && !batch[0].hedged {
-		s.schedule(&event{at: s.now + units.Seconds(h), kind: evHedge, cid: c.id, epoch: c.batchSeq})
+		s.schedule(s.now+units.Seconds(h), event{kind: evHedge, c: c, epoch: c.batchSeq})
 	}
 }
 
-func (s *Simulator) onExecDone(cid int) {
-	c := s.conts[cid]
-	if c == nil || c.state != cBusy {
+func (s *Simulator) onExecDone(c *container) {
+	if c.state != cBusy {
 		return
 	}
 	batch := c.batch
@@ -1251,11 +1257,10 @@ func (s *Simulator) onExecDone(cid int) {
 	// Complete each node invocation and release successors. A member whose
 	// request already failed, or whose node a hedge twin finished first, is
 	// discarded (first completion wins).
-	g := s.cfg.App.Graph
 	counted := false
 	for _, ni := range batch {
 		inv := ni.inv
-		if inv.failed || inv.done[ni.node] {
+		if inv.failed || inv.done[fs.idx] {
 			ni.span.Finish(s.now.Seconds(), false)
 			continue
 		}
@@ -1267,14 +1272,14 @@ func (s *Simulator) onExecDone(cid int) {
 			fs.successes++
 			counted = true
 		}
-		inv.done[ni.node] = true
+		inv.done[fs.idx] = true
 		inv.remaining--
 		invariant(inv.remaining >= 0, "request %d finished more members than its DAG has: remaining %d", inv.id, inv.remaining)
-		for _, succ := range g.Successors(ni.node) {
-			inv.pending[succ]--
-			invariant(inv.pending[succ] >= 0, "request %d released successor %s more times than it has predecessors", inv.id, succ)
-			if inv.pending[succ] == 0 {
-				s.enqueue(&nodeInv{inv: inv, node: succ, readyAt: s.now})
+		for _, succ := range fs.succs {
+			inv.pending[succ.idx]--
+			invariant(inv.pending[succ.idx] >= 0, "request %d released successor %s more times than it has predecessors", inv.id, succ.id)
+			if inv.pending[succ.idx] == 0 {
+				s.enqueue(&nodeInv{inv: inv, fs: succ, readyAt: s.now})
 			}
 		}
 		if inv.remaining == 0 {
@@ -1319,9 +1324,8 @@ func (s *Simulator) abortBatch(c *container) {
 // onExecFail handles an injected crash mid-execution. The container dies
 // (its billed life still charged) and each batch member is individually
 // retried or failed.
-func (s *Simulator) onExecFail(cid, epoch int) {
-	c := s.conts[cid]
-	if c == nil || c.state != cBusy || c.batchSeq != epoch {
+func (s *Simulator) onExecFail(c *container, epoch int) {
+	if c.state != cBusy || c.batchSeq != epoch {
 		return
 	}
 	s.stats.ExecFailures++
@@ -1332,9 +1336,8 @@ func (s *Simulator) onExecFail(cid, epoch int) {
 // onExecTimeout fires when a batch outlives the gateway's per-attempt
 // timeout. The hung instance is terminated — re-dispatching onto it would
 // just hang again — and the members retry elsewhere.
-func (s *Simulator) onExecTimeout(cid, epoch int) {
-	c := s.conts[cid]
-	if c == nil || c.state != cBusy || c.batchSeq != epoch {
+func (s *Simulator) onExecTimeout(c *container, epoch int) {
+	if c.state != cBusy || c.batchSeq != epoch {
 		return
 	}
 	s.stats.Timeouts++
@@ -1347,7 +1350,7 @@ func (s *Simulator) onExecTimeout(cid, epoch int) {
 // whole request fails. Hedge twins are never retried — the primary is
 // still running.
 func (s *Simulator) retryMember(fs *fnState, ni *nodeInv) {
-	if ni.inv.failed || ni.isHedge || ni.inv.done[ni.node] {
+	if ni.inv.failed || ni.isHedge || ni.inv.done[fs.idx] {
 		return
 	}
 	ni.attempts++
@@ -1371,7 +1374,7 @@ func (s *Simulator) retryMember(fs *fnState, ni *nodeInv) {
 		return
 	}
 	ni.span.Backoff(s.now.Seconds(), s.now.Seconds()+delay)
-	s.schedule(&event{at: s.now + units.Seconds(delay), kind: evRetry, ni: ni, fn: string(fs.id)})
+	s.schedule(s.now+units.Seconds(delay), event{kind: evRetry, ni: ni})
 }
 
 // failInvocation marks a request permanently failed and purges its
@@ -1386,7 +1389,7 @@ func (s *Simulator) failInvocation(inv *appInv) {
 	if s.rec != nil {
 		s.rec.FailRequest(inv.id, s.now.Seconds())
 	}
-	for _, fs := range s.fns {
+	for _, fs := range s.fnList {
 		if len(fs.queue) == 0 {
 			continue
 		}
@@ -1402,7 +1405,7 @@ func (s *Simulator) failInvocation(inv *appInv) {
 
 // onRetry re-enqueues a backed-off member once its delay elapses.
 func (s *Simulator) onRetry(ni *nodeInv) {
-	if ni == nil || ni.inv.failed || ni.inv.done[ni.node] {
+	if ni.inv.failed || ni.inv.done[ni.fs.idx] {
 		return
 	}
 	ni.readyAt = s.now
@@ -1412,13 +1415,12 @@ func (s *Simulator) onRetry(ni *nodeInv) {
 // onHedge duplicates a slow single-member execution onto a second warm
 // instance. The first completion wins (onExecDone's done-map dedup); the
 // loser's result is discarded.
-func (s *Simulator) onHedge(cid, epoch int) {
-	c := s.conts[cid]
-	if c == nil || c.state != cBusy || c.batchSeq != epoch || len(c.batch) != 1 {
+func (s *Simulator) onHedge(c *container, epoch int) {
+	if c.state != cBusy || c.batchSeq != epoch || len(c.batch) != 1 {
 		return
 	}
 	primary := c.batch[0]
-	if primary.inv.failed || primary.hedged || primary.isHedge || primary.inv.done[primary.node] {
+	if primary.inv.failed || primary.hedged || primary.isHedge || primary.inv.done[c.fn.idx] {
 		return
 	}
 	h := s.pickIdle(c.fn)
@@ -1426,9 +1428,9 @@ func (s *Simulator) onHedge(cid, epoch int) {
 		return // no spare warm instance: hedging never launches cold starts
 	}
 	primary.hedged = true
-	twin := &nodeInv{inv: primary.inv, node: primary.node, readyAt: s.now, isHedge: true}
+	twin := &nodeInv{inv: primary.inv, fs: c.fn, readyAt: s.now, isHedge: true}
 	if s.rec != nil {
-		twin.span = s.rec.BeginNode(primary.inv.id, string(primary.node), s.now.Seconds(), true)
+		twin.span = s.rec.BeginNode(primary.inv.id, string(c.fn.id), s.now.Seconds(), true)
 	}
 	s.stats.HedgesLaunched++
 	h.assigned = append(h.assigned, twin)
@@ -1493,16 +1495,8 @@ func (s *Simulator) onPreemptEnd(n int) {
 // (retryMember for legacy outages, failoverMember for detected crashes).
 // Assigned-but-unstarted members requeue via terminate.
 func (s *Simulator) evictNode(n int, route func(*fnState, *nodeInv)) {
-	ids := make([]int, 0, len(s.conts))
-	for id, c := range s.conts {
-		if c.node == n && c.state != cDead {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		c := s.conts[id]
-		if c == nil || c.state == cDead {
+	for _, c := range slices.Clone(s.conts) { // terminate and route edit the list
+		if c.node != n || c.state == cDead {
 			continue
 		}
 		s.stats.EvictedContainers++
@@ -1521,8 +1515,8 @@ func (s *Simulator) evictNode(n int, route func(*fnState, *nodeInv)) {
 
 // pumpAll re-dispatches queued work in graph order for determinism.
 func (s *Simulator) pumpAll() {
-	for _, id := range s.cfg.App.Graph.Nodes() {
-		if fs := s.fns[id]; len(fs.queue) > 0 {
+	for _, fs := range s.fnList {
+		if len(fs.queue) > 0 {
 			s.pump(fs)
 		}
 	}
@@ -1619,7 +1613,7 @@ func (s *Simulator) onGossip() {
 		}
 	}
 	if s.now < s.horizon {
-		s.schedule(&event{at: s.now + units.Seconds(s.cfg.GossipInterval), kind: evGossip})
+		s.schedule(s.now+units.Seconds(s.cfg.GossipInterval), event{kind: evGossip})
 	}
 }
 
@@ -1662,21 +1656,16 @@ func (s *Simulator) markNodeDown(i int) {
 // peer. The originals keep executing behind the partition; twin and
 // original race, first completion wins.
 func (s *Simulator) twinNodeInflight(i int) {
-	ids := make([]int, 0, len(s.conts))
-	for id, c := range s.conts {
-		if c.node == i && c.state != cDead {
-			ids = append(ids, id)
+	for _, c := range slices.Clone(s.conts) { // failover launches edit the list
+		if c.node != i {
+			continue
 		}
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		c := s.conts[id]
 		members := append(append([]*nodeInv(nil), c.batch...), c.assigned...)
 		for _, ni := range members {
-			if ni.inv.failed || ni.inv.done[ni.node] || ni.isHedge {
+			if ni.inv.failed || ni.inv.done[ni.fs.idx] || ni.isHedge {
 				continue
 			}
-			twin := &nodeInv{inv: ni.inv, node: ni.node, readyAt: s.now}
+			twin := &nodeInv{inv: ni.inv, fs: ni.fs, readyAt: s.now}
 			s.failoverMember(c.fn, twin)
 		}
 	}
@@ -1689,7 +1678,7 @@ func (s *Simulator) twinNodeInflight(i int) {
 // work — a member that keeps landing on dying nodes keeps its attempt
 // count, so its next genuine failure routes through the retry policy.
 func (s *Simulator) failoverMember(fs *fnState, ni *nodeInv) {
-	if ni.inv.failed || ni.inv.done[ni.node] || ni.isHedge {
+	if ni.inv.failed || ni.inv.done[fs.idx] || ni.isHedge {
 		return
 	}
 	s.stats.Failovers++
@@ -1698,6 +1687,9 @@ func (s *Simulator) failoverMember(fs *fnState, ni *nodeInv) {
 	s.enqueue(ni)
 }
 
+// armIdleTimer sets the container's keep-alive deadline from the directive
+// in force now. Under AlwaysOn nothing is armed — and nothing is disarmed: a
+// deadline that survived since the last batch stays live.
 func (s *Simulator) armIdleTimer(c *container) {
 	d := c.fn.directive
 	if d.Policy == coldstart.AlwaysOn {
@@ -1710,20 +1702,40 @@ func (s *Simulator) armIdleTimer(c *container) {
 		// not reaped before its request.
 		ka = 10 * s.cfg.Window
 	}
-	c.idleEpoch++
-	s.schedule(&event{at: s.now + units.Seconds(ka), kind: evIdleTimeout, cid: c.id, epoch: c.idleEpoch})
+	c.idleAt, c.idleTicket, c.idleArmed = s.now+units.Seconds(ka), s.events.Ticket(), true
+	if c.idleAt < c.timerAt {
+		// No entry is queued, or a directive cut KeepAlive under the one
+		// that is: queue one for this deadline, superseding it.
+		s.pushIdleTimer(c)
+	}
 }
 
-func (s *Simulator) onIdleTimeout(cid, epoch int) {
-	c := s.conts[cid]
-	if c == nil || c.state != cIdle || c.idleEpoch != epoch {
-		return
+func (s *Simulator) pushIdleTimer(c *container) {
+	c.timerGen++
+	c.timerAt = c.idleAt
+	s.events.PushTicket(c.idleAt.Seconds(), c.idleTicket, event{kind: evIdleTimeout, c: c, epoch: c.timerGen})
+}
+
+// onIdleTimeout handles the container's queue entry coming due and reports
+// whether its keep-alive deadline really expired.
+func (s *Simulator) onIdleTimeout(c *container, gen int) bool {
+	if gen != c.timerGen || c.state == cDead {
+		return false // superseded by an entry for an earlier deadline
+	}
+	c.timerAt = units.Seconds(math.Inf(1))
+	if !c.idleArmed || c.state != cIdle {
+		return false // a batch ran since the deadline was armed
+	}
+	if c.idleAt > s.now {
+		s.pushIdleTimer(c) // re-armed for later while this entry waited
+		return false
 	}
 	if c.fn.liveCount() <= c.fn.directive.MinWarm {
 		s.armIdleTimer(c) // floor reached: stay resident, check again later
-		return
+	} else {
+		s.terminate(c)
 	}
-	s.terminate(c)
+	return true
 }
 
 func (s *Simulator) terminate(c *container) {
@@ -1753,8 +1765,14 @@ func (s *Simulator) terminate(c *container) {
 	}
 	life, cost := s.billedLife(c)
 	s.stats.addCost(string(c.fn.id), c.cfg, life, cost)
-	delete(c.fn.containers, c.id)
-	delete(s.conts, c.id)
+	c.fn.containers = dropContainer(c.fn.containers, c)
+	s.conts = dropContainer(s.conts, c)
+}
+
+// dropContainer removes c from an id-ordered container list, keeping order.
+func dropContainer(cs []*container, c *container) []*container {
+	i := slices.Index(cs, c)
+	return slices.Delete(cs, i, i+1)
 }
 
 // billedLife returns a container's billed lifetime in seconds and its
@@ -1821,8 +1839,7 @@ func (s *Simulator) completeInvocation(inv *appInv) {
 	}
 }
 
-func (s *Simulator) onPrewarm(id dag.NodeID) {
-	fs := s.fns[id]
+func (s *Simulator) onPrewarm(fs *fnState) {
 	// An idle or initializing instance already satisfies the pre-warm
 	// goal. A busy instance does too unless the policy terminates it
 	// after its current batch (Prewarm/NoMitigation), in which case it
@@ -1848,9 +1865,6 @@ func (s *Simulator) onPrewarm(id dag.NodeID) {
 func (s *Simulator) samplePods() {
 	cpuPods, gpuPods := 0, 0
 	for _, c := range s.conts {
-		if c.state == cDead {
-			continue
-		}
 		if c.cfg.Kind == hardware.CPU {
 			cpuPods++
 		} else {
