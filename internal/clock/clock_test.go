@@ -6,6 +6,13 @@ import (
 	"time"
 )
 
+// after arms a fresh timer on s for d seconds and returns its channel.
+func after(s Scheduler, d float64) <-chan time.Time {
+	t := s.NewTimer()
+	t.Reset(d)
+	return t.C()
+}
+
 func TestFakeAdvanceFiresInOrder(t *testing.T) {
 	f := NewFake()
 	var mu sync.Mutex
@@ -14,7 +21,7 @@ func TestFakeAdvanceFiresInOrder(t *testing.T) {
 	var wg sync.WaitGroup
 	for i, d := range []float64{3, 1, 2} {
 		wg.Add(1)
-		ch := f.After(d)
+		ch := after(f, d)
 		go func(i int) {
 			defer wg.Done()
 			<-ch
@@ -50,7 +57,7 @@ func TestFakeAdvanceToNext(t *testing.T) {
 	if f.AdvanceToNext() {
 		t.Fatal("AdvanceToNext with no waiters should report false")
 	}
-	ch := f.After(5.5)
+	ch := after(f, 5.5)
 	if at, ok := f.NextDeadline(); !ok || at != 5.5 {
 		t.Fatalf("NextDeadline = %v,%v, want 5.5,true", at, ok)
 	}
@@ -70,9 +77,9 @@ func TestFakeAdvanceToNext(t *testing.T) {
 func TestFakeNonPositiveAfterFiresImmediately(t *testing.T) {
 	f := NewFake()
 	select {
-	case <-f.After(0):
+	case <-after(f, 0):
 	default:
-		t.Fatal("After(0) should fire immediately")
+		t.Fatal("Reset(0) should fire immediately")
 	}
 	f.Sleep(-1) // must not block
 	if f.Now() != 0 {
@@ -101,10 +108,126 @@ func TestFakeSleepBlocksUntilAdvance(t *testing.T) {
 	}
 }
 
+// A fake timer is one slot however often it is re-armed.
+func TestFakeTimerIsOneWaiter(t *testing.T) {
+	f := NewFake()
+	tm := f.NewTimer()
+	for i := 1; i <= 100; i++ {
+		tm.Reset(float64(i))
+	}
+	if got := f.Waiters(); got != 1 {
+		t.Fatalf("Waiters() = %d after 100 Resets of one timer, want 1", got)
+	}
+	if at, _ := f.NextDeadline(); at != 100 {
+		t.Fatalf("NextDeadline = %v, want the last Reset's 100", at)
+	}
+	tm.Stop()
+	if got := f.Waiters(); got != 0 {
+		t.Fatalf("Waiters() = %d after Stop, want 0", got)
+	}
+}
+
+// TestTimer runs one body against every Scheduler. pass(d) lets d model
+// seconds go by: the fake clock is advanced, the wall clocks are slept on.
+func TestTimer(t *testing.T) {
+	// unit is the model-time step of the test, sized so that the wall
+	// clocks wait 10 ms of real time for it.
+	cases := []struct {
+		name string
+		unit float64
+		mk   func() (Scheduler, func(d float64))
+	}{
+		{"Fake", 1, func() (Scheduler, func(float64)) {
+			f := NewFake()
+			return f, f.Advance
+		}},
+		{"Wall", 0.01, func() (Scheduler, func(float64)) {
+			w := NewWall()
+			return w, w.Sleep
+		}},
+		{"ScaledWall", 1, func() (Scheduler, func(float64)) {
+			s := NewScaledWall(100)
+			return s, s.Sleep
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			clk, pass := tc.mk()
+			u := tc.unit
+			tm := clk.NewTimer()
+			defer tm.Stop()
+			fired := func() bool {
+				select {
+				case <-tm.C():
+					return true
+				default:
+					return false
+				}
+			}
+			// wait blocks for a fire that is due; real timers deliver it a
+			// moment after their deadline.
+			wait := func(what string) {
+				t.Helper()
+				select {
+				case <-tm.C():
+				case <-time.After(5 * time.Second):
+					t.Fatalf("%s: no fire", what)
+				}
+			}
+
+			if fired() {
+				t.Fatal("a new timer fired before it was armed")
+			}
+			// Reset to an earlier deadline: fires at the new one.
+			tm.Reset(1000 * u)
+			tm.Reset(2 * u)
+			start := clk.Now()
+			pass(2 * u)
+			wait("Reset earlier")
+			if got := clk.Now() - start; got < 2*u {
+				t.Errorf("fired %v after Reset(%v)", got, 2*u)
+			}
+			if fired() {
+				t.Error("one Reset fired twice")
+			}
+			// Reset to a later deadline: the earlier one is gone.
+			tm.Reset(2 * u)
+			tm.Reset(6 * u)
+			pass(3 * u)
+			if fired() {
+				t.Error("fired at the deadline a later Reset replaced")
+			}
+			pass(3 * u)
+			wait("Reset later")
+			// Stop: no fire, then or later.
+			tm.Reset(2 * u)
+			tm.Stop()
+			pass(3 * u)
+			if fired() {
+				t.Error("fired after Stop")
+			}
+			// Re-arm after a fire, received or not: one fire per Reset.
+			tm.Reset(u)
+			pass(2 * u)
+			tm.Reset(u) // drops the fire nobody received
+			if fired() {
+				t.Error("Reset left the previous fire on C")
+			}
+			pass(u)
+			wait("Reset after fire")
+			// Non-positive: at once.
+			tm.Reset(0)
+			wait("Reset(0)")
+			tm.Reset(-1)
+			wait("Reset(-1)")
+		})
+	}
+}
+
 func TestWallClock(t *testing.T) {
 	w := NewWall()
 	a := w.Now()
-	<-w.After(0.001)
+	<-after(w, 0.001)
 	if b := w.Now(); b <= a {
 		t.Fatalf("wall clock did not move: %v -> %v", a, b)
 	}
@@ -114,19 +237,14 @@ func TestWallClock(t *testing.T) {
 func TestScaledWall(t *testing.T) {
 	s := NewScaledWall(100)
 	start := time.Now()
-	<-s.After(0.5) // 0.5 model seconds = 5ms real
+	<-after(s, 0.5) // 0.5 model seconds = 5ms real
 	if real := time.Since(start); real > 2*time.Second {
-		t.Fatalf("After(0.5) at 100x took %v real", real)
+		t.Fatalf("Reset(0.5) at 100x took %v real", real)
 	}
 	if now := s.Now(); now < 0.5 {
 		t.Fatalf("Now() = %v after waiting 0.5 model seconds", now)
 	}
 	s.Sleep(0) // must not block
-	select {
-	case <-s.After(-1):
-	default:
-		t.Fatal("non-positive After should fire immediately")
-	}
 	if NewScaledWall(0).factor != 1 {
 		t.Fatal("non-positive factor should default to 1")
 	}

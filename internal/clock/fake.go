@@ -1,21 +1,31 @@
 package clock
 
-import "sync"
+import (
+	"slices"
+	"sync"
+	"time"
+)
 
 // Fake is a manually-advanced Scheduler for tests. Time moves only through
 // Advance/AdvanceToNext, so a test covering minutes of serving latency runs
 // in milliseconds and is immune to machine load. It is safe for concurrent
-// use: runtime goroutines block in Sleep/After while the test goroutine
+// use: runtime goroutines block on their timers while the test goroutine
 // advances.
 type Fake struct {
-	mu      sync.Mutex
-	now     float64
-	waiters []fakeWaiter
+	mu  sync.Mutex
+	now float64
+	// armed holds the timers with a pending deadline: one slot per Timer,
+	// however often it is re-armed, so Waiters counts sleepers, not the
+	// wake-ups they ever asked for.
+	armed []*fakeTimer
 }
 
-type fakeWaiter struct {
+// fakeTimer is a Timer on a Fake clock; at is its deadline while it is in
+// the clock's armed list.
+type fakeTimer struct {
+	f  *Fake
+	c  chan time.Time
 	at float64
-	ch chan struct{}
 }
 
 // NewFake returns a fake clock at time zero.
@@ -28,24 +38,55 @@ func (f *Fake) Now() float64 {
 	return f.now
 }
 
-// After implements Scheduler: the returned channel fires when the fake time
-// reaches now+d. A non-positive d fires immediately.
-func (f *Fake) After(d float64) <-chan struct{} {
-	ch := make(chan struct{}, 1)
+// NewTimer implements Scheduler.
+func (f *Fake) NewTimer() Timer { return &fakeTimer{f: f, c: make(chan time.Time, 1)} }
+
+func (t *fakeTimer) C() <-chan time.Time { return t.c }
+
+// Reset implements Timer: the timer fires when the fake time reaches now+d.
+func (t *fakeTimer) Reset(d float64) {
+	f := t.f
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.disarm(t)
 	if d <= 0 {
-		ch <- struct{}{} //lint:allow lockcheck send to the locally created buffered channel cannot block
-		return ch
+		t.fire()
+		return
 	}
-	f.waiters = append(f.waiters, fakeWaiter{at: f.now + d, ch: ch})
-	return ch
+	t.at = f.now + d
+	f.armed = append(f.armed, t)
+}
+
+// Stop implements Timer.
+func (t *fakeTimer) Stop() {
+	t.f.mu.Lock()
+	defer t.f.mu.Unlock()
+	t.f.disarm(t)
+}
+
+// disarm drops t's pending deadline and any fire its owner has not received;
+// callers hold mu.
+func (f *Fake) disarm(t *fakeTimer) {
+	if i := slices.Index(f.armed, t); i >= 0 {
+		f.armed = slices.Delete(f.armed, i, i+1)
+	}
+	drain(t.c)
+}
+
+// fire delivers one wake-up; callers hold mu. The send cannot block: a timer
+// fires once per Reset, and Reset drained the channel.
+func (t *fakeTimer) fire() {
+	t.c <- time.Time{}
 }
 
 // Sleep implements Scheduler.
 //
 //lint:allow ctxflow fake-clock sleep parks until a test advances the clock; the Scheduler contract has no cancellation
-func (f *Fake) Sleep(d float64) { <-f.After(d) }
+func (f *Fake) Sleep(d float64) {
+	t := f.NewTimer()
+	t.Reset(d)
+	<-t.C()
+}
 
 // Advance moves the fake time forward by d seconds, firing every timer whose
 // deadline falls within the advanced span (in deadline order).
@@ -62,7 +103,7 @@ func (f *Fake) Advance(d float64) {
 // AdvanceToNext jumps the fake time to the earliest pending timer deadline
 // and fires it (plus any timers sharing that deadline). It reports whether a
 // timer was pending. Tests drive concurrent runtimes by looping:
-// give goroutines a moment to register their next timer, then jump.
+// give goroutines a moment to arm their next timer, then jump.
 func (f *Fake) AdvanceToNext() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -81,19 +122,19 @@ func (f *Fake) NextDeadline() (float64, bool) {
 	return f.nextDeadline()
 }
 
-// Waiters returns the number of pending timers.
+// Waiters returns the number of armed timers.
 func (f *Fake) Waiters() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return len(f.waiters)
+	return len(f.armed)
 }
 
-// nextDeadline scans pending waiters; callers hold mu.
+// nextDeadline scans the armed timers; callers hold mu.
 func (f *Fake) nextDeadline() (float64, bool) {
 	best, ok := 0.0, false
-	for _, w := range f.waiters {
-		if !ok || w.at < best {
-			best, ok = w.at, true
+	for _, t := range f.armed {
+		if !ok || t.at < best {
+			best, ok = t.at, true
 		}
 	}
 	return best, ok
@@ -107,15 +148,16 @@ func (f *Fake) advanceTo(target float64) {
 			break
 		}
 		f.now = at
-		rest := f.waiters[:0]
-		for _, w := range f.waiters {
-			if w.at <= f.now {
-				w.ch <- struct{}{}
+		rest := f.armed[:0]
+		for _, t := range f.armed {
+			if t.at <= f.now {
+				t.fire()
 			} else {
-				rest = append(rest, w)
+				rest = append(rest, t)
 			}
 		}
-		f.waiters = rest
+		clear(f.armed[len(rest):])
+		f.armed = rest
 	}
 	if target > f.now {
 		f.now = target

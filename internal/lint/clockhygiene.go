@@ -7,7 +7,8 @@ import (
 
 // ClockHygiene bans direct wall-clock access (time.Now, time.Sleep,
 // time.After, time.NewTimer, time.Since, ...) everywhere except the
-// internal/clock package itself and package main. The serving runtime's
+// internal/clock package itself (where only time.AfterFunc stays banned) and
+// package main. The serving runtime's
 // correctness story depends on every behavioral delay routing through the
 // clock.Scheduler abstraction — that is what lets the Fake scheduler replay
 // minutes of keep-alive and batching behaviour in milliseconds, and what
@@ -34,10 +35,12 @@ func runClockHygiene(pass *Pass) error {
 	// The clock package is the one sanctioned home for raw time: Wall,
 	// ScaledWall and Monotonic wrap it there. Matching by path suffix keeps
 	// the exemption honest for fixtures (fixture/clock) without hard-coding
-	// the module path.
-	if p := pass.Pkg.Path(); p == "clock" || strings.HasSuffix(p, "/clock") {
-		return nil
-	}
+	// the module path. The exemption stops at time.AfterFunc: it runs its
+	// callback on a new goroutine per fire and hands the caller nothing it
+	// must stop, which is how a wake-up per event-loop pass once leaked; a
+	// clock.Timer is one time.Timer, re-armed.
+	p := pass.Pkg.Path()
+	home := p == "clock" || strings.HasSuffix(p, "/clock")
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
@@ -46,6 +49,12 @@ func runClockHygiene(pass *Pass) error {
 			}
 			pkgPath, ok := selectorPackage(pass.TypesInfo, sel)
 			if !ok || pkgPath != "time" {
+				return true
+			}
+			if home {
+				if sel.Sel.Name == "AfterFunc" {
+					pass.Reportf(sel.Pos(), "time.AfterFunc starts a goroutine per fire and leaves a timer nobody stops: keep one time.Timer and Reset it, as clock.Timer does")
+				}
 				return true
 			}
 			if why, bad := bannedTimeFuncs[sel.Sel.Name]; bad {

@@ -32,8 +32,8 @@ func TestClockHygieneFixture(t *testing.T) {
 }
 
 // TestClockHygieneHomeFixture proves the home-package exemption: a package
-// whose import path ends in /clock may touch time directly, so the fixture
-// carries no want markers.
+// whose import path ends in /clock may touch time directly, so the fixture's
+// only want marker is on time.AfterFunc, which stays banned even there.
 func TestClockHygieneHomeFixture(t *testing.T) {
 	linttest.Run(t, "testdata/clock", lint.ClockHygiene)
 }

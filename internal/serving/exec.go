@@ -19,6 +19,7 @@ import (
 
 	"smiless/internal/coldstart"
 	"smiless/internal/dag"
+	"smiless/internal/eventq"
 	"smiless/internal/hardware"
 	"smiless/internal/placement"
 	"smiless/internal/simulator"
@@ -51,9 +52,13 @@ type container struct {
 	idleArmed  bool
 	timerAt    float64
 	timerGen   int
-	assigned   []*nodeInv
-	batch      []*nodeInv
-	prewarmed  bool
+	// assigned waits for the container to become ready, batch is executing;
+	// at most one of them is non-empty, and they pass one backing array back
+	// and forth (startBatch builds the batch in assigned's, onExecDone hands
+	// it back), so a warm container dispatches without allocating.
+	assigned  []*nodeInv
+	batch     []*nodeInv
+	prewarmed bool
 }
 
 // latWindow is the per-function ring of recent execution durations backing
@@ -75,7 +80,7 @@ type fnState struct {
 	// containers holds the live instances in id order: the first match of a
 	// scan is the lowest id, and its length is the live count.
 	containers []*container
-	queue      []*nodeInv
+	queue      eventq.FIFO[*nodeInv]
 
 	// Batch-linger state: while armed, dispatch onto idle instances is
 	// held until the queue fills the batch or the linger deadline passes.
@@ -111,16 +116,21 @@ func (f *fnState) liveCount() int { return len(f.containers) }
 type appInv struct {
 	id        int
 	arrival   float64
-	deadline  float64 // absolute model time; 0 = unbounded
-	pending   []int   // unfinished predecessor count, by function index
-	done      []bool
+	deadline  float64      // absolute model time; 0 = unbounded
+	prog      []fnProgress // by function index
 	remaining int
 	failed    bool
 	resolved  bool
 	resCh     chan Result
-	// settled closes when the request resolves; the context watcher
-	// goroutine (watchAbandon) selects on it against ctx.Done.
-	settled chan struct{}
+	// unwatch withdraws the abandon-on-cancel registration on the caller's
+	// context; nil when that context cannot be cancelled.
+	unwatch func() bool
+}
+
+// fnProgress is one function's progress within a request.
+type fnProgress struct {
+	pending int32 // unfinished predecessors
+	done    bool  // a member (or its hedge or failover twin) has completed
 }
 
 type nodeInv struct {
@@ -138,10 +148,10 @@ type nodeInv struct {
 // enqueue adds a ready node invocation and attempts dispatch.
 func (rt *Runtime) enqueue(ni *nodeInv) {
 	if rt.rec != nil && ni.span == nil {
-		ni.span = rt.rec.BeginNode(ni.inv.id, string(ni.fs.id), rt.now(), ni.isHedge)
+		ni.span = rt.rec.BeginNode(ni.inv.id, string(ni.fs.id), rt.now, ni.isHedge)
 	}
 	fs := ni.fs
-	fs.queue = append(fs.queue, ni)
+	fs.queue.Push(ni)
 	rt.pump(fs)
 }
 
@@ -150,7 +160,7 @@ func (rt *Runtime) enqueue(ni *nodeInv) {
 // with one insertion: step 1 consults the batch-linger window before
 // dispatching onto an idle instance.
 func (rt *Runtime) pump(fs *fnState) {
-	for len(fs.queue) > 0 {
+	for fs.queue.Len() > 0 {
 		d := fs.directive
 		// 1. An idle warm container — unless the batch window holds.
 		if c := rt.pickIdle(fs); c != nil {
@@ -171,34 +181,30 @@ func (rt *Runtime) pump(fs *fnState) {
 				busy++
 			}
 		}
-		if busy > 0 && len(fs.queue) <= busy*d.Batch {
+		if busy > 0 && fs.queue.Len() <= busy*d.Batch {
 			return
 		}
 		// 3. An initializing container with spare assignment capacity.
 		if c := rt.pickInitializing(fs); c != nil {
-			take := d.Batch - len(c.assigned)
-			if take > len(fs.queue) {
-				take = len(fs.queue)
-			}
-			c.assigned = append(c.assigned, fs.queue[:take]...)
-			fs.queue = fs.queue[take:]
+			assign(c, d.Batch-len(c.assigned))
 			continue
 		}
 		// 4. Launch a new instance if under the cap. Instances stranded on
 		// non-up nodes don't hold the cap: a failed-over member must be able
 		// to launch a replacement while the original is unreachable.
 		if rt.routableCount(fs) < d.Instances {
-			c := rt.launch(fs, d.Config, false)
-			take := d.Batch
-			if take > len(fs.queue) {
-				take = len(fs.queue)
-			}
-			c.assigned = append(c.assigned, fs.queue[:take]...)
-			fs.queue = fs.queue[take:]
+			assign(rt.launch(fs, d.Config, false), d.Batch)
 			continue
 		}
 		// 5. Saturated: wait for a container to free up.
 		return
+	}
+}
+
+// assign binds up to n queued invocations to an initializing container.
+func assign(c *container, n int) {
+	for ; n > 0 && c.fn.queue.Len() > 0; n-- {
+		c.assigned = append(c.assigned, c.fn.queue.Pop())
 	}
 }
 
@@ -211,7 +217,7 @@ func (rt *Runtime) holdForBatch(fs *fnState) bool {
 	if d.Batch <= 1 || rt.cfg.BatchLinger <= 0 {
 		return false
 	}
-	if len(fs.queue) >= d.Batch {
+	if fs.queue.Len() >= d.Batch {
 		return false // full batch: dispatch immediately
 	}
 	if fs.lingerExpired {
@@ -220,7 +226,7 @@ func (rt *Runtime) holdForBatch(fs *fnState) bool {
 	if !fs.lingerArmed {
 		fs.lingerArmed = true
 		fs.lingerEpoch++
-		rt.schedule(rt.now()+rt.cfg.BatchLinger, event{kind: evLinger, fs: fs, epoch: fs.lingerEpoch})
+		rt.schedule(rt.now+rt.cfg.BatchLinger, event{kind: evLinger, fs: fs, epoch: fs.lingerEpoch})
 	}
 	return true
 }
@@ -283,7 +289,7 @@ func (rt *Runtime) routableCount(fs *fnState) int {
 func (rt *Runtime) launch(fs *fnState, cfg hardware.Config, prewarmed bool) *container {
 	c := &container{
 		id: rt.nextCont, fn: fs, cfg: cfg, node: rt.placeNode(fs),
-		state: cInitializing, initStart: rt.now(), prewarmed: prewarmed,
+		state: cInitializing, initStart: rt.now, prewarmed: prewarmed,
 		timerAt: math.Inf(1),
 	}
 	rt.nextCont++
@@ -299,7 +305,7 @@ func (rt *Runtime) launch(fs *fnState, cfg hardware.Config, prewarmed bool) *con
 // completion — or, under fault injection, its crash partway through.
 func (rt *Runtime) beginInit(c *container) {
 	if rt.rec != nil {
-		rt.rec.BeginInit(c.id, string(c.fn.id), c.cfg.String(), c.node, rt.now(), c.prewarmed)
+		rt.rec.BeginInit(c.id, string(c.fn.id), c.cfg.String(), c.node, rt.now, c.prewarmed)
 	}
 	dur := c.fn.spec.SampleInit(rt.rng, c.cfg)
 	if rt.cfg.Interference != nil {
@@ -311,11 +317,11 @@ func (rt *Runtime) beginInit(c *container) {
 	}
 	if rt.inj != nil {
 		if fail, frac := rt.inj.InitOutcome(string(c.fn.id)); fail {
-			rt.schedule(rt.now()+dur*frac, event{kind: evInitFail, c: c})
+			rt.schedule(rt.now+dur*frac, event{kind: evInitFail, c: c})
 			return
 		}
 	}
-	rt.schedule(rt.now()+dur, event{kind: evInitDone, c: c})
+	rt.schedule(rt.now+dur, event{kind: evInitDone, c: c})
 }
 
 func (rt *Runtime) onInitDone(c *container) {
@@ -326,7 +332,7 @@ func (rt *Runtime) onInitDone(c *container) {
 	rt.stats.WarmStarts++
 	fs := c.fn
 	if rt.rec != nil {
-		rt.rec.EndInit(c.id, rt.now(), len(c.assigned) > 0, false)
+		rt.rec.EndInit(c.id, rt.now, len(c.assigned) > 0, false)
 	}
 	if len(c.assigned) > 0 {
 		// Work waited for this initialization: the cold start was on the
@@ -373,18 +379,15 @@ func (rt *Runtime) startBatch(c *container, cause tracing.Phase) {
 		}
 	}
 	c.assigned = nil
-	for len(batch) < d.Batch && len(fs.queue) > 0 {
-		ni := fs.queue[0]
-		fs.queue = fs.queue[1:]
-		if ni.inv.failed {
-			continue
+	for len(batch) < d.Batch && fs.queue.Len() > 0 {
+		if ni := fs.queue.Pop(); !ni.inv.failed {
+			batch = append(batch, ni)
 		}
-		batch = append(batch, ni)
 	}
 	if len(batch) == 0 {
 		return
 	}
-	now := rt.now()
+	now := rt.now
 	c.state = cBusy
 	c.batch = batch
 	c.idleArmed = false // the keep-alive deadline is void until re-armed
@@ -437,7 +440,7 @@ func (rt *Runtime) onExecDone(c *container, epoch int) {
 	c.batch = nil
 	c.state = cIdle
 	fs := c.fn
-	now := rt.now()
+	now := rt.now
 	if rt.rec != nil {
 		rt.rec.EndExec(c.id, now, false)
 	}
@@ -448,7 +451,7 @@ func (rt *Runtime) onExecDone(c *container, epoch int) {
 	counted := false
 	for _, ni := range batch {
 		inv := ni.inv
-		if inv.failed || inv.done[fs.idx] {
+		if inv.failed || inv.prog[fs.idx].done {
 			ni.span.Finish(now, false)
 			continue
 		}
@@ -460,13 +463,14 @@ func (rt *Runtime) onExecDone(c *container, epoch int) {
 			fs.successes++
 			counted = true
 		}
-		inv.done[fs.idx] = true
+		inv.prog[fs.idx].done = true
 		inv.remaining--
 		invariant(inv.remaining >= 0, "request %d finished more members than its DAG has: remaining %d", inv.id, inv.remaining)
 		for _, succ := range fs.succs {
-			inv.pending[succ.idx]--
-			invariant(inv.pending[succ.idx] >= 0, "request %d released successor %s more times than it has predecessors", inv.id, succ.id)
-			if inv.pending[succ.idx] == 0 {
+			p := &inv.prog[succ.idx]
+			p.pending--
+			invariant(p.pending >= 0, "request %d released successor %s more times than it has predecessors", inv.id, succ.id)
+			if p.pending == 0 {
 				rt.enqueue(&nodeInv{inv: inv, fs: succ, readyAt: now})
 			}
 		}
@@ -475,7 +479,10 @@ func (rt *Runtime) onExecDone(c *container, epoch int) {
 		}
 	}
 
-	if len(fs.queue) > 0 {
+	// The batch is done with its backing array: the next one is built in it.
+	clear(batch)
+	c.assigned = batch[:0]
+	if fs.queue.Len() > 0 {
 		rt.startBatch(c, tracing.PhaseBatchWait)
 		return
 	}
@@ -512,7 +519,7 @@ func (rt *Runtime) abortBatch(c *container) {
 	members := c.batch
 	c.batch = nil
 	fs := c.fn
-	now := rt.now()
+	now := rt.now
 	for _, ni := range members {
 		ni.span.Fail(now)
 	}
@@ -545,7 +552,7 @@ func (rt *Runtime) onExecTimeout(c *container, epoch int) {
 // policy: re-enqueue after backoff while attempts remain, otherwise the
 // whole request fails.
 func (rt *Runtime) retryMember(fs *fnState, ni *nodeInv) {
-	if ni.inv.failed || ni.isHedge || ni.inv.done[fs.idx] {
+	if ni.inv.failed || ni.isHedge || ni.inv.prog[fs.idx].done {
 		return
 	}
 	ni.attempts++
@@ -566,9 +573,9 @@ func (rt *Runtime) retryMember(fs *fnState, ni *nodeInv) {
 	// Respect the request's deadline: a retry that cannot become ready
 	// before it is pointless — fail now as deadline-exceeded rather than
 	// scheduling dead work.
-	if dl := ni.inv.deadline; dl > 0 && rt.now()+delay >= dl {
+	now := rt.now
+	if dl := ni.inv.deadline; dl > 0 && now+delay >= dl {
 		rt.stats.DeadlineExceeded++
-		now := rt.now()
 		rt.dropInvocation(ni.inv, Result{
 			ReqID: ni.inv.id, Arrival: ni.inv.arrival, End: now,
 			E2E: now - ni.inv.arrival, Failed: true, DeadlineExceeded: true,
@@ -576,12 +583,12 @@ func (rt *Runtime) retryMember(fs *fnState, ni *nodeInv) {
 		return
 	}
 	if delay <= 0 {
-		ni.readyAt = rt.now()
+		ni.readyAt = now
 		rt.enqueue(ni)
 		return
 	}
-	ni.span.Backoff(rt.now(), rt.now()+delay)
-	rt.schedule(rt.now()+delay, event{kind: evRetry, ni: ni})
+	ni.span.Backoff(now, now+delay)
+	rt.schedule(now+delay, event{kind: evRetry, ni: ni})
 }
 
 // failInvocation marks a request permanently failed (retries exhausted) and
@@ -590,7 +597,7 @@ func (rt *Runtime) failInvocation(inv *appInv) {
 	if inv.failed {
 		return
 	}
-	now := rt.now()
+	now := rt.now
 	rt.dropInvocation(inv, Result{
 		ReqID: inv.id, Arrival: inv.arrival, End: now,
 		E2E: now - inv.arrival, Failed: true,
@@ -611,27 +618,20 @@ func (rt *Runtime) dropInvocation(inv *appInv, res Result) {
 	if rt.rec != nil {
 		rt.rec.FailRequest(inv.id, res.End)
 	}
-	for _, fs := range rt.fns {
-		if len(fs.queue) == 0 {
-			continue
+	for _, fs := range rt.fnList {
+		if fs.queue.Len() > 0 {
+			fs.queue.Filter(func(ni *nodeInv) bool { return ni.inv != inv })
 		}
-		q := fs.queue[:0]
-		for _, ni := range fs.queue {
-			if ni.inv != inv {
-				q = append(q, ni)
-			}
-		}
-		fs.queue = q
 	}
 	rt.resolve(inv, res)
 }
 
 // onRetry re-enqueues a backed-off member once its delay elapses.
 func (rt *Runtime) onRetry(ni *nodeInv) {
-	if ni.inv.failed || ni.inv.done[ni.fs.idx] {
+	if ni.inv.failed || ni.inv.prog[ni.fs.idx].done {
 		return
 	}
-	ni.readyAt = rt.now()
+	ni.readyAt = rt.now
 	rt.enqueue(ni)
 }
 
@@ -642,7 +642,7 @@ func (rt *Runtime) onHedge(c *container, epoch int) {
 		return
 	}
 	primary := c.batch[0]
-	if primary.inv.failed || primary.hedged || primary.isHedge || primary.inv.done[c.fn.idx] {
+	if primary.inv.failed || primary.hedged || primary.isHedge || primary.inv.prog[c.fn.idx].done {
 		return
 	}
 	h := rt.pickIdle(c.fn)
@@ -650,9 +650,9 @@ func (rt *Runtime) onHedge(c *container, epoch int) {
 		return // no spare warm instance: hedging never launches cold starts
 	}
 	primary.hedged = true
-	twin := &nodeInv{inv: primary.inv, fs: c.fn, readyAt: rt.now(), isHedge: true}
+	twin := &nodeInv{inv: primary.inv, fs: c.fn, readyAt: rt.now, isHedge: true}
 	if rt.rec != nil {
-		twin.span = rt.rec.BeginNode(primary.inv.id, string(c.fn.id), rt.now(), true)
+		twin.span = rt.rec.BeginNode(primary.inv.id, string(c.fn.id), rt.now, true)
 	}
 	rt.stats.HedgesLaunched++
 	h.assigned = append(h.assigned, twin)
@@ -672,7 +672,7 @@ func (rt *Runtime) armIdleTimer(c *container) {
 		// Grace period for drivers that leave KeepAlive unset.
 		ka = 10 * rt.cfg.Window
 	}
-	c.idleAt, c.idleTicket, c.idleArmed = rt.now()+ka, rt.events.Ticket(), true
+	c.idleAt, c.idleTicket, c.idleArmed = rt.now+ka, rt.events.Ticket(), true
 	if c.idleAt < c.timerAt {
 		// No entry is queued, or a directive cut KeepAlive under the one
 		// that is: queue one for this deadline, superseding it.
@@ -694,7 +694,7 @@ func (rt *Runtime) onIdleTimeout(c *container, gen int) {
 	if !c.idleArmed || c.state != cIdle {
 		return // a batch ran since the deadline was armed
 	}
-	if c.idleAt > rt.now() {
+	if c.idleAt > rt.now {
 		rt.pushIdleTimer(c) // re-armed for later while this entry waited
 		return
 	}
@@ -710,15 +710,15 @@ func (rt *Runtime) terminate(c *container) {
 		return
 	}
 	if rt.rec != nil {
-		rt.rec.ContainerGone(c.id, rt.now())
+		rt.rec.ContainerGone(c.id, rt.now)
 	}
 	// Requeue any assigned-but-unstarted work.
 	if len(c.assigned) > 0 {
-		c.fn.queue = append(c.assigned, c.fn.queue...)
+		c.fn.queue.PushFront(c.assigned)
 		c.assigned = nil
 	}
 	c.state = cDead
-	life, cost := rt.billedLife(c, rt.now())
+	life, cost := rt.billedLife(c, rt.now)
 	rt.stats.AddCost(string(c.fn.id), c.cfg, life, cost)
 	rt.nodes[c.node].conts--
 	c.fn.containers = dropContainer(c.fn.containers, c)
@@ -733,7 +733,7 @@ func dropContainer(cs []*container, c *container) []*container {
 
 func (rt *Runtime) completeInvocation(inv *appInv) {
 	invariant(!inv.resolved && !inv.failed, "request %d completed twice (resolved=%t failed=%t): done-map dedup broke", inv.id, inv.resolved, inv.failed)
-	now := rt.now()
+	now := rt.now
 	e2e := now - inv.arrival
 	rt.stats.Completed++
 	var bd tracing.Breakdown
@@ -795,8 +795,8 @@ func (rt *Runtime) resolve(inv *appInv, res Result) {
 		inv.resCh <- res
 		inv.resCh = nil
 	}
-	if inv.settled != nil {
-		close(inv.settled)
+	if inv.unwatch != nil {
+		inv.unwatch()
 	}
 	if rt.draining && rt.inflight == 0 {
 		close(rt.drainCh)

@@ -82,8 +82,11 @@ func (g *Gateway) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	deadline := 0.0
-	if q := r.URL.Query().Get("deadline"); q != "" {
+	deadline, q := 0.0, ""
+	if r.URL.RawQuery != "" { // Query builds a map: not for the bare POST /invoke
+		q = r.URL.Query().Get("deadline")
+	}
+	if q != "" {
 		d, err := strconv.ParseFloat(q, 64)
 		if err != nil || d < 0 {
 			http.Error(w, "deadline must be a non-negative number of seconds", http.StatusBadRequest)
@@ -108,7 +111,8 @@ func (g *Gateway) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	}
 	select {
 	case res := <-ch:
-		writeJSON(w, http.StatusOK, InvokeResponse{
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(InvokeResponse{
 			Request:          res.ReqID,
 			ArrivalSeconds:   res.Arrival,
 			E2ESeconds:       res.E2E,
@@ -118,7 +122,7 @@ func (g *Gateway) handleInvoke(w http.ResponseWriter, r *http.Request) {
 			SLAViolated:      res.SLAViolated,
 		})
 	case <-r.Context().Done():
-		// Client went away; the runtime's abandonment watcher (armed because
+		// Client went away; the runtime's abandonment watch (armed because
 		// we passed r.Context above) cancels the request, frees its admission
 		// slot and accounts it as Abandoned.
 	}
@@ -242,7 +246,7 @@ func (g *Gateway) handleTrace(w http.ResponseWriter, r *http.Request) {
 	g.rt.mu.Lock()
 	defer g.rt.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
-	if err := rec.WriteChromeTrace(w, g.rt.now()); err != nil {
+	if err := rec.WriteChromeTrace(w, g.rt.Now()); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }
@@ -272,6 +276,8 @@ func (g *Gateway) Serve(srv *http.Server, ln net.Listener, stop <-chan struct{},
 	return nil
 }
 
+// writeJSON answers with v as indented JSON, for the endpoints a person
+// reads; /invoke encodes its own compact answer.
 func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)

@@ -3,6 +3,7 @@ package serving
 import (
 	"testing"
 
+	"smiless/internal/clock"
 	"smiless/internal/coldstart"
 	"smiless/internal/simulator"
 )
@@ -13,9 +14,9 @@ import (
 // goroutine hand-off is involved.
 type setClock struct{ now float64 }
 
-func (c *setClock) Now() float64                  { return c.now }
-func (c *setClock) After(float64) <-chan struct{} { return nil }
-func (c *setClock) Sleep(float64)                 {}
+func (c *setClock) Now() float64          { return c.now }
+func (c *setClock) NewTimer() clock.Timer { return nil }
+func (c *setClock) Sleep(float64)         {}
 
 type driven struct {
 	rt  *Runtime
@@ -47,6 +48,7 @@ func (d *driven) runTo(t float64) {
 		d.rt.runDue()
 	}
 	d.clk.now = t
+	d.rt.readClock()
 }
 
 // arriveAt admits one request at model time t.

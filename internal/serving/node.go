@@ -220,7 +220,7 @@ func (rt *Runtime) onPreemptEnd(i int) {
 // resumed recover. Nodes are visited in index order so detector side effects
 // (evictions, failovers, pumps) are reproducible under a fake clock.
 func (rt *Runtime) onGossip() {
-	now := rt.now()
+	now := rt.now
 	for i, n := range rt.nodes {
 		if n.alive && !n.partitioned {
 			n.lastBeat = now
@@ -248,7 +248,7 @@ func (rt *Runtime) recoverNode(i int) {
 	n := rt.nodes[i]
 	invariant(n.health == nodeSuspect || (n.health == nodeDown && n.detectorDown), "node %d recovered from illegal state %s (detectorDown=%t): only suspect or detector-declared down nodes recover", i, n.health, n.detectorDown)
 	if n.health == nodeDown {
-		rt.stats.NodeDownSeconds += rt.now() - n.downSince
+		rt.stats.NodeDownSeconds += rt.now - n.downSince
 	}
 	n.health = nodeUp
 	n.detectorDown = false
@@ -266,7 +266,7 @@ func (rt *Runtime) markNodeDown(i int) {
 	invariant(n.health != nodeDown, "node %d marked down twice", i)
 	n.health = nodeDown
 	n.detectorDown = true
-	n.downSince = rt.now()
+	n.downSince = rt.now
 	rt.stats.NodeDownEvents++
 	rt.nodeInstant("node_down", i)
 	if !n.alive {
@@ -289,7 +289,7 @@ func (rt *Runtime) evictNode(i int) {
 		rt.stats.EvictedContainers++
 		members := c.batch
 		c.batch = nil
-		now := rt.now()
+		now := rt.now
 		for _, ni := range members {
 			ni.span.Fail(now)
 		}
@@ -310,10 +310,10 @@ func (rt *Runtime) twinNodeInflight(i int) {
 		}
 		members := append(append([]*nodeInv(nil), c.batch...), c.assigned...)
 		for _, ni := range members {
-			if ni.inv.failed || ni.inv.done[ni.fs.idx] || ni.isHedge {
+			if ni.inv.failed || ni.inv.prog[ni.fs.idx].done || ni.isHedge {
 				continue
 			}
-			twin := &nodeInv{inv: ni.inv, fs: ni.fs, readyAt: rt.now()}
+			twin := &nodeInv{inv: ni.inv, fs: ni.fs, readyAt: rt.now}
 			rt.failoverMember(twin)
 		}
 	}
@@ -325,19 +325,19 @@ func (rt *Runtime) twinNodeInflight(i int) {
 // attempt count, so its next genuine failure still routes through the retry
 // policy, and its request's deadline still bounds total work.
 func (rt *Runtime) failoverMember(ni *nodeInv) {
-	if ni.inv.failed || ni.inv.done[ni.fs.idx] || ni.isHedge {
+	if ni.inv.failed || ni.inv.prog[ni.fs.idx].done || ni.isHedge {
 		return
 	}
 	rt.stats.Failovers++
 	ni.hedged = false
-	ni.readyAt = rt.now()
+	ni.readyAt = rt.now
 	rt.enqueue(ni)
 }
 
 // pumpAll re-dispatches queued work in graph order for determinism.
 func (rt *Runtime) pumpAll() {
 	for _, fs := range rt.fnList {
-		if len(fs.queue) > 0 {
+		if fs.queue.Len() > 0 {
 			rt.pump(fs)
 		}
 	}
@@ -346,7 +346,7 @@ func (rt *Runtime) pumpAll() {
 // nodeInstant records a node-lifecycle marker when tracing is attached.
 func (rt *Runtime) nodeInstant(name string, n int) {
 	if rt.rec != nil {
-		rt.rec.AddInstant(rt.now(), name, []tracing.KV{{Key: "node", Val: strconv.Itoa(n)}})
+		rt.rec.AddInstant(rt.now, name, []tracing.KV{{Key: "node", Val: strconv.Itoa(n)}})
 	}
 }
 
@@ -417,6 +417,7 @@ func (rt *Runtime) KillNode(i int) error {
 	if err := rt.checkNode(i); err != nil {
 		return err
 	}
+	rt.readClock()
 	rt.onNodeCrash(i)
 	return nil
 }
@@ -429,6 +430,7 @@ func (rt *Runtime) RestartNode(i int) error {
 	if err := rt.checkNode(i); err != nil {
 		return err
 	}
+	rt.readClock()
 	rt.onNodeRestart(i)
 	return nil
 }
@@ -441,6 +443,7 @@ func (rt *Runtime) SetPartitioned(i int, partitioned bool) error {
 	if err := rt.checkNode(i); err != nil {
 		return err
 	}
+	rt.readClock()
 	if partitioned {
 		rt.onPartitionStart(i)
 	} else {

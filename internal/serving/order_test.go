@@ -3,7 +3,6 @@ package serving
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"smiless/internal/simulator"
 )
@@ -19,44 +18,23 @@ func runBoundaryArrivals(t *testing.T, n int) (*simulator.RunStats, []int, []flo
 	rt, fake := newTestRuntime(t, Config{App: app, SLA: 10, Window: 1}, keepAliveDriver(1))
 	defer rt.Close()
 	// quiesceBefore handles every event due before model time at and leaves
-	// the loop asleep on its timer for at. It decides whether to advance from
-	// the same quiescent reading it took the next deadline at: stepUntil asks
-	// Quiesced a second time, and a loop that fell asleep between the two
-	// questions would be stepped onto the boundary itself.
+	// the loop asleep on its timer for at.
 	quiesceBefore := func(at float64) {
-		deadline := time.Now().Add(15 * time.Second)
-		for {
-			if time.Now().After(deadline) {
-				t.Fatalf("quiesceBefore(%v): not reached by model time %v", at, fake.Now())
-			}
-			if !rt.Quiesced() {
-				time.Sleep(20 * time.Microsecond)
-				continue
-			}
-			if next, ok := fake.NextDeadline(); ok && next >= at {
-				return
-			}
-			if !fake.AdvanceToNext() {
-				time.Sleep(20 * time.Microsecond)
-			}
-		}
+		stepUntil(t, rt, fake, func() bool {
+			next, ok := fake.NextDeadline()
+			return ok && next >= at
+		})
 	}
 	for k := 1; k <= n; k++ {
 		quiesceBefore(float64(k))
 		fake.AdvanceToNext()
 		mustInvoke(t, rt)
 	}
-	// Step onto the tick that closes the last window and no further: a
-	// stepUntil here could find the loop asleep again between its two looks
-	// and carry the clock on to the tick after, now that no keep-alive entry
-	// is due in between to stop at.
+	// Step onto the tick that closes the last window and no further, then
+	// let the runtime settle there.
 	quiesceBefore(float64(n + 1))
 	fake.AdvanceToNext()
-	for deadline := time.Now().Add(15 * time.Second); !rt.Quiesced(); time.Sleep(20 * time.Microsecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("runtime did not settle at model time %v", fake.Now())
-		}
-	}
+	stepUntil(t, rt, fake, func() bool { return true })
 	return rt.Snapshot(), rt.CountsHistoryLocked(), rt.ArrivalTimesLocked()
 }
 

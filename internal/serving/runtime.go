@@ -3,6 +3,7 @@ package serving
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -84,7 +85,12 @@ type Runtime struct {
 	driver simulator.Driver
 	clk    clock.Scheduler
 
-	mu     sync.Mutex
+	mu sync.Mutex
+	// now is the instant of the event being handled — one clock reading per
+	// event popped and per external call that takes mu (readClock) — and the
+	// only time a handler sees, as in the simulator: everything one event
+	// stamps, bills or schedules from carries the same float.
+	now    float64
 	rng    *rand.Rand
 	prng   *rand.Rand // placement-only stream: p2c draws never perturb timing samples
 	inj    injector
@@ -207,8 +213,8 @@ func (rt *Runtime) Start() {
 		panic("serving: Start called twice or after Close")
 	}
 	rt.started = true
+	now := rt.readClock()
 	rt.driver.Setup(rt)
-	now := rt.now()
 	rt.windowAt = now + rt.cfg.Window
 	rt.schedule(rt.windowAt, event{kind: evWindow})
 	// Scheduled node faults: times are model seconds from the epoch.
@@ -243,9 +249,12 @@ func (rt *Runtime) Start() {
 	go rt.loop()
 }
 
-// now returns the current model time. Safe without the lock (the clock is
-// concurrency-safe by contract).
-func (rt *Runtime) now() float64 { return rt.clk.Now() }
+// readClock takes the clock reading an external entry point's work happens
+// at; callers hold mu.
+func (rt *Runtime) readClock() float64 {
+	rt.now = rt.clk.Now()
+	return rt.now
+}
 
 // schedule pushes one future event; callers hold mu.
 func (rt *Runtime) schedule(at float64, e event) { rt.events.Push(at, e) }
@@ -265,26 +274,36 @@ func (rt *Runtime) wakeLoop() {
 	}
 }
 
-// runDue pops and handles, in deadline order, every event due at or before
-// the current clock reading; callers hold mu. The queue is only ever popped
-// here — the same discipline as the simulator's discrete-event loop.
+// runDue pops and handles, in deadline order, every event that is due;
+// callers hold mu. Each event is handled at one instant: the clock is read
+// once per pop, into rt.now, and once more to find nothing else due — the
+// reading rt.now is left at. The queue is only ever popped here — the same
+// discipline as the simulator's discrete-event loop.
 func (rt *Runtime) runDue() {
-	for rt.due() {
+	for rt.due(rt.readClock()) {
 		_, e := rt.events.Pop()
 		rt.handle(e)
 	}
 }
 
-// due reports whether the earliest queued event's deadline has passed.
-func (rt *Runtime) due() bool {
+// due reports whether the earliest queued event's deadline has passed at now.
+func (rt *Runtime) due(now float64) bool {
 	at, ok := rt.events.NextAt()
-	return ok && at <= rt.now()
+	return ok && at <= now
 }
 
 // loop is the scheduler goroutine: sleep until the earliest event deadline,
-// then run everything due under the lock.
+// then run everything due under the lock. It owns one timer for its whole
+// life and re-arms it only when it fired or the earliest deadline is no
+// longer the one it is armed for; a pass started by a poke that leaves the
+// earliest deadline where it was — every request on a busy node — does not
+// touch the clock's timers at all.
 func (rt *Runtime) loop() {
 	defer close(rt.loopDone)
+	timer := rt.clk.NewTimer()
+	defer timer.Stop()
+	armedAt := math.Inf(1) // the deadline the timer is armed for; +Inf: stopped
+	fired := false
 	for {
 		rt.mu.Lock()
 		if rt.closed {
@@ -302,14 +321,22 @@ func (rt *Runtime) loop() {
 		default:
 		}
 		rt.runDue()
-		// Register the wake-up timer BEFORE publishing sleeping=true and
-		// releasing the lock: Quiesced (the fake-clock stepping probe) must
-		// only report true once the clock waiter for the earliest deadline
-		// exists, otherwise a test advancer could jump time past it via a
-		// stale waiter from an abandoned earlier registration.
-		var timer <-chan struct{}
-		if at, ok := rt.events.NextAt(); ok {
-			timer = rt.clk.After(at - rt.now())
+		// Arm the timer BEFORE publishing sleeping=true and releasing the
+		// lock: Quiesced (the fake-clock stepping probe) must only report
+		// true once the timer stands at the earliest deadline, so that a
+		// test's AdvanceToNext lands exactly on it.
+		at, ok := rt.events.NextAt()
+		if !ok {
+			at = math.Inf(1)
+		}
+		if fired || at != armedAt { //lint:allow floateq armedAt is a stored copy of a queue timestamp, never recomputed
+			if ok {
+				// A fresh reading: the pass may have spent real time in a handler.
+				timer.Reset(at - rt.clk.Now())
+			} else {
+				timer.Stop()
+			}
+			armedAt, fired = at, false
 		}
 		rt.sleeping = true
 		rt.mu.Unlock()
@@ -318,7 +345,8 @@ func (rt *Runtime) loop() {
 		case <-rt.stopCh:
 			return
 		case <-rt.wake:
-		case <-timer: // nil (blocks forever) when the heap is empty
+		case <-timer.C():
+			fired = true
 		}
 	}
 }
@@ -379,7 +407,7 @@ func (rt *Runtime) handle(e event) {
 		rt.counts = append(rt.counts, rt.arrivalsThisWindow)
 		rt.arrivalsThisWindow = 0
 		guard := rt.guardHistory()
-		rt.driver.OnWindow(rt, rt.now())
+		rt.driver.OnWindow(rt, rt.now)
 		guard.check(rt)
 		rt.samplePods()
 		rt.windowAt += rt.cfg.Window
@@ -395,10 +423,7 @@ func (rt *Runtime) handle(e event) {
 func (rt *Runtime) Quiesced() bool {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if !rt.sleeping || rt.wakePending {
-		return false
-	}
-	return !rt.due()
+	return rt.sleeping && !rt.wakePending && !rt.due(rt.clk.Now())
 }
 
 // Invoke admits one application request and returns a channel that yields
@@ -445,13 +470,15 @@ func (rt *Runtime) InvokeWithDeadline(ctx context.Context, budget float64) (<-ch
 	}
 	if rt.sleeping && !rt.wakePending {
 		rt.runDue()
+	} else {
+		rt.readClock()
 	}
 	if rt.inflight >= rt.cfg.MaxInflight {
 		rt.rejected++
 		return nil, ErrOverloaded
 	}
 	for _, src := range rt.sources {
-		if len(src.queue) >= rt.cfg.QueueCap {
+		if src.queue.Len() >= rt.cfg.QueueCap {
 			rt.rejected++
 			return nil, ErrOverloaded
 		}
@@ -467,22 +494,14 @@ func (rt *Runtime) InvokeWithDeadline(ctx context.Context, budget float64) (<-ch
 		rt.schedule(inv.deadline, event{kind: evDeadline, inv: inv})
 	}
 	// Watch for caller disconnect only when the context can actually be
-	// cancelled: fake-clock tests pass context.Background() and stay
-	// goroutine-free.
+	// cancelled. The watch is a registration on ctx that resolve withdraws,
+	// not a parked goroutine: one starts only if the caller really goes away
+	// first.
 	if ctx.Done() != nil {
-		go rt.watchAbandon(ctx, inv)
+		inv.unwatch = context.AfterFunc(ctx, func() { rt.abandon(inv) })
 	}
 	rt.wakeLoop()
 	return ch, nil
-}
-
-// watchAbandon abandons inv when its caller's context is cancelled first.
-func (rt *Runtime) watchAbandon(ctx context.Context, inv *appInv) {
-	select {
-	case <-inv.settled:
-	case <-ctx.Done():
-		rt.abandon(inv)
-	}
 }
 
 // abandon fails an admitted request whose caller went away, freeing its
@@ -494,7 +513,7 @@ func (rt *Runtime) abandon(inv *appInv) {
 		return
 	}
 	rt.stats.Abandoned++
-	now := rt.now()
+	now := rt.readClock()
 	rt.dropInvocation(inv, Result{
 		ReqID: inv.id, Arrival: inv.arrival, End: now,
 		E2E: now - inv.arrival, Failed: true, Abandoned: true,
@@ -508,7 +527,7 @@ func (rt *Runtime) onDeadline(inv *appInv) {
 		return
 	}
 	rt.stats.DeadlineExceeded++
-	now := rt.now()
+	now := rt.now
 	rt.dropInvocation(inv, Result{
 		ReqID: inv.id, Arrival: inv.arrival, End: now,
 		E2E: now - inv.arrival, Failed: true, DeadlineExceeded: true,
@@ -519,24 +538,22 @@ func (rt *Runtime) onDeadline(inv *appInv) {
 // pre-warms, release the entry function. Callers hold mu. Port of the
 // simulator's onArrival plus the Result channel.
 func (rt *Runtime) onArrival() (*appInv, <-chan Result) {
-	now := rt.now()
+	now := rt.now
 	rt.arrivalsThisWindow++
 	rt.arrivalTimes = append(rt.arrivalTimes, now)
 	inv := &appInv{
 		id:        rt.nextInv,
 		arrival:   now,
-		pending:   make([]int, len(rt.fnList)),
-		done:      make([]bool, len(rt.fnList)),
+		prog:      make([]fnProgress, len(rt.fnList)),
 		remaining: len(rt.fnList),
 		resCh:     make(chan Result, 1),
-		settled:   make(chan struct{}),
 	}
 	rt.nextInv++
 	if rt.rec != nil {
 		rt.rec.BeginRequest(inv.id, now)
 	}
 	for i, fs := range rt.fnList {
-		inv.pending[i] = fs.npred
+		inv.prog[i].pending = int32(fs.npred)
 	}
 	for _, fs := range rt.fnList {
 		if fs.directive.PrewarmOnArrival && fs.npred > 0 {
@@ -589,13 +606,13 @@ func (rt *Runtime) Close() {
 		return
 	}
 	rt.closed = true
+	now := rt.readClock()
 	// Settle the ledger: terminate in id order so float cost accumulation
 	// is reproducible.
 	for _, c := range slices.Clone(rt.conts) { // terminate edits the list
 		rt.terminate(c)
 	}
 	// Settle detector-declared down time still open at shutdown.
-	now := rt.now()
 	for _, n := range rt.nodes {
 		if n.health == nodeDown && n.detectorDown {
 			rt.stats.NodeDownSeconds += now - n.downSince
@@ -679,6 +696,7 @@ func (rt *Runtime) ArrivalTimesLocked() []float64 {
 func (rt *Runtime) LiveCost() float64 {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
+	rt.readClock()
 	return rt.AccruedCost()
 }
 
@@ -701,7 +719,7 @@ func (rt *Runtime) QueueLens() map[string]int {
 	defer rt.mu.Unlock()
 	out := make(map[string]int, len(rt.fns))
 	for id, fs := range rt.fns {
-		out[string(id)] = len(fs.queue)
+		out[string(id)] = fs.queue.Len()
 	}
 	return out
 }
@@ -712,7 +730,8 @@ func (rt *Runtime) QueueLens() map[string]int {
 var _ simulator.ControlPlane = (*Runtime)(nil)
 
 // Now returns the current model time in seconds since the runtime's epoch.
-func (rt *Runtime) Now() float64 { return rt.now() }
+// It reads the clock and takes no lock, so it is safe from any goroutine.
+func (rt *Runtime) Now() float64 { return rt.clk.Now() }
 
 // App returns the application under management.
 func (rt *Runtime) App() *apps.Application { return rt.cfg.App }
@@ -728,7 +747,7 @@ func (rt *Runtime) Window() float64 { return rt.cfg.Window }
 func (rt *Runtime) SetDirective(id dag.NodeID, d simulator.Directive) {
 	fs := rt.fn(id)
 	fs.directive = normalize(d)
-	if len(fs.queue) > 0 {
+	if fs.queue.Len() > 0 {
 		rt.pump(fs)
 	}
 }
@@ -752,7 +771,7 @@ func (rt *Runtime) ArrivalTimes() []float64 {
 }
 
 // QueueLen returns one function's ready-but-undispatched backlog.
-func (rt *Runtime) QueueLen(id dag.NodeID) int { return len(rt.fn(id).queue) }
+func (rt *Runtime) QueueLen(id dag.NodeID) int { return rt.fn(id).queue.Len() }
 
 // LiveInstances returns the number of live containers for a function.
 func (rt *Runtime) LiveInstances(id dag.NodeID) int { return rt.fn(id).liveCount() }
@@ -809,7 +828,7 @@ func (rt *Runtime) RetireMismatched(id dag.NodeID) {
 // starts at max(now, at − PrewarmLead).
 func (rt *Runtime) SchedulePrewarm(id dag.NodeID, at float64) {
 	fs := rt.fn(id)
-	start := coldstart.PrewarmStart(rt.now(), at, fs.directive.PrewarmLead)
+	start := coldstart.PrewarmStart(rt.now, at, fs.directive.PrewarmLead)
 	rt.schedule(start, event{kind: evPrewarm, fs: fs})
 }
 
@@ -819,7 +838,7 @@ func (rt *Runtime) SchedulePrewarm(id dag.NodeID, at float64) {
 func (rt *Runtime) FunctionCost(id dag.NodeID) float64 {
 	fs := rt.fn(id)
 	total := rt.stats.CostPerFn[string(id)]
-	now := rt.now()
+	now := rt.now
 	for _, c := range fs.containers {
 		_, cost := rt.billedLife(c, now)
 		total += cost
@@ -830,7 +849,7 @@ func (rt *Runtime) FunctionCost(id dag.NodeID) float64 {
 // AccruedCost returns the cost accrued by still-live containers.
 func (rt *Runtime) AccruedCost() float64 {
 	total := 0.0
-	now := rt.now()
+	now := rt.now
 	for _, c := range rt.conts {
 		_, cost := rt.billedLife(c, now)
 		total += cost
@@ -902,6 +921,6 @@ func (rt *Runtime) samplePods() {
 		last = rt.counts[len(rt.counts)-1]
 	}
 	rt.stats.PodSamples = append(rt.stats.PodSamples, simulator.PodSample{
-		Time: rt.now(), CPU: cpuPods, GPU: gpuPods, Arrivals: last,
+		Time: rt.now, CPU: cpuPods, GPU: gpuPods, Arrivals: last,
 	})
 }

@@ -70,20 +70,27 @@ func keepAliveDriver(batch int) *staticDriver {
 // reacted to the current time (Quiesced), advance to the next timer
 // deadline; repeat until cond holds. Each event is therefore handled
 // exactly at its deadline.
+//
+// Each step is decided from one quiescent reading, in this order: Quiesced,
+// then cond, then AdvanceToNext. Asking cond first lets a result delivered
+// between the two questions go unseen, and the clock is carried one deadline
+// past the instant the test meant to stop at.
 func stepUntil(t *testing.T, rt *Runtime, fake *clock.Fake, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
-	for !cond() {
+	for {
 		if time.Now().After(deadline) {
 			t.Fatalf("stepUntil: condition not reached by model time %v", fake.Now())
 		}
 		if rt.Quiesced() {
-			if !fake.AdvanceToNext() {
-				time.Sleep(20 * time.Microsecond)
+			if cond() {
+				return
 			}
-		} else {
-			time.Sleep(20 * time.Microsecond)
+			if fake.AdvanceToNext() {
+				continue
+			}
 		}
+		time.Sleep(20 * time.Microsecond)
 	}
 }
 

@@ -18,10 +18,10 @@
 // spawning a goroutine per timer: every future transition (init completion,
 // execution completion, idle timeout, batch-linger expiry, decision window,
 // retry, hedge, injected failure) is an event on a deadline-ordered heap,
-// and a single scheduler goroutine sleeps on clock.Scheduler.After until
-// the earliest deadline, then drains everything due under the runtime
-// mutex. Invoke enqueues arrivals inline and wakes the loop. The design
-// gives three properties for free:
+// and a single scheduler goroutine sleeps on one clock.Timer, armed for the
+// earliest deadline, then drains everything due under the runtime mutex,
+// each event at one clock reading. Invoke enqueues arrivals inline and
+// wakes the loop. The design gives three properties for free:
 //
 //   - the per-request state machine is a line-for-line port of the
 //     simulator's (internal/simulator), so simulated and live behaviour

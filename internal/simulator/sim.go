@@ -117,9 +117,13 @@ type container struct {
 	timerAt    units.Duration
 	timerGen   int
 	node       int
-	assigned   []*nodeInv // waiting to run when init completes
-	batch      []*nodeInv // currently executing
-	prewarmed  bool       // launched by a pre-warm, not by a waiting request
+	// assigned waits to run when init completes, batch is executing; at most
+	// one of them is non-empty, and they pass one backing array back and
+	// forth (startBatch builds the batch in assigned's, onExecDone hands it
+	// back), so a warm container dispatches without allocating.
+	assigned  []*nodeInv
+	batch     []*nodeInv
+	prewarmed bool // launched by a pre-warm, not by a waiting request
 }
 
 // latWindow is the per-function ring of recent execution durations backing
@@ -138,7 +142,7 @@ type fnState struct {
 	// containers holds the live instances in id order: the first match of a
 	// scan is the lowest id, and its length is the live count.
 	containers []*container
-	queue      []*nodeInv
+	queue      eventq.FIFO[*nodeInv]
 	inits      int
 
 	// Resilience bookkeeping: recent execution durations (ring buffer)
@@ -167,10 +171,15 @@ func (f *fnState) liveCount() int { return len(f.containers) }
 type appInv struct {
 	id        int
 	arrival   units.Duration
-	pending   []int // unfinished predecessor count, by function index
-	done      []bool
+	prog      []fnProgress // by function index
 	remaining int
 	failed    bool // a member exhausted its retries; the request is lost
+}
+
+// fnProgress is one function's progress within a request.
+type fnProgress struct {
+	pending int32 // unfinished predecessors
+	done    bool  // a member (or its hedge or failover twin) has completed
 }
 
 type nodeInv struct {
@@ -470,7 +479,7 @@ func (s *Simulator) Window() float64 { return s.cfg.Window }
 func (s *Simulator) SetDirective(id dag.NodeID, d Directive) {
 	fs := s.fn(id)
 	fs.directive = d.normalized()
-	if len(fs.queue) > 0 {
+	if fs.queue.Len() > 0 {
 		s.pump(fs)
 	}
 }
@@ -502,7 +511,7 @@ func (s *Simulator) ArrivalTimes() []float64 {
 
 // QueueLen returns the number of ready-but-undispatched invocations of a
 // function, letting drivers detect backlog.
-func (s *Simulator) QueueLen(id dag.NodeID) int { return len(s.fn(id).queue) }
+func (s *Simulator) QueueLen(id dag.NodeID) int { return s.fn(id).queue.Len() }
 
 // LiveInstances returns the number of live containers for a function.
 func (s *Simulator) LiveInstances(id dag.NodeID) int { return s.fn(id).liveCount() }
@@ -822,7 +831,7 @@ func (s *Simulator) MustRun(tr *trace.Trace) *RunStats {
 
 func (s *Simulator) allIdle() bool {
 	for _, fs := range s.fnList {
-		if len(fs.queue) > 0 {
+		if fs.queue.Len() > 0 {
 			return false
 		}
 		for _, c := range fs.containers {
@@ -867,8 +876,7 @@ func (s *Simulator) onArrival() {
 	inv := &appInv{
 		id:        s.nextInv,
 		arrival:   s.now,
-		pending:   make([]int, len(s.fnList)),
-		done:      make([]bool, len(s.fnList)),
+		prog:      make([]fnProgress, len(s.fnList)),
 		remaining: len(s.fnList),
 	}
 	s.nextInv++
@@ -876,7 +884,7 @@ func (s *Simulator) onArrival() {
 		s.rec.BeginRequest(inv.id, s.now.Seconds())
 	}
 	for i, fs := range s.fnList {
-		inv.pending[i] = fs.npred
+		inv.prog[i].pending = int32(fs.npred)
 	}
 	// Reactive pre-warming for functions that request it.
 	for _, fs := range s.fnList {
@@ -896,14 +904,14 @@ func (s *Simulator) enqueue(ni *nodeInv) {
 		ni.span = s.rec.BeginNode(ni.inv.id, string(ni.fs.id), s.now.Seconds(), ni.isHedge)
 	}
 	fs := ni.fs
-	fs.queue = append(fs.queue, ni)
+	fs.queue.Push(ni)
 	s.pump(fs)
 }
 
 // pump dispatches queued invocations onto available containers, launching
 // new instances when the directive allows.
 func (s *Simulator) pump(fs *fnState) {
-	for len(fs.queue) > 0 {
+	for fs.queue.Len() > 0 {
 		d := fs.directive
 		// 1. An idle warm container.
 		if c := s.pickIdle(fs); c != nil {
@@ -921,7 +929,7 @@ func (s *Simulator) pump(fs *fnState) {
 				busy++
 			}
 		}
-		if busy > 0 && len(fs.queue) <= busy*d.Batch {
+		if busy > 0 && fs.queue.Len() <= busy*d.Batch {
 			return
 		}
 		// 3. An initializing container with spare assignment capacity.
@@ -929,13 +937,7 @@ func (s *Simulator) pump(fs *fnState) {
 		// accept work: binding requests to a container that may never be
 		// scheduled would strand them.
 		if c := s.pickInitializing(fs); c != nil {
-			n := d.Batch - len(c.assigned)
-			take := n
-			if take > len(fs.queue) {
-				take = len(fs.queue)
-			}
-			c.assigned = append(c.assigned, fs.queue[:take]...)
-			fs.queue = fs.queue[take:]
+			assign(c, d.Batch-len(c.assigned))
 			continue
 		}
 		// 4. Launch a new instance if under the cap. If the cluster is out
@@ -947,16 +949,18 @@ func (s *Simulator) pump(fs *fnState) {
 			if c.node < 0 {
 				return
 			}
-			take := d.Batch
-			if take > len(fs.queue) {
-				take = len(fs.queue)
-			}
-			c.assigned = append(c.assigned, fs.queue[:take]...)
-			fs.queue = fs.queue[take:]
+			assign(c, d.Batch)
 			continue
 		}
 		// 5. Saturated: wait for a container to free up.
 		return
+	}
+}
+
+// assign binds up to n queued invocations to an initializing container.
+func assign(c *container, n int) {
+	for ; n > 0 && c.fn.queue.Len() > 0; n-- {
+		c.assigned = append(c.assigned, c.fn.queue.Pop())
 	}
 }
 
@@ -1178,13 +1182,10 @@ func (s *Simulator) startBatch(c *container, cause tracing.Phase) {
 		}
 	}
 	c.assigned = nil
-	for len(batch) < d.Batch && len(fs.queue) > 0 {
-		ni := fs.queue[0]
-		fs.queue = fs.queue[1:]
-		if ni.inv.failed {
-			continue
+	for len(batch) < d.Batch && fs.queue.Len() > 0 {
+		if ni := fs.queue.Pop(); !ni.inv.failed {
+			batch = append(batch, ni)
 		}
-		batch = append(batch, ni)
 	}
 	if len(batch) == 0 {
 		return
@@ -1260,7 +1261,7 @@ func (s *Simulator) onExecDone(c *container) {
 	counted := false
 	for _, ni := range batch {
 		inv := ni.inv
-		if inv.failed || inv.done[fs.idx] {
+		if inv.failed || inv.prog[fs.idx].done {
 			ni.span.Finish(s.now.Seconds(), false)
 			continue
 		}
@@ -1272,13 +1273,14 @@ func (s *Simulator) onExecDone(c *container) {
 			fs.successes++
 			counted = true
 		}
-		inv.done[fs.idx] = true
+		inv.prog[fs.idx].done = true
 		inv.remaining--
 		invariant(inv.remaining >= 0, "request %d finished more members than its DAG has: remaining %d", inv.id, inv.remaining)
 		for _, succ := range fs.succs {
-			inv.pending[succ.idx]--
-			invariant(inv.pending[succ.idx] >= 0, "request %d released successor %s more times than it has predecessors", inv.id, succ.id)
-			if inv.pending[succ.idx] == 0 {
+			p := &inv.prog[succ.idx]
+			p.pending--
+			invariant(p.pending >= 0, "request %d released successor %s more times than it has predecessors", inv.id, succ.id)
+			if p.pending == 0 {
 				s.enqueue(&nodeInv{inv: inv, fs: succ, readyAt: s.now})
 			}
 		}
@@ -1287,8 +1289,11 @@ func (s *Simulator) onExecDone(c *container) {
 		}
 	}
 
+	// The batch is done with its backing array: the next one is built in it.
+	clear(batch)
+	c.assigned = batch[:0]
 	// More queued work? Keep the instance busy.
-	if len(fs.queue) > 0 {
+	if fs.queue.Len() > 0 {
 		s.startBatch(c, tracing.PhaseBatchWait)
 		return
 	}
@@ -1350,7 +1355,7 @@ func (s *Simulator) onExecTimeout(c *container, epoch int) {
 // whole request fails. Hedge twins are never retried — the primary is
 // still running.
 func (s *Simulator) retryMember(fs *fnState, ni *nodeInv) {
-	if ni.inv.failed || ni.isHedge || ni.inv.done[fs.idx] {
+	if ni.inv.failed || ni.isHedge || ni.inv.prog[fs.idx].done {
 		return
 	}
 	ni.attempts++
@@ -1390,22 +1395,15 @@ func (s *Simulator) failInvocation(inv *appInv) {
 		s.rec.FailRequest(inv.id, s.now.Seconds())
 	}
 	for _, fs := range s.fnList {
-		if len(fs.queue) == 0 {
-			continue
+		if fs.queue.Len() > 0 {
+			fs.queue.Filter(func(ni *nodeInv) bool { return ni.inv != inv })
 		}
-		q := fs.queue[:0]
-		for _, ni := range fs.queue {
-			if ni.inv != inv {
-				q = append(q, ni)
-			}
-		}
-		fs.queue = q
 	}
 }
 
 // onRetry re-enqueues a backed-off member once its delay elapses.
 func (s *Simulator) onRetry(ni *nodeInv) {
-	if ni.inv.failed || ni.inv.done[ni.fs.idx] {
+	if ni.inv.failed || ni.inv.prog[ni.fs.idx].done {
 		return
 	}
 	ni.readyAt = s.now
@@ -1420,7 +1418,7 @@ func (s *Simulator) onHedge(c *container, epoch int) {
 		return
 	}
 	primary := c.batch[0]
-	if primary.inv.failed || primary.hedged || primary.isHedge || primary.inv.done[c.fn.idx] {
+	if primary.inv.failed || primary.hedged || primary.isHedge || primary.inv.prog[c.fn.idx].done {
 		return
 	}
 	h := s.pickIdle(c.fn)
@@ -1516,7 +1514,7 @@ func (s *Simulator) evictNode(n int, route func(*fnState, *nodeInv)) {
 // pumpAll re-dispatches queued work in graph order for determinism.
 func (s *Simulator) pumpAll() {
 	for _, fs := range s.fnList {
-		if len(fs.queue) > 0 {
+		if fs.queue.Len() > 0 {
 			s.pump(fs)
 		}
 	}
@@ -1662,7 +1660,7 @@ func (s *Simulator) twinNodeInflight(i int) {
 		}
 		members := append(append([]*nodeInv(nil), c.batch...), c.assigned...)
 		for _, ni := range members {
-			if ni.inv.failed || ni.inv.done[ni.fs.idx] || ni.isHedge {
+			if ni.inv.failed || ni.inv.prog[ni.fs.idx].done || ni.isHedge {
 				continue
 			}
 			twin := &nodeInv{inv: ni.inv, fs: ni.fs, readyAt: s.now}
@@ -1678,7 +1676,7 @@ func (s *Simulator) twinNodeInflight(i int) {
 // work — a member that keeps landing on dying nodes keeps its attempt
 // count, so its next genuine failure routes through the retry policy.
 func (s *Simulator) failoverMember(fs *fnState, ni *nodeInv) {
-	if ni.inv.failed || ni.inv.done[fs.idx] || ni.isHedge {
+	if ni.inv.failed || ni.inv.prog[fs.idx].done || ni.isHedge {
 		return
 	}
 	s.stats.Failovers++
@@ -1747,7 +1745,7 @@ func (s *Simulator) terminate(c *container) {
 	}
 	// Requeue any assigned-but-unstarted work.
 	if len(c.assigned) > 0 {
-		c.fn.queue = append(c.assigned, c.fn.queue...)
+		c.fn.queue.PushFront(c.assigned)
 		c.assigned = nil
 	}
 	c.state = cDead
