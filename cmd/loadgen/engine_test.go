@@ -41,10 +41,7 @@ func TestEndToEndSendLagUnderSlowSink(t *testing.T) {
 	const delay = 150 * time.Millisecond
 	srv := fakeGateway(delay, invokeResponse{E2ESeconds: 0.42})
 	defer srv.Close()
-	client, err := newClient(1, false)
-	if err != nil {
-		t.Fatalf("newClient: %v", err)
-	}
+	client := newClient(1)
 	rep := runEngine(t, EngineConfig{
 		Arrivals:  []float64{0, 0.01, 0.02, 0.03},
 		Timescale: 1,
@@ -77,10 +74,7 @@ func TestEndToEndSendLagUnderSlowSink(t *testing.T) {
 func TestTimeoutsAreCountedDistinctly(t *testing.T) {
 	srv := fakeGateway(500*time.Millisecond, invokeResponse{})
 	defer srv.Close()
-	client, err := newClient(4, false)
-	if err != nil {
-		t.Fatalf("newClient: %v", err)
-	}
+	client := newClient(4)
 	done := make(chan Report, 1)
 	go func() {
 		done <- runEngine(t, EngineConfig{
@@ -106,10 +100,7 @@ func TestTimeoutsAreCountedDistinctly(t *testing.T) {
 func TestCancellationStopsPacing(t *testing.T) {
 	srv := fakeGateway(200*time.Millisecond, invokeResponse{})
 	defer srv.Close()
-	client, err := newClient(2, false)
-	if err != nil {
-		t.Fatalf("newClient: %v", err)
-	}
+	client := newClient(2)
 	// 10k arrivals over 100s: the run can only finish early via cancel.
 	arrivals := make([]float64, 10000)
 	for i := range arrivals {
@@ -142,10 +133,7 @@ func TestConnectionsAreReused(t *testing.T) {
 	srv := fakeGateway(0, invokeResponse{})
 	defer srv.Close()
 	const workers, requests = 4, 80
-	client, err := newClient(workers, false)
-	if err != nil {
-		t.Fatalf("newClient: %v", err)
-	}
+	client := newClient(workers)
 	var dials, reused atomic.Int64
 	ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
 		ConnectStart: func(network, addr string) { dials.Add(1) },

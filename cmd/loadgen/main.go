@@ -60,7 +60,6 @@ func run() error {
 	spin := flag.Duration("spin", 100*time.Microsecond, "busy-wait window before each due instant; 0 sleeps all the way (coarser pacing, less CPU)")
 	soak := flag.Duration("soak", 0, "replay the trace back to back for at least this wall duration (0 = one pass)")
 	progress := flag.Duration("progress", 10*time.Second, "soak-mode progress line interval")
-	h2c := flag.Bool("h2c", false, "use cleartext HTTP/2 multiplexing (unavailable in this stdlib-only build; see error)")
 	ready := flag.Duration("ready-timeout", 10*time.Second, "how long to wait for the gateway /healthz to come up")
 	checkMetrics := flag.Bool("check-metrics", false, "after the run, scrape /metrics and fail unless it parses and covers the replayed load")
 	requireClean := flag.Bool("require-clean", false, "also exit non-zero on any 429, failed request, or non-200 response (chaos smoke: every request must resolve cleanly)")
@@ -92,10 +91,7 @@ func run() error {
 		}
 	}
 
-	client, err := newClient(*maxInflight, *h2c)
-	if err != nil {
-		return err
-	}
+	client := newClient(*maxInflight)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

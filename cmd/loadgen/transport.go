@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -35,21 +34,13 @@ func newTransport(conns int) *http.Transport {
 	}
 }
 
-// newClient builds the tuned client. h2c (cleartext HTTP/2) multiplexing
-// is gated off in this build: it needs golang.org/x/net/http2, which the
-// module deliberately does not vendor (stdlib-only policy). HTTP/1.1
-// keep-alive pooling sized to the worker count serves the same goal —
-// zero per-request dials — so the flag exists, documents the gap, and
-// fails loudly instead of silently downgrading.
-func newClient(conns int, h2c bool) (*http.Client, error) {
-	if h2c {
-		return nil, errors.New("-h2c requires golang.org/x/net/http2 (not vendored in this stdlib-only build); " +
-			"use the default HTTP/1.1 keep-alive pool, which is sized to -max-inflight")
-	}
-	// No Client.Timeout: per-request deadlines are contexts set by the
-	// sink, so a stuck request can never wedge the whole run (and a soak
-	// run is not bounded by the slowest request ever seen).
-	return &http.Client{Transport: newTransport(conns)}, nil
+// newClient builds the tuned client: HTTP/1.1 keep-alive pooling sized to
+// the worker count, so no request pays for a dial. No Client.Timeout:
+// per-request deadlines are contexts set by the sink, so a stuck request can
+// never wedge the whole run (and a soak run is not bounded by the slowest
+// request ever seen).
+func newClient(conns int) *http.Client {
+	return &http.Client{Transport: newTransport(conns)}
 }
 
 // invokeResponse is the subset of the gateway's /invoke body the harness

@@ -74,6 +74,24 @@ func TestFakeAdvanceToNext(t *testing.T) {
 	}
 }
 
+// AdvanceTo lands on exactly the instant asked for, firing what falls
+// before it, where Advance by the difference rounds off it.
+func TestFakeAdvanceToIsExact(t *testing.T) {
+	f := NewFake()
+	f.Advance(42.3)
+	target := 253.99999999999997 // 42.3 + (target-42.3) rounds to 254
+	ch := after(f, 2)
+	f.AdvanceTo(target)
+	if now := f.Now(); now != target {
+		t.Fatalf("Now() = %v, want exactly %v", now, target)
+	}
+	select {
+	case <-ch:
+	default:
+		t.Fatal("timer due on the way did not fire")
+	}
+}
+
 func TestFakeNonPositiveAfterFiresImmediately(t *testing.T) {
 	f := NewFake()
 	select {

@@ -100,6 +100,18 @@ func (f *Fake) Advance(d float64) {
 	f.mu.Unlock()
 }
 
+// AdvanceTo moves the fake time to exactly t, firing every timer whose
+// deadline falls on the way (in deadline order) — Advance(t-Now()) may
+// round. It panics if t is in the past.
+func (f *Fake) AdvanceTo(t float64) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if t < f.now {
+		panic("clock: advance into the past")
+	}
+	f.advanceTo(t)
+}
+
 // AdvanceToNext jumps the fake time to the earliest pending timer deadline
 // and fires it (plus any timers sharing that deadline). It reports whether a
 // timer was pending. Tests drive concurrent runtimes by looping:

@@ -70,11 +70,6 @@ type Options struct {
 	// assumes the class population is spread over (default 8). Only
 	// consulted when Interference is non-nil.
 	PlanNodes int
-	// DisableEvalCache detaches the optimizer's memoized evaluation cache
-	// (core.EvalCache). Plans are identical with or without it; disabling
-	// only removes the cross-window amortization, so this exists for A/B
-	// overhead measurements.
-	DisableEvalCache bool
 }
 
 // DefaultOptions returns the full SMIless configuration.
@@ -156,9 +151,6 @@ type SMIless struct {
 func New(cat *hardware.Catalog, profiles map[dag.NodeID]*perfmodel.Profile, sla float64, opts Options) *SMIless {
 	opt := core.New(cat)
 	opt.Parallelism = opts.Parallelism
-	if opts.DisableEvalCache {
-		opt.Cache = nil
-	}
 	ctor := opts.NewForecaster
 	if ctor == nil {
 		c, err := forecast.Lookup(opts.Forecaster)

@@ -1,7 +1,7 @@
-// Package eventq is the future-event queue both executors run on: the
-// discrete-event simulator (internal/simulator) pops it in virtual time, the
-// serving runtime (internal/serving) against a clock. It owns the one
-// same-instant order the system has:
+// Package eventq is the executor engine's future-event queue
+// (internal/simulator's Engine, which the discrete-event simulator drives in
+// virtual time and the serving runtime against a clock). It owns the
+// same-instant order of queued events:
 //
 //	events pop by ascending time; events on one bit-identical timestamp pop
 //	in ticket order, and a ticket is drawn when the event is pushed — or

@@ -3,6 +3,7 @@ package serving
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -88,8 +89,8 @@ func (g *Gateway) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	}
 	if q != "" {
 		d, err := strconv.ParseFloat(q, 64)
-		if err != nil || d < 0 {
-			http.Error(w, "deadline must be a non-negative number of seconds", http.StatusBadRequest)
+		if err != nil || d < 0 || math.IsNaN(d) || math.IsInf(d, 0) {
+			http.Error(w, "deadline must be a finite non-negative number of seconds", http.StatusBadRequest)
 			return
 		}
 		deadline = d

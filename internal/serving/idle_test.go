@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"context"
 	"testing"
 
 	"smiless/internal/clock"
@@ -19,6 +20,7 @@ func (c *setClock) NewTimer() clock.Timer { return nil }
 func (c *setClock) Sleep(float64)         {}
 
 type driven struct {
+	t   *testing.T
 	rt  *Runtime
 	clk *setClock
 }
@@ -33,14 +35,14 @@ func newDriven(t *testing.T, dir simulator.Directive) *driven {
 		t.Fatalf("New: %v", err)
 	}
 	t.Cleanup(rt.Close)
-	rt.SetDirective("F1", dir)
-	return &driven{rt, clk}
+	rt.eng.SetDirective("F1", dir)
+	return &driven{t, rt, clk}
 }
 
 // runTo runs every queued event due by model time t, each at its deadline.
 func (d *driven) runTo(t float64) {
 	for {
-		at, ok := d.rt.events.NextAt()
+		at, ok := d.rt.eng.NextAt()
 		if !ok || at > t {
 			break
 		}
@@ -54,11 +56,12 @@ func (d *driven) runTo(t float64) {
 // arriveAt admits one request at model time t.
 func (d *driven) arriveAt(t float64) {
 	d.runTo(t)
-	d.rt.inflight++
-	d.rt.onArrival()
+	if _, err := d.rt.Invoke(context.Background()); err != nil {
+		d.t.Fatalf("Invoke at %v: %v", t, err)
+	}
 }
 
-func (d *driven) live() int { return d.rt.LiveInstances("F1") }
+func (d *driven) live() int { return d.rt.eng.LiveInstances("F1") }
 
 func liveKeepAlive(ka float64) simulator.Directive {
 	return simulator.Directive{
@@ -73,7 +76,7 @@ func TestIdleExpiryAtShorterDeadlineAfterKeepAliveCut(t *testing.T) {
 	d := newDriven(t, liveKeepAlive(30))
 	d.arriveAt(0.5) // warm 1.5, done 1.6, deadline 31.6 queued
 	d.runTo(5)
-	d.rt.SetDirective("F1", liveKeepAlive(2))
+	d.rt.eng.SetDirective("F1", liveKeepAlive(2))
 	d.arriveAt(10) // done 10.1, deadline 12.1
 	d.runTo(12.05)
 	if d.live() != 1 {
@@ -83,7 +86,7 @@ func TestIdleExpiryAtShorterDeadlineAfterKeepAliveCut(t *testing.T) {
 	if d.live() != 0 {
 		t.Fatalf("instance still live at 12.15: the 12.1 deadline waited for the entry queued for 31.6")
 	}
-	if got, want := d.rt.stats.CPUSeconds, 12.1-0.5; !near(got, want, 1e-9) {
+	if got, want := d.rt.eng.Stats().CPUSeconds, 12.1-0.5; !near(got, want, 1e-9) {
 		t.Errorf("billed %.6f container-seconds, want %.6f", got, want)
 	}
 }
@@ -96,13 +99,13 @@ func TestNoReapAfterFlipToAlwaysOn(t *testing.T) {
 	d.arriveAt(3.5) // batch voids it; done 3.6
 	always := liveKeepAlive(5)
 	always.Policy = coldstart.AlwaysOn
-	d.rt.SetDirective("F1", always)
+	d.rt.eng.SetDirective("F1", always)
 	d.runTo(100)
 	if d.live() != 1 {
 		t.Fatalf("AlwaysOn instance reaped by the keep-alive entry queued before the flip")
 	}
-	if n := d.rt.events.Len(); n != 0 {
-		t.Errorf("%d events still queued for an instance with no deadline", n)
+	if at, ok := d.rt.eng.NextAt(); ok {
+		t.Errorf("an event still queued for %v for an instance with no deadline", at)
 	}
 }
 
@@ -114,10 +117,10 @@ func TestMinWarmFloorRearms(t *testing.T) {
 	d := newDriven(t, floor)
 	d.arriveAt(0.5) // done 1.6; deadlines 3.6, 5.6, 7.6, 9.6 hit the floor
 	d.runTo(10)
-	if d.live() != 1 || d.rt.events.Len() != 1 {
-		t.Fatalf("at 10: %d live, %d queued; want the floor instance and its one re-armed entry", d.live(), d.rt.events.Len())
+	if at, ok := d.rt.eng.NextAt(); d.live() != 1 || !ok || !near(at, 11.6, 1e-9) {
+		t.Fatalf("at 10: %d live, next event at %v (queued %v); want the floor instance and its entry re-armed for 11.6", d.live(), at, ok)
 	}
-	d.rt.SetDirective("F1", liveKeepAlive(2))
+	d.rt.eng.SetDirective("F1", liveKeepAlive(2))
 	d.runTo(11.55)
 	if d.live() != 1 {
 		t.Fatalf("instance gone at 11.55, before its 11.6 deadline")
@@ -126,23 +129,33 @@ func TestMinWarmFloorRearms(t *testing.T) {
 	if d.live() != 0 {
 		t.Fatalf("instance still live at 11.65 with the floor lifted")
 	}
+	if at, ok := d.rt.eng.NextAt(); ok {
+		t.Errorf("an event still queued for %v once the only instance is reaped", at)
+	}
 }
 
 // Ten thousand batches on four instances leave at most one keep-alive entry
-// per instance in the queue, not one per batch.
+// per instance in the queue, not one per batch. Every entry queued after the
+// last arrival comes due (keep-alive 1000 s), so draining the queue counts
+// them: at most one per in-flight batch and two per instance, the entry and
+// its one re-push when the deadline it was queued for has moved.
 func TestQueueDoesNotGrowWithCompletedBatches(t *testing.T) {
-	const instances, bound = 4, 4 + 4 + 2 // containers + in-flight batches + slack
+	const instances, bound = 4, 4 + 2*4 + 2 // in-flight batches + entries and re-pushes + slack
 	d := newDriven(t, liveKeepAlive(1000))
-	longest := 0
 	for i := 0; i < 10000; i++ {
 		d.arriveAt(2 + float64(i)*0.035)
-		longest = max(longest, d.rt.events.Len())
 	}
-	d.runTo(1000)
-	if st := d.rt.stats; st.Executions != 10000 || st.Inits != instances || st.Completed != 10000 {
+	drained := 0
+	for at, ok := d.rt.eng.NextAt(); ok; at, ok = d.rt.eng.NextAt() {
+		d.clk.now = at
+		d.rt.readClock()
+		d.rt.eng.HandleNext()
+		drained++
+	}
+	if st := d.rt.eng.Stats(); st.Executions != 10000 || st.Inits != instances || st.Completed != 10000 {
 		t.Fatalf("ran %d batches on %d instances, %d completed; want 10000 on %d", st.Executions, st.Inits, st.Completed, instances)
 	}
-	if longest > bound {
-		t.Errorf("event queue reached %d entries, want at most %d", longest, bound)
+	if drained > bound {
+		t.Errorf("draining the queue after the last arrival handled %d events, want at most %d", drained, bound)
 	}
 }

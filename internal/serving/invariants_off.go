@@ -8,11 +8,3 @@ package serving
 const invariantsEnabled = false
 
 func invariant(bool, string, ...any) {}
-
-// historyGuard is the untagged stand-in for the history-view write check of
-// invariants_on.go: empty, with no-op methods the compiler inlines away.
-type historyGuard struct{}
-
-func (*Runtime) guardHistory() historyGuard { return historyGuard{} }
-
-func (historyGuard) check(*Runtime) {}

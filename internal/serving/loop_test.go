@@ -93,19 +93,6 @@ func (c *tickClock) Now() float64 {
 	return v
 }
 
-// scriptedFaults fails the first execution it is asked about, halfway
-// through, and nothing else.
-type scriptedFaults struct{ failed bool }
-
-func (s *scriptedFaults) InitOutcome(string) (bool, float64) { return false, 0 }
-func (s *scriptedFaults) ExecOutcome(string) (bool, float64) {
-	first := !s.failed
-	s.failed = true
-	return first, 0.5
-}
-func (s *scriptedFaults) StragglerFactor(string) float64 { return 1 }
-func (s *scriptedFaults) Jitter() float64                { return 0.5 }
-
 // One event is one instant: everything handling it stamps — ready times,
 // span boundaries, container births and deaths, the base later events are
 // scheduled from — is the same float, however often the clock could have
@@ -118,14 +105,14 @@ func TestEventIsOneInstant(t *testing.T) {
 	app := testChain([]float64{0.25, 0.15}, 1.0)
 	rec := tracing.NewRecorder(app.Graph)
 	clk := &tickClock{}
-	rt, err := New(Config{App: app, SLA: 10, Clock: clk, Recorder: rec, DefaultDeadline: 50}, &staticDriver{})
+	plan := &faults.Plan{PerFunction: map[string]faults.Rates{"F1": {ExecFail: 0.5}}, Seed: 3}
+	rt, err := New(Config{App: app, SLA: 10, Clock: clk, Recorder: rec, DefaultDeadline: 50, Faults: plan}, &staticDriver{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	t.Cleanup(rt.Close)
-	rt.inj = &scriptedFaults{}
 	for _, id := range []dag.NodeID{"F1", "F2"} {
-		rt.SetDirective(id, simulator.Directive{
+		rt.eng.SetDirective(id, simulator.Directive{
 			Config: hardware.Config{Kind: hardware.CPU, Cores: 4},
 			Policy: coldstart.KeepAlive, KeepAlive: 5, Batch: 1, Instances: 2,
 			Retry: faults.RetryPolicy{MaxAttempts: 3, BaseBackoff: 0.2},
@@ -134,7 +121,7 @@ func TestEventIsOneInstant(t *testing.T) {
 	// The test plays the scheduler loop: one event per clock setting.
 	runTo := func(until float64) {
 		for {
-			at, ok := rt.events.NextAt()
+			at, ok := rt.eng.NextAt()
 			if !ok || at > until {
 				break
 			}
@@ -145,13 +132,13 @@ func TestEventIsOneInstant(t *testing.T) {
 		rt.readClock()
 	}
 	runTo(0.3)
-	rt.inflight++
-	inv, _ := rt.onArrival()
-	rt.schedule(inv.arrival+rt.cfg.DefaultDeadline, event{kind: evDeadline, inv: inv})
+	if _, err := rt.Invoke(context.Background()); err != nil {
+		t.Fatalf("Invoke: %v", err)
+	}
 	runTo(40)
-	if st := rt.stats; st.Completed != 1 || st.ExecFailures != 1 || st.Retries != 1 || len(rt.conts) != 0 {
+	if st, live := rt.eng.Stats(), rt.eng.LiveInstances("F1")+rt.eng.LiveInstances("F2"); st.Completed != 1 || st.ExecFailures != 1 || st.Retries != 1 || live != 0 {
 		t.Fatalf("completed %d, exec failures %d, retries %d, %d containers live; want 1, 1, 1, 0: the scenario did not run as written",
-			st.Completed, st.ExecFailures, st.Retries, len(rt.conts))
+			st.Completed, st.ExecFailures, st.Retries, live)
 	}
 
 	var stamps []float64
@@ -167,8 +154,8 @@ func TestEventIsOneInstant(t *testing.T) {
 	for _, cs := range rec.ContainerSpans() {
 		stamps = append(stamps, cs.Start, cs.End)
 	}
-	stamps = append(stamps, rt.arrivalTimes...)
-	stamps = append(stamps, rt.stats.E2EArrival...)
+	stamps = append(stamps, rt.eng.ArrivalTimes()...)
+	stamps = append(stamps, rt.eng.Stats().E2EArrival...)
 	sort.Float64s(stamps)
 	if len(stamps) < 20 {
 		t.Fatalf("only %d stamps collected: the scenario recorded too little to check", len(stamps))

@@ -1,63 +1,62 @@
-// Package serving is the online serving runtime: the wall-clock counterpart
-// of the deterministic discrete-event simulator. It executes the same
-// container state machine — cold starts, keep-alive timers, pre-warms,
-// batching, retries, hedging — against real time, driven by real concurrent
-// requests instead of a replayed trace.
+// Package serving is the online serving runtime: the wall-clock front end
+// of the executor engine (simulator.Engine) whose other front end is the
+// deterministic discrete-event simulator. The container state machine —
+// cold starts, keep-alive timers, pre-warms, batching, retries, hedging,
+// node health and failover, billing — is the engine's, written once; this
+// package adds what only a live substrate has: real concurrent requests
+// (Invoke, admission control, per-request deadlines, abandonment, result
+// delivery), a clock, Drain/Close, the locked chaos surface and the HTTP
+// gateway.
 //
-// The Runtime implements simulator.ControlPlane, so SMIless and every
-// baseline Driver runs unchanged on a live gateway: the controller that
-// plans against the simulator plans against production identically. Time is
-// abstracted behind clock.Scheduler (internal/clock): a Wall clock in
+// The Runtime runs the engine, which hands drivers the same
+// simulator.ControlPlane as the simulator does, so SMIless and every
+// baseline Driver runs unchanged on a live gateway. Time
+// is abstracted behind clock.Scheduler (internal/clock): a Wall clock in
 // production, a ScaledWall for accelerated replays, and a Fake in tests, so
 // the concurrent integration tests cover minutes of model latency in
 // milliseconds without sleeping.
 //
 // # Architecture
 //
-// The runtime keeps the simulator's event-loop architecture rather than
-// spawning a goroutine per timer: every future transition (init completion,
-// execution completion, idle timeout, batch-linger expiry, decision window,
-// retry, hedge, injected failure) is an event on a deadline-ordered heap,
-// and a single scheduler goroutine sleeps on one clock.Timer, armed for the
-// earliest deadline, then drains everything due under the runtime mutex,
-// each event at one clock reading. Invoke enqueues arrivals inline and
-// wakes the loop. The design gives three properties for free:
+// Every future transition is an event on the engine's deadline-ordered
+// queue, and a single scheduler goroutine sleeps on one clock.Timer, armed
+// for the earliest deadline, then drains everything due under the runtime
+// mutex, each event at one clock reading handed to the engine. Invoke admits
+// arrivals inline and wakes the loop. This gives three properties for free:
 //
-//   - the per-request state machine is a line-for-line port of the
-//     simulator's (internal/simulator), so simulated and live behaviour
-//     stay in lockstep;
+//   - one engine and one same-instant order with the simulator: the same
+//     seeded trace yields DeepEqual statistics on both front ends
+//     (TestDifferentialSimulatorServing);
 //   - tracing.Recorder and faults.Injector, which are single-threaded by
 //     contract, are only ever touched under the mutex;
 //   - with a Fake clock the loop processes each event exactly at its
 //     deadline, so integration tests can assert latencies to float
 //     precision.
 //
-// One simulator feature is deliberately not ported: per-node capacity and
-// GPU MPS contention (the live runtime assumes an elastic substrate, so
-// CapacityBlocked accounting is simulator-only). Fault injection is
-// supported through the same faults.Plan rates; Outage entries (the
-// simulator's instant-detection node outages) are ignored, but NodeFault
-// entries (crash, partition) are realized against the node layer below.
+// The live pool is elastic: the engine is handed no capacity model (and so
+// no GPU MPS contention or capacity-blocked launches) and places every
+// launch. Fault injection uses the same faults.Plan rates; Outage entries
+// (the simulator's instant-detection node outages) are ignored, but
+// NodeFault entries (crash, partition) are realized.
 //
 // # Multi-node control plane
 //
-// With Config.Nodes > 1 the runtime runs N node agents under a thin
-// placement layer (node.go): new containers land on their function's
-// locality home node and overflow to the less loaded of two sampled healthy
-// peers (power of two choices). A deterministic health-gossip failure
-// detector, ticking on the same event loop, walks nodes through
+// With Config.Nodes > 1 new containers land on their function's locality
+// home node and overflow to the less loaded of two sampled healthy peers
+// (power of two choices), or follow the affinity policies. The engine's
+// deterministic health-gossip failure detector walks nodes through
 // up → suspect → down as heartbeats go missing and recovers them when
-// heartbeats resume. When a node is declared down, its in-flight requests
-// fail over to live peers under first-completion-wins idempotency — no
-// request is lost or duplicated, even when a healed partition replays the
-// original completions. Node crashes, restarts and partitions can be
-// scheduled via faults.Plan.NodeFaults, injected live through
+// heartbeats resume; a node declared down has its in-flight requests failed
+// over to live peers under first-completion-wins idempotency — no request is
+// lost or duplicated, even when a healed partition replays the original
+// completions. Node crashes, restarts and partitions can be scheduled via
+// faults.Plan.NodeFaults, injected live through
 // KillNode/RestartNode/SetPartitioned, and observed via NodeInfos.
 //
 // # Batching (§V-D)
 //
-// Beyond the simulator's passive aggregation (requests joining a busy or
-// initializing instance's next batch), the runtime adds an active batch
+// Beyond passive aggregation (requests joining a busy or initializing
+// instance's next batch), the runtime hands the engine an active batch
 // window: when a function's directive asks for Batch > 1 and a warm
 // instance is idle, dispatch is held for up to Config.BatchLinger seconds
 // waiting for the batch to fill. The window closes early the moment the
@@ -91,8 +90,7 @@ type Config struct {
 	// BatchLinger is the batch aggregation window in seconds: how long a
 	// function with Batch > 1 holds dispatch onto an idle instance waiting
 	// for the batch to fill. Zero disables active aggregation (batches
-	// still form passively on busy or initializing instances, as in the
-	// simulator).
+	// still form passively on busy or initializing instances).
 	BatchLinger float64
 	// MaxInflight caps concurrently admitted requests; further Invoke
 	// calls fail with ErrOverloaded until one resolves (default 256).

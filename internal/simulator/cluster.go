@@ -7,63 +7,19 @@ import (
 	"smiless/internal/hardware"
 )
 
-// nodeHealth is the control plane's view of one node, advanced by the
-// deterministic gossip failure detector: Up → Suspect once SuspectAfter
-// passes without a heartbeat, Suspect → Down after DownAfter, and back to
-// Up once heartbeats resume.
-type nodeHealth int
+// The simulator's cluster model: each node's free cores and MPS GPU slices.
+// *Simulator is the engine's substrate — placement against that capacity,
+// launches that wait for it, and GPU co-location contention.
 
-const (
-	nodeUp nodeHealth = iota
-	nodeSuspect
-	nodeDown
-)
-
-// String names the health state for traces and reports.
-func (h nodeHealth) String() string {
-	switch h {
-	case nodeUp:
-		return "up"
-	case nodeSuspect:
-		return "suspect"
-	case nodeDown:
-		return "down"
-	}
-	return "unknown"
-}
-
-// nodeState is one node agent's state machine: local free capacity plus the
-// liveness bookkeeping the gossip failure detector drives. health is what
-// the control plane believes; alive and partitioned are ground truth the
-// control plane cannot see directly.
-type nodeState struct {
+// capacity is one node's free resources.
+type capacity struct {
 	spec      hardware.NodeSpec
 	freeCores int
 	freeGPU   int // in percent (10% MPS slices)
-
-	health      nodeHealth
-	alive       bool // process running (false between crash and restart)
-	partitioned bool // unreachable: completions held until heal
-	lastBeat    float64
-	downSince   float64
-	// detectorDown marks a down verdict issued by the gossip detector (as
-	// opposed to a scheduled legacy Outage): only those verdicts are
-	// reversed when heartbeats resume.
-	detectorDown bool
-
-	// held buffers node-side events (init/exec completions and crashes)
-	// that fired while the node was partitioned; they are replayed in
-	// order when the partition heals.
-	held []event
 }
 
-// placeable reports whether the control plane will route new work to the
-// node. Suspect nodes are skipped too: placement avoids doubtful nodes even
-// before the detector commits to down.
-func (n *nodeState) placeable() bool { return n.health == nodeUp }
-
 // fits reports whether the node has free capacity for cfg.
-func (n *nodeState) fits(cfg hardware.Config) bool {
+func (n *capacity) fits(cfg hardware.Config) bool {
 	switch cfg.Kind {
 	case hardware.CPU:
 		return n.freeCores >= cfg.Cores
@@ -74,7 +30,7 @@ func (n *nodeState) fits(cfg hardware.Config) bool {
 }
 
 // take reserves cfg's resources on the node.
-func (n *nodeState) take(cfg hardware.Config) {
+func (n *capacity) take(cfg hardware.Config) {
 	switch cfg.Kind {
 	case hardware.CPU:
 		n.freeCores -= cfg.Cores
@@ -85,60 +41,43 @@ func (n *nodeState) take(cfg hardware.Config) {
 
 // freeFor returns the free capacity relevant to cfg's kind, the p2c load
 // signal (more free = less loaded).
-func (n *nodeState) freeFor(cfg hardware.Config) int {
+func (n *capacity) freeFor(cfg hardware.Config) int {
 	if cfg.Kind == hardware.GPU {
 		return n.freeGPU
 	}
 	return n.freeCores
 }
 
-// clusterState is the thin placement layer over the per-node state
-// machines.
-type clusterState struct {
-	nodes []*nodeState
-}
-
-func newClusterState(spec hardware.ClusterSpec) *clusterState {
-	c := &clusterState{}
-	for _, n := range spec.Nodes {
-		c.nodes = append(c.nodes, &nodeState{
-			spec:      n,
-			freeCores: n.Cores,
-			freeGPU:   n.GPUs * 100,
-			health:    nodeUp,
-			alive:     true,
-		})
+func newCapacities(spec hardware.ClusterSpec) []capacity {
+	caps := make([]capacity, len(spec.Nodes))
+	for i, n := range spec.Nodes {
+		caps[i] = capacity{spec: n, freeCores: n.Cores, freeGPU: n.GPUs * 100}
 	}
-	return c
+	return caps
 }
 
-// len returns the node count.
-func (c *clusterState) len() int { return len(c.nodes) }
-
-// isDown reports whether the control plane considers node i out of service.
-func (c *clusterState) isDown(i int) bool { return c.nodes[i].health == nodeDown }
-
-// setDown marks node i in or out of service with instant detection (the
-// legacy Outage path). Capacity accounting is untouched: evicted containers
-// release through the normal path and the node returns with its full
-// capacity when the outage ends.
-func (c *clusterState) setDown(i int, down bool) {
-	if down {
-		c.nodes[i].health = nodeDown
-	} else {
-		c.nodes[i].health = nodeUp
-	}
-}
-
-// allocate finds a placeable node with capacity for cfg (first fit) and
-// reserves it, returning the node index or false when the cluster is full.
-func (c *clusterState) allocate(cfg hardware.Config) (int, bool) {
-	for i, n := range c.nodes {
-		if !n.placeable() {
-			continue
+// allocate places cfg under the configured policy and reserves it,
+// counting overflow forwards under PlaceP2C; ok is false when nothing fits.
+func (s *Simulator) allocate(fs *fnState, cfg hardware.Config) (int, bool) {
+	switch s.cfg.Placement {
+	case PlaceP2C:
+		node, forwarded, ok := s.allocateP2C(cfg, HomeNode(string(fs.id), len(s.caps)), s.prng)
+		if ok && forwarded {
+			s.stats.Forwards++
 		}
-		if n.fits(cfg) {
-			n.take(cfg)
+		return node, ok
+	case PlacePack, PlaceSpread:
+		node := s.affinityNode(fs, cfg, s.cfg.Placement == PlacePack)
+		if node < 0 {
+			return -1, false
+		}
+		s.caps[node].take(cfg)
+		return node, true
+	}
+	// First fit: the first placeable node in index order with room.
+	for i := range s.caps {
+		if s.nodes[i].placeable() && s.caps[i].fits(cfg) {
+			s.caps[i].take(cfg)
 			return i, true
 		}
 	}
@@ -150,14 +89,14 @@ func (c *clusterState) allocate(cfg hardware.Config) (int, bool) {
 // otherwise two placeable candidates are sampled from prng and the less
 // loaded one (more free capacity of cfg's kind, ties to the lower index)
 // takes it. forwarded reports an off-home placement.
-func (c *clusterState) allocateP2C(cfg hardware.Config, home int, prng *rand.Rand) (node int, forwarded, ok bool) {
-	if h := c.nodes[home]; h.placeable() && h.fits(cfg) {
-		h.take(cfg)
+func (s *Simulator) allocateP2C(cfg hardware.Config, home int, prng *rand.Rand) (node int, forwarded, ok bool) {
+	if s.nodes[home].placeable() && s.caps[home].fits(cfg) {
+		s.caps[home].take(cfg)
 		return home, false, true
 	}
-	cand := make([]int, 0, len(c.nodes))
-	for i, n := range c.nodes {
-		if i != home && n.placeable() && n.fits(cfg) {
+	cand := make([]int, 0, len(s.caps))
+	for i := range s.caps {
+		if i != home && s.nodes[i].placeable() && s.caps[i].fits(cfg) {
 			cand = append(cand, i)
 		}
 	}
@@ -168,74 +107,88 @@ func (c *clusterState) allocateP2C(cfg hardware.Config, home int, prng *rand.Ran
 	if len(cand) > 1 {
 		a, b := cand[prng.Intn(len(cand))], cand[prng.Intn(len(cand))]
 		best = a
-		if c.nodes[b].freeFor(cfg) > c.nodes[a].freeFor(cfg) ||
-			(c.nodes[b].freeFor(cfg) == c.nodes[a].freeFor(cfg) && b < a) {
+		if s.caps[b].freeFor(cfg) > s.caps[a].freeFor(cfg) ||
+			(s.caps[b].freeFor(cfg) == s.caps[a].freeFor(cfg) && b < a) {
 			best = b
 		}
 	}
-	c.nodes[best].take(cfg)
+	s.caps[best].take(cfg)
 	return best, true, true
 }
 
-// takeOn reserves cfg's resources on a specific node. The caller has
-// already verified the node is placeable and fits cfg (the affinity
-// policies score candidates before committing).
-func (c *clusterState) takeOn(i int, cfg hardware.Config) {
-	c.nodes[i].take(cfg)
+// place implements substrate: a launch that fits nowhere waits in
+// pendingLaunch until capacity frees.
+func (s *Simulator) place(c *container) (int, bool) {
+	node, ok := s.allocate(c.fn, c.cfg)
+	if !ok {
+		s.pendingLaunch = append(s.pendingLaunch, c)
+		s.stats.CapacityBlocked++
+	}
+	return node, ok
 }
 
-// release returns cfg's resources to node i.
-func (c *clusterState) release(i int, cfg hardware.Config) {
-	n := c.nodes[i]
-	switch cfg.Kind {
+func (s *Simulator) fits(i int, cfg hardware.Config) bool { return s.caps[i].fits(cfg) }
+
+// release implements substrate: a placed container's resources return to
+// its node and waiting launches that now fit start; a never-placed one
+// leaves the pending queue.
+func (s *Simulator) release(c *container) {
+	if c.node < 0 {
+		for i, p := range s.pendingLaunch {
+			if p == c {
+				s.pendingLaunch = append(s.pendingLaunch[:i], s.pendingLaunch[i+1:]...)
+				break
+			}
+		}
+		return
+	}
+	n := &s.caps[c.node]
+	switch c.cfg.Kind {
 	case hardware.CPU:
-		n.freeCores += cfg.Cores
+		n.freeCores += c.cfg.Cores
 		if n.freeCores > n.spec.Cores {
-			panic(fmt.Sprintf("simulator: core over-release on node %d", i))
+			panic(fmt.Sprintf("simulator: core over-release on node %d", c.node))
 		}
 	case hardware.GPU:
-		n.freeGPU += cfg.GPUShare
+		n.freeGPU += c.cfg.GPUShare
 		if n.freeGPU > n.spec.GPUs*100 {
-			panic(fmt.Sprintf("simulator: GPU over-release on node %d", i))
+			panic(fmt.Sprintf("simulator: GPU over-release on node %d", c.node))
 		}
 	}
+	s.reopened()
 }
 
-// usedCores returns total cores currently allocated.
-func (c *clusterState) usedCores() int {
-	total := 0
-	for _, n := range c.nodes {
-		total += n.spec.Cores - n.freeCores
+// reopened implements substrate: queued launches that now fit start.
+func (s *Simulator) reopened() {
+	remaining := s.pendingLaunch[:0]
+	for _, c := range s.pendingLaunch {
+		if c.state != cInitializing {
+			continue
+		}
+		node, ok := s.allocate(c.fn, c.cfg)
+		if !ok {
+			remaining = append(remaining, c)
+			continue
+		}
+		s.placed(c, node)
 	}
-	return total
+	s.pendingLaunch = remaining
 }
 
-// usedGPU returns total GPU percentage currently allocated.
-func (c *clusterState) usedGPU() int {
-	total := 0
-	for _, n := range c.nodes {
-		total += n.spec.GPUs*100 - n.freeGPU
+// gpuSlowdown implements substrate: an MPS slice on a node with u percent of
+// its GPU allocated runs (1 + GPUContention·(u−share)/100)× slower — the
+// PCIe/memory bandwidth sharing the paper mitigates with the 10% allocation
+// floor (§IV-A2).
+func (s *Simulator) gpuSlowdown(c *container) float64 {
+	if s.cfg.GPUContention > 0 {
+		n := &s.caps[c.node]
+		if others := n.spec.GPUs*100 - n.freeGPU - c.cfg.GPUShare; others > 0 {
+			return 1 + s.cfg.GPUContention*float64(others)/100
+		}
 	}
-	return total
+	return 1
 }
 
-// usedGPUOnNode returns the GPU percentage currently allocated on node i.
-func (c *clusterState) usedGPUOnNode(i int) int {
-	return c.nodes[i].spec.GPUs*100 - c.nodes[i].freeGPU
-}
-
-// HomeNode maps a function name onto its locality home node with a 32-bit
-// FNV-1a hash — stable across runs and platforms. Shared with the serving
-// runtime so simulated and live placement agree on homes.
-func HomeNode(fn string, nodes int) int {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(fn); i++ {
-		h ^= uint32(fn[i])
-		h *= prime32
-	}
-	return int(h % uint32(nodes))
-}
+// churns implements substrate: simulated nodes fail only as the fault plan
+// schedules.
+func (*Simulator) churns() bool { return false }

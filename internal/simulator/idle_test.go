@@ -43,6 +43,10 @@ func (d *scripted) Setup(cp ControlPlane) {
 }
 func (d *scripted) OnWindow(cp ControlPlane, now float64) { d.onWindow(cp, int(now+0.5)) }
 
+// queuedBesidesTick counts the events queued on cp's engine other than the
+// next decision-window tick, which a window callback always finds queued.
+func queuedBesidesTick(cp ControlPlane) int { return cp.(*Engine).events.Len() - 1 }
+
 func keepAlive(ka float64) Directive {
 	return Directive{Config: cpu(4), Policy: coldstart.KeepAlive, KeepAlive: ka, Batch: 1, Instances: 4}
 }
@@ -86,11 +90,16 @@ func TestNoReapAfterFlipToAlwaysOn(t *testing.T) {
 	// Arrival 3.5 starts a batch (voiding 6.6); done 3.6, nothing re-armed.
 	always := keepAlive(5)
 	always.Policy = coldstart.AlwaysOn
+	queued := -1
 	live, _ := runScripted(t, keepAlive(5), []float64{0.5, 3.5}, 30, map[int]func(ControlPlane, dag.NodeID){
-		3: func(cp ControlPlane, id dag.NodeID) { cp.SetDirective(id, always) },
+		3:  func(cp ControlPlane, id dag.NodeID) { cp.SetDirective(id, always) },
+		30: func(cp ControlPlane, _ dag.NodeID) { queued = queuedBesidesTick(cp) },
 	})
 	if live[6] != 1 || live[7] != 1 || live[30] != 1 {
 		t.Errorf("live instances at windows 6, 7, 30 = %d, %d, %d; want 1 throughout", live[6], live[7], live[30])
+	}
+	if queued != 0 {
+		t.Errorf("%d events queued at window 30 besides the next tick, for an instance with no deadline", queued)
 	}
 }
 
@@ -101,11 +110,18 @@ func TestMinWarmFloorRearms(t *testing.T) {
 	// 10 lifts it: reaped at 11.6.
 	floor := keepAlive(2)
 	floor.MinWarm = 1
+	queued := -1
 	live, st := runScripted(t, floor, []float64{0.5}, 20, map[int]func(ControlPlane, dag.NodeID){
-		10: func(cp ControlPlane, id dag.NodeID) { cp.SetDirective(id, keepAlive(2)) },
+		10: func(cp ControlPlane, id dag.NodeID) {
+			queued = queuedBesidesTick(cp)
+			cp.SetDirective(id, keepAlive(2))
+		},
 	})
 	if live[4] != 1 || live[11] != 1 || live[12] != 0 {
 		t.Errorf("live instances at windows 4, 11, 12 = %d, %d, %d; want 1, 1, 0", live[4], live[11], live[12])
+	}
+	if queued != 1 {
+		t.Errorf("%d events queued at window 10 besides the next tick; want the floor instance's one re-armed entry", queued)
 	}
 	if want := 11.6 - 0.5; !mathx.ApproxEq(st.CPUSeconds, want, 1e-9) {
 		t.Errorf("billed %.6f container-seconds, want %.6f", st.CPUSeconds, want)
@@ -115,20 +131,18 @@ func TestMinWarmFloorRearms(t *testing.T) {
 // Ten thousand batches on four instances leave at most one keep-alive entry
 // per instance in the queue, not one per batch.
 func TestQueueDoesNotGrowWithCompletedBatches(t *testing.T) {
-	const instances, bound = 4, 4 + 4 + 2 // containers + in-flight batches + slack
+	const instances, bound = 4, 4 + 4 + 2 // containers + in-flight batches + slack, besides the next tick
 	tr := &trace.Trace{Horizon: 400}
 	for i := 0; i < 10000; i++ {
 		tr.Arrivals = append(tr.Arrivals, 2+float64(i)*0.035)
 	}
-	var sim *Simulator
 	longest := 0
-	d := &scripted{dir: keepAlive(1000), onWindow: func(ControlPlane, int) {
-		longest = max(longest, sim.events.Len())
+	d := &scripted{dir: keepAlive(1000), onWindow: func(cp ControlPlane, _ int) {
+		longest = max(longest, queuedBesidesTick(cp))
 	}}
-	sim = MustNew(Config{App: exactChain(1), SLA: 10, Seed: 1}, d)
-	st := sim.MustRun(tr)
-	if st.Executions < 10000 || st.Inits != instances {
-		t.Fatalf("ran %d batches on %d instances, want 10000 on %d", st.Executions, st.Inits, instances)
+	st := MustNew(Config{App: exactChain(1), SLA: 10, Seed: 1}, d).MustRun(tr)
+	if st.Executions < 10000 || st.Inits != instances || st.Completed != 10000 {
+		t.Fatalf("ran %d batches on %d instances, %d completed; want 10000 on %d", st.Executions, st.Inits, st.Completed, instances)
 	}
 	if longest > bound {
 		t.Errorf("event queue reached %d entries, want at most %d", longest, bound)

@@ -9,12 +9,12 @@ const invariantsEnabled = false
 
 func invariant(bool, string, ...any) {}
 
-func (*Simulator) checkConservation(float64) {}
+func (*Engine) checkConservation(float64) {}
 
 // historyGuard is the untagged stand-in for the history-view write check of
 // invariants_on.go: empty, with no-op methods the compiler inlines away.
 type historyGuard struct{}
 
-func (*Simulator) guardHistory() historyGuard { return historyGuard{} }
+func (*Engine) guardHistory() historyGuard { return historyGuard{} }
 
-func (historyGuard) check(*Simulator) {}
+func (historyGuard) check(*Engine) {}

@@ -16,24 +16,25 @@ const invariantsEnabled = true
 // invariant panics when cond is false. The simulator's event loop already
 // panics on time travel in every build; the tagged layer adds the
 // accounting properties around it: done-map idempotency, pending/remaining
-// counters never going negative, and single-fire completion.
+// counters never going negative, single-fire completion and node health
+// transitions.
 func invariant(cond bool, format string, args ...any) {
 	if !cond {
 		panic("simulator: invariant violated: " + fmt.Sprintf(format, args...))
 	}
 }
 
-// checkConservation asserts, once finish has terminated the fleet, that every
+// checkConservation asserts, once Settle has terminated the fleet, that every
 // billed second belongs to exactly one container: no container is left on
 // any list, and the ledger holds what was billed before plus what the live
 // containers owed at this instant (owed; summed in the same id order), split
 // exactly between the CPU and GPU books.
-func (s *Simulator) checkConservation(owed float64) {
-	invariant(len(s.conts) == 0 && len(s.pendingLaunch) == 0, "finish left %d containers live and %d launches pending", len(s.conts), len(s.pendingLaunch))
-	for _, fs := range s.fnList {
-		invariant(len(fs.containers) == 0, "finish left %d containers of %s live", len(fs.containers), fs.id)
+func (e *Engine) checkConservation(owed float64) {
+	invariant(len(e.conts) == 0, "settling left %d containers live", len(e.conts))
+	for _, fs := range e.fnList {
+		invariant(len(fs.containers) == 0, "settling left %d containers of %s live", len(fs.containers), fs.id)
 	}
-	st := s.stats
+	st := e.stats
 	invariant(math.Abs(st.TotalCost-owed) <= 1e-9, "billed %.12f, but terminated plus accrued cost was %.12f", st.TotalCost, owed)
 	invariant(math.Abs(st.CPUCost+st.GPUCost-st.TotalCost) <= 1e-9, "CPU %.12f + GPU %.12f books do not add up to %.12f", st.CPUCost, st.GPUCost, st.TotalCost)
 }
@@ -48,14 +49,14 @@ type historyGuard struct {
 	sum              uint64
 }
 
-func (s *Simulator) guardHistory() historyGuard {
-	return historyGuard{len(s.arrivalTimes), len(s.counts), historyChecksum(s.arrivalTimes, s.counts)}
+func (e *Engine) guardHistory() historyGuard {
+	return historyGuard{len(e.arrivalTimes), len(e.counts), historyChecksum(e.arrivalTimes, e.counts)}
 }
 
-func (g historyGuard) check(s *Simulator) {
-	invariant(len(s.arrivalTimes) >= g.arrivals && len(s.counts) >= g.counts &&
-		historyChecksum(s.arrivalTimes[:g.arrivals], s.counts[:g.counts]) == g.sum,
-		"driver %s wrote through a history view: the arrival/count logs changed under a callback", s.driver.Name())
+func (g historyGuard) check(e *Engine) {
+	invariant(len(e.arrivalTimes) >= g.arrivals && len(e.counts) >= g.counts &&
+		historyChecksum(e.arrivalTimes[:g.arrivals], e.counts[:g.counts]) == g.sum,
+		"driver %s wrote through a history view: the arrival/count logs changed under a callback", e.driver.Name())
 }
 
 // historyChecksum is FNV-1a over the raw log entries.

@@ -57,8 +57,11 @@ func TestHistoryGuardCatchesWriteThroughView(t *testing.T) {
 }
 
 // TestConservationCatchesMisbilling: the end-of-run ledger check passes on a
-// clean run (MustRun would have panicked) and fires once a dollar is billed
-// that no container owed.
+// clean run (MustRun would have panicked) and its billed-versus-owed branch
+// fires once a dollar is billed that no container owed. No driver can reach
+// that branch — owed is read from the ledger as settling starts — so the
+// check is called directly; serving's table of the same name drives the
+// CPU/GPU books branch through both front ends.
 func TestConservationCatchesMisbilling(t *testing.T) {
 	sim := MustNew(Config{App: apps.Pipeline(2), SLA: 10, Seed: 1}, keepAliveDriver(cpu(4), 30))
 	st := sim.MustRun(&trace.Trace{Horizon: 10, Arrivals: []float64{0.5, 2.5}})

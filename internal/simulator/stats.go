@@ -104,21 +104,13 @@ type RunStats struct {
 	PodSamples []PodSample
 }
 
-// NewRunStats returns empty statistics for a run with the given SLA. The
-// simulator builds its own; the serving runtime (internal/serving) shares the
-// type so live runs report through the identical schema.
-func NewRunStats(sla float64) *RunStats {
+// newRunStats returns empty statistics for a run with the given SLA.
+func newRunStats(sla float64) *RunStats {
 	return &RunStats{SLA: sla, CostPerFn: make(map[string]float64)}
 }
 
-func newRunStats(sla float64) *RunStats { return NewRunStats(sla) }
-
-// AddCost accrues one terminated container's billed life against the run
+// addCost accrues one terminated container's billed life against the run
 // totals and the per-function ledger.
-func (r *RunStats) AddCost(fn string, cfg hardware.Config, life, cost float64) {
-	r.addCost(fn, cfg, life, cost)
-}
-
 func (r *RunStats) addCost(fn string, cfg hardware.Config, life, cost float64) {
 	r.TotalCost += cost
 	r.CostPerFn[fn] += cost

@@ -26,7 +26,8 @@ type (
 	// ServeResult is one live invocation's outcome.
 	ServeResult = serving.Result
 	// Runtime is the online serving runtime: the live counterpart of
-	// Simulator, implementing the same control-plane surface for drivers.
+	// Simulator, running the same engine and handing drivers the same
+	// control-plane surface.
 	Runtime = serving.Runtime
 	// Gateway serves a Runtime over HTTP: /invoke, /healthz, /metrics,
 	// /statz and /trace.

@@ -45,20 +45,6 @@ func TestEvaluateErrorPaths(t *testing.T) {
 	}
 }
 
-func TestEvaluateMatchesLegacyShim(t *testing.T) {
-	app := smiless.ImageQuery()
-	tr := optionsTrace(2)
-	st, err := smiless.Evaluate(smiless.SystemSMIless, app, tr, 2.0, smiless.WithSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := smiless.EvaluateLegacy(smiless.SystemSMIless, smiless.ImageQuery(), tr, 2.0, 5, false)
-	if st.Completed != legacy.Completed || st.TotalCost != legacy.TotalCost {
-		t.Errorf("options and legacy runs diverged: (%d, %v) vs (%d, %v)",
-			st.Completed, st.TotalCost, legacy.Completed, legacy.TotalCost)
-	}
-}
-
 func TestWithParallelismIsInvisible(t *testing.T) {
 	app := smiless.VoiceAssistant()
 	tr := optionsTrace(3)
@@ -168,25 +154,6 @@ func TestNewSimulatorOptions(t *testing.T) {
 	}
 	if _, err := smiless.NewSimulator(app, nil, 3.0); err == nil {
 		t.Error("nil driver should error")
-	}
-}
-
-func TestLegacySimulatorAndControllerShims(t *testing.T) {
-	app := smiless.Pipeline(2)
-	profiles := app.TrueProfiles(3)
-	opts := smiless.DefaultControllerOptions(1)
-	opts.UseLSTM = false
-	drv := smiless.NewSMIlessLegacy(smiless.DefaultCatalog(), profiles, 3.0, opts)
-	sim, err := smiless.NewSimulatorLegacy(app, drv, 3.0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := sim.Run(&smiless.Trace{Horizon: 120, Arrivals: []float64{10, 50, 90}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Completed != 3 {
-		t.Errorf("completed %d/3", st.Completed)
 	}
 }
 
