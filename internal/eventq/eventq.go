@@ -9,22 +9,27 @@
 //	pushed later (a keep-alive deadline keeps the rank of the instant it was
 //	armed however often its entry is re-pushed).
 //
-// Entries are stored by value in a binary heap: no container/heap interface,
-// no boxing, and no allocation per event once the backing array has grown to
-// the run's high-water mark.
+// The heap sifts pointer-free keys — (time, ticket, slot) — so moving an
+// entry is a plain copy with no GC write barrier, however many pointers T
+// holds. Payloads sit in a slab indexed by slot, written once on Push and
+// zeroed on Pop so the queue keeps no references; freed slots are reused.
+// There is no container/heap interface and no boxing, and once the heap and
+// the slab have grown to the run's high-water mark no event allocates.
 //
 //lint:deterministic
 package eventq
 
 import "fmt"
 
-type entry[T any] struct {
+// key is a heap entry: when the event is due, its same-instant rank, and
+// the slab slot holding its payload.
+type key struct {
 	at     float64
 	ticket uint64
-	v      T
+	slot   int32
 }
 
-func (a *entry[T]) before(b *entry[T]) bool {
+func (a *key) before(b *key) bool {
 	if a.at != b.at { //lint:allow floateq exact tie-break: only bit-identical timestamps fall through to ticket order
 		return a.at < b.at
 	}
@@ -34,7 +39,9 @@ func (a *entry[T]) before(b *entry[T]) bool {
 // Queue is a min-heap of T ordered on (time, ticket). The zero value is an
 // empty queue.
 type Queue[T any] struct {
-	h       []entry[T]
+	h       []key
+	vals    []T     // payload slab, indexed by key.slot
+	free    []int32 // vacant slots of vals
 	tickets uint64
 	lastPop float64 // read and written only in smiless_invariants builds
 }
@@ -54,18 +61,26 @@ func (q *Queue[T]) Push(at float64, v T) { q.PushTicket(at, q.Ticket(), v) }
 
 // PushTicket queues v at time at under a rank drawn earlier with Ticket.
 func (q *Queue[T]) PushTicket(at float64, ticket uint64, v T) {
-	e := entry[T]{at, ticket, v}
-	q.h = append(q.h, e)
+	var slot int32
+	if n := len(q.free); n > 0 {
+		slot, q.free = q.free[n-1], q.free[:n-1]
+		q.vals[slot] = v
+	} else {
+		slot = int32(len(q.vals))
+		q.vals = append(q.vals, v)
+	}
+	k := key{at, ticket, slot}
+	q.h = append(q.h, k)
 	i := len(q.h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !e.before(&q.h[parent]) {
+		if !k.before(&q.h[parent]) {
 			break
 		}
 		q.h[i] = q.h[parent]
 		i = parent
 	}
-	q.h[i] = e
+	q.h[i] = k
 }
 
 // NextAt returns the time of the earliest event; ok is false when the queue
@@ -83,8 +98,7 @@ func (q *Queue[T]) NextAt() (at float64, ok bool) {
 func (q *Queue[T]) Pop() (at float64, v T) {
 	top := q.h[0]
 	n := len(q.h) - 1
-	e := q.h[n]
-	q.h[n] = entry[T]{} // drop the slot's references
+	k := q.h[n]
 	q.h = q.h[:n]
 	if n > 0 {
 		i := 0
@@ -96,13 +110,13 @@ func (q *Queue[T]) Pop() (at float64, v T) {
 			if r := child + 1; r < n && q.h[r].before(&q.h[child]) {
 				child = r
 			}
-			if !q.h[child].before(&e) {
+			if !q.h[child].before(&k) {
 				break
 			}
 			q.h[i] = q.h[child]
 			i = child
 		}
-		q.h[i] = e
+		q.h[i] = k
 	}
 	if invariantsEnabled {
 		if top.at < q.lastPop {
@@ -110,5 +124,9 @@ func (q *Queue[T]) Pop() (at float64, v T) {
 		}
 		q.lastPop = top.at
 	}
-	return top.at, top.v
+	v = q.vals[top.slot]
+	var zero T
+	q.vals[top.slot] = zero // drop the slot's references
+	q.free = append(q.free, top.slot)
+	return top.at, v
 }

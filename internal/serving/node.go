@@ -18,40 +18,19 @@ type NodeInfo struct {
 // KillNode crashes node i's process immediately. In-flight work on it is
 // recovered by the failure detector (or by RestartNode, whichever first).
 func (rt *Runtime) KillNode(i int) error {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if err := rt.checkNode(i); err != nil {
-		return err
-	}
-	rt.readClock()
-	rt.eng.CrashNode(i)
-	return nil
+	return rt.onNode(i, rt.eng.CrashNode)
 }
 
 // RestartNode restarts a crashed node, evicting the containers that died
 // with the old process and failing their work over.
 func (rt *Runtime) RestartNode(i int) error {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if err := rt.checkNode(i); err != nil {
-		return err
-	}
-	rt.readClock()
-	rt.eng.RebootNode(i)
-	return nil
+	return rt.onNode(i, rt.eng.RebootNode)
 }
 
 // SetPartitioned cuts or heals node i's network. Healing replays held
 // completions in order.
 func (rt *Runtime) SetPartitioned(i int, partitioned bool) error {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if err := rt.checkNode(i); err != nil {
-		return err
-	}
-	rt.readClock()
-	rt.eng.PartitionNode(i, partitioned)
-	return nil
+	return rt.onNode(i, func(i int) { rt.eng.PartitionNode(i, partitioned) })
 }
 
 // NodeInfos snapshots every node's state in index order.
@@ -66,12 +45,13 @@ func (rt *Runtime) NodeInfos() []NodeInfo {
 	return out
 }
 
-func (rt *Runtime) checkNode(i int) error {
-	if rt.closed {
-		return ErrClosed
-	}
+// onNode runs f on node i through onEngine, once i is known to be a node.
+func (rt *Runtime) onNode(i int, f func(int)) error {
 	if i < 0 || i >= rt.cfg.Nodes {
 		return fmt.Errorf("serving: node %d out of range [0,%d)", i, rt.cfg.Nodes)
 	}
-	return nil
+	return rt.onEngine(func() error {
+		f(i)
+		return nil
+	})
 }

@@ -274,3 +274,42 @@ func TestMultiNodeChurnDeterministic(t *testing.T) {
 		t.Errorf("churn run not deterministic:\n run A: %s\n run B: %s", a, b)
 	}
 }
+
+// A chaos call that queues an event earlier than the deadline the sleeping
+// loop is armed for must wake the loop. One node (so no gossip tick bounds
+// the sleep): request A cold-starts and leaves its container idle on a 60s
+// keep-alive. Request B runs warm on it from t=7 and the node is killed at
+// t=8, so B's completion at t=12 dies with the process and the loop goes
+// back to sleep on the keep-alive entry at t=66. Restarting the node at t=13
+// fails B over onto a fresh container: a 1s cold start and the 5s execution
+// finish it at t=19. A loop left asleep would run the cold start at t=66.
+func TestChaosWakesSleepingLoop(t *testing.T) {
+	rt, fake := newTestRuntime(t, Config{App: testChain([]float64{5.0}, 1.0), SLA: 30, Window: 1000}, keepAliveDriver(1))
+	stepTo := func(at float64) {
+		stepUntil(t, rt, fake, func() bool {
+			next, ok := fake.NextDeadline()
+			return !ok || next > at
+		})
+		fake.AdvanceTo(at)
+	}
+	if res := await(t, rt, fake, mustInvoke(t, rt)); res.Failed || !near(res.E2E, 6, 1e-9) {
+		t.Fatalf("request A: %+v, want a 6s cold completion", res)
+	}
+	stepTo(7)
+	ch := mustInvoke(t, rt)
+	stepTo(8)
+	if err := rt.KillNode(0); err != nil {
+		t.Fatal(err)
+	}
+	stepTo(13)
+	if next, ok := fake.NextDeadline(); !ok || next != 66 {
+		t.Fatalf("loop armed for %v (%t) before the restart, want the keep-alive at 66", next, ok)
+	}
+	if err := rt.RestartNode(0); err != nil {
+		t.Fatal(err)
+	}
+	res := await(t, rt, fake, ch)
+	if res.Failed || !near(res.End, 19, 1e-9) {
+		t.Errorf("request B resolved %+v, want completed at t=19", res)
+	}
+}

@@ -115,8 +115,32 @@ func (rt *Runtime) readClock() float64 {
 	return now
 }
 
+// onEngine is how every external entry point that can queue an event —
+// Invoke, abandon, the chaos calls — reaches the engine. It takes mu, fails
+// with ErrClosed once the runtime is closed, and runs f at one fresh clock
+// reading after every event that came due while the loop slept (see
+// InvokeWithDeadline). When f succeeds it pokes the loop: f may have queued
+// an event earlier than the deadline the sleeping loop is armed for.
+func (rt *Runtime) onEngine(f func() error) error {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if rt.closed {
+		return ErrClosed
+	}
+	if rt.sleeping && !rt.wakePending {
+		rt.runDue()
+	} else {
+		rt.readClock()
+	}
+	if err := f(); err != nil {
+		return err
+	}
+	rt.wakeLoop()
+	return nil
+}
+
 // wakeLoop pokes the scheduler loop to re-read the heap; callers hold mu.
-// Used by external entry points (Invoke) whose events the sleeping loop
+// Used by external entry points (onEngine) whose events the sleeping loop
 // does not know about; events scheduled from inside the loop are picked up
 // when it recomputes its next deadline.
 func (rt *Runtime) wakeLoop() {
@@ -262,63 +286,55 @@ func (rt *Runtime) InvokeWithDeadline(ctx context.Context, budget float64) (<-ch
 	if ctx == nil {
 		ctx = context.Background() //lint:allow ctxflow nil-ctx compatibility fallback: the caller explicitly declined cancellation
 	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.closed {
-		return nil, ErrClosed
-	}
-	if rt.draining {
-		return nil, ErrDraining
-	}
-	if err := ctx.Err(); err != nil {
-		// The caller was gone before admission: do not burn a slot.
+	var ch chan Result
+	err := rt.onEngine(func() error {
+		if rt.draining {
+			return ErrDraining
+		}
+		if err := ctx.Err(); err != nil {
+			// The caller was gone before admission: do not burn a slot.
+			return err
+		}
+		if rt.inflight >= rt.cfg.MaxInflight || rt.eng.EntryBacklog() >= rt.cfg.QueueCap {
+			rt.rejected++
+			return ErrOverloaded
+		}
+		if budget <= 0 {
+			budget = rt.cfg.DefaultDeadline
+		}
+		rt.inflight++
+		invariant(rt.inflight <= rt.cfg.MaxInflight, "admission slots over-committed: inflight %d > max %d", rt.inflight, rt.cfg.MaxInflight)
+		tag := len(rt.waiters)
+		if n := len(rt.free); n > 0 {
+			tag, rt.free = rt.free[n-1], rt.free[:n-1]
+		} else {
+			rt.waiters = append(rt.waiters, waiter{})
+		}
+		ch = make(chan Result, 1)
+		rt.waiters[tag].ch = ch
+		inv := rt.eng.Arrive(budget, tag)
+		// Watch for caller disconnect only when the context can actually be
+		// cancelled, and only if the request is still open. The watch is a
+		// registration on ctx that resolve withdraws, not a parked goroutine:
+		// one starts only if the caller really goes away first.
+		if ctx.Done() != nil && !inv.Resolved() {
+			rt.waiters[tag].unwatch = context.AfterFunc(ctx, func() { rt.abandon(inv) })
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	if rt.sleeping && !rt.wakePending {
-		rt.runDue()
-	} else {
-		rt.readClock()
-	}
-	if rt.inflight >= rt.cfg.MaxInflight || rt.eng.EntryBacklog() >= rt.cfg.QueueCap {
-		rt.rejected++
-		return nil, ErrOverloaded
-	}
-	if budget <= 0 {
-		budget = rt.cfg.DefaultDeadline
-	}
-	rt.inflight++
-	invariant(rt.inflight <= rt.cfg.MaxInflight, "admission slots over-committed: inflight %d > max %d", rt.inflight, rt.cfg.MaxInflight)
-	tag := len(rt.waiters)
-	if n := len(rt.free); n > 0 {
-		tag, rt.free = rt.free[n-1], rt.free[:n-1]
-	} else {
-		rt.waiters = append(rt.waiters, waiter{})
-	}
-	ch := make(chan Result, 1)
-	rt.waiters[tag].ch = ch
-	inv := rt.eng.Arrive(budget, tag)
-	// Watch for caller disconnect only when the context can actually be
-	// cancelled, and only if the request is still open. The watch is a
-	// registration on ctx that resolve withdraws, not a parked goroutine: one
-	// starts only if the caller really goes away first.
-	if ctx.Done() != nil && !inv.Resolved() {
-		rt.waiters[tag].unwatch = context.AfterFunc(ctx, func() { rt.abandon(inv) })
-	}
-	rt.wakeLoop()
 	return ch, nil
 }
 
 // abandon fails an admitted request whose caller went away, freeing its
 // admission slot and purging its queued members.
 func (rt *Runtime) abandon(inv *simulator.Request) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.closed || inv.Resolved() {
-		return
-	}
-	rt.readClock()
-	rt.eng.Abandon(inv)
-	rt.wakeLoop()
+	rt.onEngine(func() error {
+		rt.eng.Abandon(inv)
+		return nil
+	})
 }
 
 // resolve delivers a request's terminal Result and settles admission and

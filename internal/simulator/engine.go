@@ -171,9 +171,10 @@ func (e *event) nodeSide() bool {
 	return false
 }
 
-// event is one queued occurrence, stored by value in the engine's
-// eventq.Queue (which carries its time). It is packed into five words, three
-// of them pointers: the heap moves entries by value.
+// event is one queued occurrence, the payload of an entry in the engine's
+// eventq.Queue (which carries its time and rank in a pointer-free heap key).
+// It is packed into five words, three of them pointers, and is written to
+// the queue's slab once per push rather than moved on every sift step.
 type event struct {
 	kind eventKind
 	// idx is a node event's node, or a pre-warm or linger event's function
@@ -271,7 +272,8 @@ func (f *fnState) recordLatency(d float64) {
 func (f *fnState) liveCount() int { return len(f.containers) }
 
 // Request is one admitted application request. Its fields are sized to
-// keep it in a 64-byte allocation.
+// keep it in a 64-byte allocation; prog, with every function's primary
+// member embedded, is the request's one other allocation.
 type Request struct {
 	id        int
 	arrival   float64
@@ -305,8 +307,14 @@ const (
 	OutcomeAbandoned                       // its caller went away first
 )
 
-// fnProgress is one function's progress within a request.
+// fnProgress is one function's progress within a request, and its primary
+// member: the invocation queued once the function's predecessors finish,
+// and re-queued by retries and failover. It lives here, not in an
+// allocation of its own; hedge twins and partition failover copies, which
+// must not alias it, are allocated separately. The request outlives every
+// event and batch that points at its members, so nothing is recycled.
 type fnProgress struct {
+	member  nodeInv
 	pending int32 // unfinished predecessors
 	done    bool  // a member (or its hedge or failover twin) has completed
 }
@@ -435,6 +443,7 @@ func (e *Engine) arrive(budget float64, tag int) *Request {
 		e.rec.BeginRequest(inv.id, now)
 	}
 	for i, fs := range e.fnList {
+		inv.prog[i].member = nodeInv{inv: inv, fs: fs}
 		inv.prog[i].pending = int32(fs.npred)
 	}
 	// Reactive pre-warming for functions that request it.
@@ -445,7 +454,7 @@ func (e *Engine) arrive(budget float64, tag int) *Request {
 	}
 	// Entry functions become ready immediately.
 	for _, src := range e.sources {
-		e.enqueue(&nodeInv{inv: inv, fs: src})
+		e.enqueue(&inv.prog[src.idx].member)
 	}
 	if budget > 0 {
 		inv.deadline = now + budget

@@ -373,7 +373,7 @@ func (e *Engine) onExecDone(c *container, epoch int) {
 			p.pending--
 			invariant(p.pending >= 0, "request %d released successor %s more times than it has predecessors", inv.id, succ.id)
 			if p.pending == 0 {
-				e.enqueue(&nodeInv{inv: inv, fs: succ})
+				e.enqueue(&p.member)
 			}
 		}
 		if inv.remaining == 0 {
