@@ -48,7 +48,7 @@ fmt:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
-# Optimizer search benches (sequential vs parallel vs cached) as JSON, with
+# Optimizer search benches (sequential vs cached) as JSON, with
 # derived speedup ratios. No -short: skipIfShort would skip every bench.
 bench-opt:
 	$(GO) test -bench 'BenchmarkOptimizer/' -benchtime 20x -run '^$$' . \

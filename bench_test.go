@@ -255,14 +255,13 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkOptimizer is the parallel-search speedup evidence: the same
-// co-optimization problem in three modes per workload — sequential (one
-// worker, no cache: the pre-parallelization baseline), parallel (full
-// worker pool, no cache) and cached (full pool plus the memoized evaluation
-// cache, warm after the first iteration). cmd/benchjson derives per-app
-// parallel/sequential and cached/sequential speedup ratios from the
-// `mode=` sub-bench names into BENCH_optimizer.json (`make bench-opt`, or
-// the CI bench job's artifact).
+// BenchmarkOptimizer times the same co-optimization problem in two modes
+// per workload: sequential (no cache: the controller's configuration, every
+// iteration pays the full search on a warm workspace) and cached (the
+// memoized evaluation cache, warm after the first iteration). cmd/benchjson
+// derives per-app cached/sequential speedup ratios from the `mode=`
+// sub-bench names into BENCH_optimizer.json (`make bench-opt`, or the CI
+// bench job's artifact).
 func BenchmarkOptimizer(b *testing.B) {
 	skipIfShort(b)
 	workloads := []struct {
@@ -273,9 +272,8 @@ func BenchmarkOptimizer(b *testing.B) {
 		{"ImageQuery", apps.ImageQuery(), 15},
 		{"VoiceAssistant", apps.VoiceAssistant(), 15},
 		{"Pipeline12", apps.Pipeline(12), 10},
-		// FanOut8x4 is the parallelism showcase: 8 balanced branches of
-		// depth 4, so no single path Amdahl-bounds the fan-out the way the
-		// paper DAGs' dominant paths do.
+		// FanOut8x4 is the wide case: 8 balanced branches of depth 4, so
+		// the search visits many short paths rather than one dominant one.
 		{"FanOut8x4", fanOutApp(8, 4), 15},
 	}
 	modes := []struct {
@@ -283,12 +281,6 @@ func BenchmarkOptimizer(b *testing.B) {
 		setup func() *core.Optimizer
 	}{
 		{"sequential", func() *core.Optimizer {
-			o := core.New(hardware.DefaultCatalog())
-			o.Parallelism = 1
-			o.Cache = nil
-			return o
-		}},
-		{"parallel", func() *core.Optimizer {
 			o := core.New(hardware.DefaultCatalog())
 			o.Cache = nil
 			return o
@@ -301,6 +293,7 @@ func BenchmarkOptimizer(b *testing.B) {
 		for _, m := range modes {
 			b.Run("app="+wl.name+"/mode="+m.name, func(b *testing.B) {
 				opt := m.setup()
+				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := opt.Optimize(req); err != nil {

@@ -37,12 +37,12 @@ type Result struct {
 // Speedup compares one benchmark variant against the `mode=sequential`
 // baseline sharing its name prefix. Derived for every benchmark whose
 // sub-bench name carries a `/mode=<variant>` segment (the convention
-// BenchmarkOptimizer uses), so CI artifacts record the parallel-search and
-// cache speedups as first-class numbers.
+// BenchmarkOptimizer uses), so CI artifacts record the cache speedup as a
+// first-class number.
 type Speedup struct {
 	// Name is the benchmark name up to (excluding) the /mode= segment.
 	Name string `json:"name"`
-	// Mode is the compared variant ("parallel", "cached", ...).
+	// Mode is the compared variant ("cached", ...).
 	Mode     string  `json:"mode"`
 	NsPerOp  float64 `json:"ns_per_op"`
 	Baseline float64 `json:"baseline_ns_per_op"`
@@ -118,7 +118,7 @@ func parse(r io.Reader) (*Document, error) {
 }
 
 // trimProcSuffix strips the trailing "-<GOMAXPROCS>" go test appends to
-// benchmark names ("BenchmarkOptimizer/mode=parallel-8").
+// benchmark names ("BenchmarkOptimizer/mode=cached-8").
 func trimProcSuffix(name string) string {
 	i := strings.LastIndexByte(name, '-')
 	if i < 0 {

@@ -9,10 +9,10 @@ const sample = `goos: linux
 goarch: amd64
 pkg: smiless
 cpu: Intel(R) Xeon(R)
+BenchmarkOptimizer/app=WL1/mode=sequential-8   	50	20000 ns/op
 BenchmarkOptimizer/app=WL2/mode=sequential-8   	50	60000 ns/op
-BenchmarkOptimizer/app=WL2/mode=parallel-8     	50	20000 ns/op
 BenchmarkOptimizer/app=WL2/mode=cached-8       	50	6000 ns/op	12 hits/op
-BenchmarkOptimizer/app=WL3/mode=parallel-8     	50	1000 ns/op
+BenchmarkOptimizer/app=WL3/mode=cached-8       	50	1000 ns/op
 BenchmarkSimulatorThroughput-8                 	10	500000 ns/op	2048 B/op	17 allocs/op
 PASS
 ok  	smiless	1.2s
@@ -36,16 +36,14 @@ func TestParseAndDeriveSpeedups(t *testing.T) {
 		t.Errorf("benchmem fields lost: %+v", doc.Benchs[4])
 	}
 
-	// WL2 has a baseline → two speedups; WL3 has none → skipped; the
-	// throughput bench has no /mode= segment → skipped.
-	if len(doc.Speedups) != 2 {
-		t.Fatalf("derived %d speedups, want 2: %+v", len(doc.Speedups), doc.Speedups)
+	// WL2's cached variant has a baseline → one speedup; WL1 is a baseline
+	// alone and WL3 a variant without one → skipped; the throughput bench
+	// has no /mode= segment → skipped.
+	if len(doc.Speedups) != 1 {
+		t.Fatalf("derived %d speedups, want 1: %+v", len(doc.Speedups), doc.Speedups)
 	}
-	par, cached := doc.Speedups[0], doc.Speedups[1]
-	if par.Name != "BenchmarkOptimizer/app=WL2" || par.Mode != "parallel" || par.Speedup != 3.0 {
-		t.Errorf("parallel speedup wrong: %+v", par)
-	}
-	if cached.Mode != "cached" || cached.Speedup != 10.0 || cached.Baseline != 60000 {
+	cached := doc.Speedups[0]
+	if cached.Name != "BenchmarkOptimizer/app=WL2" || cached.Mode != "cached" || cached.Speedup != 10.0 || cached.Baseline != 60000 {
 		t.Errorf("cached speedup wrong: %+v", cached)
 	}
 }
@@ -53,7 +51,7 @@ func TestParseAndDeriveSpeedups(t *testing.T) {
 func TestTrimProcSuffix(t *testing.T) {
 	for in, want := range map[string]string{
 		"BenchmarkX-8":            "BenchmarkX",
-		"BenchmarkX/mode=par-16":  "BenchmarkX/mode=par",
+		"BenchmarkX/mode=seq-16":  "BenchmarkX/mode=seq",
 		"BenchmarkX/mode=top-1":   "BenchmarkX/mode=top", // ambiguous by design: go test's own suffix
 		"BenchmarkX/mode=cached":  "BenchmarkX/mode=cached",
 		"BenchmarkName-with-text": "BenchmarkName-with-text",

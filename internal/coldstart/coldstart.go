@@ -181,10 +181,19 @@ func (e Evaluation) Clone() Evaluation {
 // that consulted the Evaluation without checking the error consumed a
 // half-summed cost as if it were complete.
 func Evaluate(g *dag.Graph, profiles map[dag.NodeID]*perfmodel.Profile, plan *Plan, pricing hardware.Pricing, it float64, batch int) (Evaluation, error) {
-	ev := Evaluation{PerFunction: make(map[dag.NodeID]float64, g.Len())}
-	// Per-node path latency contribution and cost.
-	contrib := make(map[dag.NodeID]float64, g.Len())
-	for _, id := range g.Nodes() {
+	l := g.Layout()
+	n := len(l.Topo)
+	// contrib and finish are indexed like the layout; small graphs keep them
+	// on the stack, so the PerFunction map is the only allocation.
+	var stack [64]float64
+	scratch := stack[:]
+	if 2*n > len(stack) {
+		scratch = make([]float64, 2*n)
+	}
+	contrib, finish := scratch[:n], scratch[n:2*n]
+	ev := Evaluation{PerFunction: make(map[dag.NodeID]float64, n)}
+	// Per-node path latency contribution and cost, summed in insertion order.
+	for _, id := range l.Nodes {
 		prof, ok := profiles[id]
 		if !ok {
 			return Evaluation{}, fmt.Errorf("coldstart: no profile for %q", id)
@@ -202,23 +211,22 @@ func Evaluate(g *dag.Graph, profiles map[dag.NodeID]*perfmodel.Profile, plan *Pl
 		c := CostPerInvocation(d, t, i, it, pricing.UnitCost(cfg))
 		ev.PerFunction[id] = c
 		ev.CostPerInvocation += c
-		contrib[id] = i
 		if d.Policy == NoMitigation {
-			contrib[id] += t
+			i += t
 		}
+		contrib[l.Index[id]] = i
 	}
 	// Longest weighted path via topological order.
-	finish := make(map[dag.NodeID]float64, g.Len())
-	for _, id := range g.TopoSort() {
+	for i := range l.Topo {
 		start := 0.0
-		for _, p := range g.Predecessors(id) {
+		for _, p := range l.Preds[i] {
 			if finish[p] > start {
 				start = finish[p]
 			}
 		}
-		finish[id] = start + contrib[id]
-		if finish[id] > ev.E2ELatency {
-			ev.E2ELatency = finish[id]
+		finish[i] = start + contrib[i]
+		if finish[i] > ev.E2ELatency {
+			ev.E2ELatency = finish[i]
 		}
 	}
 	return ev, nil

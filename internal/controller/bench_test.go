@@ -131,3 +131,27 @@ func TestWindowCostDoesNotGrowWithHistory(t *testing.T) {
 		t.Errorf("bytes per window grew with history: %.0f at 16k vs %.0f at 1k", largeBytes, smallBytes)
 	}
 }
+
+// TestSteadyWindowAllocatesNothing pins the decision window's allocation
+// budget at zero: once the controller has planned and its buffers have
+// reached their high-water marks, a window that does not re-plan or refit
+// reads the graph's layout, forecasts into the predictor's own buffers and
+// updates the run's quality report in place, at any history length.
+// AllocsPerRun counts whole allocations per window, so the amortised
+// regrowth of the history series themselves (a few per thousand windows)
+// reads as zero while any per-window allocation reads as one.
+func TestSteadyWindowAllocatesNothing(t *testing.T) {
+	if allocsInstrumented {
+		t.Skip("race and invariant builds allocate inside instrumentation")
+	}
+	const settle, measured = 64, 256
+	for _, history := range []int{1_000, 16_000} {
+		d := newDenseWindows(history, settle+measured+1)
+		for i := 0; i < settle; i++ {
+			d.step()
+		}
+		if allocs := testing.AllocsPerRun(measured, d.step); allocs != 0 {
+			t.Errorf("%v allocations per steady window at %dk history, want 0", allocs, history/1000)
+		}
+	}
+}

@@ -54,12 +54,6 @@ type Options struct {
 	SLAMargin float64
 	// Seed drives predictor initialization.
 	Seed int64
-	// Parallelism bounds the Strategy Optimizer's path-search worker pool
-	// during windowed re-planning (core.Optimizer.Parallelism): 0 uses
-	// every available core, 1 forces the sequential inline search. The
-	// resulting plans are byte-identical either way; only the wall-clock
-	// stall of the decision loop changes.
-	Parallelism int
 	// Interference, when non-nil, makes the Strategy Optimizer plan against
 	// the expected co-location slowdown: each re-plan scores candidate
 	// configs with their inference times inflated by the model's expected
@@ -113,7 +107,6 @@ type SMIless struct {
 
 	// Burst mode bookkeeping.
 	bursting bool
-	burstCfg map[dag.NodeID]hardware.Config
 	// idleMode is set while the application is in a quiet phase with the
 	// warm floor released.
 	idleMode bool
@@ -144,13 +137,14 @@ type SMIless struct {
 	degradedSince int // windows spent degraded, for periodic re-optimization
 }
 
-// New builds the SMIless controller. Windowed re-optimization runs on the
-// parallel Optimize entry point: the worker-pool width follows
-// opts.Parallelism and the memoized evaluation cache persists across
-// windows, so re-planning does not stall the decision loop.
+// New builds the SMIless controller. Windowed re-optimization runs on one
+// long-lived Optimizer, so each re-plan reuses its workspace and allocates
+// only the plan it returns. No evaluation cache is attached: the plans are
+// byte-identical either way, and on the dense control workload it hit 2.4 %
+// of lookups while costing more than it saved.
 func New(cat *hardware.Catalog, profiles map[dag.NodeID]*perfmodel.Profile, sla float64, opts Options) *SMIless {
 	opt := core.New(cat)
-	opt.Parallelism = opts.Parallelism
+	opt.Cache = nil
 	ctor := opts.NewForecaster
 	if ctor == nil {
 		c, err := forecast.Lookup(opts.Forecaster)
@@ -249,7 +243,7 @@ func (s *SMIless) planInterference(sim simulator.ControlPlane) map[dag.NodeID]fl
 	}
 	app := sim.App()
 	pop := map[placement.Class]float64{}
-	for _, id := range app.Graph.Nodes() {
+	for _, id := range functions(sim) {
 		live := sim.LiveInstances(id)
 		if live == 0 {
 			continue
@@ -258,7 +252,7 @@ func (s *SMIless) planInterference(sim simulator.ControlPlane) map[dag.NodeID]fl
 		pop[class] += float64(live) * placement.DemandOf(sim.GetDirective(id).Config).MemBW
 	}
 	out := make(map[dag.NodeID]float64, app.Graph.Len())
-	for _, id := range app.Graph.Nodes() {
+	for _, id := range functions(sim) {
 		out[id] = s.Opts.Interference.PlanFactor(placement.ClassOf(app.Spec(id).Field), pop, nodes)
 	}
 	return out
@@ -281,28 +275,25 @@ func (s *SMIless) traceReoptimize(sim simulator.ControlPlane, it float64, res co
 			tracing.KV{Key: "feasible", Val: strconv.FormatBool(res.Feasible)},
 			tracing.KV{Key: "nodes_explored", Val: strconv.Itoa(res.NodesExplored)},
 			tracing.KV{Key: "paths", Val: strconv.Itoa(len(res.Paths))},
-			// Search-machinery stats (Fig. 16 overhead accounting). All are
-			// deterministic: cache traffic is counted on sequential sections
-			// of Optimize only.
-			tracing.KV{Key: "workers", Val: strconv.Itoa(res.Search.Workers)},
-			tracing.KV{Key: "cache_hits", Val: strconv.Itoa(res.Search.Cache.Hits())},
-			tracing.KV{Key: "cache_misses", Val: strconv.Itoa(res.Search.Cache.Misses())},
-			tracing.KV{Key: "from_cache", Val: strconv.FormatBool(res.Search.FromCache)},
 		)
 	}
 	rec.AddInstant(sim.Now(), "reoptimize", args)
 }
 
 // computePlanGeometry derives critical-path offsets, per-function inference
-// estimates and the plan path latency from the current plan.
+// estimates and the plan path latency from the current plan. The two maps
+// are made on the first plan and overwritten in place on every later one.
 func (s *SMIless) computePlanGeometry(sim simulator.ControlPlane) {
-	s.offsets = make(map[dag.NodeID]float64)
-	s.planInfer = make(map[dag.NodeID]float64)
-	g := sim.App().Graph
+	l := sim.App().Graph.Layout()
+	if s.offsets == nil {
+		s.offsets = make(map[dag.NodeID]float64, len(l.Topo))
+		s.planInfer = make(map[dag.NodeID]float64, len(l.Topo))
+	}
 	// Critical-path offsets under the plan.
-	for _, id := range g.TopoSort() {
+	for i, id := range l.Topo {
 		best := 0.0
-		for _, p := range g.Predecessors(id) {
+		for _, pi := range l.Preds[i] {
+			p := l.Topo[pi]
 			end := s.offsets[p] + s.planInfer[p]
 			if end > best {
 				best = end
@@ -330,7 +321,7 @@ func (s *SMIless) computePlanGeometry(sim simulator.ControlPlane) {
 // background immediately (the previous generation keeps serving until the
 // retire pass removes it), so re-plans are hitless.
 func (s *SMIless) installPlan(sim simulator.ControlPlane, it float64) {
-	for _, id := range sim.App().Graph.Nodes() {
+	for _, id := range functions(sim) {
 		cfg := s.plan.Configs[id]
 		d := s.plan.Decisions[id]
 		if s.resilient && s.fallback[id] {
@@ -425,7 +416,7 @@ func (s *SMIless) Setup(sim simulator.ControlPlane) {
 		s.degrade(sim, 10)
 	}
 	// Deployment warm-up: have the whole DAG warm for the first request.
-	for _, id := range sim.App().Graph.Nodes() {
+	for _, id := range functions(sim) {
 		sim.SchedulePrewarm(id, sim.Now())
 	}
 }
@@ -571,8 +562,8 @@ func (s *SMIless) publishForecastStats(sim simulator.ControlPlane) {
 	}
 	st := sim.Stats()
 	st.ForecastName = s.forecastName
-	st.ForecastIT = s.itFc.Report()
-	st.ForecastCount = s.cntFc.Report()
+	s.itFc.ReportInto(&st.ForecastIT)
+	s.cntFc.ReportInto(&st.ForecastCount)
 }
 
 // quantileGaps is how many recent inter-event gaps updateQuantiles ranks.
@@ -636,7 +627,7 @@ func (s *SMIless) OnWindow(sim simulator.ControlPlane, now float64) {
 		threshold := math.Max(30*it, 120)
 		if idleFor > threshold && !s.idleMode {
 			s.idleMode = true
-			for _, id := range sim.App().Graph.Nodes() {
+			for _, id := range functions(sim) {
 				d := sim.GetDirective(id)
 				d.MinWarm = 0
 				// Grace for valley-crossing pre-warms: the predicted
@@ -662,7 +653,7 @@ func (s *SMIless) OnWindow(sim simulator.ControlPlane, now float64) {
 
 	g := predictCountWithBacklog(s, sim)
 	backlog := 0
-	for _, id := range sim.App().Graph.Nodes() {
+	for _, id := range functions(sim) {
 		backlog += sim.QueueLen(id)
 	}
 	if g >= 2 {
@@ -676,7 +667,7 @@ func (s *SMIless) OnWindow(sim simulator.ControlPlane, now float64) {
 		if backlog > 0 {
 			reactiveBudget = s.SLA * 0.8 / float64(sim.App().Graph.LongestPathLen())
 		}
-		for _, id := range sim.App().Graph.Nodes() {
+		for _, id := range functions(sim) {
 			prof := s.Profiles[id]
 			is := s.planInfer[id]
 			if is <= 0 {
@@ -730,7 +721,7 @@ func (s *SMIless) OnWindow(sim simulator.ControlPlane, now float64) {
 		// touching configs, policies or keep-alives (no lifecycle churn —
 		// surplus instances simply idle out).
 		s.bursting = false
-		for _, id := range sim.App().Graph.Nodes() {
+		for _, id := range functions(sim) {
 			d := sim.GetDirective(id)
 			d.Config = s.plan.Configs[id]
 			d.Batch = s.slackBatch(id, sim)
@@ -743,7 +734,7 @@ func (s *SMIless) OnWindow(sim simulator.ControlPlane, now float64) {
 	// current plan configuration exists, idle instances of older configs
 	// are pure cost.
 	if !s.bursting {
-		for _, id := range sim.App().Graph.Nodes() {
+		for _, id := range functions(sim) {
 			if sim.HasWarmMatching(id) {
 				sim.RetireMismatched(id)
 			}
@@ -758,15 +749,15 @@ func (s *SMIless) OnWindow(sim simulator.ControlPlane, now float64) {
 		// arrivals ahead of prediction; the point prediction (LSTM or
 		// moving window) covers the long gap across an idle valley — the
 		// paper's adaptive pre-warming for the next predicted invocation.
-		targets := []float64{last + s.itLow}
+		targets, n := [2]float64{last + s.itLow}, 1
 		if it > 2*s.itLow {
-			targets = append(targets, last+0.85*it)
+			targets[1], n = last+0.85*it, 2
 		}
-		for _, next := range targets {
+		for _, next := range targets[:n] {
 			if next < now || next > now+2*sim.Window()+it*0.1 {
 				continue
 			}
-			for _, id := range sim.App().Graph.Nodes() {
+			for _, id := range functions(sim) {
 				p := sim.GetDirective(id).Policy
 				if p == coldstart.Prewarm || s.idleMode {
 					sim.SchedulePrewarm(id, next+s.offsets[id])
@@ -787,11 +778,15 @@ func (s *SMIless) OnWindow(sim simulator.ControlPlane, now float64) {
 	}
 }
 
+// functions returns the application's functions in insertion order: the
+// graph's compiled layout, read in place rather than copied per loop.
+func functions(sim simulator.ControlPlane) []dag.NodeID { return sim.App().Graph.Layout().Nodes }
+
 // predictCountWithBacklog combines the count prediction with current
 // backlog so queued invocations also trigger scaling.
 func predictCountWithBacklog(s *SMIless, sim simulator.ControlPlane) int {
 	g := s.predictCount(sim)
-	for _, id := range sim.App().Graph.Nodes() {
+	for _, id := range functions(sim) {
 		if q := sim.QueueLen(id); q > g {
 			g = q
 		}

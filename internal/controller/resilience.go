@@ -23,7 +23,7 @@ func (s *SMIless) enableResilience(sim simulator.ControlPlane) {
 	s.lastExecF = make(map[dag.NodeID]int)
 	s.lastSucc = make(map[dag.NodeID]int)
 	s.fallbackCfg = fallbackConfig(s.Catalog)
-	for _, id := range sim.App().Graph.Nodes() {
+	for _, id := range functions(sim) {
 		s.breakers[id] = faults.NewBreaker(faults.BreakerConfig{})
 	}
 }
@@ -98,7 +98,7 @@ func (s *SMIless) hedgeDelayFor(sim simulator.ControlPlane, id dag.NodeID) float
 func (s *SMIless) updateBreakers(sim simulator.ControlPlane, now float64) {
 	changed := false
 	trips := 0
-	for _, id := range sim.App().Graph.Nodes() {
+	for _, id := range functions(sim) {
 		br := s.breakers[id]
 		initF, execF, succ := sim.FnResilience(id)
 		fails := (initF - s.lastInitF[id]) + (execF - s.lastExecF[id])
@@ -130,7 +130,7 @@ func (s *SMIless) degrade(sim simulator.ControlPlane, it float64) {
 		s.fallbackCfg = fallbackConfig(s.Catalog)
 	}
 	plan := coldstart.NewPlan()
-	for _, id := range sim.App().Graph.Nodes() {
+	for _, id := range functions(sim) {
 		plan.Configs[id] = s.fallbackCfg
 		plan.Decisions[id] = coldstart.Decision{Policy: coldstart.KeepAlive}
 	}

@@ -34,10 +34,10 @@ func QuantizeIT(it float64) float64 {
 }
 
 // CacheStats are cumulative hit/miss counters for one EvalCache, split by
-// memoization level. All counting happens on the sequential sections of
-// Optimize (candidate resolution, final evaluation, plan lookup), so the
-// numbers are deterministic for a given call sequence — they may appear in
-// traces and tables without breaking byte-identical replay.
+// memoization level. Optimize counts in a fixed order (plan lookup,
+// candidate resolution, final evaluation), so the numbers are deterministic
+// for a given call sequence — they may appear in traces and tables without
+// breaking byte-identical replay.
 type CacheStats struct {
 	// CandidateHits/Misses count per-function candidate-set resolutions:
 	// the memoized unit is the full (config, cold-start decision, cost,
@@ -79,11 +79,11 @@ func (s *CacheStats) add(d CacheStats) {
 }
 
 // nodeCands is one function's resolved candidate set: the cost-ascending
-// list plus the latency-minimal entry, exactly the output of
+// list plus the index of its latency-minimal entry, exactly the output of
 // Optimizer.nodeCandidates.
 type nodeCands struct {
 	byCost  []candidate
-	fastest candidate
+	fastest int
 }
 
 // candKey identifies one candidate-set computation. The profile pointer
@@ -159,10 +159,9 @@ const (
 //   - candidates: per-function candidate vectors embedding the
 //     coldstart.Decide / CostPerInvocation / QueueAwareLatency arithmetic.
 //
-// All lookups happen on sequential sections of Optimize — never inside the
-// path-search worker pool — so hit/miss counters are deterministic. The
-// mutex only guards against callers sharing one Optimizer across
-// goroutines.
+// Lookups happen in a fixed order within Optimize, so hit/miss counters
+// are deterministic. The mutex guards a cache shared by several
+// Optimizers.
 //
 // The zero value is not usable; construct with NewEvalCache.
 type EvalCache struct {
@@ -247,17 +246,14 @@ func planSignature(g *dag.Graph, plan *coldstart.Plan) string {
 }
 
 // interferenceFingerprint serializes the quantized per-function
-// interference factors over the graph's deterministic node order. Nil (or
-// effectively factor-free) maps produce the empty string, so the
+// interference factors (indexed like l.Topo) over the graph's insertion
+// order. Factor-free requests produce the empty string, so the
 // interference-off plan key is identical to the pre-placement one.
-func interferenceFingerprint(g *dag.Graph, m map[dag.NodeID]float64) string {
-	if len(m) == 0 {
-		return ""
-	}
+func interferenceFingerprint(l *dag.Layout, factor []float64) string {
 	var b strings.Builder
-	for _, id := range g.Nodes() {
-		f, ok := m[id]
-		if !ok || f <= 1 {
+	for _, id := range l.Nodes {
+		f := factor[l.Index[id]]
+		if f <= 1 {
 			continue
 		}
 		b.WriteString(string(id))

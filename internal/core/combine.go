@@ -1,16 +1,8 @@
 package core
 
-import (
-	"fmt"
-	"sync"
-
-	"smiless/internal/coldstart"
-	"smiless/internal/dag"
-)
-
 // OptimizeWithPaperCombine runs the Workflow Manager exactly as §V-C2
 // describes it: decompose the DAG into simple paths, search each path in
-// parallel, then combine per-path solutions substructure by substructure —
+// turn, then combine per-path solutions substructure by substructure —
 // shared fork/join functions take the configuration with the shortest
 // inference time among their per-path solutions, and the functions along
 // the parallel branches are then downgraded while every path's E2E latency
@@ -20,126 +12,32 @@ import (
 // local-search refinement; this method exists to measure what that
 // refinement buys (BenchmarkAblationCombine, TestPaperCombine*).
 func (o *Optimizer) OptimizeWithPaperCombine(req Request) (Result, error) {
-	if req.Batch < 1 {
-		req.Batch = 1
-	}
-	if req.SLA <= 0 {
-		return Result{}, fmt.Errorf("core: non-positive SLA %v", req.SLA)
-	}
-	if err := req.Graph.Validate(); err != nil {
-		return Result{}, fmt.Errorf("core: invalid graph: %w", err)
-	}
-	req.IT = QuantizeIT(req.IT)
-	req.ITMean = QuantizeIT(req.ITMean)
-	var stats CacheStats
-	table, err := o.resolveCandidates(req, &stats)
+	l, err := o.prepare(&req)
 	if err != nil {
 		return Result{}, err
 	}
-	paths := req.Graph.Decompose()
-	results := make([]chainResult, len(paths))
-	errs := make([]error, len(paths))
-	workers := o.workers(len(paths))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for pi := range idx {
-				results[pi], errs[pi] = o.optimizeChain(paths[pi], req, table)
-			}
-		}()
+	var stats CacheStats
+	if err := o.resolve(req, l, &stats); err != nil {
+		return Result{}, err
 	}
-	for pi := range paths {
-		idx <- pi
-	}
-	close(idx)
-	wg.Wait()
-	explored := 0
-	feasible := true
-	for pi := range paths {
-		if errs[pi] != nil {
-			return Result{}, errs[pi]
-		}
-		explored += results[pi].explored
-		feasible = feasible && results[pi].feasible
-	}
-
 	// Initial merge: fastest inference wins on any shared function, so no
 	// path exceeds its own solution's latency.
-	chosen := make(map[dag.NodeID]candidate, req.Graph.Len())
-	for pi := range paths {
-		for id, c := range results[pi].configs {
-			if cur, ok := chosen[id]; !ok || c.infer < cur.infer {
-				chosen[id] = c
-			}
-		}
-	}
-	plan := coldstart.NewPlan()
-	for id, c := range chosen {
-		plan.Configs[id] = c.cfg
-		plan.Decisions[id] = c.decision
-	}
-
+	explored, feasible := o.searchPaths(l, req.SLA)
+	r := o.refiner(l, req.SLA)
 	if feasible {
 		// Combine step 3: per parallel substructure (smallest first),
 		// downgrade the branch-interior functions while the whole-DAG
 		// latency remains within the SLA.
-		cands := make(map[dag.NodeID][]candidate, req.Graph.Len())
-		for _, id := range req.Graph.Nodes() {
-			cands[id] = table[id].byCost
-		}
-		ev := newRefiner(req.Graph, cands, plan, req.SLA)
+		interior := make([]bool, len(l.Topo))
 		for _, sub := range req.Graph.ParallelSubstructures() {
-			interior := map[dag.NodeID]bool{}
+			clear(interior)
 			for _, branch := range sub.Branches {
 				for _, id := range branch {
-					interior[id] = true
+					interior[l.Index[id]] = true
 				}
 			}
-			ev.downgradeSubset(interior)
-		}
-		ev.writeBack(plan)
-	}
-	bill := req.ITMean
-	if bill <= 0 {
-		bill = req.IT
-	}
-	evRes, err := coldstart.Evaluate(req.Graph, req.Profiles, plan, o.Catalog.Pricing, bill, req.Batch)
-	if err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Plan:          plan,
-		Eval:          evRes,
-		Feasible:      feasible && evRes.E2ELatency <= req.SLA,
-		NodesExplored: explored,
-		Search:        SearchStats{Workers: workers, Cache: stats},
-	}, nil
-}
-
-// downgradeSubset is downgrade restricted to a set of nodes.
-func (r *refiner) downgradeSubset(allowed map[dag.NodeID]bool) {
-	for changed := true; changed; {
-		changed = false
-		for i, id := range r.ids {
-			if !allowed[id] {
-				continue
-			}
-			curCost := r.cands[i][r.assign[i]].cost
-			for ci, c := range r.cands[i] {
-				if c.cost >= curCost {
-					break
-				}
-				prev := r.assign[i]
-				r.assign[i] = ci
-				if lat, _ := r.eval(); lat <= r.sla {
-					changed = true
-					break
-				}
-				r.assign[i] = prev
-			}
+			r.downgrade(func(i int) bool { return interior[i] })
 		}
 	}
+	return o.result(req, l, explored, feasible, &stats)
 }

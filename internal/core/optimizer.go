@@ -8,9 +8,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sort"
-	"sync"
+	"slices"
 
 	"smiless/internal/clock"
 	"smiless/internal/coldstart"
@@ -46,14 +44,6 @@ type Request struct {
 	Interference map[dag.NodeID]float64
 }
 
-// factor resolves one function's interference slowdown, defaulting to 1.
-func (r Request) factor(id dag.NodeID) float64 {
-	if f, ok := r.Interference[id]; ok && f > 1 {
-		return f
-	}
-	return 1
-}
-
 // Result is the optimizer's output.
 type Result struct {
 	Plan *coldstart.Plan
@@ -67,17 +57,13 @@ type Result struct {
 	// Paths holds per-decomposed-path search traces, in decomposition
 	// order (Fig. 16 instrumentation).
 	Paths []PathStats
-	// Search summarizes this call's search machinery: worker-pool width and
-	// evaluation-cache hit/miss counters. All values are deterministic for
-	// a given Optimizer call sequence.
+	// Search reports this call's evaluation-cache traffic. All values are
+	// deterministic for a given Optimizer call sequence.
 	Search SearchStats
 }
 
-// SearchStats instruments one Optimize call (Fig. 16 overhead accounting).
+// SearchStats instruments one Optimize call's use of the evaluation cache.
 type SearchStats struct {
-	// Workers is the worker-pool width the path fan-out actually used
-	// (1 = sequential inline search).
-	Workers int
 	// Cache holds this call's evaluation-cache hit/miss counters, all
 	// levels. Zero when no cache is attached.
 	Cache CacheStats
@@ -99,26 +85,22 @@ type PathStats struct {
 	PerLayer []int
 	// Feasible reports whether this path's search met the SLA.
 	Feasible bool
-	// Nanos is the wall-clock duration of this path's search goroutine.
-	// It is measurement-only: feeding it back into planning, or into any
-	// replayed output, would break determinism.
+	// Nanos is the wall-clock duration of this path's search. It is
+	// measurement-only: feeding it back into planning, or into any replayed
+	// output, would break determinism.
 	Nanos int64
 }
 
 // Optimizer is the Strategy Optimizer. The zero value is not usable;
-// construct with New.
+// construct with New. Every call works in one workspace the Optimizer keeps
+// (candidate tables, beam and refinement arrays indexed like the graph's
+// dag.Layout), so a re-plan allocates only the Result it returns. An
+// Optimizer is therefore not safe for concurrent use.
 type Optimizer struct {
 	Catalog *hardware.Catalog
 	// TopK is the beam width of the path search; the paper evaluates K = 1
 	// and notes larger K trades search time for marginal cost gains.
 	TopK int
-	// Parallelism bounds the path-search worker pool: decomposed simple
-	// paths are searched concurrently by at most this many workers (§V-C2).
-	// Zero means runtime.GOMAXPROCS(0); 1 forces the sequential inline
-	// search. Whatever the width, per-path results are merged in
-	// decomposition order, so the resulting Plan is byte-identical to the
-	// sequential search.
-	Parallelism int
 	// Cache memoizes analytical evaluations across Optimize calls (see
 	// EvalCache). New attaches a fresh cache; set nil to disable. Disabling
 	// never changes results, only recomputation cost.
@@ -129,27 +111,14 @@ type Optimizer struct {
 	// inject a fake to make search timings deterministic. Nil disables
 	// timing (Nanos stays zero).
 	Nanotime func() int64
+
+	ws workspace
 }
 
 // New returns an Optimizer over the given hardware catalog with top-1
-// search, an attached evaluation cache, and the default worker-pool width.
+// search and an attached evaluation cache.
 func New(cat *hardware.Catalog) *Optimizer {
 	return &Optimizer{Catalog: cat, TopK: 1, Cache: NewEvalCache(), Nanotime: clock.Monotonic}
-}
-
-// workers resolves the effective worker-pool width for n paths.
-func (o *Optimizer) workers(n int) int {
-	w := o.Parallelism
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // candidate is one per-function configuration option with its adaptive
@@ -160,6 +129,18 @@ type candidate struct {
 	decision coldstart.Decision
 	cost     float64 // C_k(⋆, △) per invocation
 	infer    float64 // I_k(⋆, batch)
+}
+
+// costOrder compares two costs for the search's stable sorts, which keep
+// ties in input order (Eq. 6 ordering).
+func costOrder(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case b < a:
+		return 1
+	}
+	return 0
 }
 
 // QueueAwareLatency inflates a function's inference time by the expected
@@ -197,121 +178,431 @@ func QueueAwareLatency(infer, itMean float64) float64 {
 // warm-up is hidden ahead of arrival.
 const MaxInitFactor = 2.0
 
-// nodeCandidates returns a function's candidates sorted ascending by cost
-// (Eq. 6 ordering), plus the latency-minimal candidate. Candidate latency
-// is queue-aware: cheap-but-slow configs carry their expected queueing
-// delay into the SLA feasibility check. Configurations initializing slower
-// than MaxInitFactor SLAs are excluded (falling back to the full catalog
-// only if nothing remains). factor is the function's expected co-location
-// interference slowdown (1 = none): it inflates both init and inference
-// time before the cold-start split and the cost model see them.
-func (o *Optimizer) nodeCandidates(prof *perfmodel.Profile, it, itMean, sla float64, batch int, factor float64) (byCost []candidate, fastest candidate) {
+// nodeCandidates appends a function's candidates to dst[:0] sorted
+// ascending by cost (Eq. 6 ordering) and returns them with the index of the
+// latency-minimal one. Candidate latency is queue-aware: cheap-but-slow
+// configs carry their expected queueing delay into the SLA feasibility
+// check. Configurations initializing slower than MaxInitFactor SLAs are
+// excluded (falling back to the full catalog only if nothing remains).
+// factor is the function's expected co-location interference slowdown
+// (1 = none): it inflates both init and inference time before the
+// cold-start split and the cost model see them.
+func (o *Optimizer) nodeCandidates(dst []candidate, prof *perfmodel.Profile, it, itMean, sla float64, batch int, factor float64) (cands []candidate, fastest int) {
 	if itMean <= 0 {
 		itMean = it
 	}
-	all := make([]candidate, 0, o.Catalog.Len())
-	byCost = make([]candidate, 0, o.Catalog.Len())
-	for _, cfg := range o.Catalog.Configs {
-		t, i := prof.TimesUnder(cfg, batch, factor)
-		d := coldstart.Decide(t, i, it)
-		c := coldstart.CostPerInvocation(d, t, i, itMean, o.Catalog.UnitCost(cfg))
-		cand := candidate{cfg: cfg, decision: d, cost: c, infer: QueueAwareLatency(i, itMean)}
-		all = append(all, cand)
-		if sla <= 0 || t <= MaxInitFactor*sla {
-			byCost = append(byCost, cand)
+	cands = o.appendCandidates(dst[:0], prof, it, itMean, sla, batch, factor)
+	if len(cands) == 0 {
+		cands = o.appendCandidates(cands, prof, it, itMean, 0, batch, factor)
+	}
+	slices.SortStableFunc(cands, func(a, b candidate) int { return costOrder(a.cost, b.cost) })
+	for i := 1; i < len(cands); i++ {
+		if cands[i].infer < cands[fastest].infer {
+			fastest = i
 		}
 	}
-	if len(byCost) == 0 {
-		byCost = all
-	}
-	sort.SliceStable(byCost, func(a, b int) bool { return byCost[a].cost < byCost[b].cost })
-	fastest = byCost[0]
-	for _, c := range byCost[1:] {
-		if c.infer < fastest.infer {
-			fastest = c
-		}
-	}
-	return byCost, fastest
+	return cands, fastest
 }
 
-// resolveCandidates builds the per-function candidate table for one request:
-// every node's cost-ascending candidate vector and latency-minimal entry,
-// computed once and shared read-only by all path searches and the
-// refinement pass. Resolution runs sequentially in topological order —
-// before the worker pool fans out — so cache hit/miss counters are
-// deterministic. With a cache attached, previously seen (profile, quantized
-// IT, quantized mean IT, SLA, batch) points are served from the memo.
-func (o *Optimizer) resolveCandidates(req Request, stats *CacheStats) (map[dag.NodeID]nodeCands, error) {
-	out := make(map[dag.NodeID]nodeCands, req.Graph.Len())
-	for _, id := range req.Graph.TopoSort() {
-		prof, ok := req.Profiles[id]
-		if !ok {
-			return nil, fmt.Errorf("core: no profile for %q", id)
+// appendCandidates appends one candidate per catalog configuration whose
+// initialization fits MaxInitFactor SLAs (every configuration when sla <= 0).
+func (o *Optimizer) appendCandidates(dst []candidate, prof *perfmodel.Profile, it, itMean, sla float64, batch int, factor float64) []candidate {
+	for _, cfg := range o.Catalog.Configs {
+		t, i := prof.TimesUnder(cfg, batch, factor)
+		if sla > 0 && t > MaxInitFactor*sla {
+			continue
 		}
-		factor := req.factor(id)
-		compute := func() nodeCands {
-			byCost, fastest := o.nodeCandidates(prof, req.IT, req.ITMean, req.SLA, req.Batch, factor)
-			return nodeCands{byCost: byCost, fastest: fastest}
-		}
-		if o.Cache != nil {
-			key := candKey{prof: prof, qit: req.IT, qim: req.ITMean, sla: req.SLA, batch: req.Batch, ifactor: factor}
-			out[id] = o.Cache.candidates(key, stats, compute)
-		} else {
-			out[id] = compute()
+		d := coldstart.Decide(t, i, it)
+		c := coldstart.CostPerInvocation(d, t, i, itMean, o.Catalog.UnitCost(cfg))
+		dst = append(dst, candidate{cfg: cfg, decision: d, cost: c, infer: QueueAwareLatency(i, itMean)})
+	}
+	return dst
+}
+
+// workspace is the state of one search, kept on the Optimizer so every call
+// reuses it. Per-node arrays are indexed like the request graph's
+// dag.Layout (topological order).
+type workspace struct {
+	own    [][]candidate // candidate vectors this optimizer computed
+	cands  [][]candidate // per node: own[i], or a shared cache entry
+	fast   []int         // per node: index of the latency-minimal candidate
+	factor []float64     // per node: quantized interference slowdown
+	pick   []int         // per node: merged path choice, -1 until a path sets it
+
+	// Path search: the latency floor of each path suffix, the beam as
+	// back-to-back candidate-index vectors with their prefix cost and
+	// latency, the children of one layer, and each path's trace.
+	suffix     []float64
+	beam, next []int
+	beamAt     []beamEntry
+	kids       []beamChild
+	runs       []pathRun
+	layers     []int // PerLayer counters of every path, back to back
+
+	// Refinement.
+	assign, saved []int
+	finish        []float64
+}
+
+// beamEntry is the committed prefix cost and latency of one beam entry.
+type beamEntry struct{ cost, lat float64 }
+
+// beamChild extends beam entry parent by candidate ci.
+type beamChild struct {
+	parent, ci int
+	cost, lat  float64
+}
+
+// pathRun traces one path search.
+type pathRun struct {
+	explored int
+	layers   int // this path's counters in workspace.layers
+	feasible bool
+	nanos    int64
+}
+
+// resize returns s with length n, reusing its array when large enough.
+// Contents are not preserved across a reallocation.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// reset sizes the per-node arrays for an n-node graph.
+func (ws *workspace) reset(n int) {
+	ws.cands = resize(ws.cands, n)
+	ws.fast = resize(ws.fast, n)
+	ws.factor = resize(ws.factor, n)
+	ws.pick = resize(ws.pick, n)
+	ws.assign = resize(ws.assign, n)
+	ws.saved = resize(ws.saved, n)
+	ws.finish = resize(ws.finish, n)
+	if len(ws.own) < n {
+		ws.own = append(ws.own, make([][]candidate, n-len(ws.own))...)
+	}
+	for i := range ws.pick {
+		ws.pick[i] = -1
+	}
+	ws.runs = ws.runs[:0]
+	ws.layers = ws.layers[:0]
+}
+
+// fold merges one path's choice for node i: a function on several paths
+// keeps the candidate with the shortest inference time, the first path's on
+// a tie, so every path's latency stays within its own solution's bound
+// (§V-C2).
+func (ws *workspace) fold(i, ci int) {
+	if p := ws.pick[i]; p < 0 || ws.cands[i][ci].infer < ws.cands[i][p].infer {
+		ws.pick[i] = ci
+	}
+}
+
+// prepare validates and normalizes req in place and readies the workspace
+// for its graph. The inter-arrival times and interference factors are
+// snapped onto the cache grid (QuantizeIT) whether or not a cache is
+// attached, so plans do not depend on it.
+func (o *Optimizer) prepare(req *Request) (*dag.Layout, error) {
+	if req.Batch < 1 {
+		req.Batch = 1
+	}
+	if req.SLA <= 0 {
+		return nil, fmt.Errorf("core: non-positive SLA %v", req.SLA)
+	}
+	l := req.Graph.Layout()
+	if l.Err != nil {
+		return nil, fmt.Errorf("core: invalid graph: %w", l.Err)
+	}
+	req.IT = QuantizeIT(req.IT)
+	req.ITMean = QuantizeIT(req.ITMean)
+	ws := &o.ws
+	ws.reset(len(l.Topo))
+	for i, id := range l.Topo {
+		ws.factor[i] = 1
+		if f, ok := req.Interference[id]; ok {
+			if q := QuantizeIT(f); q > 1 {
+				ws.factor[i] = q
+			}
 		}
 	}
-	return out, nil
+	return l, nil
+}
+
+// resolve builds the per-node candidate table in topological order. With a
+// cache attached, previously seen (profile, quantized IT, quantized mean IT,
+// SLA, batch, factor) points are served from the memo; the order keeps its
+// hit/miss counters deterministic.
+func (o *Optimizer) resolve(req Request, l *dag.Layout, stats *CacheStats) error {
+	ws := &o.ws
+	for i, id := range l.Topo {
+		prof, ok := req.Profiles[id]
+		if !ok {
+			return fmt.Errorf("core: no profile for %q", id)
+		}
+		f := ws.factor[i]
+		if o.Cache == nil {
+			ws.own[i], ws.fast[i] = o.nodeCandidates(ws.own[i], prof, req.IT, req.ITMean, req.SLA, req.Batch, f)
+			ws.cands[i] = ws.own[i]
+			continue
+		}
+		key := candKey{prof: prof, qit: req.IT, qim: req.ITMean, sla: req.SLA, batch: req.Batch, ifactor: f}
+		nc := o.Cache.candidates(key, stats, func() nodeCands {
+			cands, fastest := o.nodeCandidates(nil, prof, req.IT, req.ITMean, req.SLA, req.Batch, f)
+			return nodeCands{byCost: cands, fastest: fastest}
+		})
+		ws.cands[i], ws.fast[i] = nc.byCost, nc.fastest
+	}
+	return nil
+}
+
+// searchPaths runs the path search on every decomposed path in order,
+// folding each path's choice into the workspace, and returns the explored
+// node count and whether every path met the SLA.
+func (o *Optimizer) searchPaths(l *dag.Layout, sla float64) (explored int, feasible bool) {
+	feasible = true
+	for _, path := range l.Paths {
+		var start int64
+		if o.Nanotime != nil {
+			start = o.Nanotime()
+		}
+		run := o.searchPath(path, sla)
+		if o.Nanotime != nil {
+			run.nanos = o.Nanotime() - start
+		}
+		o.ws.runs = append(o.ws.runs, run)
+		explored += run.explored
+		feasible = feasible && run.feasible
+	}
+	return explored, feasible
+}
+
+// searchPath runs the top-K path search on one simple path (node indices)
+// and folds the result into the workspace. Latency along a chain is the sum
+// of inference times (adaptive pre-warming hides initialization, Eq. 5).
+func (o *Optimizer) searchPath(path []int, sla float64) pathRun {
+	ws := &o.ws
+	n := len(path)
+	// suffix[i] = minimal achievable latency of functions i..n-1.
+	ws.suffix = resize(ws.suffix, n+1)
+	ws.suffix[n] = 0
+	for k := n - 1; k >= 0; k-- {
+		i := path[k]
+		ws.suffix[k] = ws.suffix[k+1] + ws.cands[i][ws.fast[i]].infer
+	}
+
+	run := pathRun{explored: 1}
+	// Root node T⁰: every function on its cost-minimizing candidate.
+	rootLat := 0.0
+	for _, i := range path {
+		rootLat += ws.cands[i][0].infer
+	}
+	if rootLat <= sla {
+		run.feasible = true
+		for _, i := range path {
+			ws.fold(i, 0)
+		}
+		return run
+	}
+
+	// Layered beam search: layer k commits a candidate for path[k]. A beam
+	// entry holds the committed prefix; children extend it with candidates
+	// of the next function that keep the path feasible assuming the fastest
+	// configuration for the remaining suffix.
+	k := max(o.TopK, 1)
+	ws.beam = resize(ws.beam, n)
+	ws.beamAt = append(ws.beamAt[:0], beamEntry{})
+	for layer := 0; layer < n; layer++ {
+		ws.kids = ws.kids[:0]
+		ws.layers = append(ws.layers, 0)
+		run.layers++
+		count := &ws.layers[len(ws.layers)-1]
+		cands := ws.cands[path[layer]]
+		for b, e := range ws.beamAt {
+			for ci, c := range cands {
+				run.explored++
+				*count++
+				lat := e.lat + c.infer
+				if lat+ws.suffix[layer+1] > sla {
+					continue // infeasible even with fastest suffix
+				}
+				ws.kids = append(ws.kids, beamChild{parent: b, ci: ci, cost: e.cost + c.cost, lat: lat})
+				// Candidates are cost-ascending; for top-1 the first
+				// feasible child per beam entry is the greedy choice.
+				if k == 1 {
+					break
+				}
+			}
+		}
+		if len(ws.kids) == 0 {
+			// SLA unreachable: best effort (all fastest).
+			for _, i := range path {
+				ws.fold(i, ws.fast[i])
+			}
+			return run
+		}
+		slices.SortStableFunc(ws.kids, func(a, b beamChild) int { return costOrder(a.cost, b.cost) })
+		if len(ws.kids) > k {
+			ws.kids = ws.kids[:k]
+		}
+		ws.next = resize(ws.next, len(ws.kids)*n)
+		ws.beamAt = ws.beamAt[:0]
+		for j, kid := range ws.kids {
+			copy(ws.next[j*n:j*n+layer], ws.beam[kid.parent*n:kid.parent*n+layer])
+			ws.next[j*n+layer] = kid.ci
+			ws.beamAt = append(ws.beamAt, beamEntry{cost: kid.cost, lat: kid.lat})
+		}
+		ws.beam, ws.next = ws.next, ws.beam
+	}
+	run.feasible = true
+	for pos, i := range path {
+		ws.fold(i, ws.beam[pos])
+	}
+	return run
+}
+
+// Optimize solves the full co-optimization problem for an application DAG:
+// decompose into simple paths, search each in decomposition order, combine
+// the per-path solutions (fastest-inference wins on shared functions) and
+// run a cost-reduction pass that downgrades functions while the SLA still
+// holds.
+//
+// Determinism: the inter-arrival times are snapped onto the cache grid
+// first (QuantizeIT), and everything after is a sequential walk over the
+// graph's layout, so the returned Plan is byte-identical whether the cache
+// is enabled, disabled, warm or cold, and whatever this Optimizer planned
+// before. Only PathStats.Nanos (a measurement-only wall-clock reading)
+// varies between runs.
+func (o *Optimizer) Optimize(req Request) (Result, error) {
+	l, err := o.prepare(&req)
+	if err != nil {
+		return Result{}, err
+	}
+	var stats CacheStats
+	var pkey planKey
+	var graphSig string
+	var guard []*perfmodel.Profile
+	if o.Cache != nil {
+		pkey = planKey{qit: req.IT, qim: req.ITMean, sla: req.SLA, batch: req.Batch, topK: o.TopK,
+			ifp: interferenceFingerprint(l, o.ws.factor)}
+		graphSig = graphSignature(req.Graph)
+		guard = profileGuard(req.Graph, req.Profiles)
+		if res, ok := o.Cache.lookupPlan(pkey, graphSig, guard, &stats); ok {
+			res.Search = SearchStats{Cache: stats, FromCache: true}
+			return res, nil
+		}
+	}
+
+	if err := o.resolve(req, l, &stats); err != nil {
+		return Result{}, err
+	}
+	explored, feasible := o.searchPaths(l, req.SLA)
+	r := o.refiner(l, req.SLA)
+	if feasible {
+		// Refinement: the greedy walk can over-commit latency budget to a
+		// cheap upstream function, forcing expensive downstream configs.
+		// Local search repairs this while the SLA still holds.
+		r.improve()
+	}
+	res, err := o.result(req, l, explored, feasible, &stats)
+	if err != nil {
+		return Result{}, err
+	}
+	res.Paths = o.pathStats(l)
+	if o.Cache != nil {
+		o.Cache.storePlan(pkey, graphSig, guard, res, &stats)
+		res.Search.Cache = stats
+	}
+	return res, nil
+}
+
+// result builds the plan from the workspace assignment and evaluates it.
+func (o *Optimizer) result(req Request, l *dag.Layout, explored int, feasible bool, stats *CacheStats) (Result, error) {
+	ws := &o.ws
+	n := len(l.Topo)
+	plan := &coldstart.Plan{
+		Configs:   make(map[dag.NodeID]hardware.Config, n),
+		Decisions: make(map[dag.NodeID]coldstart.Decision, n),
+	}
+	for i, id := range l.Topo {
+		c := ws.cands[i][ws.assign[i]]
+		plan.Configs[id] = c.cfg
+		plan.Decisions[id] = c.decision
+	}
+	bill := req.ITMean
+	if bill <= 0 {
+		bill = req.IT
+	}
+	var ev coldstart.Evaluation
+	var err error
+	if o.Cache != nil {
+		ekey := evalKey{sig: planSignature(req.Graph, plan), qbill: bill, batch: req.Batch}
+		ev, err = o.Cache.evaluate(req.Graph, req.Profiles, ekey, stats, func() (coldstart.Evaluation, error) {
+			return coldstart.Evaluate(req.Graph, req.Profiles, plan, o.Catalog.Pricing, bill, req.Batch)
+		})
+	} else {
+		ev, err = coldstart.Evaluate(req.Graph, req.Profiles, plan, o.Catalog.Pricing, bill, req.Batch)
+	}
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{
+		Plan:          plan,
+		Eval:          ev,
+		Feasible:      feasible && ev.E2ELatency <= req.SLA,
+		NodesExplored: explored,
+		Search:        SearchStats{Cache: *stats},
+	}, nil
+}
+
+// pathStats copies the workspace's path traces out into the Result.
+func (o *Optimizer) pathStats(l *dag.Layout) []PathStats {
+	ws := &o.ws
+	out := make([]PathStats, len(ws.runs))
+	layers := slices.Clone(ws.layers)
+	for pi, run := range ws.runs {
+		out[pi] = PathStats{Length: len(l.Paths[pi]), Explored: run.explored, Feasible: run.feasible, Nanos: run.nanos}
+		if run.layers > 0 {
+			out[pi].PerLayer = layers[:run.layers:run.layers]
+			layers = layers[run.layers:]
+		}
+	}
+	return out
 }
 
 // refiner holds the indexed state of the local search: nodes are numbered
 // in topological order, plans are candidate-index vectors, and evaluation
 // is array arithmetic — no maps, no allocations per trial.
 type refiner struct {
-	ids    []dag.NodeID // topological order
-	preds  [][]int      // predecessor indices per node
+	preds  [][]int // predecessor indices per node
 	cands  [][]candidate
 	assign []int // current candidate index per node
+	saved  []int
 	finish []float64
 	sla    float64
 }
 
-func newRefiner(g *dag.Graph, cands map[dag.NodeID][]candidate, plan *coldstart.Plan, sla float64) *refiner {
-	ids := g.TopoSort()
-	idx := make(map[dag.NodeID]int, len(ids))
-	for i, id := range ids {
-		idx[id] = i
-	}
-	r := &refiner{
-		ids:    ids,
-		preds:  make([][]int, len(ids)),
-		cands:  make([][]candidate, len(ids)),
-		assign: make([]int, len(ids)),
-		finish: make([]float64, len(ids)),
-		sla:    sla,
-	}
-	for i, id := range ids {
-		for _, p := range g.Predecessors(id) {
-			r.preds[i] = append(r.preds[i], idx[p])
-		}
-		r.cands[i] = cands[id]
-		r.assign[i] = -1
-		for ci, c := range r.cands[i] {
-			if c.cfg == plan.Configs[id] {
-				r.assign[i] = ci
+// refiner starts the local search on the workspace from the merged path
+// choice: each node on the first candidate with the chosen configuration.
+func (o *Optimizer) refiner(l *dag.Layout, sla float64) refiner {
+	ws := &o.ws
+	for i, cands := range ws.cands {
+		cfg := cands[ws.pick[i]].cfg
+		ws.assign[i] = 0
+		for ci, c := range cands {
+			if c.cfg == cfg {
+				ws.assign[i] = ci
 				break
 			}
 		}
-		if r.assign[i] < 0 {
-			r.assign[i] = 0
-		}
 	}
-	return r
+	return refiner{preds: l.Preds, cands: ws.cands, assign: ws.assign, saved: ws.saved, finish: ws.finish, sla: sla}
 }
 
 // eval returns E2E latency and total cost of the current assignment.
 func (r *refiner) eval() (lat, cost float64) {
-	for i := range r.ids {
-		c := r.cands[i][r.assign[i]]
+	for i, cands := range r.cands {
+		c := cands[r.assign[i]]
 		cost += c.cost
 		start := 0.0
 		for _, p := range r.preds[i] {
@@ -328,13 +619,13 @@ func (r *refiner) eval() (lat, cost float64) {
 	return lat, cost
 }
 
-// downgrade greedily moves each unpinned node to a cheaper candidate while
-// the latency stays within the SLA, to a fixpoint.
-func (r *refiner) downgrade(pinned int) {
+// downgrade greedily moves each node allowed to move to a cheaper candidate
+// while the latency stays within the SLA, to a fixpoint.
+func (r *refiner) downgrade(allowed func(i int) bool) {
 	for changed := true; changed; {
 		changed = false
-		for i := range r.ids {
-			if i == pinned {
+		for i := range r.cands {
+			if !allowed(i) {
 				continue
 			}
 			curCost := r.cands[i][r.assign[i]].cost
@@ -355,339 +646,42 @@ func (r *refiner) downgrade(pinned int) {
 }
 
 // improve runs the coupled upgrade-then-downgrade local search until no
-// move reduces total cost.
+// move reduces total cost: plain downgrade passes interleaved with moves
+// that make one function faster (freeing latency budget) and then
+// re-downgrade the rest, accepted only when the total cost strictly
+// decreases. The SLA holds at every step.
 func (r *refiner) improve() {
-	r.downgrade(-1)
+	r.downgrade(func(int) bool { return true })
 	_, curCost := r.eval()
 	const eps = 1e-12
-	saved := make([]int, len(r.assign))
 	for improved := true; improved; {
 		improved = false
-		for i := range r.ids {
+		for i := range r.cands {
 			curInfer := r.cands[i][r.assign[i]].infer
 			for ci, c := range r.cands[i] {
 				if c.infer >= curInfer || ci == r.assign[i] {
 					continue // only strictly faster alternatives free budget
 				}
-				copy(saved, r.assign)
+				copy(r.saved, r.assign)
 				r.assign[i] = ci
 				if lat, _ := r.eval(); lat > r.sla {
-					copy(r.assign, saved)
+					copy(r.assign, r.saved)
 					continue
 				}
 				// Pin the upgraded node: the freed budget must go to other
 				// functions, not revert this move.
-				r.downgrade(i)
+				r.downgrade(func(j int) bool { return j != i })
 				lat, cost := r.eval()
 				if lat <= r.sla && cost < curCost-eps {
 					curCost = cost
 					improved = true
 					break
 				}
-				copy(r.assign, saved)
+				copy(r.assign, r.saved)
 			}
 			if improved {
 				break
 			}
 		}
 	}
-}
-
-// writeBack applies the assignment to the plan.
-func (r *refiner) writeBack(plan *coldstart.Plan) {
-	for i, id := range r.ids {
-		c := r.cands[i][r.assign[i]]
-		plan.Configs[id] = c.cfg
-		plan.Decisions[id] = c.decision
-	}
-}
-
-// chainResult is the per-path search outcome.
-type chainResult struct {
-	configs  map[dag.NodeID]candidate
-	feasible bool
-	explored int
-	perLayer []int
-	nanos    int64
-}
-
-// optimizeChain runs the top-K path search on one simple path (sequence of
-// functions). Latency along a chain is the sum of inference times (adaptive
-// pre-warming hides initialization, Eq. 5). The candidate table is shared
-// read-only across concurrently searched paths; all mutable search state
-// (beam, per-layer counters, scratch) is local to this call.
-func (o *Optimizer) optimizeChain(chain []dag.NodeID, req Request, table map[dag.NodeID]nodeCands) (chainResult, error) {
-	n := len(chain)
-	cands := make([][]candidate, n)
-	fast := make([]candidate, n)
-	for i, id := range chain {
-		nc, ok := table[id]
-		if !ok {
-			return chainResult{}, fmt.Errorf("core: no candidates for %q", id)
-		}
-		cands[i], fast[i] = nc.byCost, nc.fastest
-	}
-	// minLatSuffix[i] = minimal achievable latency of functions i..n-1.
-	minLatSuffix := make([]float64, n+1)
-	for i := n - 1; i >= 0; i-- {
-		minLatSuffix[i] = minLatSuffix[i+1] + fast[i].infer
-	}
-
-	explored := 0
-	// Root node T⁰: every function on its cost-minimizing candidate.
-	rootLat := 0.0
-	for i := range chain {
-		rootLat += cands[i][0].infer
-	}
-	explored++
-	if rootLat <= req.SLA {
-		out := chainResult{configs: make(map[dag.NodeID]candidate, n), feasible: true, explored: explored}
-		for i, id := range chain {
-			out.configs[id] = cands[i][0]
-		}
-		return out, nil
-	}
-
-	// Layered beam search: layer i commits a candidate for chain[i]. A beam
-	// entry holds the committed prefix; children extend it with candidates
-	// of the next function that keep the path feasible assuming the fastest
-	// configuration for the remaining suffix.
-	type beamEntry struct {
-		assign []candidate // len == layer
-		cost   float64     // committed prefix cost
-		lat    float64     // committed prefix latency
-	}
-	k := o.TopK
-	if k < 1 {
-		k = 1
-	}
-	beam := []beamEntry{{}}
-	perLayer := make([]int, 0, n)
-	for layer := 0; layer < n; layer++ {
-		var next []beamEntry
-		perLayer = append(perLayer, 0)
-		for _, b := range beam {
-			for _, c := range cands[layer] {
-				explored++
-				perLayer[layer]++
-				lat := b.lat + c.infer
-				if lat+minLatSuffix[layer+1] > req.SLA {
-					continue // infeasible even with fastest suffix
-				}
-				assign := make([]candidate, layer+1)
-				copy(assign, b.assign)
-				assign[layer] = c
-				next = append(next, beamEntry{assign: assign, cost: b.cost + c.cost, lat: lat})
-				// Candidates are cost-ascending; for top-1 the first
-				// feasible child per beam entry is the greedy choice.
-				if k == 1 {
-					break
-				}
-			}
-		}
-		if len(next) == 0 {
-			// SLA unreachable: return best effort (all fastest).
-			out := chainResult{configs: make(map[dag.NodeID]candidate, n), feasible: false, explored: explored, perLayer: perLayer}
-			for i, id := range chain {
-				out.configs[id] = fast[i]
-			}
-			return out, nil
-		}
-		sort.SliceStable(next, func(a, b int) bool { return next[a].cost < next[b].cost })
-		if len(next) > k {
-			next = next[:k]
-		}
-		beam = next
-	}
-	best := beam[0]
-	out := chainResult{configs: make(map[dag.NodeID]candidate, n), feasible: true, explored: explored, perLayer: perLayer}
-	for i, id := range chain {
-		out.configs[id] = best.assign[i]
-	}
-	return out, nil
-}
-
-// Optimize solves the full co-optimization problem for an application DAG:
-// decompose into simple paths, fan the per-path searches out across a
-// bounded worker pool, then combine per-path solutions in decomposition
-// order (fastest-inference wins on shared functions) and run a
-// cost-reduction pass that downgrades functions while the SLA still holds.
-//
-// Determinism: the inter-arrival times are snapped onto the cache grid
-// first (QuantizeIT), candidate resolution and all cache traffic run
-// sequentially before the fan-out, each path search touches only its own
-// slot of the result vector, and the merge walks slots in index order — so
-// the returned Plan is byte-identical whatever the pool width and whether
-// the cache is enabled, disabled, warm or cold. Only PathStats.Nanos (a
-// measurement-only wall-clock reading) varies between runs.
-func (o *Optimizer) Optimize(req Request) (Result, error) {
-	if req.Batch < 1 {
-		req.Batch = 1
-	}
-	if req.SLA <= 0 {
-		return Result{}, fmt.Errorf("core: non-positive SLA %v", req.SLA)
-	}
-	if err := req.Graph.Validate(); err != nil {
-		return Result{}, fmt.Errorf("core: invalid graph: %w", err)
-	}
-	req.IT = QuantizeIT(req.IT)
-	req.ITMean = QuantizeIT(req.ITMean)
-	if len(req.Interference) > 0 {
-		// Snap interference factors onto the same log grid as the ITs, into
-		// a fresh map (never mutate the caller's), so the controller's
-		// drifting per-window estimates hit the cache. QuantizeIT(1) == 1,
-		// so factor-free entries stay byte-identical to the blind search.
-		q := make(map[dag.NodeID]float64, len(req.Interference))
-		for id, f := range req.Interference {
-			q[id] = QuantizeIT(f)
-		}
-		req.Interference = q
-	}
-
-	var stats CacheStats
-	var pkey planKey
-	var graphSig string
-	var guard []*perfmodel.Profile
-	if o.Cache != nil {
-		pkey = planKey{qit: req.IT, qim: req.ITMean, sla: req.SLA, batch: req.Batch, topK: o.TopK,
-			ifp: interferenceFingerprint(req.Graph, req.Interference)}
-		graphSig = graphSignature(req.Graph)
-		guard = profileGuard(req.Graph, req.Profiles)
-		if res, ok := o.Cache.lookupPlan(pkey, graphSig, guard, &stats); ok {
-			res.Search = SearchStats{Cache: stats, FromCache: true}
-			return res, nil
-		}
-	}
-
-	table, err := o.resolveCandidates(req, &stats)
-	if err != nil {
-		return Result{}, err
-	}
-	paths := req.Graph.Decompose()
-
-	// Strategy Optimizer fans the per-path searches out across a bounded
-	// worker pool (§V-C2). Each worker owns the result slot of the path
-	// index it drew, and the merge below consumes slots in index order.
-	results := make([]chainResult, len(paths))
-	errs := make([]error, len(paths))
-	workers := o.workers(len(paths))
-	searchPath := func(pi int) {
-		if o.Nanotime == nil {
-			results[pi], errs[pi] = o.optimizeChain(paths[pi], req, table)
-			return
-		}
-		start := o.Nanotime()
-		results[pi], errs[pi] = o.optimizeChain(paths[pi], req, table)
-		results[pi].nanos = o.Nanotime() - start
-	}
-	if workers <= 1 {
-		for pi := range paths {
-			searchPath(pi)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for pi := range idx {
-					searchPath(pi)
-				}
-			}()
-		}
-		for pi := range paths {
-			idx <- pi
-		}
-		close(idx)
-		wg.Wait()
-	}
-
-	// Ordered merge: path results are folded in decomposition order.
-	explored := 0
-	feasible := true
-	pstats := make([]PathStats, len(paths))
-	for pi := range paths {
-		if errs[pi] != nil {
-			return Result{}, errs[pi]
-		}
-		explored += results[pi].explored
-		feasible = feasible && results[pi].feasible
-		pstats[pi] = PathStats{
-			Length:   len(paths[pi]),
-			Explored: results[pi].explored,
-			PerLayer: results[pi].perLayer,
-			Feasible: results[pi].feasible,
-			Nanos:    results[pi].nanos,
-		}
-	}
-
-	// Combine: a function on several paths may have received different
-	// configs; keep the one with the shortest inference time so every
-	// path's latency stays within its own solution's bound (§V-C2).
-	chosen := make(map[dag.NodeID]candidate, req.Graph.Len())
-	for pi := range paths {
-		for id, c := range results[pi].configs {
-			if cur, ok := chosen[id]; !ok || c.infer < cur.infer {
-				chosen[id] = c
-			}
-		}
-	}
-
-	plan := coldstart.NewPlan()
-	for id, c := range chosen {
-		plan.Configs[id] = c.cfg
-		plan.Decisions[id] = c.decision
-	}
-	if feasible {
-		// Refinement: the greedy walk can over-commit latency budget to a
-		// cheap upstream function, forcing expensive downstream configs.
-		// Local search repairs this while the SLA still holds.
-		o.refine(req, plan, table)
-	}
-	bill := req.ITMean
-	if bill <= 0 {
-		bill = req.IT
-	}
-	computeEval := func() (coldstart.Evaluation, error) {
-		return coldstart.Evaluate(req.Graph, req.Profiles, plan, o.Catalog.Pricing, bill, req.Batch)
-	}
-	var ev coldstart.Evaluation
-	if o.Cache != nil {
-		ekey := evalKey{sig: planSignature(req.Graph, plan), qbill: bill, batch: req.Batch}
-		ev, err = o.Cache.evaluate(req.Graph, req.Profiles, ekey, &stats, computeEval)
-	} else {
-		ev, err = computeEval()
-	}
-	if err != nil {
-		return Result{}, err
-	}
-	res := Result{
-		Plan:          plan,
-		Eval:          ev,
-		Feasible:      feasible && ev.E2ELatency <= req.SLA,
-		NodesExplored: explored,
-		Paths:         pstats,
-		Search:        SearchStats{Workers: workers, Cache: stats},
-	}
-	if o.Cache != nil {
-		o.Cache.storePlan(pkey, graphSig, guard, res, &stats)
-		res.Search.Cache = stats
-	}
-	return res, nil
-}
-
-// refine runs a deterministic local search from the greedy solution: plain
-// downgrade passes interleaved with coupled moves that make one function
-// faster (freeing latency budget) and then re-downgrade the rest, accepted
-// only when the total cost strictly decreases. The SLA holds at every step.
-// It reuses the shared candidate table resolved before the fan-out.
-func (o *Optimizer) refine(req Request, plan *coldstart.Plan, table map[dag.NodeID]nodeCands) {
-	cands := make(map[dag.NodeID][]candidate, req.Graph.Len())
-	for _, id := range req.Graph.Nodes() {
-		cands[id] = table[id].byCost
-	}
-	r := newRefiner(req.Graph, cands, plan, req.SLA)
-	r.improve()
-	r.writeBack(plan)
 }

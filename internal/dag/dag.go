@@ -6,14 +6,16 @@
 // operations the paper's Workflow Manager needs (§V-C2):
 //
 //   - Decompose: split a DAG with parallel branches into simple sequential
-//     paths so the Strategy Optimizer can run on each path in parallel.
+//     paths so the Strategy Optimizer can search each path on its own.
 //   - ParallelSubstructures: find the smallest fork/join substructures, in
 //     the order the Workflow Manager combines per-path solutions.
 package dag
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync/atomic"
 )
 
 // NodeID identifies one function within an application DAG.
@@ -34,6 +36,34 @@ type Graph struct {
 	succ  map[NodeID][]NodeID
 	pred  map[NodeID][]NodeID
 	order []NodeID // insertion order for deterministic iteration
+	// layout is the compiled index form, built on first use and dropped by
+	// AddNode/AddEdge. It is atomic so graphs shared by concurrent runs can
+	// build it lazily without a lock: racing builders store equal layouts.
+	layout atomic.Pointer[Layout]
+}
+
+// Layout is a Graph compiled to index form, for the code that walks a DAG on
+// every decision: the Strategy Optimizer, the closed-form plan evaluation and
+// the controller's window loop read it instead of copying ID slices and
+// building maps per call. Node i of a layout is the i-th node of Topo. A
+// Layout is shared and read-only; callers must not modify its slices.
+type Layout struct {
+	// Nodes is the insertion order (Graph.Nodes).
+	Nodes []NodeID
+	// Topo is the topological order (Graph.TopoSort).
+	Topo []NodeID
+	// Index maps each node to its position in Topo.
+	Index map[NodeID]int
+	// Preds lists each node's direct predecessors by index, in edge
+	// insertion order (Graph.Predecessors).
+	Preds [][]int
+	// Paths is the decomposition into source-to-sink paths
+	// (Graph.Decompose), each as a sequence of indices.
+	Paths [][]int
+	// Longest is LongestPathLen.
+	Longest int
+	// Err is Validate's verdict.
+	Err error
 }
 
 // New returns an empty graph.
@@ -53,6 +83,7 @@ func (g *Graph) AddNode(id NodeID, model string) error {
 	}
 	g.nodes[id] = &Node{ID: id, Model: model}
 	g.order = append(g.order, id)
+	g.layout.Store(nil)
 	return nil
 }
 
@@ -85,6 +116,7 @@ func (g *Graph) AddEdge(from, to NodeID) error {
 	}
 	g.succ[from] = append(g.succ[from], to)
 	g.pred[to] = append(g.pred[to], from)
+	g.layout.Store(nil)
 	return nil
 }
 
@@ -164,6 +196,55 @@ func (g *Graph) Sinks() []NodeID {
 // TopoSort returns the nodes in a topological order (stable with respect to
 // insertion order among ready nodes).
 func (g *Graph) TopoSort() []NodeID {
+	return slices.Clone(g.Layout().Topo)
+}
+
+// Layout returns the graph's compiled index form, building it on first use
+// after a change.
+func (g *Graph) Layout() *Layout {
+	if l := g.layout.Load(); l != nil {
+		return l
+	}
+	l := g.compile()
+	g.layout.Store(l)
+	return l
+}
+
+// compile builds the Layout of the graph as it stands.
+func (g *Graph) compile() *Layout {
+	l := &Layout{
+		Nodes: slices.Clone(g.order),
+		Topo:  g.topoSort(),
+		Index: make(map[NodeID]int, len(g.nodes)),
+		Err:   g.validate(),
+	}
+	for i, id := range l.Topo {
+		l.Index[id] = i
+	}
+	l.Preds = make([][]int, len(l.Topo))
+	depth := make([]int, len(l.Topo))
+	for i, id := range l.Topo {
+		d := 1
+		for _, p := range g.pred[id] {
+			pi := l.Index[p]
+			l.Preds[i] = append(l.Preds[i], pi)
+			d = max(d, depth[pi]+1)
+		}
+		depth[i] = d
+		l.Longest = max(l.Longest, d)
+	}
+	for _, p := range g.Paths() {
+		path := make([]int, len(p))
+		for k, id := range p {
+			path[k] = l.Index[id]
+		}
+		l.Paths = append(l.Paths, path)
+	}
+	return l
+}
+
+// topoSort is Kahn's algorithm, taking ready nodes in insertion order.
+func (g *Graph) topoSort() []NodeID {
 	indeg := make(map[NodeID]int, len(g.nodes))
 	for _, id := range g.order {
 		indeg[id] = len(g.pred[id])
@@ -213,23 +294,7 @@ func (g *Graph) Paths() [][]NodeID {
 
 // LongestPathLen returns the number of nodes on the longest source-to-sink
 // path. The paper's optimizer complexity is governed by this quantity.
-func (g *Graph) LongestPathLen() int {
-	depth := make(map[NodeID]int, len(g.nodes))
-	best := 0
-	for _, n := range g.TopoSort() {
-		d := 1
-		for _, p := range g.pred[n] {
-			if depth[p]+1 > d {
-				d = depth[p] + 1
-			}
-		}
-		depth[n] = d
-		if d > best {
-			best = d
-		}
-	}
-	return best
-}
+func (g *Graph) LongestPathLen() int { return g.Layout().Longest }
 
 // PathsThrough returns all source-to-sink paths that include both from and
 // to (in that order).
@@ -274,7 +339,7 @@ type ParallelBranch struct {
 // reaches e, with e the earliest such re-convergence point.
 func (g *Graph) ParallelSubstructures() []ParallelBranch {
 	var out []ParallelBranch
-	for _, s := range g.TopoSort() {
+	for _, s := range g.Layout().Topo {
 		if len(g.succ[s]) < 2 {
 			continue
 		}
@@ -341,7 +406,7 @@ func (g *Graph) join(s NodeID) (NodeID, bool) {
 			stack = append(stack, g.succ[n]...)
 		}
 	}
-	for _, n := range g.TopoSort() {
+	for _, n := range g.Layout().Topo {
 		if reach[n] == len(branches) {
 			return n, true
 		}
@@ -352,7 +417,9 @@ func (g *Graph) join(s NodeID) (NodeID, bool) {
 // Validate checks the structural invariants an application DAG must satisfy:
 // at least one node, exactly one source (the entry function that receives
 // the user request), and all nodes reachable from it.
-func (g *Graph) Validate() error {
+func (g *Graph) Validate() error { return g.Layout().Err }
+
+func (g *Graph) validate() error {
 	if len(g.nodes) == 0 {
 		return fmt.Errorf("dag: empty graph")
 	}

@@ -325,3 +325,43 @@ func TestDOTDefaultName(t *testing.T) {
 		t.Error("default graph name missing")
 	}
 }
+
+// TestLayoutRebuiltAfterChange: the compiled layout is cached until the
+// graph changes, and AddNode and AddEdge each make the next reader see the
+// graph as it now stands — order, indices, paths, depth and verdict.
+func TestLayoutRebuiltAfterChange(t *testing.T) {
+	g := chain(2) // A->B
+	l := g.Layout()
+	if g.Layout() != l {
+		t.Fatal("an unchanged graph rebuilt its layout")
+	}
+	if l.Longest != 2 || len(l.Paths) != 1 || l.Err != nil {
+		t.Fatalf("chain layout: longest %d, %d paths, err %v", l.Longest, len(l.Paths), l.Err)
+	}
+
+	g.MustAddNode("C", "m")
+	l = g.Layout()
+	if len(l.Nodes) != 3 || len(l.Topo) != 3 || l.Err == nil {
+		t.Fatalf("after AddNode: %d nodes, %d in topo order, err %v (want 3, 3, orphan C unreachable)", len(l.Nodes), len(l.Topo), l.Err)
+	}
+	if got := g.Validate(); got == nil {
+		t.Error("Validate missed the orphan node")
+	}
+
+	g.MustAddEdge("B", "C")
+	l = g.Layout()
+	if l.Err != nil || l.Longest != 3 || g.LongestPathLen() != 3 {
+		t.Fatalf("after AddEdge: err %v, longest %d", l.Err, l.Longest)
+	}
+	if c := l.Index["C"]; len(l.Preds[c]) != 1 || l.Topo[l.Preds[c][0]] != "B" {
+		t.Errorf("C's predecessors = %v, want [B]", l.Preds[c])
+	}
+	if len(l.Paths) != 1 || len(l.Paths[0]) != 3 {
+		t.Errorf("paths = %v, want one path of 3", l.Paths)
+	}
+
+	g.MustAddEdge("A", "C")
+	if l2 := g.Layout(); l2 == l || len(l2.Paths) != 2 {
+		t.Errorf("after a second AddEdge: rebuilt %v, %d paths, want a new layout with 2", l2 != l, len(l2.Paths))
+	}
+}

@@ -121,10 +121,6 @@ type RunParams struct {
 	// critical-path attribution and Chrome trace export are available; nil
 	// runs untraced (bit-identical to a traced run's statistics).
 	Recorder *tracing.Recorder
-	// Parallelism bounds the Strategy Optimizer's path-search worker pool
-	// in SMIless variants (0 = all cores, 1 = sequential). Plans — and
-	// therefore every run statistic — are byte-identical at any width.
-	Parallelism int
 	// Controller, when non-nil, replaces the derived controller
 	// configuration wholesale for SMIless variants (ablation flags are
 	// still forced per system, e.g. DisableDAG for SMIless-No-DAG).
@@ -157,7 +153,6 @@ func buildDriver(name SystemName, p RunParams, tr *trace.Trace) (simulator.Drive
 		}
 		o := controller.DefaultOptions(p.Seed)
 		o.UseLSTM = p.UseLSTM
-		o.Parallelism = p.Parallelism
 		o.Interference = p.Interference
 		if p.Forecaster != "" {
 			o.Forecaster = p.Forecaster

@@ -399,6 +399,8 @@ func (f *naiveForecaster) Predict(horizon int) []float64 {
 	return persistence(f.hist, horizon)
 }
 
+func (f *naiveForecaster) predictInto(dst []float64) { persistenceInto(dst, f.hist) }
+
 func (f *naiveForecaster) Update(obs Observation) { f.append(obs) }
 
 func (f *naiveForecaster) Clone(seed int64) Forecaster {

@@ -174,19 +174,31 @@ func DeriveSeed(base int64, tag string) int64 {
 	return int64(h)
 }
 
+// intoPredictor is implemented by families that can write a forecast into
+// a caller's buffer: Predict(len(dst)) without the allocation. Online uses
+// it when present.
+type intoPredictor interface {
+	predictInto(dst []float64)
+}
+
 // persistence is the shared untrained fallback: the last observed value
 // clamped non-negative, or zero with no history, repeated across the
 // horizon.
 func persistence(hist []Observation, horizon int) []float64 {
+	out := make([]float64, horizon)
+	persistenceInto(out, hist)
+	return out
+}
+
+// persistenceInto is persistence written into dst.
+func persistenceInto(dst []float64, hist []Observation) {
 	v := 0.0
 	if n := len(hist); n > 0 && hist[n-1].Value > 0 {
 		v = hist[n-1].Value
 	}
-	out := make([]float64, horizon)
-	for i := range out {
-		out[i] = v
+	for i := range dst {
+		dst[i] = v
 	}
-	return out
 }
 
 // series is the shared history-keeping base embedded by adapters.

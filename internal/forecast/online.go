@@ -3,6 +3,7 @@ package forecast
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -157,6 +158,11 @@ type Online struct {
 	drifts  int
 	armed   bool
 	queue   []pending
+	// into is f's buffer-filling predictor, when its family has one; then
+	// every forecast lands in a buffer Online owns, and spare holds the
+	// buffers no pending forecast uses.
+	into  intoPredictor
+	spare [][]float64
 
 	// Per-horizon accumulators, indexed 0..horizon-1.
 	absErr  []float64
@@ -172,10 +178,12 @@ func NewOnline(f Forecaster, horizon int) *Online {
 	if horizon < 1 {
 		horizon = 1
 	}
+	into, _ := f.(intoPredictor)
 	return &Online{
 		f:       f,
 		horizon: horizon,
 		armed:   true,
+		into:    into,
 		absErr:  make([]float64, horizon),
 		smapeS:  make([]float64, horizon),
 		samples: make([]int64, horizon),
@@ -191,18 +199,50 @@ func (o *Online) Horizon() int { return o.horizon }
 // Forecast predicts the next horizon steps and registers the forecast for
 // quality scoring (point and, when the family supports it, upper bound).
 // Only the first call after each Observe registers; later calls re-predict
-// without double-counting.
+// without double-counting. For a family that predicts into a buffer (the
+// naive baseline) the returned slice is Online's own, so a steady window
+// forecasts without allocating: read it before the next Forecast or
+// Observe, and copy what must outlive that.
 func (o *Online) Forecast() []float64 {
-	preds := o.f.Predict(o.horizon)
-	if o.armed {
-		p := pending{preds: preds}
-		if ub, ok := o.f.(UpperBounder); ok {
-			p.upper = ub.PredictUpper(o.horizon)
-		}
-		o.queue = append(o.queue, p)
-		o.armed = false
+	var preds []float64
+	if o.into != nil {
+		preds = o.buffer()
+		o.into.predictInto(preds)
+	} else {
+		preds = o.f.Predict(o.horizon)
 	}
+	if !o.armed {
+		if o.into != nil {
+			o.spare = append(o.spare, preds) // registers nothing: spare again at once
+		}
+		return preds
+	}
+	p := pending{preds: preds}
+	if ub, ok := o.f.(UpperBounder); ok {
+		p.upper = ub.PredictUpper(o.horizon)
+	}
+	o.queue = append(o.queue, p)
+	o.armed = false
 	return preds
+}
+
+// buffer returns a horizon-long forecast buffer, recycled when one is
+// spare.
+func (o *Online) buffer() []float64 {
+	if n := len(o.spare); n > 0 {
+		b := o.spare[n-1]
+		o.spare = o.spare[:n-1]
+		return b
+	}
+	return make([]float64, o.horizon)
+}
+
+// sized returns s with length n, reusing its array when large enough.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // ForecastUpper returns conservative upper bounds aligned with Forecast,
@@ -240,6 +280,8 @@ func (o *Online) Observe(obs Observation) {
 		p.age++
 		if p.age < len(p.preds) {
 			live = append(live, *p)
+		} else if o.into != nil {
+			o.spare = append(o.spare, p.preds)
 		}
 	}
 	o.queue = live
@@ -287,6 +329,15 @@ type QualityReport struct {
 	DriftRefits int `json:"drift_refits"`
 }
 
+// Clone deep-copies the report, so a copy taken while its Online keeps
+// reporting into the original stays put.
+func (r QualityReport) Clone() QualityReport {
+	r.MAE = slices.Clone(r.MAE)
+	r.SMAPE = slices.Clone(r.SMAPE)
+	r.Samples = slices.Clone(r.Samples)
+	return r
+}
+
 // OneStepMAE is the mean absolute one-step-ahead error (0 with no samples).
 func (r QualityReport) OneStepMAE() float64 {
 	if len(r.MAE) == 0 {
@@ -318,27 +369,36 @@ func (r QualityReport) String() string {
 
 // Report snapshots the accumulated quality statistics.
 func (o *Online) Report() QualityReport {
-	r := QualityReport{
-		Forecaster:  o.f.Name(),
-		Horizon:     o.horizon,
-		MAE:         make([]float64, o.horizon),
-		SMAPE:       make([]float64, o.horizon),
-		Samples:     append([]int64(nil), o.samples...),
-		Refits:      o.refits,
-		DriftRefits: o.drifts,
-	}
+	var r QualityReport
+	o.ReportInto(&r)
+	return r
+}
+
+// ReportInto writes the accumulated quality statistics into r, reusing r's
+// per-horizon slices when they are long enough, so a window loop can keep
+// one report current without allocating. Whoever hands r out while this
+// Online keeps running must copy its slices.
+func (o *Online) ReportInto(r *QualityReport) {
+	r.Forecaster = o.f.Name()
+	r.Horizon = o.horizon
+	r.MAE = sized(r.MAE, o.horizon)
+	r.SMAPE = sized(r.SMAPE, o.horizon)
+	r.Samples = append(r.Samples[:0], o.samples...)
 	for h := 0; h < o.horizon; h++ {
+		r.MAE[h], r.SMAPE[h] = 0, 0
 		if o.samples[h] > 0 {
 			n := float64(o.samples[h])
 			r.MAE[h] = o.absErr[h] / n
 			r.SMAPE[h] = o.smapeS[h] / n
 		}
 	}
+	r.UpperViolationRate = 0
 	if o.upperN > 0 {
 		r.UpperViolationRate = float64(o.upperViol) / float64(o.upperN)
 	}
 	r.UpperSamples = o.upperN
-	return r
+	r.Refits = o.refits
+	r.DriftRefits = o.drifts
 }
 
 // EvalOpts parameterizes EvaluateSeries.

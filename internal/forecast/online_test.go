@@ -3,6 +3,8 @@ package forecast
 import (
 	"errors"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -277,5 +279,32 @@ func TestEvaluateSeriesScoresEveryStep(t *testing.T) {
 	}
 	if rep.Horizon != 3 || rep.Forecaster != "naive" {
 		t.Errorf("report header: %+v", rep)
+	}
+}
+
+// unbuffered hides a family's buffer-filling predictor, so Online takes the
+// allocating Predict path.
+type unbuffered struct{ Forecaster }
+
+// TestOnlineBufferedForecastsMatch: forecasts written into Online's recycled
+// buffers score exactly like freshly allocated ones — same forecasts, same
+// report — including re-predictions between observations.
+func TestOnlineBufferedForecastsMatch(t *testing.T) {
+	buffered := NewOnline(&naiveForecaster{}, 4)
+	plain := NewOnline(unbuffered{&naiveForecaster{}}, 4)
+	if buffered.into == nil || plain.into != nil {
+		t.Fatal("the naive family should predict into Online's buffers, the wrapper should not")
+	}
+	for i, v := range driftingSeries(300, 150) {
+		for k := 0; k <= i%3; k++ { // re-predictions register nothing
+			if a, b := buffered.Forecast(), plain.Forecast(); !slices.Equal(a, b) {
+				t.Fatalf("step %d: forecast %v, want %v", i, a, b)
+			}
+		}
+		buffered.Observe(v)
+		plain.Observe(v)
+	}
+	if a, b := buffered.Report(), plain.Report(); !reflect.DeepEqual(a, b) {
+		t.Errorf("report %+v, want %+v", a, b)
 	}
 }

@@ -46,7 +46,7 @@ func retryHedgeDriver(*apps.Application) simulator.Driver {
 // per-window decisions, re-plans, scheduled and reactive pre-warms.
 func naiveController(app *apps.Application) simulator.Driver {
 	return controller.New(hardware.DefaultCatalog(), app.TrueProfiles(perfmodel.DefaultUncertainty), 2,
-		controller.Options{Forecaster: "naive", SLAMargin: 0.7, Seed: 5, Parallelism: 1})
+		controller.Options{Forecaster: "naive", SLAMargin: 0.7, Seed: 5})
 }
 
 func diffCases() []diffCase {

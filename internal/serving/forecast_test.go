@@ -2,9 +2,11 @@ package serving
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"smiless/internal/controller"
+	"smiless/internal/forecast"
 	"smiless/internal/hardware"
 	"smiless/internal/perfmodel"
 	"smiless/internal/simulator"
@@ -23,7 +25,6 @@ func forecastOpts(name string) controller.Options {
 		RetrainEvery: 100000,
 		SLAMargin:    0.7,
 		Seed:         3,
-		Parallelism:  1,
 	}
 }
 
@@ -110,5 +111,61 @@ func TestServingTransformerReplans(t *testing.T) {
 	b := runForecastServing(t, forecastOpts("transformer"))
 	if !reflect.DeepEqual(a, b) {
 		t.Error("transformer-backed serving run is not replay-deterministic")
+	}
+}
+
+// TestSnapshotKeepsForecastReports: a snapshot is a deep copy, so windows
+// that tick after it must not move its forecast-quality slices, although
+// the controller rewrites the live reports in place every window. A reader
+// walks the snapshot while the runtime keeps serving, so under -race a slice
+// shared with the live report is also a reported race.
+func TestSnapshotKeepsForecastReports(t *testing.T) {
+	app := testChain([]float64{0.1}, 0.5)
+	profiles := app.TrueProfiles(perfmodel.DefaultUncertainty)
+	drv := controller.New(hardware.DefaultCatalog(), profiles, 10, forecastOpts("naive"))
+	rt, fake := newTestRuntime(t, Config{App: app, SLA: 10, Window: 1}, drv)
+	defer rt.Close()
+	serve := func(from, to int) {
+		for i := from; i < to; i++ {
+			if res := await(t, rt, fake, mustInvoke(t, rt)); res.Failed {
+				t.Fatalf("request %d failed", i)
+			}
+			next := float64(i+1) * 2
+			stepUntil(t, rt, fake, func() bool { return fake.Now() >= next })
+		}
+		stepUntil(t, rt, fake, rt.Quiesced)
+	}
+	serve(0, 70)
+	snap := rt.Snapshot()
+	it, count := snap.ForecastIT.Clone(), snap.ForecastCount.Clone()
+
+	stop, done := make(chan struct{}), make(chan float64)
+	go func() {
+		sum := 0.0
+		for {
+			select {
+			case <-stop:
+				done <- sum
+				return
+			default:
+			}
+			for _, r := range []*forecast.QualityReport{&snap.ForecastIT, &snap.ForecastCount} {
+				for h := range r.MAE {
+					sum += r.MAE[h] + r.SMAPE[h] + float64(r.Samples[h])
+				}
+			}
+			runtime.Gosched()
+		}
+	}()
+	serve(70, 90)
+	close(stop)
+	<-done
+
+	if !reflect.DeepEqual(snap.ForecastIT, it) || !reflect.DeepEqual(snap.ForecastCount, count) {
+		t.Errorf("snapshot forecast reports moved after later windows:\n it    %+v -> %+v\n count %+v -> %+v",
+			it, snap.ForecastIT, count, snap.ForecastCount)
+	}
+	if now := rt.Snapshot(); now.ForecastCount.Samples[0] == count.Samples[0] {
+		t.Fatal("no count forecast was scored after the snapshot; the test shows nothing")
 	}
 }

@@ -26,7 +26,7 @@ import (
 func newControllerDriver(t *testing.T, app *apps.Application) simulator.Driver {
 	t.Helper()
 	profiles := app.TrueProfiles(perfmodel.DefaultUncertainty)
-	return controller.New(hardware.DefaultCatalog(), profiles, 10, controller.Options{Parallelism: 1})
+	return controller.New(hardware.DefaultCatalog(), profiles, 10, controller.Options{})
 }
 
 // TestGatewayEndToEnd boots the HTTP gateway on a fake-clock runtime and

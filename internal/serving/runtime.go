@@ -469,6 +469,9 @@ func (rt *Runtime) Snapshot() *simulator.RunStats {
 	st.E2E = append([]float64(nil), src.E2E...)
 	st.E2EArrival = append([]float64(nil), src.E2EArrival...)
 	st.PodSamples = append([]simulator.PodSample(nil), src.PodSamples...)
+	// The controller refreshes the forecast reports in place every window.
+	st.ForecastIT = src.ForecastIT.Clone()
+	st.ForecastCount = src.ForecastCount.Clone()
 	return &st
 }
 

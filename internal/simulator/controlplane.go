@@ -2,7 +2,6 @@ package simulator
 
 import (
 	"fmt"
-	"slices"
 
 	"smiless/internal/apps"
 	"smiless/internal/coldstart"
@@ -184,11 +183,14 @@ func (e *Engine) HasWarmMatching(id dag.NodeID) bool {
 // not pay for two generations of configuration at once.
 func (e *Engine) RetireMismatched(id dag.NodeID) {
 	fs := e.fn(id)
-	for _, c := range slices.Clone(fs.containers) { // terminate edits the list
+	for i := 0; i < len(fs.containers); {
+		c := fs.containers[i]
 		if c.state == cIdle && c.cfg != fs.directive.Config &&
 			fs.liveCount() > fs.directive.MinWarm+1 {
-			e.terminate(c)
+			e.terminate(c) // removes c, shifting the rest of the list down onto i
+			continue
 		}
+		i++
 	}
 }
 

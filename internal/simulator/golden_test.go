@@ -143,7 +143,7 @@ func goldenDriver(name string, app *apps.Application, sla float64) simulator.Dri
 		return goldenStatic{}
 	case "smiless-naive":
 		return controller.New(hardware.DefaultCatalog(), app.TrueProfiles(perfmodel.DefaultUncertainty), sla,
-			controller.Options{Forecaster: "naive", SLAMargin: 0.7, Seed: 5, Parallelism: 1})
+			controller.Options{Forecaster: "naive", SLAMargin: 0.7, Seed: 5})
 	case "shifting":
 		return &goldenShifting{}
 	}

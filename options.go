@@ -24,8 +24,7 @@ type (
 	FaultRates = faults.Rates
 	// FaultOutage schedules one node's downtime window in a FaultPlan.
 	FaultOutage = faults.Outage
-	// SearchStats summarizes one Optimize call's search machinery:
-	// worker-pool width and evaluation-cache hit/miss counters.
+	// SearchStats summarizes one Optimize call's evaluation-cache traffic.
 	SearchStats = core.SearchStats
 	// CacheStats are the evaluation cache's hit/miss counters by level.
 	CacheStats = core.CacheStats
@@ -38,11 +37,10 @@ func NewRecorder(app *Application) *Recorder {
 	return tracing.NewRecorder(app.Graph)
 }
 
-// EvaluateOptions collects the optional knobs of Evaluate, NewSimulator,
-// NewSMIless and Optimize. The zero value is the default configuration:
-// seed 0, moving-window predictors (no LSTM), no tracing, no faults, and a
-// path-search worker pool as wide as the machine. Construct it through
-// functional options:
+// EvaluateOptions collects the optional knobs of Evaluate, NewSimulator and
+// NewSMIless. The zero value is the default configuration: seed 0,
+// moving-window predictors (no LSTM), no tracing, no faults. Construct it
+// through functional options:
 //
 //	st, err := smiless.Evaluate(smiless.SystemSMIless, app, tr, 2.0,
 //	    smiless.WithSeed(7),
@@ -67,17 +65,13 @@ type EvaluateOptions struct {
 	Recorder *Recorder
 	// Faults, when non-nil, injects the scheduled failures into the run.
 	Faults *FaultPlan
-	// Parallelism bounds the Strategy Optimizer's path-search worker pool:
-	// 0 uses every available core, 1 forces the sequential inline search.
-	// Plans are byte-identical at any width.
-	Parallelism int
 	// Window is the decision-window length in seconds for NewSimulator;
 	// 0 keeps the paper's one-second default.
 	Window float64
 	// Controller, when non-nil, overrides the full controller
 	// configuration (ablation switches, train/retrain schedule, SLA
 	// margin). Set it via WithControllerOptions; later WithSeed / WithLSTM
-	// / WithParallelism options still override the corresponding fields.
+	// options still override the corresponding fields.
 	Controller *ControllerOptions
 	// Placement selects the simulator's node-placement policy (default
 	// first-fit). Set via WithPlacement.
@@ -146,18 +140,6 @@ func WithFaults(plan *FaultPlan) Option {
 	return func(o *EvaluateOptions) { o.Faults = plan }
 }
 
-// WithParallelism bounds the Strategy Optimizer's path-search worker pool
-// (0 = all cores, 1 = sequential). The resulting plans are byte-identical
-// at any width; only search wall time changes.
-func WithParallelism(workers int) Option {
-	return func(o *EvaluateOptions) {
-		o.Parallelism = workers
-		if o.Controller != nil {
-			o.Controller.Parallelism = workers
-		}
-	}
-}
-
 // WithPlacement selects the node-placement policy: PlaceFirstFit (the
 // default), PlaceP2C locality overflow, PlacePack affinity packing or
 // PlaceSpread interference spreading.
@@ -194,7 +176,7 @@ func WithWindow(seconds float64) Option {
 
 // WithControllerOptions replaces the SMIless controller configuration
 // wholesale (ablations, train/retrain schedule, SLA margin). It also adopts
-// the configuration's Seed/UseLSTM/Parallelism as the run-level values, so
+// the configuration's Seed/UseLSTM/Forecaster as the run-level values, so
 // apply it before any option that should override one of them.
 func WithControllerOptions(co ControllerOptions) Option {
 	return func(o *EvaluateOptions) {
@@ -202,7 +184,6 @@ func WithControllerOptions(co ControllerOptions) Option {
 		o.Seed = co.Seed
 		o.UseLSTM = co.UseLSTM
 		o.Forecaster = co.Forecaster
-		o.Parallelism = co.Parallelism
 	}
 }
 
@@ -225,7 +206,6 @@ func (o *EvaluateOptions) controllerOptions() ControllerOptions {
 	co := controller.DefaultOptions(o.Seed)
 	co.UseLSTM = o.UseLSTM
 	co.Forecaster = o.Forecaster
-	co.Parallelism = o.Parallelism
 	co.Interference = o.Interference
 	return co
 }

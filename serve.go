@@ -62,12 +62,12 @@ func NewServingGateway(rt *Runtime, system string) *Gateway {
 // NewSystemDriver builds the named serving system as a live Driver for a
 // Runtime (or a Simulator). SystemOPT is rejected: the oracle needs the
 // full future trace and cannot serve online. Options: WithSeed, WithLSTM,
-// WithParallelism, WithControllerOptions.
+// WithControllerOptions.
 func NewSystemDriver(system SystemName, app *Application, sla float64, opts ...Option) (Driver, error) {
 	o := newEvaluateOptions(opts)
 	p := experiments.RunParams{
 		App: app, SLA: sla, Seed: o.Seed, UseLSTM: o.UseLSTM,
-		Parallelism: o.Parallelism, Controller: o.Controller,
+		Controller: o.Controller,
 	}
 	return experiments.NewDriver(system, p)
 }

@@ -162,20 +162,15 @@ func ProfileApplication(app *Application, seed int64) (map[NodeID]*FnProfile, er
 }
 
 // Optimize runs the Strategy Optimizer (§V-C): top-1 path search with DAG
-// decomposition and cost refinement over the catalog. The search fans paths
-// out over a bounded worker pool and memoizes plan evaluations; tune the
-// pool with WithParallelism. OptimizeResult.Search reports the worker count
-// and cache hit/miss counters.
-func Optimize(cat *Catalog, req OptimizeRequest, opts ...Option) (OptimizeResult, error) {
-	o := newEvaluateOptions(opts)
-	opt := core.New(cat)
-	opt.Parallelism = o.Parallelism
-	return opt.Optimize(req)
+// decomposition and cost refinement over the catalog, memoizing plan
+// evaluations. OptimizeResult.Search reports the cache hit/miss counters.
+func Optimize(cat *Catalog, req OptimizeRequest) (OptimizeResult, error) {
+	return core.New(cat).Optimize(req)
 }
 
 // NewSMIless builds the full SMIless controller as a simulator Driver:
 // Online Predictor → Strategy Optimizer → Auto-scaler. Options: WithSeed,
-// WithLSTM, WithParallelism, or WithControllerOptions for full control over
+// WithLSTM, or WithControllerOptions for full control over
 // ablations and schedules.
 func NewSMIless(cat *Catalog, profiles map[NodeID]*FnProfile, sla float64, opts ...Option) Driver {
 	o := newEvaluateOptions(opts)
@@ -228,7 +223,7 @@ const (
 // Evaluate runs a named system on (app, trace, SLA) and returns the run
 // statistics. The defaults are seed 0, moving-window predictors, no
 // tracing, no faults; override with WithSeed, WithLSTM, WithRecorder,
-// WithFaults, WithParallelism, WithControllerOptions. Unknown systems and
+// WithFaults, WithControllerOptions. Unknown systems and
 // invalid inputs return an error rather than panicking.
 func Evaluate(system SystemName, app *Application, tr *Trace, sla float64, opts ...Option) (*RunStats, error) {
 	if app == nil {
@@ -244,7 +239,7 @@ func Evaluate(system SystemName, app *Application, tr *Trace, sla float64, opts 
 	p := experiments.RunParams{
 		App: app, SLA: sla, Seed: o.Seed, UseLSTM: o.UseLSTM,
 		Forecaster: o.Forecaster,
-		Faults:     o.Faults, Recorder: o.Recorder, Parallelism: o.Parallelism,
+		Faults:     o.Faults, Recorder: o.Recorder,
 		Controller: o.Controller,
 		Placement:  o.Placement, Interference: o.Interference, PriceTrace: o.PriceTrace,
 	}

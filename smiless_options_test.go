@@ -45,26 +45,6 @@ func TestEvaluateErrorPaths(t *testing.T) {
 	}
 }
 
-func TestWithParallelismIsInvisible(t *testing.T) {
-	app := smiless.VoiceAssistant()
-	tr := optionsTrace(3)
-	seq, err := smiless.Evaluate(smiless.SystemSMIless, app, tr, 2.5,
-		smiless.WithSeed(3), smiless.WithParallelism(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := smiless.Evaluate(smiless.SystemSMIless, smiless.VoiceAssistant(), tr, 2.5,
-		smiless.WithSeed(3), smiless.WithParallelism(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.TotalCost != par.TotalCost || seq.Completed != par.Completed ||
-		seq.ViolationRate() != par.ViolationRate() {
-		t.Errorf("worker-pool width leaked into run statistics: cost %v vs %v, completed %d vs %d",
-			seq.TotalCost, par.TotalCost, seq.Completed, par.Completed)
-	}
-}
-
 func TestWithRecorderCapturesSpans(t *testing.T) {
 	app := smiless.ImageQuery()
 	tr := optionsTrace(4)
@@ -124,8 +104,8 @@ func TestOptionComposition(t *testing.T) {
 	if o.Seed != 42 || !o.UseLSTM {
 		t.Errorf("WithControllerOptions applied last should adopt its values, got seed %d lstm %v", o.Seed, o.UseLSTM)
 	}
-	o = applyOptions(smiless.WithParallelism(4), smiless.WithFaults(nil))
-	if o.Parallelism != 4 || o.Faults != nil || o.Recorder != nil {
+	o = applyOptions(smiless.WithWindow(4), smiless.WithFaults(nil))
+	if o.Window != 4 || o.Faults != nil || o.Recorder != nil {
 		t.Errorf("unexpected options state: %+v", o)
 	}
 }
@@ -154,26 +134,5 @@ func TestNewSimulatorOptions(t *testing.T) {
 	}
 	if _, err := smiless.NewSimulator(app, nil, 3.0); err == nil {
 		t.Error("nil driver should error")
-	}
-}
-
-func TestOptimizeWithParallelism(t *testing.T) {
-	app := smiless.VoiceAssistant()
-	profiles := app.TrueProfiles(3)
-	req := smiless.OptimizeRequest{Graph: app.Graph, Profiles: profiles, SLA: 2.5, IT: 30, Batch: 1}
-	seq, err := smiless.Optimize(smiless.DefaultCatalog(), req, smiless.WithParallelism(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := smiless.Optimize(smiless.DefaultCatalog(), req, smiless.WithParallelism(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Eval.CostPerInvocation != par.Eval.CostPerInvocation ||
-		seq.Eval.E2ELatency != par.Eval.E2ELatency || seq.Feasible != par.Feasible {
-		t.Errorf("Optimize results differ across worker widths: %+v vs %+v", seq.Eval, par.Eval)
-	}
-	if par.Search.Workers < 1 {
-		t.Errorf("Search.Workers = %d, want >= 1", par.Search.Workers)
 	}
 }
