@@ -8,7 +8,7 @@ package controller
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 
 	"smiless/internal/autoscaler"
@@ -92,8 +92,6 @@ type SMIless struct {
 	// extended at the top of every OnWindow; everything below that reasons
 	// about inter-arrival times reads its tail.
 	events windowEvents
-	// gapScratch backs updateQuantiles' sort of the recent gaps.
-	gapScratch [quantileGaps]float64
 
 	// Online Predictor: one forecaster instance per role, consumed strictly
 	// through the forecast.Forecaster interface and wrapped with the
@@ -104,6 +102,9 @@ type SMIless struct {
 	fedIAT, fedCnt int
 	trainedAt      int
 	fcActive       bool
+	// fitIATs/fitCounts back the refit series, reused across refits
+	// (Forecaster.Fit does not retain its input).
+	fitIATs, fitCounts []forecast.Observation
 
 	// Burst mode bookkeeping.
 	bursting bool
@@ -532,23 +533,23 @@ func (s *SMIless) maybeTrain(sim simulator.ControlPlane) {
 	if first < 0 {
 		first = 0
 	}
-	iats := make([]forecast.Observation, gaps-first)
-	for i := range iats {
+	s.fitIATs = slices.Grow(s.fitIATs[:0], gaps-first)
+	for i := first; i < gaps; i++ {
 		// Covariates are re-read from counts as it stands now, not as it
 		// stood when the gap was fed (see windowEvents.observation).
-		iats[i] = s.events.observation(first+i, counts, w)
+		s.fitIATs = append(s.fitIATs, s.events.observation(i, counts, w))
 	}
 	// A failed fit (e.g. ErrShortSeries) keeps the previous model serving.
-	_ = s.itFc.Refit(iats)
+	_ = s.itFc.Refit(s.fitIATs)
 
 	if len(counts) > fitWindows {
 		counts = counts[len(counts)-fitWindows:]
 	}
-	hist := make([]forecast.Observation, len(counts))
-	for i, c := range counts {
-		hist[i].Value = float64(c)
+	s.fitCounts = slices.Grow(s.fitCounts[:0], len(counts))
+	for _, c := range counts {
+		s.fitCounts = append(s.fitCounts, forecast.Observation{Value: float64(c)})
 	}
-	if err := s.cntFc.Refit(hist); err == nil {
+	if err := s.cntFc.Refit(s.fitCounts); err == nil {
 		s.fcActive = true
 		s.trainedAt = n
 	}
@@ -566,23 +567,18 @@ func (s *SMIless) publishForecastStats(sim simulator.ControlPlane) {
 	s.cntFc.ReportInto(&st.ForecastCount)
 }
 
-// quantileGaps is how many recent inter-event gaps updateQuantiles ranks.
+// quantileGaps is how many recent inter-event gaps updateQuantiles ranks
+// (windowEvents keeps them sorted).
 const quantileGaps = 60
 
 // updateQuantiles refreshes the conservative inter-arrival quantiles from
 // the recent gap history, falling back to fractions of the point estimate
 // when history is thin.
 func (s *SMIless) updateQuantiles(sim simulator.ControlPlane, it float64) {
-	recent := s.events.tail(quantileGaps + 1)
-	gaps := s.gapScratch[:0]
-	for i := 1; i < len(recent); i++ {
-		gaps = append(gaps, recent[i]-recent[i-1])
-	}
-	if len(gaps) < 8 {
+	if gaps := s.events.recentGaps(); len(gaps) < 8 {
 		s.itLow = it * 0.3
 		s.itHigh = it * 3
 	} else {
-		sort.Float64s(gaps)
 		s.itLow = mathx.PercentileSorted(gaps, 10)
 		s.itHigh = mathx.PercentileSorted(gaps, 99) * 1.3
 	}

@@ -1,6 +1,10 @@
 package controller
 
-import "smiless/internal/forecast"
+import (
+	"slices"
+
+	"smiless/internal/forecast"
+)
 
 // windowEvents is the controller's incremental reduction of the substrate's
 // arrival log to window-level events: the first arrival time in each
@@ -21,6 +25,11 @@ type windowEvents struct {
 	lastWin int
 	// times holds one entry per non-empty window.
 	times []float64
+	// recent holds the last quantileGaps gaps ascending, its first nRecent
+	// entries valid: the window updateQuantiles ranks, kept sorted as the
+	// fold goes rather than sorted per window.
+	recent  [quantileGaps]float64
+	nRecent int
 }
 
 // extend reduces arrivals[seen:] — the part of the substrate's arrival log
@@ -31,10 +40,36 @@ func (e *windowEvents) extend(arrivals []float64, w float64) {
 		if len(e.times) == 0 || wi != e.lastWin {
 			e.times = append(e.times, a)
 			e.lastWin = wi
+			e.slideRecent()
 		}
 	}
 	e.seen = len(arrivals)
 }
+
+// slideRecent moves the sorted gap window onto the gap the latest event
+// closed: the gap that leaves the window is deleted and the new one
+// inserted, both found by binary search. A gap is recomputed with the same
+// subtraction each time, so the deleted value is found exactly.
+func (e *windowEvents) slideRecent() {
+	n := len(e.times)
+	if n < 2 {
+		return
+	}
+	if k := n - 2 - quantileGaps; k >= 0 {
+		at, _ := slices.BinarySearch(e.recent[:e.nRecent], e.times[k+1]-e.times[k])
+		copy(e.recent[at:], e.recent[at+1:e.nRecent])
+		e.nRecent--
+	}
+	g := e.times[n-1] - e.times[n-2]
+	at, _ := slices.BinarySearch(e.recent[:e.nRecent], g)
+	copy(e.recent[at+1:e.nRecent+1], e.recent[at:e.nRecent])
+	e.recent[at] = g
+	e.nRecent++
+}
+
+// recentGaps returns the last quantileGaps gaps (all of them when there are
+// fewer), ascending. The slice aliases the window.
+func (e *windowEvents) recentGaps() []float64 { return e.recent[:e.nRecent] }
 
 // gaps is the length of the inter-event gap series.
 func (e *windowEvents) gaps() int {

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"slices"
@@ -295,12 +296,33 @@ func TestIncrementalHistoryMatchesFromScratch(t *testing.T) {
 	}
 }
 
+// refRecentGaps is the last quantileGaps gaps of the event series, sorted
+// from scratch (reference for windowEvents.recentGaps).
+func refRecentGaps(times []float64) []float64 {
+	var gaps []float64
+	for i := max(len(times)-quantileGaps, 1); i < len(times); i++ {
+		gaps = append(gaps, times[i]-times[i-1])
+	}
+	slices.Sort(gaps)
+	return gaps
+}
+
 // FuzzWindowEventsIsAFold: however the arrival log is cut into per-window
-// deliveries, extending incrementally equals reducing it whole.
+// deliveries, extending incrementally equals reducing it whole, and the
+// sorted gap window equals the last quantileGaps gaps sorted from scratch
+// after every delivery.
 func FuzzWindowEventsIsAFold(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 200, 8, 8, 0, 255, 1}, uint8(3), uint8(4))
 	f.Add([]byte{0, 0, 0, 0}, uint8(1), uint8(1))
 	f.Add([]byte{}, uint8(2), uint8(0))
+	// Periodic arrivals: every gap equal, so each slide deletes one of 60
+	// duplicates.
+	f.Add(bytes.Repeat([]byte{16}, 150), uint8(5), uint8(3))
+	// A few distinct gaps, each repeated many times: deletions of a
+	// duplicated value with other values on both sides.
+	f.Add(bytes.Repeat([]byte{16, 32, 16, 48, 0, 24}, 40), uint8(7), uint8(3))
+	// Fewer than 8 gaps.
+	f.Add([]byte{20, 40, 20, 60, 20}, uint8(0), uint8(3))
 	f.Fuzz(func(t *testing.T, steps []byte, chunk, quarterWindows uint8) {
 		w := float64(quarterWindows%8+1) / 4
 		var arr []float64
@@ -317,6 +339,9 @@ func FuzzWindowEventsIsAFold(f *testing.F) {
 			}
 			ev.extend(arr[:cut], w)
 			ev.extend(arr[:cut], w) // an idle window: nothing new
+			if want := refRecentGaps(ev.times); !slices.Equal(ev.recentGaps(), want) {
+				t.Fatalf("after %d arrivals: sorted window %v, from scratch %v", cut, ev.recentGaps(), want)
+			}
 		}
 		want := refEventTimes(arr, w)
 		if !slices.Equal(ev.times, want) {

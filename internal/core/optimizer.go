@@ -113,6 +113,9 @@ type Optimizer struct {
 	Nanotime func() int64
 
 	ws workspace
+	// search, when set, wraps the refiner in another local search over the
+	// same state; tests install the full-evaluation reference here.
+	search func(*refiner) localSearch
 }
 
 // New returns an Optimizer over the given hardware catalog with top-1
@@ -241,7 +244,8 @@ type workspace struct {
 
 	// Refinement.
 	assign, saved []int
-	finish        []float64
+	finish, trial []float64
+	ref           refiner
 }
 
 // beamEntry is the committed prefix cost and latency of one beam entry.
@@ -279,6 +283,7 @@ func (ws *workspace) reset(n int) {
 	ws.assign = resize(ws.assign, n)
 	ws.saved = resize(ws.saved, n)
 	ws.finish = resize(ws.finish, n)
+	ws.trial = resize(ws.trial, n)
 	if len(ws.own) < n {
 		ws.own = append(ws.own, make([][]candidate, n-len(ws.own))...)
 	}
@@ -307,8 +312,8 @@ func (o *Optimizer) prepare(req *Request) (*dag.Layout, error) {
 	if req.Batch < 1 {
 		req.Batch = 1
 	}
-	if req.SLA <= 0 {
-		return nil, fmt.Errorf("core: non-positive SLA %v", req.SLA)
+	if !(req.SLA > 0) { // NaN too: every latency comparison would be false
+		return nil, fmt.Errorf("core: SLA %v is not positive", req.SLA)
 	}
 	l := req.Graph.Layout()
 	if l.Err != nil {
@@ -573,18 +578,34 @@ func (o *Optimizer) pathStats(l *dag.Layout) []PathStats {
 // refiner holds the indexed state of the local search: nodes are numbered
 // in topological order, plans are candidate-index vectors, and evaluation
 // is array arithmetic — no maps, no allocations per trial.
+//
+// finish always holds the finish times of the current assignment, and
+// breached whether one of them exceeds the SLA, so a trial move re-times
+// only the nodes it can delay (try).
 type refiner struct {
-	preds  [][]int // predecessor indices per node
-	cands  [][]candidate
-	assign []int // current candidate index per node
-	saved  []int
-	finish []float64
-	sla    float64
+	preds    [][]int // predecessor indices per node
+	cones    [][]int // per node: dag.Layout.Cone
+	cands    [][]candidate
+	assign   []int // current candidate index per node
+	saved    []int
+	finish   []float64
+	trial    []float64 // finish times a running trial overwrote
+	breached bool
+	sla      float64
+}
+
+// localSearch is the refinement run after the paths are merged: improve for
+// Optimize, downgrade for the paper's combine. The refiner is the one
+// implementation outside tests.
+type localSearch interface {
+	downgrade(allowed func(i int) bool)
+	improve()
 }
 
 // refiner starts the local search on the workspace from the merged path
-// choice: each node on the first candidate with the chosen configuration.
-func (o *Optimizer) refiner(l *dag.Layout, sla float64) refiner {
+// choice: each node on the first candidate with the chosen configuration,
+// timed in full.
+func (o *Optimizer) refiner(l *dag.Layout, sla float64) localSearch {
 	ws := &o.ws
 	for i, cands := range ws.cands {
 		cfg := cands[ws.pick[i]].cfg
@@ -596,27 +617,77 @@ func (o *Optimizer) refiner(l *dag.Layout, sla float64) refiner {
 			}
 		}
 	}
-	return refiner{preds: l.Preds, cands: ws.cands, assign: ws.assign, saved: ws.saved, finish: ws.finish, sla: sla}
+	ws.ref = refiner{preds: l.Preds, cones: l.Cone, cands: ws.cands, assign: ws.assign, saved: ws.saved,
+		finish: ws.finish, trial: ws.trial, sla: sla}
+	if o.search != nil {
+		return o.search(&ws.ref)
+	}
+	ws.ref.eval()
+	return &ws.ref
 }
 
-// eval returns E2E latency and total cost of the current assignment.
-func (r *refiner) eval() (lat, cost float64) {
+// eval times the whole current assignment.
+func (r *refiner) eval() {
+	r.breached = false
 	for i, cands := range r.cands {
-		c := cands[r.assign[i]]
-		cost += c.cost
-		start := 0.0
-		for _, p := range r.preds[i] {
-			if f := r.finish[p]; f > start {
-				start = f
-			}
-		}
-		f := start + c.infer
+		f := r.start(i) + cands[r.assign[i]].infer
 		r.finish[i] = f
-		if f > lat {
-			lat = f
+		r.breached = r.breached || f > r.sla
+	}
+}
+
+// start is node i's start time: the latest finish among its predecessors.
+func (r *refiner) start(i int) float64 {
+	start := 0.0
+	for _, p := range r.preds[i] {
+		if f := r.finish[p]; f > start {
+			start = f
 		}
 	}
-	return lat, cost
+	return start
+}
+
+// cost is the total cost of the current assignment, summed in topological
+// order.
+func (r *refiner) cost() (cost float64) {
+	for i, cands := range r.cands {
+		cost += cands[r.assign[i]].cost
+	}
+	return cost
+}
+
+// try moves node i to candidate ci if every finish time then stays within
+// the SLA, and reports whether it did. From a feasible assignment only i's
+// cone (i and the nodes reachable from it) can change finish time, so only
+// the cone is re-timed — with eval's operations in eval's order, stopping
+// at the first breach — and the verdict and the finish times left behind
+// are eval's bits. A rejected trial restores the finish times it
+// overwrote from r.trial. From an assignment that already breaches the SLA
+// the trial is timed whole by eval.
+func (r *refiner) try(i, ci int) bool {
+	prev := r.assign[i]
+	r.assign[i] = ci
+	if r.breached {
+		if r.eval(); !r.breached {
+			return true
+		}
+		r.assign[i] = prev
+		r.eval()
+		return false
+	}
+	cone := r.cones[i]
+	for k, j := range cone {
+		f := r.start(j) + r.cands[j][r.assign[j]].infer
+		if f > r.sla {
+			for _, u := range cone[:k] {
+				r.finish[u] = r.trial[u]
+			}
+			r.assign[i] = prev
+			return false
+		}
+		r.trial[j], r.finish[j] = r.finish[j], f
+	}
+	return true
 }
 
 // downgrade greedily moves each node allowed to move to a cheaper candidate
@@ -633,13 +704,10 @@ func (r *refiner) downgrade(allowed func(i int) bool) {
 				if c.cost >= curCost {
 					break // cost-ascending: nothing cheaper left
 				}
-				prev := r.assign[i]
-				r.assign[i] = ci
-				if lat, _ := r.eval(); lat <= r.sla {
+				if r.try(i, ci) {
 					changed = true
 					break
 				}
-				r.assign[i] = prev
 			}
 		}
 	}
@@ -649,35 +717,36 @@ func (r *refiner) downgrade(allowed func(i int) bool) {
 // move reduces total cost: plain downgrade passes interleaved with moves
 // that make one function faster (freeing latency budget) and then
 // re-downgrade the rest, accepted only when the total cost strictly
-// decreases. The SLA holds at every step.
+// decreases. The SLA holds at every accepted step, so only the cost needs
+// checking after the re-downgrade.
 func (r *refiner) improve() {
 	r.downgrade(func(int) bool { return true })
-	_, curCost := r.eval()
+	curCost := r.cost()
 	const eps = 1e-12
 	for improved := true; improved; {
 		improved = false
 		for i := range r.cands {
-			curInfer := r.cands[i][r.assign[i]].infer
+			cur := r.assign[i]
+			curInfer := r.cands[i][cur].infer
 			for ci, c := range r.cands[i] {
-				if c.infer >= curInfer || ci == r.assign[i] {
+				if c.infer >= curInfer || ci == cur {
 					continue // only strictly faster alternatives free budget
 				}
-				copy(r.saved, r.assign)
-				r.assign[i] = ci
-				if lat, _ := r.eval(); lat > r.sla {
-					copy(r.assign, r.saved)
+				if !r.try(i, ci) {
 					continue
 				}
+				copy(r.saved, r.assign)
+				r.saved[i] = cur
 				// Pin the upgraded node: the freed budget must go to other
 				// functions, not revert this move.
 				r.downgrade(func(j int) bool { return j != i })
-				lat, cost := r.eval()
-				if lat <= r.sla && cost < curCost-eps {
+				if cost := r.cost(); cost < curCost-eps {
 					curCost = cost
 					improved = true
 					break
 				}
 				copy(r.assign, r.saved)
+				r.eval()
 			}
 			if improved {
 				break

@@ -278,6 +278,9 @@ func TestRequestValidation(t *testing.T) {
 	if _, err := o.Optimize(Request{Graph: app.Graph, Profiles: profilesFor(app), SLA: 0, IT: 1}); err == nil {
 		t.Error("zero SLA should error")
 	}
+	if _, err := o.Optimize(Request{Graph: app.Graph, Profiles: profilesFor(app), SLA: math.NaN(), IT: 1}); err == nil {
+		t.Error("NaN SLA should error")
+	}
 	// Missing profile.
 	p := profilesFor(app)
 	for k := range p {

@@ -57,6 +57,10 @@ type Layout struct {
 	// Preds lists each node's direct predecessors by index, in edge
 	// insertion order (Graph.Predecessors).
 	Preds [][]int
+	// Cone lists, for each node, the node itself and every node reachable
+	// from it, ascending: the part of the graph a change at the node can
+	// reach.
+	Cone [][]int
 	// Paths is the decomposition into source-to-sink paths
 	// (Graph.Decompose), each as a sequence of indices.
 	Paths [][]int
@@ -232,6 +236,22 @@ func (g *Graph) compile() *Layout {
 		}
 		depth[i] = d
 		l.Longest = max(l.Longest, d)
+	}
+	l.Cone = make([][]int, len(l.Topo))
+	in := make([]bool, len(l.Topo))
+	for i := range l.Topo {
+		clear(in)
+		in[i] = true
+		l.Cone[i] = []int{i}
+		for j := i + 1; j < len(l.Topo); j++ {
+			for _, p := range l.Preds[j] {
+				if in[p] {
+					in[j] = true
+					l.Cone[i] = append(l.Cone[i], j)
+					break
+				}
+			}
+		}
 	}
 	for _, p := range g.Paths() {
 		path := make([]int, len(p))

@@ -2,6 +2,7 @@ package dag
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -363,5 +364,35 @@ func TestLayoutRebuiltAfterChange(t *testing.T) {
 	g.MustAddEdge("A", "C")
 	if l2 := g.Layout(); l2 == l || len(l2.Paths) != 2 {
 		t.Errorf("after a second AddEdge: rebuilt %v, %d paths, want a new layout with 2", l2 != l, len(l2.Paths))
+	}
+}
+
+// TestLayoutCone: each node's cone is the node and everything reachable
+// from it, ascending in topological order, and nothing else.
+func TestLayoutCone(t *testing.T) {
+	g := New()
+	for _, id := range []NodeID{"A", "B", "C", "D", "E"} {
+		g.MustAddNode(id, "m")
+	}
+	g.MustAddEdge("A", "B")
+	g.MustAddEdge("A", "C")
+	g.MustAddEdge("B", "D")
+	g.MustAddEdge("C", "E")
+	l := g.Layout()
+	want := map[NodeID][]NodeID{
+		"A": {"A", "B", "C", "D", "E"},
+		"B": {"B", "D"},
+		"C": {"C", "E"},
+		"D": {"D"},
+		"E": {"E"},
+	}
+	for id, ids := range want {
+		var got []NodeID
+		for _, j := range l.Cone[l.Index[id]] {
+			got = append(got, l.Topo[j])
+		}
+		if !slices.Equal(got, ids) {
+			t.Errorf("cone of %s = %v, want %v", id, got, ids)
+		}
 	}
 }

@@ -118,7 +118,8 @@ type Forecaster interface {
 	// whole). Either way the result is a pure function of the Config and
 	// the Fit/Update calls so far. It returns ErrShortSeries when hist
 	// cannot support training; other errors are family-specific. After an
-	// error the previous state — model and history — is retained.
+	// error the previous state — model and history — is retained. Fit
+	// does not retain hist: callers may reuse its array once Fit returns.
 	Fit(hist []Observation) error
 	// Predict forecasts the next horizon steps after the last observation
 	// seen (Fit history plus Updates), index 0 being one step ahead.
