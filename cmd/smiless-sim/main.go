@@ -5,7 +5,7 @@
 //
 //	smiless-sim -app WL2 -system SMIless -horizon 1800 -sla 2
 //	smiless-sim -app WL3 -system IceBreaker -workload bursty
-//	smiless-sim -app WL2 -faults 0.05 -outage         # fault-injected run
+//	smiless-sim -app WL2 -faults 0.05                 # fault-injected run
 //	smiless-sim -app WL1 -trace out.json              # Chrome/Perfetto trace
 //	smiless-sim -chaos                                 # full resilience sweep
 //	smiless-sim -churn                                 # SLA vs. node count under churn
@@ -66,7 +66,6 @@ func main() {
 	of := cliutil.AddOutputFlags(flag.CommandLine)
 	faultRate := flag.Float64("faults", 0, "base failure rate: init-crash prob = rate, exec-crash = 0.6*rate, straggler = rate (0 = fault-free)")
 	straggler := flag.Float64("straggler", 6, "execution-time inflation factor for injected stragglers")
-	outage := flag.Bool("outage", false, "with -faults: take node 0 down for 120s mid-run")
 	chaos := flag.Bool("chaos", false, "run the full resilience sweep (systems x failure rates) and exit")
 	churn := flag.Bool("churn", false, "run the node-churn sweep (SLA attainment vs. node count under crash/partition churn) and exit")
 	p2c := flag.Bool("p2c", false, "place launches by locality with power-of-two-choices overflow (default: first-fit); shorthand for -affinity p2c")
@@ -147,10 +146,6 @@ func main() {
 				StragglerFactor: *straggler,
 			},
 			Seed: *seed,
-		}
-		if *outage {
-			start := 0.4 * *tf.Horizon
-			plan.Outages = []faults.Outage{{Node: 0, Start: start, End: start + 120}}
 		}
 	}
 	if len(nodeFaults) > 0 {

@@ -158,9 +158,9 @@ func TestSMIlessSurvivesChaosRun(t *testing.T) {
 		sim := simulator.MustNew(simulator.Config{
 			App: app, SLA: 2.0, Seed: 3,
 			Faults: &faults.Plan{
-				Default: faults.Rates{InitFail: 0.08, ExecFail: 0.06, Straggler: 0.1, StragglerFactor: 6},
-				Outages: []faults.Outage{{Node: 0, Start: 200, End: 260}},
-				Seed:    13,
+				Default:    faults.Rates{InitFail: 0.08, ExecFail: 0.06, Straggler: 0.1, StragglerFactor: 6},
+				NodeFaults: []faults.NodeFault{{Node: 0, Kind: faults.NodeCrash, Start: 200, End: 260}},
+				Seed:       13,
 			},
 		}, drv)
 		r := mathx.NewRand(4)

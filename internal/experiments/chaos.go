@@ -25,16 +25,14 @@ type ChaosParams struct {
 	Systems []SystemName
 	// Rates is the swept base failure rate; each rate r expands to
 	// init-crash probability r, exec-crash probability 0.6r and straggler
-	// probability r (factor 6). Nil means {0, 0.02, 0.05, 0.1}.
+	// probability r (factor 6). Every non-zero rate also crashes node 0 for
+	// 120 s from 40% of the horizon. Nil means {0, 0.02, 0.05, 0.1}.
 	Rates []float64
-	// Outage additionally takes one node down for 120 s mid-run at every
-	// non-zero rate.
-	Outage bool
 }
 
 // DefaultChaosParams returns the default sweep.
 func DefaultChaosParams(seed int64) ChaosParams {
-	return ChaosParams{App: "WL2", SLA: 2.0, Horizon: 1200, Seed: seed, Outage: true}
+	return ChaosParams{App: "WL2", SLA: 2.0, Horizon: 1200, Seed: seed}
 }
 
 // ChaosCell is one (rate, system) outcome.
@@ -56,7 +54,8 @@ func (p ChaosParams) planForRate(i int, rate float64) *faults.Plan {
 	if rate <= 0 {
 		return nil
 	}
-	plan := &faults.Plan{
+	start := 0.4 * p.Horizon
+	return &faults.Plan{
 		Default: faults.Rates{
 			InitFail:        rate,
 			ExecFail:        0.6 * rate,
@@ -65,13 +64,9 @@ func (p ChaosParams) planForRate(i int, rate float64) *faults.Plan {
 		},
 		// Decorrelate schedules across rates while keeping each rate's
 		// schedule fixed under the sweep seed.
-		Seed: p.Seed*1009 + int64(i),
+		Seed:       p.Seed*1009 + int64(i),
+		NodeFaults: []faults.NodeFault{{Node: 0, Kind: faults.NodeCrash, Start: start, End: start + 120}},
 	}
-	if p.Outage {
-		start := 0.4 * p.Horizon
-		plan.Outages = []faults.Outage{{Node: 0, Start: start, End: start + 120}}
-	}
-	return plan
 }
 
 // Chaos runs the failure-rate sweep: every system sees the identical trace

@@ -99,7 +99,7 @@ type RunParams struct {
 	// Unknown names fail with a typed *simulator.ConfigError.
 	Forecaster string
 	// Faults optionally injects failures (crashes, stragglers, node
-	// outages, node crashes/partitions) into the run; nil evaluates the
+	// crashes/partitions) into the run; nil evaluates the
 	// fault-free substrate.
 	Faults *faults.Plan
 	// Placement selects the simulator's node-placement policy (default

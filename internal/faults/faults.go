@@ -1,7 +1,8 @@
 // Package faults defines the failure-injection and recovery primitives the
 // simulator and controller share: a seeded injection Plan (container
-// crashes, stragglers, node outages), the Injector that realizes it, and
-// the gateway-side recovery state machines (RetryPolicy, Breaker).
+// crashes, stragglers, scheduled node crashes and partitions), the Injector
+// that realizes it, and the gateway-side recovery state machines
+// (RetryPolicy, Breaker).
 //
 // The paper's analysis (§V, Eq. 3–5) assumes containers never fail; this
 // package is the robustness extension. Injection is driven by an RNG that
@@ -10,11 +11,11 @@
 // to the fault-free build, and two runs with the same plan seed replay the
 // same failure schedule.
 //
-// Spot preemptions (hardware.PriceTrace.Preemptions) are a third,
+// Spot preemptions (hardware.PriceTrace.Preemptions) are a second,
 // price-driven source of node loss: the substrates realize them natively
-// with Outage-like instant detection — the provider sends an eviction
-// notice, so containers drain without the gossip detector and no retry
-// attempts are billed. To model a harsher provider that evicts without
+// with instant detection — the provider sends an eviction notice, so
+// containers are evicted and their work failed over without the gossip
+// detector, and no retry attempts are billed. To model a harsher provider that evicts without
 // notice, PreemptionCrashes converts the same windows into NodeFaults so
 // the loss must be discovered through missing heartbeats.
 //
@@ -48,16 +49,6 @@ func (r Rates) active() bool {
 	return r.InitFail > 0 || r.ExecFail > 0 || r.Straggler > 0
 }
 
-// Outage takes one node out of service over [Start, End): its containers
-// are evicted (in-flight work retried) and no new allocation lands on it
-// until End. Detection is instantaneous — the control plane reacts the
-// moment the outage begins. For failures the control plane must discover
-// through its health detector, use NodeFault instead.
-type Outage struct {
-	Node       int
-	Start, End float64
-}
-
 // NodeFaultKind classifies a scheduled node-level fault.
 type NodeFaultKind int
 
@@ -89,9 +80,9 @@ func (k NodeFaultKind) String() string {
 }
 
 // NodeFault schedules one crash/restart cycle or network partition for a
-// node. Unlike Outage, the control plane does not observe the fault
-// directly: the gossip failure detector must notice missing heartbeats and
-// drive suspect → down → failover.
+// node. The control plane does not observe the fault directly: the gossip
+// failure detector must notice missing heartbeats and drive suspect → down
+// → failover.
 type NodeFault struct {
 	Node int
 	Kind NodeFaultKind
@@ -105,7 +96,7 @@ type NodeFault struct {
 // PreemptionCrashes converts spot-preemption windows into NodeCrash
 // faults: the node dies at the window start and restarts when it closes
 // (a window that never closes leaves it down). Unlike the substrates'
-// native PriceTrace handling — instant detection, billed like an Outage —
+// native PriceTrace handling — instant detection on the eviction notice —
 // the resulting faults must be discovered by the gossip health detector,
 // modelling a provider that reclaims capacity without an eviction notice.
 func PreemptionCrashes(windows []hardware.PreemptionWindow) []NodeFault {
@@ -123,8 +114,6 @@ type Plan struct {
 	Default Rates
 	// PerFunction overrides Default for named functions.
 	PerFunction map[string]Rates
-	// Outages is the scheduled node-downtime list (instant detection).
-	Outages []Outage
 	// NodeFaults schedules crashes, restarts and partitions that the
 	// control plane must discover through its health detector.
 	NodeFaults []NodeFault
@@ -137,7 +126,7 @@ func (p *Plan) Enabled() bool {
 	if p == nil {
 		return false
 	}
-	if p.Default.active() || len(p.Outages) > 0 || len(p.NodeFaults) > 0 {
+	if p.Default.active() || len(p.NodeFaults) > 0 {
 		return true
 	}
 	for _, r := range p.PerFunction {

@@ -19,7 +19,6 @@ func TestPlanEnabled(t *testing.T) {
 		{"init-fail", &Plan{Default: Rates{InitFail: 0.1}}, true},
 		{"exec-fail", &Plan{Default: Rates{ExecFail: 0.1}}, true},
 		{"straggler", &Plan{Default: Rates{Straggler: 0.1}}, true},
-		{"outage-only", &Plan{Outages: []Outage{{Node: 0, Start: 10, End: 20}}}, true},
 		{"node-crash-only", &Plan{NodeFaults: []NodeFault{{Node: 1, Kind: NodeCrash, Start: 10, End: 20}}}, true},
 		{"node-partition-only", &Plan{NodeFaults: []NodeFault{{Node: 2, Kind: NodePartition, Start: 5, End: 9}}}, true},
 		{"per-fn", &Plan{PerFunction: map[string]Rates{"IR": {ExecFail: 0.2}}}, true},

@@ -2,9 +2,7 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"strings"
 )
 
 // bannedTimeFuncs are package-level time functions that read the wall clock
@@ -36,49 +34,16 @@ var bannedRandFuncs = map[string]bool{
 // Determinism enforces the simulator's reproducibility contract in packages
 // tagged //lint:deterministic: no wall-clock reads, no global math/rand, no
 // sleeping, no goroutine spawning (scheduler interleaving is nondeterministic
-// and unsynchronized accumulation reorders float arithmetic).
-//
-// One structured-concurrency exemption exists: a function whose doc comment
-// carries
-//
-//	//lint:allow determinism parallel-merge <reason>
-//
-// may spawn goroutines, on the author's stated argument that their results
-// land in pre-assigned slots and are merged in a deterministic order (the
-// pattern internal/core's path-search worker pool uses). The directive is
-// validated like any other allow: it must carry a reason, must sit on a
-// function that actually spawns a goroutine (else it is stale), and is
-// unnecessary in untagged packages.
+// and unsynchronized accumulation reorders float arithmetic). A finding the
+// author can argue away takes the line-scoped
+// //lint:allow determinism <reason> like any other analyzer's.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc: "forbid time.Now/Since/Sleep, global math/rand and goroutine spawning " +
-		"in packages tagged //lint:deterministic; functions doc-tagged " +
-		"//lint:allow determinism parallel-merge <reason> may spawn goroutines",
-	Run: runDeterminism,
-}
-
-// parallelMergeDirective is the function-scoped goroutine exemption. The
-// generic line-scoped machinery in applyDirectives skips it (see
-// isParallelMergeDirective); this analyzer owns its validation.
-const parallelMergeDirective = directivePrefix + "allow determinism parallel-merge"
-
-// isParallelMergeDirective reports whether a parsed allow directive is the
-// function-scoped parallel-merge exemption rather than a line-scoped allow.
-func isParallelMergeDirective(analyzer, reason string) bool {
-	return analyzer == "determinism" &&
-		(reason == "parallel-merge" || strings.HasPrefix(reason, "parallel-merge "))
-}
-
-// parallelMergeExemption is one validated function-scoped exemption: every
-// GoStmt inside [lo, hi) is allowed. used tracks staleness.
-type parallelMergeExemption struct {
-	pos    token.Pos
-	lo, hi token.Pos
-	used   bool
+	Doc:  "forbid time.Now/Since/Sleep, global math/rand and goroutine spawning in packages tagged //lint:deterministic",
+	Run:  runDeterminism,
 }
 
 func runDeterminism(pass *Pass) error {
-	exempt := parallelMergeExemptions(pass)
 	if !pass.Deterministic {
 		return nil
 	}
@@ -86,13 +51,7 @@ func runDeterminism(pass *Pass) error {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.GoStmt:
-				for _, e := range exempt {
-					if e.lo <= n.Pos() && n.Pos() < e.hi {
-						e.used = true
-						return true
-					}
-				}
-				pass.Reportf(n.Pos(), "goroutine spawned in deterministic package %s: scheduler interleaving is nondeterministic; restructure as sequential or move concurrency behind a deterministic merge (and doc-tag the function //lint:allow determinism parallel-merge <reason>)", pass.Pkg.Name())
+				pass.Reportf(n.Pos(), "goroutine spawned in deterministic package %s: scheduler interleaving is nondeterministic; restructure as sequential or move the concurrency out of the package", pass.Pkg.Name())
 			case *ast.SelectorExpr:
 				pkgPath, ok := selectorPackage(pass.TypesInfo, n)
 				if !ok {
@@ -112,57 +71,7 @@ func runDeterminism(pass *Pass) error {
 			return true
 		})
 	}
-	for _, e := range exempt {
-		if !e.used {
-			pass.Reportf(e.pos, "stale //lint:allow determinism parallel-merge: the function spawns no goroutine — remove the directive")
-		}
-	}
 	return nil
-}
-
-// parallelMergeExemptions collects and validates the function-scoped
-// goroutine exemptions, reporting malformed, misplaced and unnecessary
-// directives. Only well-formed directives in a deterministic package yield
-// exemptions; staleness is checked by the caller after the walk.
-func parallelMergeExemptions(pass *Pass) []*parallelMergeExemption {
-	var out []*parallelMergeExemption
-	for _, f := range pass.Files {
-		// Map doc comments to their functions so directives anywhere else
-		// (inside bodies, on types) are rejected as misplaced.
-		docOf := make(map[*ast.Comment]*ast.FuncDecl)
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Doc != nil {
-				for _, c := range fd.Doc.List {
-					docOf[c] = fd
-				}
-			}
-		}
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimSpace(c.Text)
-				// Fixture expectation markers are not part of the directive.
-				if i := strings.Index(text, " // want"); i >= 0 {
-					text = strings.TrimSpace(text[:i])
-				}
-				if text != parallelMergeDirective && !strings.HasPrefix(text, parallelMergeDirective+" ") {
-					continue
-				}
-				reason := strings.TrimSpace(strings.TrimPrefix(text, parallelMergeDirective))
-				fd := docOf[c]
-				switch {
-				case fd == nil || fd.Body == nil:
-					pass.Reportf(c.Pos(), "//lint:allow determinism parallel-merge must be the doc comment of the function whose goroutines it exempts")
-				case reason == "":
-					pass.Reportf(c.Pos(), "//lint:allow determinism parallel-merge: missing reason — say why the merge is deterministic (pre-assigned slots, ordered reduction, ...)")
-				case !pass.Deterministic:
-					pass.Reportf(c.Pos(), "unnecessary //lint:allow determinism parallel-merge: package %s is not tagged //lint:deterministic, goroutines are already allowed", pass.Pkg.Name())
-				default:
-					out = append(out, &parallelMergeExemption{pos: c.Pos(), lo: fd.Body.Pos(), hi: fd.Body.End()})
-				}
-			}
-		}
-	}
-	return out
 }
 
 // selectorPackage resolves sel.X to an imported package path when sel is a

@@ -148,13 +148,6 @@ func applyDirectives(pkg *Package, diags []Diagnostic, ran, known map[string]boo
 		case "deterministic":
 			continue
 		case "allow":
-			// The function-scoped parallel-merge exemption is owned by the
-			// determinism analyzer, which validates placement, reason and
-			// staleness itself; the line-scoped machinery must not re-judge
-			// it (a function-doc directive suppresses nothing on its line).
-			if isParallelMergeDirective(d.Analyzer, d.Reason) {
-				continue
-			}
 			switch {
 			case d.Analyzer == "":
 				out = append(out, directiveError(d, "malformed //lint:allow: missing analyzer name (want //lint:allow <analyzer> <reason>)"))

@@ -38,17 +38,15 @@ func allowed() time.Time {
 	return time.Now() //lint:allow determinism log banner only, result never feeds simulation state
 }
 
-// fanOut demonstrates the structured-concurrency exemption: workers write
-// to pre-assigned slots and the caller blocks on all of them, so the merge
-// order is deterministic.
-//
-//lint:allow determinism parallel-merge workers fill per-index slots, joined before any read
+// fanOut spawns under the line-scoped escape hatch: workers write to
+// pre-assigned slots and the caller blocks on all of them, so the merge order
+// is deterministic.
 func fanOut(xs []int) []int {
 	out := make([]int, len(xs))
 	done := make(chan struct{}, len(xs))
 	for i, x := range xs {
 		i, x := i, x
-		go func() {
+		go func() { //lint:allow determinism workers fill per-index slots, joined before any read
 			out[i] = x * x
 			done <- struct{}{}
 		}()
@@ -57,22 +55,4 @@ func fanOut(xs []int) []int {
 		<-done
 	}
 	return out
-}
-
-// neverSpawns claims the exemption without spawning anything.
-//
-//lint:allow determinism parallel-merge nothing here actually forks // want `stale //lint:allow determinism parallel-merge`
-func neverSpawns() int { return 1 }
-
-// reasonless claims the exemption without saying why the merge is sound, so
-// the directive is rejected and the goroutine is still reported.
-//
-//lint:allow determinism parallel-merge // want `missing reason`
-func reasonless(ch chan int) {
-	go func() { ch <- 1 }() // want `goroutine spawned in deterministic package`
-}
-
-func misplacedExemption(ch chan int) {
-	//lint:allow determinism parallel-merge not a doc comment // want `must be the doc comment`
-	go func() { ch <- 2 }() // want `goroutine spawned in deterministic package`
 }

@@ -9,10 +9,3 @@ func wallTime() time.Duration {
 	go func() {}()
 	return time.Since(start)
 }
-
-// pointlessExemption spawns freely already; the directive is noise.
-//
-//lint:allow determinism parallel-merge belt and suspenders // want `unnecessary //lint:allow determinism parallel-merge`
-func pointlessExemption() {
-	go func() {}()
-}

@@ -3,6 +3,7 @@ package serving
 import (
 	"context"
 	"reflect"
+	"sort"
 	"testing"
 
 	"smiless/internal/apps"
@@ -17,15 +18,23 @@ import (
 	"smiless/internal/trace"
 )
 
+// scenario is one run that replayBoth replays through both front ends.
+type scenario struct {
+	// cfg configures the runtime; the simulator's Config is derived from it,
+	// over cfg.Nodes nodes whose capacity never binds.
+	cfg    Config
+	driver func(app *apps.Application) simulator.Driver
+	trace  *trace.Trace
+	// chaosAPI takes the plan's NodeFaults out of the runtime's plan and
+	// hands them to it as KillNode, RestartNode and SetPartitioned calls at
+	// the same instants.
+	chaosAPI bool
+}
+
 // diffCase is one seeded trace for TestDifferentialSimulatorServing.
 type diffCase struct {
-	name      string
-	app       *apps.Application
-	nodes     int
-	placement simulator.PlacementPolicy
-	faults    *faults.Plan
-	driver    func(app *apps.Application) simulator.Driver
-	trace     *trace.Trace
+	name string
+	scenario
 }
 
 // retryHedgeDriver keeps two-way batches warm under a retry policy with a
@@ -55,98 +64,157 @@ func diffCases() []diffCase {
 	for k := 1; k <= 30; k += 3 {
 		boundaries.Arrivals = append(boundaries.Arrivals, float64(k), float64(k))
 	}
-	return []diffCase{
-		{
-			name: "window-boundaries", app: apps.ImageQuery(), nodes: 1,
-			driver: naiveController,
-			trace:  trace.Merge(boundaries),
-		},
-		{
-			name: "retry-hedge", app: apps.VoiceAssistant(), nodes: 1,
-			faults: &faults.Plan{Seed: 4, Default: faults.Rates{ExecFail: 0.08, InitFail: 0.05, Straggler: 0.1}},
-			driver: retryHedgeDriver,
-			trace:  trace.Poisson(mathx.NewRand(22), 2, 40),
-		},
-		{
-			name: "crash-partition", app: apps.ImageQuery(), nodes: 3, placement: simulator.PlaceSpread,
-			faults: &faults.Plan{NodeFaults: []faults.NodeFault{
+	crashPartition := scenario{
+		cfg: Config{
+			App: apps.ImageQuery(), SLA: 2, Seed: 7, Nodes: 3, Placement: simulator.PlaceSpread,
+			Faults: &faults.Plan{NodeFaults: []faults.NodeFault{
 				{Node: 0, Kind: faults.NodeCrash, Start: 6.3, End: 15.1},
 				{Node: 1, Kind: faults.NodePartition, Start: 9.6, End: 13.2},
 				{Node: 2, Kind: faults.NodeCrash, Start: 24.7, End: 25.05},
 			}},
-			driver: retryHedgeDriver,
-			trace: trace.Merge(
-				trace.Bursty(mathx.NewRand(23), 3, 4, 5, 40),
-				trace.Poisson(mathx.NewRand(24), 0.5, 40),
-			),
 		},
+		driver: retryHedgeDriver,
+		trace: trace.Merge(
+			trace.Bursty(mathx.NewRand(23), 3, 4, 5, 40),
+			trace.Poisson(mathx.NewRand(24), 0.5, 40),
+		),
+	}
+	chaosAPI := crashPartition
+	chaosAPI.chaosAPI = true
+	return []diffCase{
+		{"window-boundaries", scenario{
+			cfg:    Config{App: apps.ImageQuery(), SLA: 2, Seed: 7},
+			driver: naiveController,
+			trace:  trace.Merge(boundaries),
+		}},
+		{"retry-hedge", scenario{
+			cfg: Config{
+				App: apps.VoiceAssistant(), SLA: 2, Seed: 7,
+				Faults: &faults.Plan{Seed: 4, Default: faults.Rates{ExecFail: 0.08, InitFail: 0.05, Straggler: 0.1}},
+			},
+			driver: retryHedgeDriver,
+			trace:  trace.Poisson(mathx.NewRand(22), 2, 40),
+		}},
+		{"crash-partition", crashPartition},
+		{"chaos-api", chaosAPI},
 	}
 }
 
-// TestDifferentialSimulatorServing replays each trace through Simulator.Run
-// and through a Runtime on a fake clock — every arrival admitted at its
-// exact trace instant once everything due by then has run, and the runtime
-// closed at the instant the simulation ended — and requires DeepEqual
-// RunStats: one engine, one same-instant order, two front ends. One field
-// differs by front end: the simulator's decision windows stop one past the
-// trace horizon while the runtime's cadence runs until it closes, so the
-// runtime may sample PodSamples a few more times; they are compared on the
-// simulator's windows.
+// TestDifferentialSimulatorServing replays each case through both front ends
+// (replayBoth): one engine, one same-instant order, two front ends. The
+// chaos-api case drives the crash-partition schedule through the runtime's
+// chaos API instead of its fault plan, and must match the simulator running
+// that schedule as NodeFaults.
 func TestDifferentialSimulatorServing(t *testing.T) {
 	for _, tc := range diffCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			// Each case steps its own fake clock; run side by side, their
 			// stepping waits overlap.
 			t.Parallel()
-			nodes := make([]hardware.NodeSpec, tc.nodes)
-			for i := range nodes {
-				nodes[i] = hardware.NodeSpec{Cores: 1 << 20, GPUs: 1 << 10} // capacity never binds
-			}
-			sim, err := simulator.New(simulator.Config{
-				App: tc.app, SLA: 2, Seed: 7, Faults: tc.faults, Placement: tc.placement,
-				Cluster: hardware.ClusterSpec{Nodes: nodes},
-			}, tc.driver(tc.app))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := sim.MustRun(tc.trace)
-			end := sim.Now()
-
-			rt, fake := newTestRuntime(t, Config{
-				App: tc.app, SLA: 2, Seed: 7, Faults: tc.faults, Placement: tc.placement, Nodes: tc.nodes,
-			}, tc.driver(tc.app))
-			// stepTo runs everything due by at, then stands the clock on at.
-			stepTo := func(at float64) {
-				stepUntil(t, rt, fake, func() bool {
-					next, ok := fake.NextDeadline()
-					return !ok || next > at
-				})
-				fake.AdvanceTo(at)
-			}
-			for _, at := range tc.trace.Arrivals {
-				stepTo(at)
-				if _, err := rt.Invoke(context.Background()); err != nil {
-					t.Fatalf("Invoke at %v: %v", at, err)
-				}
-			}
-			stepTo(end)
-			stepUntil(t, rt, fake, rt.Quiesced)
-			rt.Close()
-			got := rt.Snapshot()
-
-			if want.Completed == 0 || (tc.faults != nil && want.Retries+want.Failovers == 0) {
-				t.Fatalf("the scenario reached nothing it names: %s", want.Summary())
-			}
-			if n := len(want.PodSamples); len(got.PodSamples) < n || !reflect.DeepEqual(got.PodSamples[:n], want.PodSamples) {
-				t.Errorf("PodSamples: the runtime's first %d windows differ from the simulator's", n)
-			}
-			got.PodSamples = want.PodSamples
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("serving diverged from the simulator:\nsimulator: %s\nserving:   %s\n%s",
-					want.Summary(), got.Summary(), firstDiff(want, got))
+			st := replayBoth(t, tc.scenario)
+			if st.Completed == 0 || (tc.cfg.Faults != nil && st.Retries+st.Failovers == 0) {
+				t.Fatalf("the scenario reached nothing it names: %s", st.Summary())
 			}
 		})
 	}
+}
+
+// replayBoth replays sc.trace through Simulator.Run and through a Runtime on
+// a fake clock — every arrival admitted at its exact trace instant once
+// everything due by then has run, and the runtime closed at the instant the
+// simulation ended — and requires DeepEqual RunStats. It builds one driver
+// per front end with sc.driver and returns the simulator's statistics.
+//
+// One field differs by front end: the simulator's decision windows stop one
+// past the trace horizon while the runtime's cadence runs until it closes,
+// so the runtime may sample PodSamples a few more times; they are compared
+// on the simulator's windows.
+func replayBoth(t *testing.T, sc scenario) *simulator.RunStats {
+	t.Helper()
+	cfg := sc.cfg
+	nodes := make([]hardware.NodeSpec, max(cfg.Nodes, 1))
+	for i := range nodes {
+		nodes[i] = hardware.NodeSpec{Cores: 1 << 20, GPUs: 1 << 10} // capacity never binds
+	}
+	sim, err := simulator.New(simulator.Config{
+		App: cfg.App, SLA: cfg.SLA, Window: cfg.Window, Seed: cfg.Seed, Faults: cfg.Faults,
+		Placement: cfg.Placement, Interference: cfg.Interference, PriceTrace: cfg.PriceTrace,
+		Cluster: hardware.ClusterSpec{Nodes: nodes},
+	}, sc.driver(cfg.App))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sim.MustRun(sc.trace)
+	end := sim.Now()
+
+	var calls []chaosCall
+	if sc.chaosAPI {
+		plan := *cfg.Faults
+		plan.NodeFaults = nil
+		cfg.Faults = &plan
+		calls = chaosCalls(sc.cfg.Faults.NodeFaults)
+	}
+	rt, fake := newTestRuntime(t, cfg, sc.driver(cfg.App))
+	// Like a queued node event in the simulator, a chaos call precedes an
+	// arrival on the same instant.
+	chaosUntil := func(at float64) {
+		for ; len(calls) > 0 && calls[0].at <= at; calls = calls[1:] {
+			stepTo(t, rt, fake, calls[0].at)
+			if err := calls[0].do(rt); err != nil {
+				t.Fatalf("chaos call at %v: %v", calls[0].at, err)
+			}
+		}
+	}
+	for _, at := range sc.trace.Arrivals {
+		chaosUntil(at)
+		stepTo(t, rt, fake, at)
+		if _, err := rt.Invoke(context.Background()); err != nil {
+			t.Fatalf("Invoke at %v: %v", at, err)
+		}
+	}
+	chaosUntil(end)
+	stepTo(t, rt, fake, end)
+	stepUntil(t, rt, fake, rt.Quiesced)
+	rt.Close()
+	got := rt.Snapshot()
+
+	if n := len(want.PodSamples); len(got.PodSamples) < n || !reflect.DeepEqual(got.PodSamples[:n], want.PodSamples) {
+		t.Errorf("PodSamples: the runtime's first %d windows differ from the simulator's", n)
+	}
+	got.PodSamples = want.PodSamples
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("serving diverged from the simulator:\nsimulator: %s\nserving:   %s\n%s",
+			want.Summary(), got.Summary(), firstDiff(want, got))
+	}
+	return want
+}
+
+// chaosCall is one node-chaos API call the runtime receives at an instant.
+type chaosCall struct {
+	at float64
+	do func(rt *Runtime) error
+}
+
+// chaosCalls turns a schedule of node faults into the chaos API calls that
+// realize it, in time order.
+func chaosCalls(nfs []faults.NodeFault) []chaosCall {
+	var calls []chaosCall
+	for _, nf := range nfs {
+		n := nf.Node
+		switch nf.Kind {
+		case faults.NodeCrash:
+			calls = append(calls, chaosCall{nf.Start, func(rt *Runtime) error { return rt.KillNode(n) }})
+			if nf.End > nf.Start {
+				calls = append(calls, chaosCall{nf.End, func(rt *Runtime) error { return rt.RestartNode(n) }})
+			}
+		case faults.NodePartition:
+			calls = append(calls,
+				chaosCall{nf.Start, func(rt *Runtime) error { return rt.SetPartitioned(n, true) }},
+				chaosCall{nf.End, func(rt *Runtime) error { return rt.SetPartitioned(n, false) }})
+		}
+	}
+	sort.SliceStable(calls, func(i, j int) bool { return calls[i].at < calls[j].at })
+	return calls
 }
 
 // firstDiff names the RunStats fields that differ.

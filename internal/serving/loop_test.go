@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"smiless/internal/clock"
 	"smiless/internal/coldstart"
 	"smiless/internal/dag"
 	"smiless/internal/faults"
@@ -79,6 +80,15 @@ func TestNoGoroutinePerRequest(t *testing.T) {
 	rt.Close()
 	waitForReal(t, func() bool { return runtime.NumGoroutine() <= before })
 }
+
+// setClock is a clock the test sets directly, for runtimes that are never
+// started: the test goroutine plays the scheduler loop, so every event runs
+// exactly when the test says and no goroutine hand-off is involved.
+type setClock struct{ now float64 }
+
+func (c *setClock) Now() float64          { return c.now }
+func (c *setClock) NewTimer() clock.Timer { return nil }
+func (c *setClock) Sleep(float64)         {}
 
 // tickClock is a set-by-hand clock that moves a little on every reading, as
 // a wall clock does between two calls: the first reading after a set returns

@@ -285,23 +285,16 @@ func TestMultiNodeChurnDeterministic(t *testing.T) {
 // finish it at t=19. A loop left asleep would run the cold start at t=66.
 func TestChaosWakesSleepingLoop(t *testing.T) {
 	rt, fake := newTestRuntime(t, Config{App: testChain([]float64{5.0}, 1.0), SLA: 30, Window: 1000}, keepAliveDriver(1))
-	stepTo := func(at float64) {
-		stepUntil(t, rt, fake, func() bool {
-			next, ok := fake.NextDeadline()
-			return !ok || next > at
-		})
-		fake.AdvanceTo(at)
-	}
 	if res := await(t, rt, fake, mustInvoke(t, rt)); res.Failed || !near(res.E2E, 6, 1e-9) {
 		t.Fatalf("request A: %+v, want a 6s cold completion", res)
 	}
-	stepTo(7)
+	stepTo(t, rt, fake, 7)
 	ch := mustInvoke(t, rt)
-	stepTo(8)
+	stepTo(t, rt, fake, 8)
 	if err := rt.KillNode(0); err != nil {
 		t.Fatal(err)
 	}
-	stepTo(13)
+	stepTo(t, rt, fake, 13)
 	if next, ok := fake.NextDeadline(); !ok || next != 66 {
 		t.Fatalf("loop armed for %v (%t) before the restart, want the keep-alive at 66", next, ok)
 	}

@@ -94,6 +94,16 @@ func stepUntil(t *testing.T, rt *Runtime, fake *clock.Fake, cond func() bool) {
 	}
 }
 
+// stepTo runs everything due by model time at, then stands the clock on at.
+func stepTo(t *testing.T, rt *Runtime, fake *clock.Fake, at float64) {
+	t.Helper()
+	stepUntil(t, rt, fake, func() bool {
+		next, ok := fake.NextDeadline()
+		return !ok || next > at
+	})
+	fake.AdvanceTo(at)
+}
+
 // await steps the clock until the invocation resolves.
 func await(t *testing.T, rt *Runtime, fake *clock.Fake, ch <-chan Result) Result {
 	t.Helper()

@@ -35,9 +35,8 @@
 //
 // The live pool is elastic: the engine is handed no capacity model (and so
 // no GPU MPS contention or capacity-blocked launches) and places every
-// launch. Fault injection uses the same faults.Plan rates; Outage entries
-// (the simulator's instant-detection node outages) are ignored, but
-// NodeFault entries (crash, partition) are realized.
+// launch. Fault injection takes the same faults.Plan as the simulator: its
+// rates and its NodeFault entries (crash, partition) alike.
 //
 // # Multi-node control plane
 //
@@ -102,8 +101,8 @@ type Config struct {
 	// hardware.DefaultPricing).
 	Pricing hardware.Pricing
 	// Faults optionally injects failures — container crashes, stragglers,
-	// timeouts — through the same plan the simulator uses. Outage entries
-	// (node placement) are simulator-only and ignored here.
+	// timeouts, node crashes and partitions — through the same plan the
+	// simulator uses.
 	Faults *faults.Plan
 	// Recorder, when non-nil, records per-invocation span trees and
 	// critical-path breakdowns from the live run, exportable as a Chrome

@@ -155,8 +155,6 @@ const (
 	evPartitionEnd                    // partition heals, held completions deliver
 	evPreempt                         // spot preemption window begins
 	evPreemptEnd                      // preempted capacity returns
-	evOutage                          // legacy Outage begins (Simulator.Run handles it)
-	evOutageEnd                       // legacy Outage ends (Simulator.Run handles it)
 )
 
 // nodeSide reports whether the event is a completion or failure emitted by

@@ -160,7 +160,7 @@ func TestChaosCapacityNeverOversubscribed(t *testing.T) {
 }
 
 // randomFaultPlan derives a fault schedule from a seed: crash and straggler
-// probabilities up to ~0.3, an optional mid-run node outage, and its own
+// probabilities up to ~0.3, an optional mid-run node crash, and its own
 // injection seed.
 func randomFaultPlan(r interface {
 	Intn(int) int
@@ -177,7 +177,7 @@ func randomFaultPlan(r interface {
 	}
 	if r.Intn(2) == 0 {
 		start := r.Float64() * horizon * 0.7
-		plan.Outages = []faults.Outage{{Node: 0, Start: start, End: start + 5 + r.Float64()*30}}
+		plan.NodeFaults = []faults.NodeFault{{Node: 0, Kind: faults.NodeCrash, Start: start, End: start + 5 + r.Float64()*30}}
 	}
 	return plan
 }
@@ -259,7 +259,7 @@ func TestChaosFaultInvariants(t *testing.T) {
 }
 
 // TestChaosZeroRatePlanBitCompatible: a fault plan whose rates are all zero
-// and that schedules no outages must be indistinguishable from no plan at
+// and that schedules no node faults must be indistinguishable from no plan at
 // all — the injector must never touch the simulation's random stream.
 func TestChaosZeroRatePlanBitCompatible(t *testing.T) {
 	f := func(seed int64) bool {
@@ -281,7 +281,7 @@ func TestChaosZeroRatePlanBitCompatible(t *testing.T) {
 }
 
 // FuzzFaultSchedules is the native fuzz entry for the fault machinery:
-// arbitrary (seed, rates, outage) tuples must never violate the conservation
+// arbitrary (seed, rates, crash) tuples must never violate the conservation
 // invariants. Run with
 //
 //	go test -fuzz=FuzzFaultSchedules -fuzztime=30s ./internal/simulator/
@@ -290,7 +290,7 @@ func FuzzFaultSchedules(f *testing.F) {
 	f.Add(int64(2), 0.3, 0.2, 0.3, true)
 	f.Add(int64(3), 0.0, 0.0, 0.0, false)
 	f.Add(int64(99), 1.0, 1.0, 1.0, true)
-	f.Fuzz(func(t *testing.T, seed int64, initF, execF, strag float64, outage bool) {
+	f.Fuzz(func(t *testing.T, seed int64, initF, execF, strag float64, crash bool) {
 		clamp := func(v float64) float64 {
 			if v != v || v < 0 {
 				return 0
@@ -309,8 +309,8 @@ func FuzzFaultSchedules(f *testing.F) {
 			},
 			Seed: seed,
 		}
-		if outage {
-			plan.Outages = []faults.Outage{{Node: 0, Start: 30, End: 60}}
+		if crash {
+			plan.NodeFaults = []faults.NodeFault{{Node: 0, Kind: faults.NodeCrash, Start: 30, End: 60}}
 		}
 		r := mathx.NewRand(seed)
 		tr := trace.Poisson(r, 0.3, 90)
@@ -321,8 +321,8 @@ func FuzzFaultSchedules(f *testing.F) {
 			&chaosDriver{seed: seed, withRetry: true})
 		st := sim.MustRun(tr)
 		if !checkFaultInvariants(t, st, tr.Len()) {
-			t.Fatalf("invariant violated for seed=%d rates=(%v,%v,%v) outage=%v",
-				seed, clamp(initF), clamp(execF), clamp(strag), outage)
+			t.Fatalf("invariant violated for seed=%d rates=(%v,%v,%v) crash=%v",
+				seed, clamp(initF), clamp(execF), clamp(strag), crash)
 		}
 	})
 }

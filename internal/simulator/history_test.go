@@ -1,57 +1,39 @@
 package simulator
 
 import (
+	"slices"
 	"testing"
 
 	"smiless/internal/apps"
 	"smiless/internal/trace"
 )
 
-// appendingDriver exercises the ControlPlane history contract from the
-// inside: every window it appends to both views. The views are cap-clipped,
-// so the appends land in fresh arrays and never in the simulator's logs.
-type appendingDriver struct {
-	*staticDriver
-	unclipped int // windows in which a view exposed the log's spare capacity
-}
-
-func (d *appendingDriver) OnWindow(cp ControlPlane, now float64) {
-	arr, counts := cp.ArrivalTimes(), cp.CountsHistory()
-	if cap(arr) != len(arr) || cap(counts) != len(counts) {
-		d.unclipped++
-	}
-	_, _ = append(arr, -1), append(counts, -1)
-}
-
+// The engine hands drivers its history logs as views, not copies: each view
+// shares the log's array but is cap-clipped, so a driver's append lands in a
+// fresh array and never in the log. What the driver reads through the views
+// is checked against both front ends in internal/serving.
 func TestHistoryViewsAreClipped(t *testing.T) {
-	drv := &appendingDriver{staticDriver: keepAliveDriver(cpu(4), 30)}
+	var copied, unclipped int
+	d := &scripted{dir: keepAlive(30), onWindow: func(cp ControlPlane, _ int) {
+		e := cp.(*Engine)
+		arr, counts := e.ArrivalTimes(), e.CountsHistory()
+		if len(arr) > 0 && &arr[0] != &e.arrivalTimes[0] || len(counts) > 0 && &counts[0] != &e.counts[0] {
+			copied++
+		}
+		if cap(arr) != len(arr) || cap(counts) != len(counts) {
+			unclipped++
+		}
+		_, _ = append(arr, -1), append(counts, -1)
+	}}
 	tr := &trace.Trace{Horizon: 20, Arrivals: []float64{0.5, 1.5, 1.6, 4.2, 9.9, 10, 15.5}}
-	sim := MustNew(Config{App: apps.Pipeline(2), SLA: 10, Seed: 1}, drv)
-	st := sim.MustRun(tr)
-	if st.Completed != tr.Len() {
+	sim := MustNew(Config{App: apps.Pipeline(2), SLA: 10, Seed: 1}, d)
+	if st := sim.MustRun(tr); st.Completed != tr.Len() {
 		t.Fatalf("completed %d/%d", st.Completed, tr.Len())
 	}
-	if drv.unclipped > 0 {
-		t.Fatalf("history views exposed the logs' spare capacity in %d windows", drv.unclipped)
+	if copied > 0 || unclipped > 0 {
+		t.Fatalf("history views were copies in %d windows and exposed spare capacity in %d", copied, unclipped)
 	}
-	// The driver's appends of -1 never reached the logs.
-	arr := sim.ArrivalTimes()
-	if len(arr) != tr.Len() {
-		t.Fatalf("arrival log has %d entries, want %d", len(arr), tr.Len())
-	}
-	for i, a := range arr {
-		if a != tr.Arrivals[i] {
-			t.Errorf("arrival log[%d] = %v, want %v", i, a, tr.Arrivals[i])
-		}
-	}
-	total := 0
-	for _, c := range sim.CountsHistory() {
-		if c < 0 {
-			t.Fatalf("counts log holds a driver-appended entry: %v", sim.CountsHistory())
-		}
-		total += c
-	}
-	if total != tr.Len() {
-		t.Errorf("counts log sums to %d, want %d", total, tr.Len())
+	if !slices.Equal(sim.ArrivalTimes(), tr.Arrivals) || slices.Contains(sim.CountsHistory(), -1) {
+		t.Fatalf("a driver's append reached the logs: arrivals %v, counts %v", sim.ArrivalTimes(), sim.CountsHistory())
 	}
 }

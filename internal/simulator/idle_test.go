@@ -51,80 +51,75 @@ func keepAlive(ka float64) Directive {
 	return Directive{Config: cpu(4), Policy: coldstart.KeepAlive, KeepAlive: ka, Batch: 1, Instances: 4}
 }
 
-// runScripted replays arrivals over a one-function exact chain and returns
-// the live-instance count seen at each window tick.
-func runScripted(t *testing.T, dir Directive, arrivals []float64, horizon float64, at map[int]func(cp ControlPlane, id dag.NodeID)) (live map[int]int, st *RunStats) {
-	t.Helper()
-	live = map[int]int{}
+// runScripted replays arrivals over a one-function exact chain, running at's
+// hooks at their windows.
+func runScripted(dir Directive, arrivals []float64, horizon float64, at map[int]func(cp ControlPlane, id dag.NodeID)) {
 	d := &scripted{dir: dir, onWindow: func(cp ControlPlane, w int) {
 		if f := at[w]; f != nil {
 			f(cp, "F1")
 		}
-		live[w] = cp.LiveInstances("F1")
 	}}
 	sim := MustNew(Config{App: exactChain(1), SLA: 10, Seed: 1}, d)
-	return live, sim.MustRun(&trace.Trace{Horizon: horizon, Arrivals: arrivals})
+	sim.MustRun(&trace.Trace{Horizon: horizon, Arrivals: arrivals})
 }
+
+// The keep-alive queue holds an entry only for a deadline that can still
+// fire. The instants instances are reaped at are checked against both front
+// ends in internal/serving under the same test names.
 
 // A directive cuts KeepAlive while the entry for the long deadline is queued:
-// the next arm's shorter deadline must fire on time, not when the old entry
-// does.
+// the next arm queues an entry for the shorter deadline instead of waiting
+// for the old one, which drains, inert, when it comes due.
 func TestIdleExpiryAtShorterDeadlineAfterKeepAliveCut(t *testing.T) {
-	// Arrival 0.5: warm at 1.5, done at 1.6, deadline 31.6 queued. Window 5
-	// cuts KeepAlive to 2. Arrival 10: done 10.1, deadline 12.1.
-	live, st := runScripted(t, keepAlive(30), []float64{0.5, 10}, 40, map[int]func(ControlPlane, dag.NodeID){
+	// Arrival 0.5: done 1.6, deadline 31.6 queued. Window 5 cuts KeepAlive to
+	// 2. Arrival 10: done 10.1, deadline 12.1 queued beside 31.6.
+	queued := map[int]int{}
+	at := map[int]func(ControlPlane, dag.NodeID){
 		5: func(cp ControlPlane, id dag.NodeID) { cp.SetDirective(id, keepAlive(2)) },
-	})
-	if live[12] != 1 || live[13] != 0 {
-		t.Errorf("live instances at windows 12, 13 = %d, %d; want 1, 0 (reaped at 12.1)", live[12], live[13])
 	}
-	if want := 12.1 - 0.5; !mathx.ApproxEq(st.CPUSeconds, want, 1e-9) {
-		t.Errorf("billed %.6f container-seconds, want %.6f", st.CPUSeconds, want)
+	for _, w := range []int{11, 13, 32} {
+		at[w] = func(cp ControlPlane, _ dag.NodeID) { queued[w] = queuedBesidesTick(cp) }
+	}
+	runScripted(keepAlive(30), []float64{0.5, 10}, 40, at)
+	if queued[11] != 2 || queued[13] != 1 || queued[32] != 0 {
+		t.Errorf("%d, %d, %d events queued at windows 11, 13, 32 besides the next tick; want 2, 1, 0", queued[11], queued[13], queued[32])
 	}
 }
 
-// The policy flips to AlwaysOn after a batch voided the armed deadline: the
-// entry still queued for it must not reap the instance.
+// No entry stays queued for an AlwaysOn instance whose armed deadline a batch
+// voided.
 func TestNoReapAfterFlipToAlwaysOn(t *testing.T) {
 	// Arrival 0.5: done 1.6, deadline 6.6 queued. Window 3 flips to AlwaysOn.
 	// Arrival 3.5 starts a batch (voiding 6.6); done 3.6, nothing re-armed.
 	always := keepAlive(5)
 	always.Policy = coldstart.AlwaysOn
 	queued := -1
-	live, _ := runScripted(t, keepAlive(5), []float64{0.5, 3.5}, 30, map[int]func(ControlPlane, dag.NodeID){
+	runScripted(keepAlive(5), []float64{0.5, 3.5}, 30, map[int]func(ControlPlane, dag.NodeID){
 		3:  func(cp ControlPlane, id dag.NodeID) { cp.SetDirective(id, always) },
 		30: func(cp ControlPlane, _ dag.NodeID) { queued = queuedBesidesTick(cp) },
 	})
-	if live[6] != 1 || live[7] != 1 || live[30] != 1 {
-		t.Errorf("live instances at windows 6, 7, 30 = %d, %d, %d; want 1 throughout", live[6], live[7], live[30])
-	}
 	if queued != 0 {
 		t.Errorf("%d events queued at window 30 besides the next tick, for an instance with no deadline", queued)
 	}
 }
 
-// An expiry that would drop the fleet below MinWarm re-arms instead; once the
-// floor is lifted the next expiry reaps.
+// A MinWarm floor instance that keeps re-arming holds exactly one entry, and
+// none once the floor is lifted and it is reaped.
 func TestMinWarmFloorRearms(t *testing.T) {
 	// Done 1.6; deadlines 3.6, 5.6, 7.6, 9.6 hit the floor and re-arm. Window
-	// 10 lifts it: reaped at 11.6.
+	// 10 lifts it: reaped at 11.6, leaving nothing queued.
 	floor := keepAlive(2)
 	floor.MinWarm = 1
-	queued := -1
-	live, st := runScripted(t, floor, []float64{0.5}, 20, map[int]func(ControlPlane, dag.NodeID){
+	queued, after := -1, -1
+	runScripted(floor, []float64{0.5}, 20, map[int]func(ControlPlane, dag.NodeID){
 		10: func(cp ControlPlane, id dag.NodeID) {
 			queued = queuedBesidesTick(cp)
 			cp.SetDirective(id, keepAlive(2))
 		},
+		15: func(cp ControlPlane, _ dag.NodeID) { after = queuedBesidesTick(cp) },
 	})
-	if live[4] != 1 || live[11] != 1 || live[12] != 0 {
-		t.Errorf("live instances at windows 4, 11, 12 = %d, %d, %d; want 1, 1, 0", live[4], live[11], live[12])
-	}
-	if queued != 1 {
-		t.Errorf("%d events queued at window 10 besides the next tick; want the floor instance's one re-armed entry", queued)
-	}
-	if want := 11.6 - 0.5; !mathx.ApproxEq(st.CPUSeconds, want, 1e-9) {
-		t.Errorf("billed %.6f container-seconds, want %.6f", st.CPUSeconds, want)
+	if queued != 1 || after != 0 {
+		t.Errorf("%d, %d events queued at windows 10, 15 besides the next tick; want the floor instance's one re-armed entry, then none once it is reaped", queued, after)
 	}
 }
 

@@ -49,8 +49,8 @@ type nodeState struct {
 	lastBeat    float64
 	downSince   float64
 	// detectorDown marks a down verdict issued by the gossip detector (as
-	// opposed to a preemption or a legacy Outage): only those verdicts are
-	// reversed when heartbeats resume.
+	// opposed to a preemption): only those verdicts are reversed when
+	// heartbeats resume.
 	detectorDown bool
 
 	// held buffers node-side events (init/exec completions and crashes)
@@ -74,7 +74,7 @@ func (e *Engine) onGossip() {
 		if n.alive && !n.partitioned {
 			n.lastBeat = now
 			// Only reverse the detector's own verdicts: a node a preemption
-			// or a legacy Outage holds down stays down until it ends.
+			// holds down stays down until its window ends.
 			if n.health == nodeSuspect || (n.health == nodeDown && n.detectorDown) {
 				e.recoverNode(i)
 			}
@@ -122,7 +122,7 @@ func (e *Engine) markNodeDown(i int) {
 	e.stats.NodeDownEvents++
 	e.nodeInstant("node_down", i)
 	if !n.alive {
-		e.evictNode(i, e.failoverMember)
+		e.evictNode(i)
 	} else if n.partitioned {
 		e.twinNodeInflight(i)
 	}
@@ -130,11 +130,10 @@ func (e *Engine) markNodeDown(i int) {
 }
 
 // evictNode terminates every container on node n (id order for
-// determinism) and routes each in-flight batch member through route
-// (retryMember for legacy outages, failoverMember otherwise).
+// determinism) and fails each in-flight batch member over to a live peer.
 // Assigned-but-unstarted members requeue via terminate.
-func (e *Engine) evictNode(n int, route func(*fnState, *nodeInv)) {
-	for _, c := range slices.Clone(e.conts) { // terminate and route edit the list
+func (e *Engine) evictNode(n int) {
+	for _, c := range slices.Clone(e.conts) { // terminate and failover edit the list
 		if c.node != n || c.state == cDead {
 			continue
 		}
@@ -147,7 +146,7 @@ func (e *Engine) evictNode(n int, route func(*fnState, *nodeInv)) {
 		}
 		e.terminate(c)
 		for _, ni := range members {
-			route(fs, ni)
+			e.failoverMember(fs, ni)
 		}
 	}
 }
@@ -225,7 +224,7 @@ func (e *Engine) onNodeRestart(i int) {
 	if n.alive {
 		return
 	}
-	e.evictNode(i, e.failoverMember)
+	e.evictNode(i)
 	n.alive = true
 	e.nodeInstant("node_restart", i)
 	e.pumpAll()
@@ -273,7 +272,7 @@ func (e *Engine) onPreempt(i int) {
 	n.health = nodeDown
 	e.stats.Preemptions++
 	before := e.stats.EvictedContainers
-	e.evictNode(i, e.failoverMember)
+	e.evictNode(i)
 	e.stats.PreemptedContainers += e.stats.EvictedContainers - before
 	e.nodeInstant("preempt", i)
 	e.pumpAll()

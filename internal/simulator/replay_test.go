@@ -31,9 +31,9 @@ func replayOnceTraced(t *testing.T, traced bool) ([]byte, *replayRun) {
 	app := apps.Pipeline(3)
 	tr := trace.Bursty(mathx.NewRand(42), 20, 2, 3, 600)
 	plan := &faults.Plan{
-		Default: faults.Rates{InitFail: 0.05, ExecFail: 0.04, Straggler: 0.05},
-		Outages: []faults.Outage{{Node: 0, Start: 200, End: 320}},
-		Seed:    7,
+		Default:    faults.Rates{InitFail: 0.05, ExecFail: 0.04, Straggler: 0.05},
+		NodeFaults: []faults.NodeFault{{Node: 0, Kind: faults.NodeCrash, Start: 200, End: 320}},
+		Seed:       7,
 	}
 	d := &staticDriver{directive: func(dag.NodeID) Directive {
 		return Directive{

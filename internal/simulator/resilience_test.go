@@ -8,6 +8,7 @@ import (
 	"smiless/internal/coldstart"
 	"smiless/internal/dag"
 	"smiless/internal/faults"
+	"smiless/internal/hardware"
 	"smiless/internal/trace"
 )
 
@@ -64,6 +65,9 @@ func TestNewConfigErrors(t *testing.T) {
 		{"nil-app", Config{}, drv, "App"},
 		{"negative-sla", Config{App: app, SLA: -1}, drv, "SLA"},
 		{"negative-window", Config{App: app, Window: -2}, drv, "Window"},
+		{"node-fault-out-of-range", Config{App: app, Faults: &faults.Plan{
+			NodeFaults: []faults.NodeFault{{Node: 99, Kind: faults.NodeCrash, Start: 1, End: 2}},
+		}}, drv, "Faults.NodeFaults"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -76,14 +80,6 @@ func TestNewConfigErrors(t *testing.T) {
 				t.Errorf("field = %q, want %q", ce.Field, c.field)
 			}
 		})
-	}
-	// Out-of-range outage node.
-	_, err := New(Config{App: app, Faults: &faults.Plan{
-		Outages: []faults.Outage{{Node: 99, Start: 1, End: 2}},
-	}}, drv)
-	var ce *ConfigError
-	if !errors.As(err, &ce) {
-		t.Fatalf("want *ConfigError for bad outage node, got %v", err)
 	}
 }
 
@@ -222,13 +218,16 @@ func TestHedgeWins(t *testing.T) {
 	}
 }
 
-func TestNodeOutageEvictsAndRecovers(t *testing.T) {
-	// Single-node cluster goes down mid-run: the in-flight request is
-	// evicted, retried, and completes after the node returns.
+func TestNodeCrashEvictsAndRecovers(t *testing.T) {
+	// A single-node cluster crashes mid-run with nowhere to fail over: the
+	// detector declares the node down, the restart at 30 evicts the
+	// in-flight request's container, and the request completes on the
+	// restarted node.
 	app := apps.Pipeline(2)
 	sim := MustNew(Config{
 		App: app, SLA: 600, Seed: 5,
-		Faults: &faults.Plan{Outages: []faults.Outage{{Node: 0, Start: 12, End: 30}}},
+		Cluster: hardware.ClusterSpec{Nodes: []hardware.NodeSpec{{Cores: 104, GPUs: 1}}},
+		Faults:  &faults.Plan{NodeFaults: []faults.NodeFault{{Node: 0, Kind: faults.NodeCrash, Start: 12, End: 30}}},
 	}, retryDriver(faults.RetryPolicy{MaxAttempts: 5, BaseBackoff: 0.5}, 0))
 	st := sim.MustRun(&trace.Trace{Horizon: 300, Arrivals: []float64{10}})
 	if st.NodeDownEvents != 1 {
@@ -238,8 +237,11 @@ func TestNodeOutageEvictsAndRecovers(t *testing.T) {
 		t.Error("expected at least one evicted container")
 	}
 	if st.Completed != 1 || st.FailedInvocations != 0 {
-		t.Fatalf("completed=%d failed=%d, want 1/0 (request survives the outage)",
+		t.Fatalf("completed=%d failed=%d, want 1/0 (request survives the crash)",
 			st.Completed, st.FailedInvocations)
+	}
+	if done := 10 + st.E2E[0]; done <= 30 {
+		t.Errorf("request completed at %.3f, before the node restarted at 30", done)
 	}
 }
 
@@ -270,9 +272,9 @@ func TestZeroFaultPlanBitCompatible(t *testing.T) {
 func TestFaultedRunDeterministic(t *testing.T) {
 	run := func() *RunStats {
 		plan := &faults.Plan{
-			Default: faults.Rates{InitFail: 0.2, ExecFail: 0.15, Straggler: 0.2, StragglerFactor: 6},
-			Outages: []faults.Outage{{Node: 0, Start: 40, End: 70}},
-			Seed:    9,
+			Default:    faults.Rates{InitFail: 0.2, ExecFail: 0.15, Straggler: 0.2, StragglerFactor: 6},
+			NodeFaults: []faults.NodeFault{{Node: 0, Kind: faults.NodeCrash, Start: 40, End: 70}},
+			Seed:       9,
 		}
 		sim := MustNew(Config{App: apps.ImageQuery(), SLA: 4, Seed: 11, Faults: plan},
 			retryDriver(faults.RetryPolicy{MaxAttempts: 3, Timeout: 8, BaseBackoff: 0.1, JitterFrac: 0.3}, 0))

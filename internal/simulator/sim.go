@@ -153,10 +153,10 @@ type Config struct {
 	// Seed drives all sampled timings.
 	Seed int64
 	// Faults is the optional failure-injection plan: crash probabilities,
-	// straggler inflation and node outages. Nil (or a plan with all rates
-	// zero and no outages) leaves every code path identical to a fault-free
-	// run — the injector draws from its own RNG stream, so enabling it
-	// never perturbs the ground-truth timing samples.
+	// straggler inflation and scheduled node faults. Nil (or a plan with all
+	// rates zero and no node faults) leaves every code path identical to a
+	// fault-free run — the injector draws from its own RNG stream, so
+	// enabling it never perturbs the ground-truth timing samples.
 	Faults *faults.Plan
 }
 
@@ -224,11 +224,6 @@ func New(cfg Config, driver Driver) (*Simulator, error) {
 		cfg.DownAfter = 2 * cfg.SuspectAfter
 	}
 	if cfg.Faults != nil {
-		for _, o := range cfg.Faults.Outages {
-			if o.Node < 0 || o.Node >= len(cfg.Cluster.Nodes) {
-				return nil, &ConfigError{Field: "Faults.Outages", Reason: fmt.Sprintf("node %d out of range", o.Node)}
-			}
-		}
 		for _, nf := range cfg.Faults.NodeFaults {
 			if nf.Node < 0 || nf.Node >= len(cfg.Cluster.Nodes) {
 				return nil, &ConfigError{Field: "Faults.NodeFaults", Reason: fmt.Sprintf("node %d out of range", nf.Node)}
@@ -291,15 +286,6 @@ func (s *Simulator) Run(tr *trace.Trace) (*RunStats, error) {
 	}
 	horizon := tr.Horizon + 600
 	s.lastTick = tr.Horizon + s.cfg.Window
-	if s.cfg.Faults != nil {
-		for _, o := range s.cfg.Faults.Outages {
-			if o.End <= o.Start {
-				continue
-			}
-			s.schedule(o.Start, event{kind: evOutage, idx: int32(o.Node)})
-			s.schedule(o.End, event{kind: evOutageEnd, idx: int32(o.Node)})
-		}
-	}
 	s.begin()
 
 	for {
@@ -321,7 +307,7 @@ func (s *Simulator) Run(tr *trace.Trace) (*RunStats, error) {
 		if arrival {
 			arrivals = arrivals[1:]
 			s.arrive(0, 0)
-		} else if _, ev := s.events.Pop(); !s.handle(&ev) {
+		} else if _, ev := s.events.Pop(); !s.dispatch(&ev) {
 			continue // queue bookkeeping: nothing happened at this instant
 		}
 		if at > tr.Horizon && s.stats.Completed+s.stats.FailedInvocations >= tr.Len() && s.allIdle() {
@@ -330,20 +316,6 @@ func (s *Simulator) Run(tr *trace.Trace) (*RunStats, error) {
 	}
 	s.finish()
 	return s.stats, nil
-}
-
-// handle runs one engine event: legacy outages here, everything else in the
-// engine. It reports false for queue bookkeeping (see Engine.dispatch).
-func (s *Simulator) handle(ev *event) bool {
-	switch ev.kind {
-	case evOutage:
-		s.onOutage(int(ev.idx))
-	case evOutageEnd:
-		s.onOutageEnd(int(ev.idx))
-	default:
-		return s.dispatch(ev)
-	}
-	return true
 }
 
 // MustRun is Run that panics on error, for callers that construct the
@@ -377,28 +349,4 @@ func (s *Simulator) finish() {
 	unresolved := s.settle()
 	invariant(len(s.pendingLaunch) == 0, "finish left %d launches pending", len(s.pendingLaunch))
 	s.stats.FailedInvocations += unresolved
-}
-
-// onOutage begins a legacy Outage: detection is instantaneous, no new
-// allocations land on the node and every container on it is evicted, its
-// in-flight work retried elsewhere (charging retry attempts).
-func (s *Simulator) onOutage(n int) {
-	if s.nodes[n].health == nodeDown {
-		return
-	}
-	s.nodes[n].health = nodeDown
-	s.stats.NodeDownEvents++
-	s.evictNode(n, s.retryMember)
-	s.pumpAll()
-}
-
-// onOutageEnd ends a legacy Outage: the node accepts allocations again and
-// any capacity-blocked launches are placed.
-func (s *Simulator) onOutageEnd(n int) {
-	if s.nodes[n].health != nodeDown {
-		return
-	}
-	s.nodes[n].health = nodeUp
-	s.reopened()
-	s.pumpAll()
 }

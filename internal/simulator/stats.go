@@ -71,8 +71,8 @@ type RunStats struct {
 	HedgesLaunched    int // duplicate executions started
 	HedgesWon         int // hedge twins that finished before the primary
 	FailedInvocations int // requests lost after exhausting retries
-	NodeDownEvents    int // node outages begun (scheduled or detector-declared)
-	EvictedContainers int // containers killed by node outages
+	NodeDownEvents    int // down verdicts issued by the gossip failure detector
+	EvictedContainers int // containers killed with a crashed or preempted node
 	BreakerTrips      int // circuit-breaker openings (driver-reported)
 	DegradedWindows   int // windows served on the degraded fallback plan
 

@@ -38,7 +38,7 @@ const (
 	// PhaseExec is execution time on an instance.
 	PhaseExec
 	// PhaseFailedAttempt is execution time lost to an attempt that crashed,
-	// timed out, or was evicted by a node outage.
+	// timed out, or was evicted with its node.
 	PhaseFailedAttempt
 	// PhaseBackoff is retry-backoff delay between a failed attempt and its
 	// re-dispatch becoming ready.

@@ -18,12 +18,10 @@ type (
 	// attribution and Chrome trace-event export (DESIGN.md §10).
 	Recorder = tracing.Recorder
 	// FaultPlan schedules failure injection — container crashes,
-	// stragglers, node outages — into a run (DESIGN.md §7).
+	// stragglers, node crashes and partitions — into a run (DESIGN.md §7).
 	FaultPlan = faults.Plan
 	// FaultRates are per-function failure probabilities for a FaultPlan.
 	FaultRates = faults.Rates
-	// FaultOutage schedules one node's downtime window in a FaultPlan.
-	FaultOutage = faults.Outage
 	// SearchStats summarizes one Optimize call's evaluation-cache traffic.
 	SearchStats = core.SearchStats
 	// CacheStats are the evaluation cache's hit/miss counters by level.
