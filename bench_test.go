@@ -54,7 +54,7 @@ func BenchmarkFig3MotivatingExample(b *testing.B) {
 func BenchmarkFig8E2EComparison(b *testing.B) {
 	skipIfShort(b)
 	p := experiments.Fig8Params{
-		Horizon: 600, SLA: 2.0, Seed: 3, UseLSTM: false,
+		Horizon: 600, SLA: 2.0, Seed: 3,
 		Apps:    []string{"WL2"},
 		Systems: []experiments.SystemName{experiments.SysSMIless, experiments.SysGrandSLAm, experiments.SysOPT},
 	}
@@ -70,7 +70,7 @@ func BenchmarkFig8E2EComparison(b *testing.B) {
 func BenchmarkFig9HardwareUsage(b *testing.B) {
 	skipIfShort(b)
 	p := experiments.Fig8Params{
-		Horizon: 400, SLA: 2.0, Seed: 4, UseLSTM: false,
+		Horizon: 400, SLA: 2.0, Seed: 4,
 		Apps:    []string{"WL2"},
 		Systems: []experiments.SystemName{experiments.SysSMIless, experiments.SysIceBreakr},
 	}
@@ -86,7 +86,7 @@ func BenchmarkFig9HardwareUsage(b *testing.B) {
 func BenchmarkFig10SLASweep(b *testing.B) {
 	skipIfShort(b)
 	p := experiments.Fig10Params{
-		Horizon: 300, Seed: 5, UseLSTM: false,
+		Horizon: 300, Seed: 5,
 		SLAs:    []float64{2, 4},
 		Systems: []experiments.SystemName{experiments.SysSMIless},
 	}
@@ -120,7 +120,7 @@ func BenchmarkFig12Predictors(b *testing.B) {
 
 func BenchmarkFig13Ablations(b *testing.B) {
 	skipIfShort(b)
-	p := experiments.Fig13Params{Horizon: 300, SLA: 2.0, Seed: 8, UseLSTM: false, Apps: []string{"WL2"}}
+	p := experiments.Fig13Params{Horizon: 300, SLA: 2.0, Seed: 8, Apps: []string{"WL2"}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if r := experiments.Fig13(p); len(r.Rows) != 4 {
@@ -132,7 +132,7 @@ func BenchmarkFig13Ablations(b *testing.B) {
 func BenchmarkFig14BurstAdaptation(b *testing.B) {
 	skipIfShort(b)
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig14(experiments.Fig14Params{SLA: 2.0, Seed: 9, UseLSTM: false})
+		r := experiments.Fig14(experiments.Fig14Params{SLA: 2.0, Seed: 9})
 		if r.Stats.Completed == 0 {
 			b.Fatal("no completions")
 		}
@@ -142,7 +142,7 @@ func BenchmarkFig14BurstAdaptation(b *testing.B) {
 func BenchmarkFig15BurstComparison(b *testing.B) {
 	skipIfShort(b)
 	p := experiments.Fig15Params{
-		SLA: 2.0, Seed: 10, UseLSTM: false,
+		SLA: 2.0, Seed: 10,
 		Systems: []experiments.SystemName{experiments.SysSMIless, experiments.SysGrandSLAm},
 	}
 	b.ResetTimer()

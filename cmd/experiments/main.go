@@ -16,6 +16,7 @@ import (
 	"os"
 	"strings"
 
+	"smiless/internal/cliutil"
 	"smiless/internal/experiments"
 )
 
@@ -56,7 +57,7 @@ func main() {
 	horizon := flag.Float64("horizon", 0, "trace horizon in seconds (0 = per-figure default)")
 	seed := flag.Int64("seed", 1, "random seed")
 	sla := flag.Float64("sla", 2.0, "SLA in seconds")
-	lstm := flag.Bool("lstm", false, "enable the LSTM predictors in SMIless (slower, more faithful)")
+	forecaster := cliutil.AddForecasterFlag(flag.CommandLine)
 	seeds := flag.Int("seeds", 1, "for -fig 8: run this many trace seeds and print medians")
 	forecasters := flag.String("forecasters", "", "for -fig forecast: comma-separated forecaster families (empty = all registered)")
 	short := flag.Bool("short", false, "for -fig forecast/affinity: short mode (900 s horizon) for CI")
@@ -64,6 +65,9 @@ func main() {
 	flag.Parse()
 
 	want, err := parseFigs(*fig)
+	if err == nil {
+		err = cliutil.ValidateForecaster(*forecaster)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
@@ -81,7 +85,7 @@ func main() {
 	if show("8") || show("9") {
 		p := experiments.DefaultFig8Params(*seed)
 		p.SLA = *sla
-		p.UseLSTM = *lstm
+		p.Forecaster = *forecaster
 		if *horizon > 0 {
 			p.Horizon = *horizon
 		}
@@ -100,7 +104,7 @@ func main() {
 		fmt.Println(fig8.Fig9Table())
 	}
 	if show("10") {
-		p := experiments.Fig10Params{Horizon: *horizon, Seed: *seed, UseLSTM: *lstm}
+		p := experiments.Fig10Params{Horizon: *horizon, Seed: *seed, Forecaster: *forecaster}
 		fmt.Println(experiments.Fig10(p).Table())
 	}
 	if show("11") {
@@ -110,14 +114,14 @@ func main() {
 		fmt.Println(experiments.Fig12(experiments.Fig12Params{Seed: *seed}).Table())
 	}
 	if show("13") {
-		p := experiments.Fig13Params{Horizon: *horizon, SLA: *sla, Seed: *seed, UseLSTM: *lstm}
+		p := experiments.Fig13Params{Horizon: *horizon, SLA: *sla, Seed: *seed, Forecaster: *forecaster}
 		fmt.Println(experiments.Fig13(p).Table())
 	}
 	if show("14") {
-		fmt.Println(experiments.Fig14(experiments.Fig14Params{SLA: *sla, Seed: *seed, UseLSTM: *lstm}).Table())
+		fmt.Println(experiments.Fig14(experiments.Fig14Params{SLA: *sla, Seed: *seed, Forecaster: *forecaster}).Table())
 	}
 	if show("15") {
-		fmt.Println(experiments.Fig15(experiments.Fig15Params{SLA: *sla, Seed: *seed, UseLSTM: *lstm}).Table())
+		fmt.Println(experiments.Fig15(experiments.Fig15Params{SLA: *sla, Seed: *seed, Forecaster: *forecaster}).Table())
 	}
 	if show("16") {
 		fmt.Println(experiments.Fig16(experiments.Fig16Params{}).Table())
@@ -126,7 +130,7 @@ func main() {
 	if want["chaos"] {
 		p := experiments.DefaultChaosParams(*seed)
 		p.SLA = *sla
-		p.UseLSTM = *lstm
+		p.Forecaster = *forecaster
 		if *horizon > 0 {
 			p.Horizon = *horizon
 		}
@@ -137,7 +141,7 @@ func main() {
 	if want["churn"] {
 		p := experiments.DefaultChurnParams(*seed)
 		p.SLA = *sla
-		p.UseLSTM = *lstm
+		p.Forecaster = *forecaster
 		if *horizon > 0 {
 			p.Horizon = *horizon
 		}
@@ -169,7 +173,7 @@ func main() {
 	if want["affinity"] {
 		p := experiments.DefaultAffinityParams(*seed)
 		p.SLA = *sla
-		p.UseLSTM = *lstm
+		p.Forecaster = *forecaster
 		p.Spot = *spot
 		if *horizon > 0 {
 			p.Horizon = *horizon

@@ -49,7 +49,6 @@ func run() error {
 	system := flag.String("system", "SMIless", "system: SMIless, Orion, IceBreaker, GrandSLAm, Aquatope, SMIless-No-DAG, SMIless-Homo (OPT cannot serve live)")
 	sla := flag.Float64("sla", 2.0, "SLA in seconds")
 	seed := cliutil.AddSeedFlag(flag.CommandLine)
-	lstm := flag.Bool("lstm", false, "enable LSTM predictors in SMIless variants")
 	forecaster := cliutil.AddForecasterFlag(flag.CommandLine)
 	window := flag.Float64("window", 1.0, "decision-window length in model seconds")
 	linger := flag.Float64("batch-linger", 0.05, "batch aggregation window in model seconds (0 disables)")
@@ -89,7 +88,7 @@ func run() error {
 		}
 	}
 	driver, err := experiments.NewDriver(experiments.SystemName(*system), experiments.RunParams{
-		App: application, SLA: *sla, Seed: *seed, UseLSTM: *lstm,
+		App: application, SLA: *sla, Seed: *seed,
 		Forecaster: *forecaster, Interference: pf.Model(),
 	})
 	if err != nil {

@@ -60,7 +60,6 @@ func main() {
 	system := flag.String("system", "SMIless", "system: SMIless, Orion, IceBreaker, GrandSLAm, Aquatope, OPT, SMIless-No-DAG, SMIless-Homo")
 	sla := flag.Float64("sla", 2.0, "SLA in seconds")
 	seed := cliutil.AddSeedFlag(flag.CommandLine)
-	lstm := flag.Bool("lstm", false, "enable LSTM predictors in SMIless variants")
 	forecaster := cliutil.AddForecasterFlag(flag.CommandLine)
 	tf := cliutil.AddTraceFlags(flag.CommandLine)
 	of := cliutil.AddOutputFlags(flag.CommandLine)
@@ -88,7 +87,7 @@ func main() {
 		p := experiments.DefaultChaosParams(*seed)
 		p.App = *app
 		p.SLA = *sla
-		p.UseLSTM = *lstm
+		p.Forecaster = *forecaster
 		if *tf.Horizon != 1800 { //lint:allow floateq flag-default comparison: an untouched flag is bit-identical to its default
 			p.Horizon = *tf.Horizon
 		}
@@ -99,7 +98,7 @@ func main() {
 		p := experiments.DefaultChurnParams(*seed)
 		p.App = *app
 		p.SLA = *sla
-		p.UseLSTM = *lstm
+		p.Forecaster = *forecaster
 		if *tf.Horizon != 1800 { //lint:allow floateq flag-default comparison: an untouched flag is bit-identical to its default
 			p.Horizon = *tf.Horizon
 		}
@@ -111,7 +110,7 @@ func main() {
 		p := experiments.DefaultAffinityParams(*seed)
 		p.App = *app
 		p.SLA = *sla
-		p.UseLSTM = *lstm
+		p.Forecaster = *forecaster
 		if *tf.Horizon != 1800 { //lint:allow floateq flag-default comparison: an untouched flag is bit-identical to its default
 			p.Horizon = *tf.Horizon
 		}
@@ -163,7 +162,6 @@ func main() {
 		App:        application,
 		SLA:        *sla,
 		Seed:       *seed,
-		UseLSTM:    *lstm,
 		Forecaster: *forecaster,
 		Faults:     plan,
 	}

@@ -35,7 +35,8 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	// WithLSTM stays off: the 2-minute lead-in is too short to train LSTMs.
+	// No WithForecaster: the 2-minute lead-in is too short to train one, so
+	// the moving-window estimator serves.
 	drv := smiless.NewSMIless(smiless.DefaultCatalog(), profiles, sla, smiless.WithSeed(3))
 	sim, err := smiless.NewSimulator(app, drv, sla, smiless.WithSeed(3))
 	if err != nil {

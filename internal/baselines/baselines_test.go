@@ -31,7 +31,7 @@ func runAll(t *testing.T, app func() *apps.Application, tr *trace.Trace, sla flo
 		return app().TrueProfiles(perfmodel.DefaultUncertainty)
 	}
 	smilessOpts := controller.DefaultOptions(1)
-	smilessOpts.UseLSTM = false // keep the comparative test fast
+	smilessOpts.Forecaster = "" // keep the comparative test fast
 	drivers := []simulator.Driver{
 		controller.New(cat, profiles(), sla, smilessOpts),
 		NewOrion(cat, profiles(), sla),

@@ -3,9 +3,9 @@ package baselines
 import (
 	"smiless/internal/coldstart"
 	"smiless/internal/dag"
+	"smiless/internal/forecast"
 	"smiless/internal/hardware"
 	"smiless/internal/perfmodel"
-	"smiless/internal/predictor"
 	"smiless/internal/simulator"
 )
 
@@ -23,7 +23,7 @@ type HybridHistogram struct {
 	Profiles map[dag.NodeID]*perfmodel.Profile
 	SLA      float64
 
-	hist    map[dag.NodeID]*predictor.IdleHistogram
+	hist    map[dag.NodeID]*forecast.IdleHistogram
 	lastUse map[dag.NodeID]float64
 	configs map[dag.NodeID]hardware.Config
 }
@@ -34,7 +34,7 @@ func NewHybridHistogram(cat *hardware.Catalog, profiles map[dag.NodeID]*perfmode
 		Catalog:  cat,
 		Profiles: profiles,
 		SLA:      sla,
-		hist:     make(map[dag.NodeID]*predictor.IdleHistogram),
+		hist:     make(map[dag.NodeID]*forecast.IdleHistogram),
 		lastUse:  make(map[dag.NodeID]float64),
 	}
 }
@@ -66,7 +66,7 @@ func (b *HybridHistogram) Setup(sim simulator.ControlPlane) {
 			}
 		}
 		b.configs[id] = cfg
-		b.hist[id] = predictor.NewIdleHistogram()
+		b.hist[id] = &forecast.IdleHistogram{}
 		sim.SetDirective(id, simulator.Directive{
 			Config:    cfg,
 			Policy:    coldstart.KeepAlive,

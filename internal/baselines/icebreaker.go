@@ -3,9 +3,9 @@ package baselines
 import (
 	"smiless/internal/coldstart"
 	"smiless/internal/dag"
+	"smiless/internal/forecast"
 	"smiless/internal/hardware"
 	"smiless/internal/perfmodel"
-	"smiless/internal/predictor"
 	"smiless/internal/simulator"
 )
 
@@ -21,7 +21,8 @@ type IceBreaker struct {
 	Profiles map[dag.NodeID]*perfmodel.Profile
 	SLA      float64
 
-	fip     *predictor.FIP
+	fip     forecast.Forecaster
+	counts  []forecast.Observation // the run's window counts, as handed to fip
 	configs map[dag.NodeID]hardware.Config
 	// quietWindows counts consecutive windows without arrivals, governing
 	// the keep-alive horizon.
@@ -30,7 +31,7 @@ type IceBreaker struct {
 
 // NewIceBreaker builds the IceBreaker driver.
 func NewIceBreaker(cat *hardware.Catalog, profiles map[dag.NodeID]*perfmodel.Profile, sla float64) *IceBreaker {
-	return &IceBreaker{Catalog: cat, Profiles: profiles, SLA: sla, fip: predictor.NewFIP()}
+	return &IceBreaker{Catalog: cat, Profiles: profiles, SLA: sla, fip: forecast.MustNew("fip", forecast.Config{})}
 }
 
 // Name implements simulator.Driver.
@@ -71,6 +72,7 @@ func (b *IceBreaker) chooseConfig(id dag.NodeID) hardware.Config {
 // Setup implements simulator.Driver.
 func (b *IceBreaker) Setup(sim simulator.ControlPlane) {
 	g := sim.App().Graph
+	b.counts = b.counts[:0]
 	b.configs = make(map[dag.NodeID]hardware.Config, g.Len())
 	for _, id := range g.Nodes() {
 		cfg := b.chooseConfig(id)
@@ -92,13 +94,12 @@ func (b *IceBreaker) OnWindow(sim simulator.ControlPlane, now float64) {
 	counts := sim.CountsHistory()
 	pred := 0.0
 	if len(counts) >= 8 {
-		// FIP reads a bounded suffix of the history; convert only that.
-		recent := counts[len(counts)-b.fip.Span(len(counts)):]
-		hist := make([]float64, len(recent))
-		for i, c := range recent {
-			hist[i] = float64(c)
+		// FIP is training-free: fitting only installs the history.
+		for _, c := range counts[len(b.counts):] {
+			b.counts = append(b.counts, forecast.Observation{Value: float64(c)})
 		}
-		pred = b.fip.Predict(hist)
+		_ = b.fip.Fit(b.counts) // cannot fail on eight or more windows
+		pred = b.fip.Predict(1)[0]
 	}
 	recentlyActive := len(counts) > 0 && counts[len(counts)-1] > 0
 	if pred >= 0.5 || recentlyActive {

@@ -145,16 +145,16 @@ func AddSeedFlag(fs *flag.FlagSet) *int64 {
 }
 
 // AddForecasterFlag registers the shared -forecaster flag: the forecaster
-// family behind the SMIless Online Predictor. Empty keeps the default
-// moving-window/LSTM behaviour of the binary.
+// family behind the SMIless Online Predictor. Empty trains none and keeps
+// the moving-window estimator.
 func AddForecasterFlag(fs *flag.FlagSet) *string {
 	return fs.String("forecaster", "",
-		fmt.Sprintf("forecaster family for SMIless predictors (one of %s; empty = default)",
-			strings.Join(forecast.Names(), ", ")))
+		fmt.Sprintf("forecaster family for SMIless predictors (one of %s; %q is the paper's; empty = moving-window estimator)",
+			strings.Join(forecast.Names(), ", "), forecast.Default))
 }
 
 // ValidateForecaster checks a -forecaster value against the registry; the
-// empty name is always valid (it selects the default family).
+// empty name is always valid (it selects the moving-window estimator).
 func ValidateForecaster(name string) error {
 	if name == "" {
 		return nil

@@ -30,16 +30,13 @@ type Options struct {
 	// DisableDAG reproduces SMIless-No-DAG: every function is pre-warmed
 	// simultaneously at the predicted arrival time, ignoring DAG position.
 	DisableDAG bool
-	// UseLSTM enables the trained forecasters once enough history
-	// accumulates; when false a lightweight moving-window estimator is used
-	// throughout (useful to keep unit tests fast). The name is historical:
-	// which forecaster family trains is selected by Forecaster.
-	UseLSTM bool
 	// Forecaster names the forecaster family (internal/forecast registry)
-	// serving both predictor roles; empty means forecast.Default (the
-	// paper's LSTM pair). Callers that need typed errors on unknown names
-	// validate before constructing the controller (experiments does); New
-	// itself falls back to the default family.
+	// serving both predictor roles, trained once enough history
+	// accumulates. Empty trains none: a lightweight moving-window estimator
+	// is used throughout (useful to keep unit tests fast). Callers that need
+	// typed errors on unknown names validate before constructing the
+	// controller (experiments does); New itself falls back to
+	// forecast.Default.
 	Forecaster string
 	// NewForecaster, when non-nil, overrides the registry lookup with an
 	// explicit constructor — the injection point for external families.
@@ -68,7 +65,7 @@ type Options struct {
 
 // DefaultOptions returns the full SMIless configuration.
 func DefaultOptions(seed int64) Options {
-	return Options{UseLSTM: true, TrainAfter: 200, RetrainEvery: 2000, SLAMargin: 0.7, Seed: seed}
+	return Options{Forecaster: forecast.Default, TrainAfter: 200, RetrainEvery: 2000, SLAMargin: 0.7, Seed: seed}
 }
 
 // SMIless is the paper's system as a simulator driver.
@@ -95,8 +92,8 @@ type SMIless struct {
 
 	// Online Predictor: one forecaster instance per role, consumed strictly
 	// through the forecast.Forecaster interface and wrapped with the
-	// quality/drift harness. fedIAT/fedCnt track how much of the live
-	// series has been streamed into each wrapper.
+	// quality/drift harness; nil without a forecaster family. fedIAT/fedCnt
+	// track how much of the live series has been streamed into each wrapper.
 	itFc, cntFc    *forecast.Online
 	forecastName   string
 	fedIAT, fedCnt int
@@ -146,32 +143,35 @@ type SMIless struct {
 func New(cat *hardware.Catalog, profiles map[dag.NodeID]*perfmodel.Profile, sla float64, opts Options) *SMIless {
 	opt := core.New(cat)
 	opt.Cache = nil
+	s := &SMIless{
+		Catalog:  cat,
+		Profiles: profiles,
+		SLA:      sla,
+		Opts:     opts,
+		opt:      opt,
+		scaler:   autoscaler.New(cat),
+	}
 	ctor := opts.NewForecaster
-	if ctor == nil {
+	if ctor == nil && opts.Forecaster != "" {
 		c, err := forecast.Lookup(opts.Forecaster)
 		if err != nil {
 			// Unknown name: New cannot return an error, so degrade to the
 			// default family. Config surfaces that want a typed error
 			// validate the name before reaching here (experiments does).
-			c, _ = forecast.Lookup("")
+			c, _ = forecast.Lookup(forecast.Default)
 		}
 		ctor = c
 	}
-	// Both roles share the base seed so the default family reproduces the
-	// historical in-controller predictor initialization bit for bit.
-	itFc := ctor(forecast.Config{Seed: opts.Seed, Role: forecast.RoleInterArrival, Budget: forecast.BudgetOnline})
-	cntFc := ctor(forecast.Config{Seed: opts.Seed, Role: forecast.RoleCount, Budget: forecast.BudgetOnline})
-	return &SMIless{
-		Catalog:      cat,
-		Profiles:     profiles,
-		SLA:          sla,
-		Opts:         opts,
-		opt:          opt,
-		scaler:       autoscaler.New(cat),
-		itFc:         forecast.NewOnline(itFc, forecastHorizon),
-		cntFc:        forecast.NewOnline(cntFc, forecastHorizon),
-		forecastName: itFc.Name(),
+	if ctor != nil {
+		// Both roles share the base seed so the default family reproduces
+		// the historical in-controller predictor initialization bit for bit.
+		itFc := ctor(forecast.Config{Seed: opts.Seed, Role: forecast.RoleInterArrival, Budget: forecast.BudgetOnline})
+		cntFc := ctor(forecast.Config{Seed: opts.Seed, Role: forecast.RoleCount, Budget: forecast.BudgetOnline})
+		s.itFc = forecast.NewOnline(itFc, forecastHorizon)
+		s.cntFc = forecast.NewOnline(cntFc, forecastHorizon)
+		s.forecastName = itFc.Name()
 	}
+	return s
 }
 
 // forecastHorizon is how many windows ahead forecasts are scored by the
@@ -488,7 +488,7 @@ func (s *SMIless) predictCount(sim simulator.ControlPlane) int {
 // earlier windows (the walk-forward quality harness) and feeds the drift
 // detector before updating the model's own history.
 func (s *SMIless) observeForecasts(sim simulator.ControlPlane) {
-	if !s.Opts.UseLSTM {
+	if s.itFc == nil {
 		return
 	}
 	counts := sim.CountsHistory()
@@ -512,7 +512,7 @@ const (
 // arrival-count schedule, or early when either role's one-step errors
 // drifted (the Page-Hinkley detector inside the Online wrappers).
 func (s *SMIless) maybeTrain(sim simulator.ControlPlane) {
-	if !s.Opts.UseLSTM {
+	if s.itFc == nil {
 		return
 	}
 	n := s.events.seen
@@ -558,7 +558,7 @@ func (s *SMIless) maybeTrain(sim simulator.ControlPlane) {
 // publishForecastStats exports the quality harness into RunStats so
 // experiment tables and /metrics report prediction quality per forecaster.
 func (s *SMIless) publishForecastStats(sim simulator.ControlPlane) {
-	if !s.Opts.UseLSTM {
+	if s.itFc == nil {
 		return
 	}
 	st := sim.Stats()

@@ -14,7 +14,7 @@ import (
 
 func liteOptions(seed int64) Options {
 	o := DefaultOptions(seed)
-	o.UseLSTM = false // keep unit tests fast; LSTM paths covered separately
+	o.Forecaster = "" // keep unit tests fast; LSTM paths covered separately
 	return o
 }
 

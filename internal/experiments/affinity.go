@@ -24,8 +24,9 @@ type AffinityParams struct {
 	Horizon float64
 	// Seed drives trace generation and simulation noise.
 	Seed int64
-	// UseLSTM enables SMIless' LSTM predictors.
-	UseLSTM bool
+	// Forecaster names the forecaster family behind SMIless' Online
+	// Predictor; empty keeps the moving-window estimator.
+	Forecaster string
 	// Scale multiplies the default interference matrix (default 1).
 	Scale float64
 	// Nodes and CoresPerNode shape the cluster (defaults 4 and 26: a
@@ -128,7 +129,7 @@ func Affinity(p AffinityParams) *AffinityResult {
 	for _, tc := range traces {
 		for _, pol := range policies {
 			st, err := Run(SysSMIless, RunParams{
-				App: appByName(p.App), SLA: p.SLA, Seed: p.Seed, UseLSTM: p.UseLSTM,
+				App: appByName(p.App), SLA: p.SLA, Seed: p.Seed, Forecaster: p.Forecaster,
 				Placement: pol, Interference: model, PriceTrace: pt,
 				Cluster: affinityCluster(p.Nodes, p.CoresPerNode),
 			}, tc.tr)

@@ -19,8 +19,9 @@ type ChaosParams struct {
 	Horizon float64
 	// Seed drives trace generation, simulation noise and fault schedules.
 	Seed int64
-	// UseLSTM enables SMIless' LSTM predictors.
-	UseLSTM bool
+	// Forecaster names the forecaster family behind SMIless' Online
+	// Predictor; empty keeps the moving-window estimator.
+	Forecaster string
 	// Systems to evaluate; nil means SMIless plus three baselines.
 	Systems []SystemName
 	// Rates is the swept base failure rate; each rate r expands to
@@ -97,7 +98,7 @@ func Chaos(p ChaosParams) *ChaosResult {
 		for _, sys := range systems {
 			rp := RunParams{
 				App: appByName(p.App), SLA: p.SLA, Seed: p.Seed,
-				UseLSTM: p.UseLSTM, Faults: plan,
+				Forecaster: p.Forecaster, Faults: plan,
 			}
 			st := RunSystem(sys, rp, tr)
 			out.Cells = append(out.Cells, ChaosCell{Rate: rate, System: sys, Stats: st})

@@ -22,8 +22,9 @@ type ChurnParams struct {
 	Horizon float64
 	// Seed drives trace generation and simulation noise.
 	Seed int64
-	// UseLSTM enables SMIless' LSTM predictors.
-	UseLSTM bool
+	// Forecaster names the forecaster family behind SMIless' Online
+	// Predictor; empty keeps the moving-window estimator.
+	Forecaster string
 	// Systems to evaluate; nil means SMIless plus GrandSLAm.
 	Systems []SystemName
 	// NodeCounts is the swept cluster size; nil means {2, 4, 8, 16}.
@@ -137,7 +138,7 @@ func Churn(p ChurnParams) *ChurnResult {
 		plan := p.churnPlan(n)
 		for _, sys := range systems {
 			drv, err := buildDriver(sys, RunParams{
-				App: appByName(p.App), SLA: p.SLA, Seed: p.Seed, UseLSTM: p.UseLSTM,
+				App: appByName(p.App), SLA: p.SLA, Seed: p.Seed, Forecaster: p.Forecaster,
 			}, tr)
 			if err != nil {
 				panic(err)

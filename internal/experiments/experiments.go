@@ -91,12 +91,10 @@ type RunParams struct {
 	App  *apps.Application
 	SLA  float64
 	Seed int64
-	// UseLSTM enables the full trained predictors in SMIless variants.
-	UseLSTM bool
 	// Forecaster names the forecaster family (internal/forecast registry)
-	// behind SMIless variants' Online Predictor; empty keeps the default
-	// (the paper's LSTM pair), and a non-empty name implies UseLSTM.
-	// Unknown names fail with a typed *simulator.ConfigError.
+	// behind SMIless variants' Online Predictor; empty trains none and keeps
+	// the moving-window estimator. Unknown names fail with a typed
+	// *simulator.ConfigError.
 	Forecaster string
 	// Faults optionally injects failures (crashes, stragglers, node
 	// crashes/partitions) into the run; nil evaluates the
@@ -152,12 +150,8 @@ func buildDriver(name SystemName, p RunParams, tr *trace.Trace) (simulator.Drive
 			return *p.Controller
 		}
 		o := controller.DefaultOptions(p.Seed)
-		o.UseLSTM = p.UseLSTM
+		o.Forecaster = p.Forecaster
 		o.Interference = p.Interference
-		if p.Forecaster != "" {
-			o.Forecaster = p.Forecaster
-			o.UseLSTM = true
-		}
 		return o
 	}
 	switch name {

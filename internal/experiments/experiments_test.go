@@ -53,7 +53,7 @@ func TestFig8Smoke(t *testing.T) {
 	// Two diurnal periods so the idle-heavy phases of the Azure-like
 	// trace appear; shorter horizons oversample the busy half.
 	p := Fig8Params{
-		Horizon: 1300, SLA: 2.0, Seed: 5, UseLSTM: false,
+		Horizon: 1300, SLA: 2.0, Seed: 5,
 		Systems: []SystemName{SysSMIless, SysGrandSLAm, SysIceBreakr},
 		Apps:    []string{"WL2"},
 	}
@@ -80,7 +80,7 @@ func TestFig8Smoke(t *testing.T) {
 
 func TestFig10Smoke(t *testing.T) {
 	p := Fig10Params{
-		Horizon: 300, Seed: 6, UseLSTM: false,
+		Horizon: 300, Seed: 6,
 		SLAs:    []float64{2, 4},
 		Systems: []SystemName{SysSMIless},
 		App:     "WL2",
@@ -137,7 +137,7 @@ func TestFig12Smoke(t *testing.T) {
 }
 
 func TestFig13Smoke(t *testing.T) {
-	p := Fig13Params{Horizon: 900, SLA: 2.0, Seed: 9, UseLSTM: false, Apps: []string{"WL3"}}
+	p := Fig13Params{Horizon: 900, SLA: 2.0, Seed: 9, Apps: []string{"WL3"}}
 	r := Fig13(p)
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4 (two panels x two variants)", len(r.Rows))
@@ -163,7 +163,7 @@ func TestFig13Smoke(t *testing.T) {
 }
 
 func TestFig14Shape(t *testing.T) {
-	r := Fig14(Fig14Params{SLA: 2.0, Seed: 10, UseLSTM: false})
+	r := Fig14(Fig14Params{SLA: 2.0, Seed: 10})
 	if r.Stats.Completed == 0 {
 		t.Fatal("no requests completed")
 	}
@@ -190,7 +190,7 @@ func TestFig14Shape(t *testing.T) {
 }
 
 func TestFig15Smoke(t *testing.T) {
-	p := Fig15Params{SLA: 2.0, Seed: 11, UseLSTM: false, Systems: []SystemName{SysSMIless, SysGrandSLAm}}
+	p := Fig15Params{SLA: 2.0, Seed: 11, Systems: []SystemName{SysSMIless, SysGrandSLAm}}
 	r := Fig15(p)
 	if len(r.Rows) != 2 {
 		t.Fatalf("rows = %d", len(r.Rows))
@@ -256,7 +256,7 @@ func TestAppByNamePanics(t *testing.T) {
 
 func TestFig8MultiMedians(t *testing.T) {
 	p := Fig8Params{
-		Horizon: 300, SLA: 2.0, Seed: 30, UseLSTM: false,
+		Horizon: 300, SLA: 2.0, Seed: 30,
 		Systems: []SystemName{SysSMIless, SysGrandSLAm},
 		Apps:    []string{"WL2"},
 	}

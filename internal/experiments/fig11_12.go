@@ -6,10 +6,11 @@ import (
 
 	"smiless/internal/apps"
 	"smiless/internal/controller"
+	"smiless/internal/forecast"
 	"smiless/internal/hardware"
+	"smiless/internal/mathx"
 	"smiless/internal/metrics"
 	"smiless/internal/perfmodel"
-	"smiless/internal/predictor"
 	"smiless/internal/profiler"
 	"smiless/internal/simulator"
 	"smiless/internal/trace"
@@ -58,7 +59,7 @@ func Fig11(p Fig11Params) *Fig11Result {
 			panic(err)
 		}
 		co := controller.DefaultOptions(p.Seed)
-		co.UseLSTM = false
+		co.Forecaster = ""
 		// Plan close to the SLA so the experiment isolates the effect of
 		// the initialization estimate; the default margin would absorb it.
 		co.SLAMargin = 0.9
@@ -177,17 +178,18 @@ func Fig12(p Fig12Params) *Fig12Result {
 	train, test := series[:p.TrainWindows], series[p.TrainWindows:]
 
 	out := &Fig12Result{}
-	countPreds := []predictor.CountPredictor{
-		predictor.NewInvocationPredictor(1, p.Seed),
-		predictor.NewGBT(),
-		predictor.NewARIMA(8, 0),
-		predictor.NewFIP(),
-	}
-	for _, cp := range countPreds {
-		ev := predictor.EvaluateCounts(cp, train, test)
-		out.CountNames = append(out.CountNames, cp.Name())
-		out.CountUnder = append(out.CountUnder, ev.UnderestimateRate)
-		out.CountMAPE = append(out.CountMAPE, ev.MAPE)
+	for _, m := range fig12Count {
+		f := forecast.MustNew(m.family, forecast.Config{Seed: p.Seed, Role: forecast.RoleCount})
+		preds := walkForward(f, forecast.Obs(train, nil), forecast.Obs(test, nil))
+		under := 0
+		for i, pred := range preds {
+			if pred < test[i] {
+				under++
+			}
+		}
+		out.CountNames = append(out.CountNames, m.label)
+		out.CountUnder = append(out.CountUnder, float64(under)/float64(len(test)))
+		out.CountMAPE = append(out.CountMAPE, mathx.MAPE(preds, test))
 	}
 
 	// Inter-arrival comparison: dual-input vs single-input LSTM.
@@ -196,16 +198,49 @@ func Fig12(p Fig12Params) *Fig12Result {
 	if cut < 64 {
 		cut = len(iats) / 2
 	}
-	for _, ip := range []predictor.IATPredictor{
-		predictor.NewInterArrivalPredictor(p.Seed),
-		predictor.NewSingleInputIAT(p.Seed),
+	cfg := forecast.Config{Seed: p.Seed, Role: forecast.RoleInterArrival}
+	for _, m := range []struct {
+		label string
+		f     forecast.Forecaster
+	}{
+		{"SMIless-IAT", forecast.MustNew("lstm", cfg)},
+		{"SMIless-S", forecast.NewSingleInputIAT(cfg)},
 	} {
-		ev := predictor.EvaluateIAT(ip, iats[:cut], cnts[:cut], iats[cut:], cnts[cut:])
-		out.IATNames = append(out.IATNames, ip.Name())
-		out.IATMAPE = append(out.IATMAPE, ev.MAPE)
-		out.IATOverEst = append(out.IATOverEst, ev.OverestimateRate)
+		test := iats[cut:]
+		preds := walkForward(m.f, forecast.Obs(iats[:cut], cnts[:cut]), forecast.Obs(test, cnts[cut:]))
+		over := 0
+		for i, pred := range preds {
+			if pred > test[i] {
+				over++
+			}
+		}
+		out.IATNames = append(out.IATNames, m.label)
+		out.IATMAPE = append(out.IATMAPE, mathx.MAPE(preds, test))
+		out.IATOverEst = append(out.IATOverEst, float64(over)/float64(len(test)))
 	}
 	return out
+}
+
+// fig12Count maps the paper's count-predictor labels to the forecaster
+// families behind them.
+var fig12Count = []struct{ label, family string }{
+	{"SMIless-LSTM", "lstm"},
+	{"XGBoost", "gbt"},
+	{"ARIMA(8,0,0)", "arima"},
+	{"FIP", "fip"},
+}
+
+// walkForward fits f on train, then forecasts each test step one ahead
+// before revealing it, and returns the forecasts. A train series too short to
+// fit leaves f on its persistence fallback.
+func walkForward(f forecast.Forecaster, train, test []forecast.Observation) []float64 {
+	_ = f.Fit(train)
+	preds := make([]float64, len(test))
+	for i, o := range test {
+		preds[i] = f.Predict(1)[0]
+		f.Update(o)
+	}
+	return preds
 }
 
 // alignedIAT builds the dual-input series at window granularity (§IV-B2).

@@ -10,11 +10,11 @@ import (
 
 // Fig13Params configures the co-optimization ablation.
 type Fig13Params struct {
-	Horizon float64
-	SLA     float64
-	Seed    int64
-	UseLSTM bool
-	Apps    []string
+	Horizon    float64
+	SLA        float64
+	Seed       int64
+	Forecaster string
+	Apps       []string
 }
 
 // Fig13Row is one (app, variant) outcome within a panel.
@@ -58,7 +58,7 @@ func Fig13(p Fig13Params) *Fig13Result {
 		// DAG-position-aware warm-up timing is what saves money.
 		sparse := trace.Poisson(newRand(p.Seed+int64(ai)*131), 0.03, p.Horizon)
 		for _, sys := range []SystemName{SysSMIless, SysNoDAG} {
-			rp := RunParams{App: appByName(name), SLA: p.SLA, Seed: p.Seed, UseLSTM: p.UseLSTM}
+			rp := RunParams{App: appByName(name), SLA: p.SLA, Seed: p.Seed, Forecaster: p.Forecaster}
 			st := RunSystem(sys, rp, sparse)
 			out.Rows = append(out.Rows, Fig13Row{
 				Panel: "no-dag", App: name, Variant: sys,
@@ -70,7 +70,7 @@ func Fig13(p Fig13Params) *Fig13Result {
 		tr := EvalTrace(p.Seed+int64(ai)*131, p.Horizon)
 		tight := p.SLA * 0.3
 		for _, sys := range []SystemName{SysSMIless, SysHomo} {
-			rp := RunParams{App: appByName(name), SLA: tight, Seed: p.Seed, UseLSTM: p.UseLSTM}
+			rp := RunParams{App: appByName(name), SLA: tight, Seed: p.Seed, Forecaster: p.Forecaster}
 			st := RunSystem(sys, rp, tr)
 			out.Rows = append(out.Rows, Fig13Row{
 				Panel: "homo", App: name, Variant: sys,
@@ -141,10 +141,10 @@ func BurstTrace(seed int64) *trace.Trace {
 
 // Fig14Params configures the burst-adaptation study.
 type Fig14Params struct {
-	SLA     float64
-	Seed    int64
-	UseLSTM bool
-	App     string
+	SLA        float64
+	Seed       int64
+	Forecaster string
+	App        string
 }
 
 // Fig14Result reproduces Fig. 14: pod counts tracking invocations, and the
@@ -164,7 +164,7 @@ func Fig14(p Fig14Params) *Fig14Result {
 		p.App = "WL2"
 	}
 	tr := BurstTrace(p.Seed)
-	rp := RunParams{App: appByName(p.App), SLA: p.SLA, Seed: p.Seed, UseLSTM: p.UseLSTM}
+	rp := RunParams{App: appByName(p.App), SLA: p.SLA, Seed: p.Seed, Forecaster: p.Forecaster}
 	st := RunSystem(SysSMIless, rp, tr)
 	return &Fig14Result{Params: p, Samples: st.PodSamples, Stats: st}
 }
@@ -196,11 +196,11 @@ func (r *Fig14Result) Table() *Table {
 
 // Fig15Params configures the burst comparison across systems.
 type Fig15Params struct {
-	SLA     float64
-	Seed    int64
-	UseLSTM bool
-	App     string
-	Systems []SystemName
+	SLA        float64
+	Seed       int64
+	Forecaster string
+	App        string
+	Systems    []SystemName
 }
 
 // Fig15Row is one system's burst outcome.
@@ -231,7 +231,7 @@ func Fig15(p Fig15Params) *Fig15Result {
 	tr := BurstTrace(p.Seed)
 	out := &Fig15Result{Params: p}
 	for _, sys := range systems {
-		rp := RunParams{App: appByName(p.App), SLA: p.SLA, Seed: p.Seed, UseLSTM: p.UseLSTM}
+		rp := RunParams{App: appByName(p.App), SLA: p.SLA, Seed: p.Seed, Forecaster: p.Forecaster}
 		st := RunSystem(sys, rp, tr)
 		out.Rows = append(out.Rows, Fig15Row{System: sys, Cost: st.TotalCost, Viol: st.ViolationRate()})
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"smiless/internal/forecast"
 	"smiless/internal/simulator"
 )
 
@@ -15,8 +16,9 @@ type Fig8Params struct {
 	SLA float64
 	// Seed drives trace generation and simulation noise.
 	Seed int64
-	// UseLSTM enables SMIless' LSTM predictors (slower, more faithful).
-	UseLSTM bool
+	// Forecaster names the forecaster family behind SMIless' Online
+	// Predictor; empty keeps the moving-window estimator.
+	Forecaster string
 	// Systems to evaluate; nil means the full Fig. 8 lineup.
 	Systems []SystemName
 	// Apps to evaluate; nil means the three paper workloads.
@@ -25,7 +27,7 @@ type Fig8Params struct {
 
 // DefaultFig8Params returns a faithful but tractable configuration.
 func DefaultFig8Params(seed int64) Fig8Params {
-	return Fig8Params{Horizon: 3600, SLA: 2.0, Seed: seed, UseLSTM: true}
+	return Fig8Params{Horizon: 3600, SLA: 2.0, Seed: seed, Forecaster: forecast.Default}
 }
 
 // Fig8Cell is the outcome of one (application, system) run.
@@ -63,7 +65,7 @@ func Fig8(p Fig8Params) *Fig8Result {
 	for ai, name := range appNames {
 		tr := EvalTrace(p.Seed+int64(ai)*101, p.Horizon)
 		for _, sys := range systems {
-			rp := RunParams{App: appByName(name), SLA: p.SLA, Seed: p.Seed, UseLSTM: p.UseLSTM}
+			rp := RunParams{App: appByName(name), SLA: p.SLA, Seed: p.Seed, Forecaster: p.Forecaster}
 			st := RunSystem(sys, rp, tr)
 			out.Cells = append(out.Cells, Fig8Cell{App: name, System: sys, Stats: st})
 		}
@@ -128,9 +130,9 @@ func (r *Fig8Result) Fig9Table() *Table {
 
 // Fig10Params configures the SLA sweep.
 type Fig10Params struct {
-	Horizon float64
-	Seed    int64
-	UseLSTM bool
+	Horizon    float64
+	Seed       int64
+	Forecaster string
 	// SLAs to sweep (paper: 1..6 s).
 	SLAs []float64
 	// App is the workload (paper sweeps all; default WL2).
@@ -171,7 +173,7 @@ func Fig10(p Fig10Params) *Fig10Result {
 	out := &Fig10Result{Params: p}
 	for _, sla := range p.SLAs {
 		for _, sys := range systems {
-			rp := RunParams{App: appByName(p.App), SLA: sla, Seed: p.Seed, UseLSTM: p.UseLSTM}
+			rp := RunParams{App: appByName(p.App), SLA: sla, Seed: p.Seed, Forecaster: p.Forecaster}
 			st := RunSystem(sys, rp, tr)
 			out.Rows = append(out.Rows, Fig10Row{
 				SLA: sla, System: sys,

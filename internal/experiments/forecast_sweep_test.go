@@ -70,27 +70,6 @@ func TestRunUnknownForecasterTypedError(t *testing.T) {
 	}
 }
 
-// TestForecasterLSTMMatchesLegacy pins the API redesign's compatibility
-// contract: selecting the default family explicitly through the registry
-// must reproduce the legacy UseLSTM run byte for byte.
-func TestForecasterLSTMMatchesLegacy(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two full LSTM-backed runs; skipped in -short")
-	}
-	tr := EvalTrace(7, 900)
-	legacy := RunParams{App: AppByName("WL2"), SLA: 2, Seed: 7, UseLSTM: true}
-	viaRegistry := legacy
-	viaRegistry.Forecaster = "lstm"
-	a := RunSystem(SysSMIless, legacy, tr)
-	b := RunSystem(SysSMIless, viaRegistry, tr)
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("registry-selected lstm diverged from the legacy default:\n%s\nvs\n%s", a.Summary(), b.Summary())
-	}
-	if a.ForecastName != "lstm" {
-		t.Errorf("ForecastName = %q, want lstm", a.ForecastName)
-	}
-}
-
 // TestForecasterTransformerServes runs the full simulated serving loop with
 // the attention forecaster behind both predictor roles: it must activate,
 // report quality, and replay byte-identically.

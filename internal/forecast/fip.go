@@ -1,4 +1,4 @@
-package predictor
+package forecast
 
 import (
 	"math"
@@ -6,52 +6,66 @@ import (
 	"sort"
 )
 
-// FIP is IceBreaker's Fourier-based invocation predictor (Roy et al.,
-// ASPLOS'22), used as a baseline in Fig. 12: the recent history is
-// transformed with an FFT, the top-K dominant harmonics are kept, and the
-// truncated spectrum is extrapolated one step into the future.
-type FIP struct {
-	// Window is the history length transformed (rounded down to a power of
-	// two internally).
-	Window int
-	// TopK is the number of dominant harmonics retained.
-	TopK int
+// fipForecaster is IceBreaker's training-free Fourier-based invocation
+// predictor (Roy et al., ASPLOS'22), a Fig. 12 baseline: the recent history
+// is transformed with an FFT, the fipTopK dominant harmonics are kept, and
+// the truncated spectrum is extrapolated one step into the future. The
+// spectrum is refit from the trailing window on every prediction, so Fit only
+// installs the history.
+type fipForecaster struct {
+	series
+	cfg    Config
+	fitted bool
 }
 
-// NewFIP returns a FIP predictor with IceBreaker-like defaults.
-func NewFIP() *FIP { return &FIP{Window: 512, TopK: 8} }
+const (
+	// fipWindow bounds the history a step transforms.
+	fipWindow = 512
+	// fipTopK is the number of dominant harmonics retained.
+	fipTopK = 8
+)
 
-// Name implements CountPredictor.
-func (f *FIP) Name() string { return "FIP" }
+func (f *fipForecaster) Name() string { return "fip" }
 
-// Fit implements CountPredictor. FIP is training-free: it refits its
-// spectrum on every prediction from the trailing window.
-func (f *FIP) Fit([]float64) {}
-
-// Span returns how many trailing entries of an n-long history Predict
-// transforms: the largest power of two within both n and Window. Callers
-// that build the history just for Predict need to supply only that suffix.
-func (f *FIP) Span(n int) int {
-	if n == 0 {
-		return 0
+func (f *fipForecaster) Fit(hist []Observation) error {
+	if len(hist) < 2 {
+		return ErrShortSeries
 	}
-	span := 1
-	for span*2 <= n && span*2 <= f.Window {
-		span *= 2
-	}
-	return span
+	f.replace(hist)
+	f.fitted = true
+	return nil
 }
 
-// Predict implements CountPredictor.
-func (f *FIP) Predict(history []float64) float64 {
-	if len(history) == 0 {
-		return 0
+func (f *fipForecaster) Predict(horizon int) []float64 {
+	validHorizon(horizon)
+	if !f.fitted {
+		return persistence(f.hist, horizon)
 	}
-	n := f.Span(len(history))
-	seg := history[len(history)-n:]
-	spec := fft(toComplex(seg), false)
+	return rollForward(f.tail(fipWindow+horizon), horizon, fipStep)
+}
 
-	// Rank harmonics by amplitude, keep DC plus the TopK strongest.
+func (f *fipForecaster) Update(obs Observation) { f.append(obs) }
+
+func (f *fipForecaster) Clone(seed int64) Forecaster {
+	cfg := f.cfg
+	cfg.Seed = seed
+	return &fipForecaster{cfg: cfg}
+}
+
+// fipStep is the one-step Fourier extrapolation after h, which is not empty.
+func fipStep(h []Observation) float64 {
+	// Transform the largest power of two within both len(h) and fipWindow.
+	n := 1
+	for n*2 <= len(h) && n*2 <= fipWindow {
+		n *= 2
+	}
+	seg := make([]complex128, n)
+	for i, o := range h[len(h)-n:] {
+		seg[i] = complex(o.Value, 0)
+	}
+	spec := fft(seg, false)
+
+	// Rank harmonics by amplitude, keep DC plus the fipTopK strongest.
 	type harm struct {
 		idx int
 		amp float64
@@ -62,7 +76,7 @@ func (f *FIP) Predict(history []float64) float64 {
 	}
 	sort.Slice(hs, func(a, b int) bool { return hs[a].amp > hs[b].amp })
 	keep := map[int]bool{0: true}
-	for i := 0; i < f.TopK && i < len(hs); i++ {
+	for i := 0; i < fipTopK && i < len(hs); i++ {
 		keep[hs[i].idx] = true
 	}
 	// Extrapolate the truncated Fourier series one step ahead. The DFT
@@ -86,20 +100,12 @@ func (f *FIP) Predict(history []float64) float64 {
 	return pred
 }
 
-func toComplex(xs []float64) []complex128 {
-	out := make([]complex128, len(xs))
-	for i, x := range xs {
-		out[i] = complex(x, 0)
-	}
-	return out
-}
-
 // fft computes the radix-2 Cooley-Tukey FFT (inverse when inv is true,
 // without the 1/n scale). len(x) must be a power of two.
 func fft(x []complex128, inv bool) []complex128 {
 	n := len(x)
 	if n&(n-1) != 0 {
-		panic("predictor: fft length must be a power of two")
+		panic("forecast: fft length must be a power of two")
 	}
 	out := append([]complex128(nil), x...)
 	// Bit-reversal permutation.

@@ -1,10 +1,12 @@
-// Package forecast is the pluggable forecasting subsystem behind the
-// SMIless Online Predictor (§IV-B): a Forecaster interface with a
-// name-keyed registry, adapters over the concrete predictors of
-// internal/predictor (LSTM, ARIMA, FIP, GBT, hybrid histogram), a
-// from-scratch attention ("transformer") forecaster, and an Online wrapper
-// that adds drift-triggered refitting plus a prediction-quality harness
-// (per-horizon MAE/sMAPE, upper-bound violation rate, refit counts).
+// Package forecast is the forecasting layer behind the SMIless Online
+// Predictor (§IV-B): a Forecaster interface with a name-keyed registry, the
+// model families that implement it — the paper's LSTM pair (bucket
+// classifier for counts, dual-input inter-arrival regressor, on the
+// from-scratch LSTM/Dense/Adam kernel), the Fig. 12 baselines ARIMA, FIP and
+// GBT, the ATC'20 hybrid histogram, an attention ("transformer") model and
+// persistence — and an Online wrapper that adds drift-triggered refitting
+// plus a prediction-quality harness (per-horizon MAE/sMAPE, upper-bound
+// violation rate, refit counts).
 //
 // Both serving substrates — the simulator controller's window loop and the
 // live serving runtime — consume only the interface, so predictor choice is
@@ -147,7 +149,7 @@ type UpperBounder interface {
 	PredictUpper(horizon int) []float64
 }
 
-// maxHistory bounds the internal history kept by adapters. Every family
+// maxHistory bounds the history a family keeps. Every family
 // reads at most a bounded tail (LSTM windows, GBT lags, FIP's 512-wide
 // spectrum, attention's key set), so trimming beyond this cannot change
 // predictions while keeping long-running instances at constant memory.
@@ -202,7 +204,7 @@ func persistenceInto(dst []float64, hist []Observation) {
 	}
 }
 
-// series is the shared history-keeping base embedded by adapters.
+// series is the history every family keeps, embedded in each.
 type series struct {
 	hist []Observation
 }
@@ -236,21 +238,73 @@ func (s *series) tail(n int) []Observation {
 	return s.hist
 }
 
-// values returns the target series; covs the covariate series.
-func (s *series) values() []float64 {
+// column returns a copy of the history's values, or with cov its covariates.
+func (s *series) column(cov bool) []float64 {
 	out := make([]float64, len(s.hist))
 	for i, o := range s.hist {
 		out[i] = o.Value
+		if cov {
+			out[i] = o.Cov
+		}
 	}
 	return out
 }
 
-func (s *series) covs() []float64 {
-	out := make([]float64, len(s.hist))
-	for i, o := range s.hist {
-		out[i] = o.Cov
+// rollForward produces a multi-step forecast by iterating a one-step
+// predictor: each predicted value is appended to a scratch history (with
+// the covariate held at its last observed value) before predicting the
+// next step. Horizon 1 never copies the history.
+func rollForward(hist []Observation, horizon int, step func(h []Observation) float64) []float64 {
+	validHorizon(horizon)
+	out := make([]float64, horizon)
+	out[0] = step(hist)
+	if horizon == 1 {
+		return out
+	}
+	scratch := append(make([]Observation, 0, len(hist)+horizon-1), hist...)
+	cov := 0.0
+	if len(hist) > 0 {
+		cov = hist[len(hist)-1].Cov
+	}
+	for i := 1; i < horizon; i++ {
+		scratch = append(scratch, Observation{Value: out[i-1], Cov: cov})
+		out[i] = step(scratch)
 	}
 	return out
+}
+
+// naiveForecaster is the persistence baseline: predict the last observed
+// value. It anchors the sweep — any trained family should beat it on
+// structured traces, and on adversarial regime switches it shows how much
+// signal survives.
+type naiveForecaster struct {
+	series
+	cfg Config
+}
+
+func (f *naiveForecaster) Name() string { return "naive" }
+
+func (f *naiveForecaster) Fit(hist []Observation) error {
+	if len(hist) < 1 {
+		return ErrShortSeries
+	}
+	f.replace(hist)
+	return nil
+}
+
+func (f *naiveForecaster) Predict(horizon int) []float64 {
+	validHorizon(horizon)
+	return persistence(f.hist, horizon)
+}
+
+func (f *naiveForecaster) predictInto(dst []float64) { persistenceInto(dst, f.hist) }
+
+func (f *naiveForecaster) Update(obs Observation) { f.append(obs) }
+
+func (f *naiveForecaster) Clone(seed int64) Forecaster {
+	cfg := f.cfg
+	cfg.Seed = seed
+	return &naiveForecaster{cfg: cfg}
 }
 
 // validHorizon panics on a non-positive horizon: it is a programming error,

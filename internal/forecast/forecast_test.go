@@ -7,8 +7,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-
-	"smiless/internal/predictor"
 )
 
 // synth builds a deterministic test series: a two-tone sine over a base
@@ -78,13 +76,12 @@ func TestLookupUnknownTyped(t *testing.T) {
 	}
 }
 
-func TestLookupEmptyIsDefault(t *testing.T) {
-	ctor, err := Lookup("")
-	if err != nil {
-		t.Fatalf("Lookup(\"\"): %v", err)
-	}
-	if name := ctor(Config{}).Name(); name != Default {
-		t.Errorf("Lookup(\"\") built %q, want Default %q", name, Default)
+// TestLookupEmptyIsUnknown: the empty name selects no family (callers take it
+// to mean the moving-window estimator), so the registry does not resolve it.
+func TestLookupEmptyIsUnknown(t *testing.T) {
+	var ue *UnknownError
+	if _, err := Lookup(""); !errors.As(err, &ue) {
+		t.Errorf("Lookup(\"\") err = %v, want *UnknownError", err)
 	}
 }
 
@@ -145,121 +142,27 @@ func TestShortSeriesKeepsPriorFit(t *testing.T) {
 	}
 }
 
-// TestAdapterMatchesConcrete pins the adapters to their legacy concrete
-// predictors: Fit+Predict(1) through the interface must be bitwise equal to
-// constructing and using the concrete type directly, as the controller's
-// window loop historically did.
-func TestAdapterMatchesConcrete(t *testing.T) {
-	const seed = 42
-	cnt := counts(160)
-	iats := synth(140, 2, 1.2)
-
-	sv := series{}
-	sv.replace(cnt)
-	cntVals := sv.values()
-	sv.replace(iats)
-	iatVals, iatCovs := sv.values(), sv.covs()
-
-	t.Run("lstm-count", func(t *testing.T) {
-		p := predictor.NewInvocationPredictor(1, seed)
-		p.Fit(cntVals)
-		want := p.Predict(cntVals)
-		f := MustNew("lstm", Config{Seed: seed, Role: RoleCount})
-		if err := f.Fit(cnt); err != nil {
-			t.Fatalf("Fit: %v", err)
-		}
-		if got := f.Predict(1)[0]; !bitsEq(got, want) {
-			t.Errorf("adapter %v != concrete %v", got, want)
-		}
-	})
-	t.Run("lstm-iat", func(t *testing.T) {
-		p := predictor.NewInterArrivalPredictor(seed)
-		p.FitIAT(iatVals, iatCovs)
-		want := p.PredictIAT(iatVals, iatCovs)
-		f := MustNew("lstm", Config{Seed: seed, Role: RoleInterArrival})
-		if err := f.Fit(iats); err != nil {
-			t.Fatalf("Fit: %v", err)
-		}
-		if got := f.Predict(1)[0]; !bitsEq(got, want) {
-			t.Errorf("adapter %v != concrete %v", got, want)
-		}
-	})
-	t.Run("lstm-online-budget", func(t *testing.T) {
-		p := predictor.NewInvocationPredictor(1, seed)
-		p.Epochs = 2
-		p.Fit(cntVals)
-		want := p.Predict(cntVals)
-		f := MustNew("lstm", Config{Seed: seed, Role: RoleCount, Budget: BudgetOnline})
-		if err := f.Fit(cnt); err != nil {
-			t.Fatalf("Fit: %v", err)
-		}
-		if got := f.Predict(1)[0]; !bitsEq(got, want) {
-			t.Errorf("online-budget adapter %v != concrete %v", got, want)
-		}
-	})
-	t.Run("arima", func(t *testing.T) {
-		a := predictor.NewARIMA(8, 0)
-		a.Fit(iatVals)
-		want := a.Predict(iatVals)
-		f := MustNew("arima", Config{Seed: seed})
-		if err := f.Fit(iats); err != nil {
-			t.Fatalf("Fit: %v", err)
-		}
-		if got := f.Predict(1)[0]; !bitsEq(got, want) {
-			t.Errorf("adapter %v != concrete %v", got, want)
-		}
-	})
-	t.Run("gbt", func(t *testing.T) {
-		g := predictor.NewGBT()
-		g.Fit(cntVals)
-		want := g.Predict(cntVals)
-		f := MustNew("gbt", Config{Seed: seed})
-		if err := f.Fit(cnt); err != nil {
-			t.Fatalf("Fit: %v", err)
-		}
-		if got := f.Predict(1)[0]; !bitsEq(got, want) {
-			t.Errorf("adapter %v != concrete %v", got, want)
-		}
-	})
-	t.Run("fip", func(t *testing.T) {
-		want := predictor.NewFIP().Predict(cntVals)
-		f := MustNew("fip", Config{Seed: seed})
-		if err := f.Fit(cnt); err != nil {
-			t.Fatalf("Fit: %v", err)
-		}
-		if got := f.Predict(1)[0]; !bitsEq(got, want) {
-			t.Errorf("adapter %v != concrete %v", got, want)
-		}
-	})
-}
-
 // TestUpdateExtendsPredictionSeries pins Update semantics: appending the
-// tail via Update must predict exactly as the concrete model (fitted on the
-// prefix only) reading the full series.
+// tail via Update must predict exactly as the model fitted on the prefix
+// reading the full series.
 func TestUpdateExtendsPredictionSeries(t *testing.T) {
 	const seed = 7
 	cnt := counts(200)
-	prefix := cnt[:150]
+	full := make([]float64, len(cnt))
+	for i, o := range cnt {
+		full[i] = o.Value
+	}
 
-	sv := series{}
-	sv.replace(cnt)
-	full := sv.values()
-	sv.replace(prefix)
-	prefixVals := sv.values()
-
-	p := predictor.NewInvocationPredictor(1, seed)
-	p.Fit(prefixVals)
-	want := p.Predict(full)
-
-	f := MustNew("lstm", Config{Seed: seed, Role: RoleCount})
-	if err := f.Fit(prefix); err != nil {
+	f := MustNew("lstm", Config{Seed: seed, Role: RoleCount}).(*countLSTM)
+	if err := f.Fit(cnt[:150]); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
 	for _, o := range cnt[150:] {
 		f.Update(o)
 	}
-	if got := f.Predict(1)[0]; !bitsEq(got, want) {
-		t.Errorf("Update-extended forecast %v != concrete-on-full %v", got, want)
+	got := f.Predict(1)[0]
+	if want := f.forecast(full); !bitsEq(got, want) {
+		t.Errorf("Update-extended forecast %v != model-on-full %v", got, want)
 	}
 }
 
@@ -421,7 +324,7 @@ func forecastMoved(a, b []float64) bool {
 	return false
 }
 
-// TestLSTMForecastMemo pins the remembered forecast of lstmForecaster: it
+// TestLSTMForecastMemo pins the remembered forecast of the LSTM families: it
 // may only ever answer what a roll-forward on the current model and history
 // would. The oracle for each state is a new instance taken through the same
 // Fit and Update calls and asked once, which cannot have anything remembered
@@ -491,16 +394,17 @@ func TestLSTMForecastMemo(t *testing.T) {
 // with the history behind that tail.
 func TestLSTMPredictAllocsIndependentOfHistory(t *testing.T) {
 	for _, role := range []Role{RoleCount, RoleInterArrival} {
-		f := MustNew("lstm", Config{Seed: 1, Role: role, Budget: BudgetOnline}).(*lstmForecaster)
+		f := MustNew("lstm", Config{Seed: 1, Role: role, Budget: BudgetOnline})
+		st, _ := lstmOf(f)
 		if err := f.Fit(lstmFixture(role, 100)); err != nil {
 			t.Fatalf("%v: Fit: %v", role, err)
 		}
 		for _, n := range []int{100, 8000} {
-			for len(f.hist) < n {
-				f.Update(Observation{Value: float64(len(f.hist) % 7), Cov: 1})
+			for len(st.hist) < n {
+				f.Update(Observation{Value: float64(len(st.hist) % 7), Cov: 1})
 			}
 			allocs := testing.AllocsPerRun(10, func() {
-				f.memo = nil
+				st.memo = nil
 				f.Predict(4)
 			})
 			if allocs > 4 {

@@ -1,4 +1,4 @@
-package predictor
+package forecast
 
 import (
 	"testing"
@@ -8,11 +8,11 @@ import (
 )
 
 func TestHistogramFallbackWhenCold(t *testing.T) {
-	h := NewIdleHistogram()
+	h := &IdleHistogram{}
 	if h.PrewarmAfter() != 0 {
 		t.Error("cold histogram should not schedule unloading")
 	}
-	if h.KeepAliveFor() != h.FallbackKeepAlive {
+	if h.KeepAliveFor() != histFallbackKeepAlive {
 		t.Error("cold histogram should use the fallback keep-alive")
 	}
 }
@@ -20,7 +20,7 @@ func TestHistogramFallbackWhenCold(t *testing.T) {
 func TestHistogramBracketsIdleTimes(t *testing.T) {
 	// Idle times clustered around 60 s: the warm window [prewarm,
 	// prewarm+keepalive] must bracket the cluster.
-	h := NewIdleHistogram()
+	h := &IdleHistogram{}
 	r := mathx.NewRand(1)
 	for i := 0; i < 500; i++ {
 		h.Observe(mathx.TruncNorm(r, 60, 5, 0))
@@ -41,7 +41,7 @@ func TestHistogramBracketsIdleTimes(t *testing.T) {
 
 func TestHistogramHeadHeavy(t *testing.T) {
 	// Sub-second gaps: pre-warm window collapses toward keep-alive.
-	h := NewIdleHistogram()
+	h := &IdleHistogram{}
 	for i := 0; i < 100; i++ {
 		h.Observe(0.5)
 	}
@@ -52,20 +52,20 @@ func TestHistogramHeadHeavy(t *testing.T) {
 
 func TestHistogramOOBFallback(t *testing.T) {
 	// Mostly out-of-bounds gaps: the policy must fall back.
-	h := NewIdleHistogram()
+	h := &IdleHistogram{}
 	for i := 0; i < 100; i++ {
 		h.Observe(1e6)
 	}
-	if h.PrewarmAfter() != 0 || h.KeepAliveFor() != h.FallbackKeepAlive {
+	if h.PrewarmAfter() != 0 || h.KeepAliveFor() != histFallbackKeepAlive {
 		t.Error("OOB-dominated histogram should fall back")
 	}
 }
 
 func TestHistogramNegativeClampsToZero(t *testing.T) {
-	h := NewIdleHistogram()
+	h := &IdleHistogram{}
 	h.Observe(-1) // out-of-order timestamps upstream: treat as immediate re-arrival
 	h.Observe(0.5)
-	if got := h.Samples(); got != 2 {
+	if got := h.total; got != 2 {
 		t.Errorf("Samples() = %d, want 2 (negative observation clamped, not dropped)", got)
 	}
 }
@@ -75,12 +75,12 @@ func TestHistogramNegativeClampsToZero(t *testing.T) {
 func TestHistogramProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		r := mathx.NewRand(seed)
-		h := NewIdleHistogram()
+		h := &IdleHistogram{}
 		n := 20 + r.Intn(200)
 		for i := 0; i < n; i++ {
 			h.Observe(r.Float64() * 200)
 		}
-		if h.Samples() != n {
+		if h.total != n {
 			return false
 		}
 		if h.KeepAliveFor() <= 0 || h.PrewarmAfter() < 0 {

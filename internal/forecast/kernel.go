@@ -1,18 +1,4 @@
-// Package predictor implements the paper's Online Predictor (§IV-B) and the
-// baselines it is evaluated against (Fig. 12):
-//
-//   - an LSTM bucket-classifier that predicts an upper bound on the number
-//     of invocations in the next window (underestimation avoidance);
-//   - a dual-LSTM regressor for inter-arrival times that consumes both the
-//     inter-arrival series and the invocation-count series;
-//   - baselines: ARIMA (autoregression), FIP (IceBreaker's Fourier-based
-//     predictor), and gradient-boosted trees (the XGBoost stand-in).
-//
-// Everything, including LSTM backpropagation-through-time and the Adam
-// optimizer, is implemented from scratch on the standard library.
-//
-//lint:deterministic
-package predictor
+package forecast
 
 import (
 	"fmt"
@@ -58,7 +44,7 @@ type LSTM struct {
 // NewLSTM returns an LSTM with Xavier-style initialization.
 func NewLSTM(r *rand.Rand, in, hidden int) *LSTM {
 	if in < 1 || hidden < 1 {
-		panic(fmt.Sprintf("predictor: bad LSTM shape in=%d hidden=%d", in, hidden))
+		panic(fmt.Sprintf("forecast: bad LSTM shape in=%d hidden=%d", in, hidden))
 	}
 	l := &LSTM{
 		In: in, Hidden: hidden,
@@ -120,7 +106,7 @@ func (l *LSTM) gateRows(m []float64, j, from, n int) (ri, rf, rg, ro []float64) 
 func (l *LSTM) Forward(xs []float64) []float64 {
 	in, h := l.In, l.Hidden
 	if len(xs)%in != 0 {
-		panic(fmt.Sprintf("predictor: input length %d is not a multiple of width %d", len(xs), in))
+		panic(fmt.Sprintf("forecast: input length %d is not a multiple of width %d", len(xs), in))
 	}
 	l.steps = len(xs) / in
 	if l.steps == 0 {
@@ -172,7 +158,7 @@ func (l *LSTM) Forward(xs []float64) []float64 {
 func (l *LSTM) Backward(dH []float64) {
 	in, h := l.In, l.Hidden
 	if len(dH) != h {
-		panic(fmt.Sprintf("predictor: hidden-state gradient of length %d, want %d", len(dH), h))
+		panic(fmt.Sprintf("forecast: hidden-state gradient of length %d, want %d", len(dH), h))
 	}
 	dh, dc, dhNext, dcNext := l.dh, l.dc, l.dhNext, l.dcNext
 	copy(dh, dH)
@@ -276,7 +262,7 @@ func NewDense(r *rand.Rand, in, out int) *Dense {
 // Forward computes the layer output.
 func (d *Dense) Forward(x []float64) []float64 {
 	if len(x) != d.In {
-		panic(fmt.Sprintf("predictor: dense input %d, want %d", len(x), d.In))
+		panic(fmt.Sprintf("forecast: dense input %d, want %d", len(x), d.In))
 	}
 	for o := range d.y {
 		w := d.W[o*d.In : (o+1)*d.In]

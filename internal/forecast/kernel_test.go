@@ -1,4 +1,4 @@
-package predictor
+package forecast
 
 import (
 	"math"
@@ -231,17 +231,17 @@ func TestDenseBackwardGradCheck(t *testing.T) {
 func TestTrainingSampleDoesNotAllocate(t *testing.T) {
 	counts, iats := refSeries(60)
 
-	inv := NewInvocationPredictor(2, 1)
-	inv.Epochs = 1
-	inv.Fit(counts)
+	inv := newCount(2, 1)
+	inv.epochs = 1
+	inv.fit(counts)
 	if n := testing.AllocsPerRun(20, func() { inv.trainSample(counts, 40) }); n != 0 {
 		t.Errorf("InvocationPredictor training sample: %v allocs, want 0", n)
 	}
 
 	for _, dual := range []bool{true, false} {
-		iat := NewInterArrivalPredictor(1)
-		iat.Epochs, iat.DualInput = 1, dual
-		iat.FitIAT(iats, counts)
+		iat := newIATLSTM(Config{Seed: 1}, true)
+		iat.epochs, iat.dualInput = 1, dual
+		iat.fit(iats, counts)
 		if n := testing.AllocsPerRun(20, func() { iat.trainSample(iats, counts, 40) }); n != 0 {
 			t.Errorf("InterArrivalPredictor (dual=%v) training sample: %v allocs, want 0", dual, n)
 		}

@@ -1,4 +1,4 @@
-package predictor
+package forecast
 
 import (
 	"fmt"
@@ -230,7 +230,7 @@ func refWindow(series []float64, seqLen int, norm float64) [][]float64 {
 // refInvocation is InvocationPredictor's Fit and Predict on the reference
 // kernel, reading the hyperparameters of the predictor it mirrors.
 type refInvocation struct {
-	cfg     *InvocationPredictor
+	cfg     *countLSTM
 	lstm    *LSTM
 	head    *Dense
 	classes int
@@ -250,21 +250,21 @@ func (p *refInvocation) fit(counts []float64) {
 		}
 	}
 	p.classes = maxClass + 2
-	r := mathx.NewRand(c.seed)
-	p.lstm = NewLSTM(r, 1, c.Hidden)
-	p.head = NewDense(r, c.Hidden, p.classes)
+	r := mathx.NewRand(c.cfg.Seed)
+	p.lstm = NewLSTM(r, 1, c.hidden)
+	p.head = NewDense(r, c.hidden, p.classes)
 	lp, lg := p.lstm.Params()
 	dp, dg := p.head.Params()
 	opt := newRefAdam(0.005, append(lp, dp...), append(lg, dg...))
-	for epoch := 0; epoch < c.Epochs; epoch++ {
-		for i := c.SeqLen; i < len(counts); i++ {
+	for epoch := 0; epoch < c.epochs; epoch++ {
+		for i := c.seqLen; i < len(counts); i++ {
 			target := c.bucket(counts[i])
 			if target >= p.classes {
 				target = p.classes - 1
 			}
 			p.lstm.ZeroGrad()
 			p.head.ZeroGrad()
-			h, caches := refForward(p.lstm, refWindow(counts[:i], c.SeqLen, p.norm))
+			h, caches := refForward(p.lstm, refWindow(counts[:i], c.seqLen, p.norm))
 			dLogits := refSoftmax(refDenseForward(p.head, h))
 			dLogits[target] -= 1
 			refBackward(p.lstm, caches, refDenseBackward(p.head, h, dLogits))
@@ -275,24 +275,24 @@ func (p *refInvocation) fit(counts []float64) {
 
 func (p *refInvocation) predict(history []float64) float64 {
 	c := p.cfg
-	h, _ := refForward(p.lstm, refWindow(history, c.SeqLen, p.norm))
+	h, _ := refForward(p.lstm, refWindow(history, c.seqLen, p.norm))
 	probs := refSoftmax(refDenseForward(p.head, h))
 	cum := 0.0
 	best := len(probs) - 1
 	for i, v := range probs {
 		cum += v
-		if cum >= c.Quantile {
+		if cum >= countQuantile {
 			best = i
 			break
 		}
 	}
-	return math.Ceil(c.upper(best) * (1 + c.Compensation))
+	return math.Ceil(c.upper(best) * (1 + countCompensation))
 }
 
 // refIAT is InterArrivalPredictor's FitIAT and PredictIAT on the reference
 // kernel.
 type refIAT struct {
-	cfg                *InterArrivalPredictor
+	cfg                *iatLSTM
 	lstmIAT, lstmCount *LSTM
 	merge, head        *Dense
 	iatNorm, countNorm float64
@@ -308,11 +308,11 @@ type refIATForward struct {
 func (p *refIAT) forward(iats, counts []float64) *refIATForward {
 	c := p.cfg
 	f := &refIATForward{}
-	f.hIAT, f.cachesIAT = refForward(p.lstmIAT, refWindow(iats, c.SeqLen, p.iatNorm))
+	f.hIAT, f.cachesIAT = refForward(p.lstmIAT, refWindow(iats, c.seqLen, p.iatNorm))
 	f.merged = f.hIAT
-	if c.DualInput {
+	if c.dualInput {
 		var hCnt []float64
-		hCnt, f.cachesCnt = refForward(p.lstmCount, refWindow(counts, c.SeqLen, p.countNorm))
+		hCnt, f.cachesCnt = refForward(p.lstmCount, refWindow(counts, c.seqLen, p.countNorm))
 		f.merged = append(append([]float64(nil), f.hIAT...), hCnt...)
 	}
 	pre := refDenseForward(p.merge, f.merged)
@@ -328,23 +328,23 @@ func (p *refIAT) fit(iats, counts []float64) {
 	c := p.cfg
 	p.iatNorm = math.Max(mathx.Max(iats), 1e-9)
 	p.countNorm = math.Max(mathx.Max(counts), 1)
-	r := mathx.NewRand(c.seed)
-	p.lstmIAT = NewLSTM(r, 1, c.Hidden)
+	r := mathx.NewRand(c.cfg.Seed)
+	p.lstmIAT = NewLSTM(r, 1, c.hidden)
 	params, grads := p.lstmIAT.Params()
 	add := func(ps, gs [][]float64) { params, grads = append(params, ps...), append(grads, gs...) }
-	mergeIn := c.Hidden
-	if c.DualInput {
-		p.lstmCount = NewLSTM(r, 1, c.Hidden)
+	mergeIn := c.hidden
+	if c.dualInput {
+		p.lstmCount = NewLSTM(r, 1, c.hidden)
 		add(p.lstmCount.Params())
-		mergeIn = 2 * c.Hidden
+		mergeIn = 2 * c.hidden
 	}
-	p.merge = NewDense(r, mergeIn, c.Hidden)
-	p.head = NewDense(r, c.Hidden, 1)
+	p.merge = NewDense(r, mergeIn, c.hidden)
+	p.head = NewDense(r, c.hidden, 1)
 	add(p.merge.Params())
 	add(p.head.Params())
 	opt := newRefAdam(0.005, params, grads)
-	for epoch := 0; epoch < c.Epochs; epoch++ {
-		for i := c.SeqLen; i < len(iats); i++ {
+	for epoch := 0; epoch < c.epochs; epoch++ {
+		for i := c.seqLen; i < len(iats); i++ {
 			target := iats[i] / p.iatNorm
 			for _, g := range grads {
 				clear(g)
@@ -352,8 +352,8 @@ func (p *refIAT) fit(iats, counts []float64) {
 			f := p.forward(iats[:i], counts[:i])
 			diff := f.y - target
 			w := 1.0
-			if diff > 0 && c.OverPenalty > 1 {
-				w = c.OverPenalty
+			if diff > 0 && iatOverPenalty > 1 {
+				w = iatOverPenalty
 			}
 			dAct := refDenseBackward(p.head, f.actOut, []float64{w * diff})
 			dPre := make([]float64, len(dAct))
@@ -361,9 +361,9 @@ func (p *refIAT) fit(iats, counts []float64) {
 				dPre[i] = dAct[i] * (1 - f.actOut[i]*f.actOut[i])
 			}
 			dMerged := refDenseBackward(p.merge, f.merged, dPre)
-			refBackward(p.lstmIAT, f.cachesIAT, dMerged[:c.Hidden])
-			if c.DualInput {
-				refBackward(p.lstmCount, f.cachesCnt, dMerged[c.Hidden:])
+			refBackward(p.lstmIAT, f.cachesIAT, dMerged[:c.hidden])
+			if c.dualInput {
+				refBackward(p.lstmCount, f.cachesCnt, dMerged[c.hidden:])
 			}
 			opt.step(5)
 		}
@@ -492,9 +492,9 @@ func refSeries(n int) (counts, iats []float64) {
 func TestInvocationPredictorMatchesReference(t *testing.T) {
 	counts, _ := refSeries(60)
 	for _, seed := range []int64{1, 9} {
-		p := NewInvocationPredictor(2, seed)
-		p.SeqLen, p.Hidden, p.Epochs = 6, 5, 2
-		p.Fit(counts)
+		p := newCount(2, seed)
+		p.seqLen, p.hidden, p.epochs = 6, 5, 2
+		p.fit(counts)
 		ref := &refInvocation{cfg: p}
 		ref.fit(counts)
 		sameBits(t, "lstm.W", p.lstm.W, ref.lstm.W)
@@ -504,7 +504,7 @@ func TestInvocationPredictorMatchesReference(t *testing.T) {
 		// Histories shorter than, equal to and longer than SeqLen.
 		for _, n := range []int{0, 3, 6, 40, 60} {
 			sameBits(t, fmt.Sprintf("Predict(%d windows)", n),
-				[]float64{p.Predict(counts[:n])}, []float64{ref.predict(counts[:n])})
+				[]float64{p.forecast(counts[:n])}, []float64{ref.predict(counts[:n])})
 		}
 	}
 }
@@ -512,9 +512,9 @@ func TestInvocationPredictorMatchesReference(t *testing.T) {
 func TestInterArrivalPredictorMatchesReference(t *testing.T) {
 	counts, iats := refSeries(50)
 	for _, dual := range []bool{true, false} {
-		p := NewInterArrivalPredictor(5)
-		p.SeqLen, p.Hidden, p.Epochs, p.DualInput = 5, 4, 2, dual
-		p.FitIAT(iats, counts)
+		p := newIATLSTM(Config{Seed: 5}, true)
+		p.seqLen, p.hidden, p.epochs, p.dualInput = 5, 4, 2, dual
+		p.fit(iats, counts)
 		ref := &refIAT{cfg: p}
 		ref.fit(iats, counts)
 		sameBits(t, "lstmIAT.W", p.lstmIAT.W, ref.lstmIAT.W)
@@ -529,7 +529,7 @@ func TestInterArrivalPredictorMatchesReference(t *testing.T) {
 		sameBits(t, "head.B", p.head.B, ref.head.B)
 		for _, n := range []int{2, 5, 30, 50} {
 			sameBits(t, fmt.Sprintf("PredictIAT(%d gaps, dual=%v)", n, dual),
-				[]float64{p.PredictIAT(iats[:n], counts[:n])}, []float64{ref.predict(iats[:n], counts[:n])})
+				[]float64{p.forecast(iats[:n], counts[:n])}, []float64{ref.predict(iats[:n], counts[:n])})
 		}
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// scratchRefit is the refit lstmForecaster had before it warm-started: every
+// scratchRefit is the refit the LSTM families had before it warm-started: every
 // Fit trains a new instance from the seed on the whole history. It lives on
 // here as the yardstick for what a warm refit may cost in forecast quality.
 type scratchRefit struct {
@@ -82,6 +82,44 @@ func TestLSTMRefitStartsOverWithoutHeadroom(t *testing.T) {
 	}
 }
 
+// TestLSTMRefitStaysWarmBelowLastClass: when the tail's largest count is one
+// bucket below the fitted head's last class, the refit stays warm: same head,
+// and the optimizer continues over the 30 fresh windows and as many replayed.
+func TestLSTMRefitStaysWarmBelowLastClass(t *testing.T) {
+	cfg := Config{Seed: 3, Role: RoleCount, Budget: BudgetOnline}
+	hist := lstmFixture(RoleCount, 120) // 2s and 12s: 14 classes
+	tail := append([]Observation(nil), hist...)
+	for i := 0; i < 30; i++ {
+		tail = append(tail, Observation{Value: 12})
+	}
+	warm := MustNew("lstm", cfg).(*countLSTM)
+	if err := warm.Fit(hist); err != nil {
+		t.Fatalf("Fit: %v", err)
+	}
+	classes, steps := warm.classes, warm.opt.t
+	for _, o := range tail[len(hist):] {
+		warm.Update(o)
+	}
+	if err := warm.Fit(tail); err != nil {
+		t.Fatalf("refit: %v", err)
+	}
+	if warm.classes != classes || warm.opt.t-steps != warm.epochs*60 {
+		t.Errorf("refit at bucket 12 of %d classes started over: %d classes, %d optimizer steps", classes, warm.classes, warm.opt.t-steps)
+	}
+}
+
+// lstmOf returns the state an LSTM family instance shares with the other
+// role's family, and the model it serves (nil before the first Fit).
+func lstmOf(f Forecaster) (*lstmState, *LSTM) {
+	switch f := f.(type) {
+	case *countLSTM:
+		return &f.lstmState, f.lstm
+	case *iatLSTM:
+		return &f.lstmState, f.lstmIAT
+	}
+	panic(fmt.Sprintf("forecast: %T is not an LSTM family", f))
+}
+
 // TestLSTMFailedRefitKeepsState: a Fit that returns ErrShortSeries leaves the
 // model, the remembered forecast and the count of unseen observations alone,
 // so the next refit still trains on everything that arrived since the last
@@ -91,7 +129,8 @@ func TestLSTMFailedRefitKeepsState(t *testing.T) {
 		cfg := Config{Seed: 3, Role: role}
 		hist := lstmFixture(role, 110)
 		run := func(failInBetween bool) []float64 {
-			f := MustNew("lstm", cfg).(*lstmForecaster)
+			f := MustNew("lstm", cfg)
+			st, _ := lstmOf(f)
 			if err := f.Fit(hist[:96]); err != nil {
 				t.Fatalf("%v: Fit: %v", role, err)
 			}
@@ -100,20 +139,20 @@ func TestLSTMFailedRefitKeepsState(t *testing.T) {
 			}
 			if failInBetween {
 				want := f.Predict(4)
-				inv, iat := f.inv, f.iat
+				_, model := lstmOf(f)
 				if err := f.Fit(hist[:5]); err != ErrShortSeries {
 					t.Fatalf("%v: short Fit err = %v, want ErrShortSeries", role, err)
 				}
-				if f.fresh != 14 || f.memo == nil || f.inv != inv || f.iat != iat || len(f.hist) != 110 {
-					t.Errorf("%v: failed refit disturbed the forecaster: fresh %d, memo %v, %d observations", role, f.fresh, f.memo, len(f.hist))
+				if _, after := lstmOf(f); st.fresh != 14 || st.memo == nil || after != model || len(st.hist) != 110 {
+					t.Errorf("%v: failed refit disturbed the forecaster: fresh %d, memo %v, %d observations", role, st.fresh, st.memo, len(st.hist))
 				}
 				sameForecast(t, role.String()+": Predict after a failed refit", f.Predict(4), want)
 			}
 			if err := f.Fit(hist); err != nil {
 				t.Fatalf("%v: refit: %v", role, err)
 			}
-			if f.fresh != 0 {
-				t.Errorf("%v: fresh = %d after a successful refit", role, f.fresh)
+			if st.fresh != 0 {
+				t.Errorf("%v: fresh = %d after a successful refit", role, st.fresh)
 			}
 			return f.Predict(4)
 		}
@@ -138,15 +177,9 @@ func TestTailRollForwardMatchesWholeHistory(t *testing.T) {
 			}
 		}
 		for _, horizon := range []int{1, 4} {
-			whole := rollForward(ar.hist, horizon, func(h []Observation) float64 {
-				s := series{hist: h}
-				return ar.ar.Predict(s.values())
-			})
+			whole := rollForward(ar.hist, horizon, ar.step)
 			sameForecast(t, fmt.Sprintf("arima over %d observations, horizon %d", n, horizon), ar.Predict(horizon), whole)
-			whole = rollForward(gb.hist, horizon, func(h []Observation) float64 {
-				s := series{hist: h}
-				return gb.gbt.Predict(s.values())
-			})
+			whole = rollForward(gb.hist, horizon, gb.step)
 			sameForecast(t, fmt.Sprintf("gbt over %d observations, horizon %d", n, horizon), gb.Predict(horizon), whole)
 		}
 	}

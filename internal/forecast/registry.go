@@ -6,13 +6,29 @@ import (
 	"strings"
 )
 
-// Default is the forecaster family used when none is named: the paper's
-// LSTM pair (bucket classifier + dual-input inter-arrival regressor).
+// Default is the paper's forecaster family, the LSTM pair (bucket classifier
+// + dual-input inter-arrival regressor), which the full SMIless
+// configuration selects.
 const Default = "lstm"
 
-// registry maps family names to constructors. Families register from init
-// functions in this package; external packages extend it via Register.
+// registry maps family names to constructors. The families of this package
+// register below; external packages extend it via Register.
 var registry = map[string]Constructor{}
+
+func init() {
+	Register("lstm", func(cfg Config) Forecaster {
+		if cfg.Role == RoleInterArrival {
+			return newIATLSTM(cfg, true)
+		}
+		return newCountLSTM(cfg)
+	})
+	Register("arima", func(cfg Config) Forecaster { return &arimaForecaster{cfg: cfg, p: 8} })
+	Register("fip", func(cfg Config) Forecaster { return &fipForecaster{cfg: cfg} })
+	Register("gbt", func(cfg Config) Forecaster { return &gbtForecaster{cfg: cfg} })
+	Register("histogram", func(cfg Config) Forecaster { return &histogramForecaster{cfg: cfg} })
+	Register("naive", func(cfg Config) Forecaster { return &naiveForecaster{cfg: cfg} })
+	Register("transformer", func(cfg Config) Forecaster { return newTransformer(cfg) })
+}
 
 // Register adds a forecaster family under name. It panics on an empty name
 // or a duplicate registration — both are programming errors caught at init.
@@ -47,12 +63,9 @@ func (e *UnknownError) Error() string {
 		e.Name, strings.Join(e.Known, ", "))
 }
 
-// Lookup resolves a family name to its constructor; the empty name resolves
-// to Default. Unknown names return a *UnknownError.
+// Lookup resolves a family name to its constructor. Unknown names, the empty
+// one included, return a *UnknownError.
 func Lookup(name string) (Constructor, error) {
-	if name == "" {
-		name = Default
-	}
 	ctor, ok := registry[name]
 	if !ok {
 		return nil, &UnknownError{Name: name, Known: Names()}
@@ -60,7 +73,7 @@ func Lookup(name string) (Constructor, error) {
 	return ctor, nil
 }
 
-// New builds a forecaster of the named family; empty name means Default.
+// New builds a forecaster of the named family.
 func New(name string, cfg Config) (Forecaster, error) {
 	ctor, err := Lookup(name)
 	if err != nil {

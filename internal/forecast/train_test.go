@@ -1,4 +1,4 @@
-package predictor
+package forecast
 
 import (
 	"fmt"
@@ -46,12 +46,12 @@ func TestTrainEpochsSchedule(t *testing.T) {
 // never takes the count head's from-scratch path.)
 func TestRefitIsDeterministic(t *testing.T) {
 	counts, iats := refSeries(140)
-	inv := func() *InvocationPredictor {
-		p := NewInvocationPredictor(2, 4)
-		p.SeqLen, p.Hidden, p.Epochs = 6, 5, 2
-		p.Fit(counts[:100])
-		p.Refit(counts[:120], 20)
-		p.Refit(counts, 20)
+	inv := func() *countLSTM {
+		p := newCount(2, 4)
+		p.seqLen, p.hidden, p.epochs = 6, 5, 2
+		p.fit(counts[:100])
+		p.refit(counts[:120], 20)
+		p.refit(counts, 20)
 		return p
 	}
 	a, b := inv(), inv()
@@ -59,17 +59,17 @@ func TestRefitIsDeterministic(t *testing.T) {
 	sameBits(t, "lstm.B", a.lstm.B, b.lstm.B)
 	sameBits(t, "head.W", a.head.W, b.head.W)
 	sameBits(t, "head.B", a.head.B, b.head.B)
-	sameBits(t, "Predict", []float64{a.Predict(counts)}, []float64{b.Predict(counts)})
+	sameBits(t, "Predict", []float64{a.forecast(counts)}, []float64{b.forecast(counts)})
 	if want := 2 * (94 + 40 + 40); a.opt.t != want {
 		t.Errorf("optimizer took %d steps over fit and two warm refits, want %d: the refits did not continue it", a.opt.t, want)
 	}
 
-	iat := func() *InterArrivalPredictor {
-		p := NewInterArrivalPredictor(4)
-		p.SeqLen, p.Hidden, p.Epochs = 5, 4, 2
-		p.FitIAT(iats[:100], counts[:100])
-		p.RefitIAT(iats[:120], counts[:120], 20)
-		p.RefitIAT(iats, counts, 20)
+	iat := func() *iatLSTM {
+		p := newIATLSTM(Config{Seed: 4}, true)
+		p.seqLen, p.hidden, p.epochs = 5, 4, 2
+		p.fit(iats[:100], counts[:100])
+		p.refit(iats[:120], counts[:120], 20)
+		p.refit(iats, counts, 20)
 		return p
 	}
 	c, d := iat(), iat()
@@ -77,7 +77,7 @@ func TestRefitIsDeterministic(t *testing.T) {
 	sameBits(t, "lstmCount.W", c.lstmCount.W, d.lstmCount.W)
 	sameBits(t, "merge.W", c.merge.W, d.merge.W)
 	sameBits(t, "head.W", c.head.W, d.head.W)
-	sameBits(t, "PredictIAT", []float64{c.PredictIAT(iats, counts)}, []float64{d.PredictIAT(iats, counts)})
+	sameBits(t, "PredictIAT", []float64{c.forecast(iats, counts)}, []float64{d.forecast(iats, counts)})
 }
 
 // TestRefitCostTracksNewData is the point of the warm refit: after k new
@@ -88,21 +88,21 @@ func TestRefitCostTracksNewData(t *testing.T) {
 	for _, n := range []int{500, 3000} {
 		counts, iats := refSeries(n + k)
 
-		inv := NewInvocationPredictor(2, 1)
-		inv.SeqLen, inv.Hidden, inv.Epochs = 6, 4, 2
-		inv.Fit(counts[:n])
+		inv := newCount(2, 1)
+		inv.seqLen, inv.hidden, inv.epochs = 6, 4, 2
+		inv.fit(counts[:n])
 		before := inv.opt.t
-		inv.Refit(counts, k)
-		if got, want := inv.opt.t-before, inv.Epochs*2*k; got != want {
+		inv.refit(counts, k)
+		if got, want := inv.opt.t-before, inv.epochs*2*k; got != want {
 			t.Errorf("count refit after %d new windows on %d: %d optimizer steps, want %d", k, n, got, want)
 		}
 
-		iat := NewInterArrivalPredictor(1)
-		iat.SeqLen, iat.Hidden, iat.Epochs = 5, 4, 3
-		iat.FitIAT(iats[:n], counts[:n])
+		iat := newIATLSTM(Config{Seed: 1}, true)
+		iat.seqLen, iat.hidden, iat.epochs = 5, 4, 3
+		iat.fit(iats[:n], counts[:n])
 		before = iat.opt.t
-		iat.RefitIAT(iats, counts, k)
-		if got, want := iat.opt.t-before, iat.Epochs*2*k; got != want {
+		iat.refit(iats, counts, k)
+		if got, want := iat.opt.t-before, iat.epochs*2*k; got != want {
 			t.Errorf("inter-arrival refit after %d new gaps on %d: %d optimizer steps, want %d", k, n, got, want)
 		}
 	}
@@ -112,63 +112,22 @@ func TestRefitCostTracksNewData(t *testing.T) {
 // from-scratch fit, bit for bit the reference kernel's.
 func TestFirstRefitIsTheReferenceFit(t *testing.T) {
 	counts, iats := refSeries(60)
-	p := NewInvocationPredictor(2, 9)
-	p.SeqLen, p.Hidden, p.Epochs = 6, 5, 2
-	p.Refit(counts, 3)
+	p := newCount(2, 9)
+	p.seqLen, p.hidden, p.epochs = 6, 5, 2
+	p.refit(counts, 3)
 	ref := &refInvocation{cfg: p}
 	ref.fit(counts)
 	sameBits(t, "lstm.W", p.lstm.W, ref.lstm.W)
 	sameBits(t, "head.W", p.head.W, ref.head.W)
 	sameBits(t, "head.B", p.head.B, ref.head.B)
 
-	q := NewInterArrivalPredictor(5)
-	q.SeqLen, q.Hidden, q.Epochs = 5, 4, 2
-	q.RefitIAT(iats, counts, 3)
+	q := newIATLSTM(Config{Seed: 5}, true)
+	q.seqLen, q.hidden, q.epochs = 5, 4, 2
+	q.refit(iats, counts, 3)
 	refQ := &refIAT{cfg: q}
 	refQ.fit(iats, counts)
 	sameBits(t, "lstmIAT.W", q.lstmIAT.W, refQ.lstmIAT.W)
 	sameBits(t, "lstmCount.W", q.lstmCount.W, refQ.lstmCount.W)
 	sameBits(t, "merge.W", q.merge.W, refQ.merge.W)
 	sameBits(t, "head.W", q.head.W, refQ.head.W)
-}
-
-// TestRefitStartsOverWithoutHeadroom: a series whose largest bucket reaches
-// the head's last class cannot be learned by the fitted head, so Refit is the
-// from-scratch fit on it — a wider head, equal to a new predictor's — and
-// forecasts reach the new level. One bucket below that it stays warm.
-func TestRefitStartsOverWithoutHeadroom(t *testing.T) {
-	counts, _ := refSeries(120) // max 10 → buckets 0..5, 7 classes
-	newFitted := func() *InvocationPredictor {
-		p := NewInvocationPredictor(2, 3)
-		p.SeqLen, p.Hidden, p.Epochs = 6, 5, 3
-		p.Fit(counts[:90])
-		return p
-	}
-	p := newFitted()
-	last := p.classes - 1
-
-	warm := append([]float64(nil), counts...)
-	warm[100] = float64((last - 1) * p.BucketSize)
-	p.Refit(warm, 30)
-	if p.classes != last+1 || p.opt.t != 3*(84+60) {
-		t.Fatalf("bucket %d of %d classes: refit started over (classes %d, %d optimizer steps)", last-1, last+1, p.classes, p.opt.t)
-	}
-
-	jumped := append([]float64(nil), counts...)
-	for i := 100; i < len(jumped); i++ {
-		jumped[i] = float64(last * p.BucketSize)
-	}
-	p = newFitted()
-	p.Refit(jumped, 20)
-	scratch := NewInvocationPredictor(2, 3)
-	scratch.SeqLen, scratch.Hidden, scratch.Epochs = 6, 5, 3
-	scratch.Fit(jumped)
-	if p.classes != last+2 {
-		t.Fatalf("classes = %d after a bucket-%d series, want %d", p.classes, last, last+2)
-	}
-	sameBits(t, "lstm.W", p.lstm.W, scratch.lstm.W)
-	sameBits(t, "head.W", p.head.W, scratch.head.W)
-	if got, floor := p.Predict(jumped), float64(last*p.BucketSize); got < floor {
-		t.Errorf("forecast %v after the jump, want >= %v", got, floor)
-	}
 }

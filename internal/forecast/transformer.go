@@ -5,10 +5,6 @@ import (
 	"sort"
 )
 
-func init() {
-	Register("transformer", func(cfg Config) Forecaster { return newTransformer(cfg) })
-}
-
 // Attention hyperparameters. The model is a retrieval-style single-head
 // attention layer: the query is the embedded most recent context window,
 // the keys are embedded historical context windows, and the values are the

@@ -35,6 +35,9 @@ type scenario struct {
 type diffCase struct {
 	name string
 	scenario
+	// trains requires the controller's forecaster to have trained and
+	// scored forecasts.
+	trains bool
 }
 
 // retryHedgeDriver keeps two-way batches warm under a retry policy with a
@@ -52,10 +55,20 @@ func retryHedgeDriver(*apps.Application) simulator.Driver {
 }
 
 // naiveController is the SMIless controller on the persistence forecaster:
-// per-window decisions, re-plans, scheduled and reactive pre-warms.
+// per-window decisions, re-plans, scheduled and reactive pre-warms. On a
+// trace too short for the 64 window-level gaps the inter-arrival role needs,
+// the forecaster never trains and the moving-window estimate plans.
 func naiveController(app *apps.Application) simulator.Driver {
 	return controller.New(hardware.DefaultCatalog(), app.TrueProfiles(perfmodel.DefaultUncertainty), 2,
 		controller.Options{Forecaster: "naive", SLAMargin: 0.7, Seed: 5})
+}
+
+// trainingController is naiveController with a train/retrain schedule that
+// a few hundred seconds of sparse traffic reaches: the forecasts it plans
+// with are the trained family's.
+func trainingController(app *apps.Application) simulator.Driver {
+	return controller.New(hardware.DefaultCatalog(), app.TrueProfiles(perfmodel.DefaultUncertainty), 2,
+		controller.Options{Forecaster: "naive", TrainAfter: 50, RetrainEvery: 100, SLAMargin: 0.7, Seed: 5})
 }
 
 func diffCases() []diffCase {
@@ -82,12 +95,12 @@ func diffCases() []diffCase {
 	chaosAPI := crashPartition
 	chaosAPI.chaosAPI = true
 	return []diffCase{
-		{"window-boundaries", scenario{
+		{name: "window-boundaries", scenario: scenario{
 			cfg:    Config{App: apps.ImageQuery(), SLA: 2, Seed: 7},
 			driver: naiveController,
 			trace:  trace.Merge(boundaries),
 		}},
-		{"retry-hedge", scenario{
+		{name: "retry-hedge", scenario: scenario{
 			cfg: Config{
 				App: apps.VoiceAssistant(), SLA: 2, Seed: 7,
 				Faults: &faults.Plan{Seed: 4, Default: faults.Rates{ExecFail: 0.08, InitFail: 0.05, Straggler: 0.1}},
@@ -95,8 +108,13 @@ func diffCases() []diffCase {
 			driver: retryHedgeDriver,
 			trace:  trace.Poisson(mathx.NewRand(22), 2, 40),
 		}},
-		{"crash-partition", crashPartition},
-		{"chaos-api", chaosAPI},
+		{name: "crash-partition", scenario: crashPartition},
+		{name: "chaos-api", scenario: chaosAPI},
+		{name: "forecast-trains", trains: true, scenario: scenario{
+			cfg:    Config{App: apps.ImageQuery(), SLA: 2, Seed: 7},
+			driver: trainingController,
+			trace:  trace.Poisson(mathx.NewRand(25), 0.6, 400),
+		}},
 	}
 }
 
@@ -114,6 +132,10 @@ func TestDifferentialSimulatorServing(t *testing.T) {
 			st := replayBoth(t, tc.scenario)
 			if st.Completed == 0 || (tc.cfg.Faults != nil && st.Retries+st.Failovers == 0) {
 				t.Fatalf("the scenario reached nothing it names: %s", st.Summary())
+			}
+			if tc.trains && (st.ForecastName != "naive" || st.ForecastCount.Samples[0] == 0 || st.ForecastIT.Refits == 0) {
+				t.Fatalf("the forecaster never trained: %q, %d count samples, %d refits",
+					st.ForecastName, st.ForecastCount.Samples[0], st.ForecastIT.Refits)
 			}
 		})
 	}

@@ -19,7 +19,6 @@ import (
 // interface alone.
 func forecastOpts(name string) controller.Options {
 	return controller.Options{
-		UseLSTM:      true,
 		Forecaster:   name,
 		TrainAfter:   10,
 		RetrainEvery: 100000,
@@ -78,22 +77,23 @@ func TestServingForecasterActivates(t *testing.T) {
 	}
 }
 
-// TestServingRegistryMatchesLegacy pins the serving substrate to the same
-// compatibility contract as the simulator: naming the default family
-// explicitly must leave the whole run — directives, latencies, cost,
-// forecast quality — byte-identical to the legacy UseLSTM configuration.
-func TestServingRegistryMatchesLegacy(t *testing.T) {
+// TestServingLSTMReplays serves the schedule with the paper's LSTM pair, the
+// only trained family the live substrate runs: it must activate, score
+// forecasts, and replay byte-identically across runtimes.
+func TestServingLSTMReplays(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two LSTM-backed serving runs; skipped in -short")
 	}
-	legacy := runForecastServing(t, forecastOpts(""))
-	named := runForecastServing(t, forecastOpts("lstm"))
-	if legacy.ForecastName != "lstm" || named.ForecastName != "lstm" {
-		t.Fatalf("forecast names = %q/%q, want lstm/lstm", legacy.ForecastName, named.ForecastName)
+	a := runForecastServing(t, forecastOpts("lstm"))
+	if a.ForecastName != "lstm" {
+		t.Fatalf("ForecastName = %q, want lstm", a.ForecastName)
 	}
-	if !reflect.DeepEqual(legacy, named) {
-		t.Errorf("registry-selected lstm diverged from legacy serving run:\n%s\nvs\n%s",
-			legacy.Summary(), named.Summary())
+	if a.ForecastIT.Samples[0] == 0 || a.ForecastCount.Samples[0] == 0 {
+		t.Errorf("forecast samples = %d/%d, want both scored", a.ForecastIT.Samples[0], a.ForecastCount.Samples[0])
+	}
+	b := runForecastServing(t, forecastOpts("lstm"))
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("lstm-backed serving run is not replay-deterministic:\n%s\nvs\n%s", a.Summary(), b.Summary())
 	}
 }
 

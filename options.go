@@ -37,26 +37,23 @@ func NewRecorder(app *Application) *Recorder {
 
 // EvaluateOptions collects the optional knobs of Evaluate, NewSimulator and
 // NewSMIless. The zero value is the default configuration: seed 0,
-// moving-window predictors (no LSTM), no tracing, no faults. Construct it
-// through functional options:
+// moving-window predictors (no trained forecaster), no tracing, no faults.
+// Construct it through functional options:
 //
 //	st, err := smiless.Evaluate(smiless.SystemSMIless, app, tr, 2.0,
 //	    smiless.WithSeed(7),
-//	    smiless.WithLSTM(true),
+//	    smiless.WithForecaster("lstm"),
 //	    smiless.WithRecorder(rec),
 //	)
 type EvaluateOptions struct {
 	// Seed drives every stochastic component (profiler noise, predictor
 	// initialization, fault schedules).
 	Seed int64
-	// UseLSTM enables the trained predictors in SMIless variants; when false
-	// a lightweight moving-window estimator is used throughout.
-	UseLSTM bool
 	// Forecaster names the forecaster family serving the SMIless Online
-	// Predictor (see Forecasters for the registered names); empty keeps the
-	// default (the paper's LSTM pair). Unknown names make Evaluate and
-	// NewDriver-based paths fail with a typed *ConfigError. Set via
-	// WithForecaster, which also enables the trained predictors.
+	// Predictor (see Forecasters for the registered names); empty trains
+	// none and keeps a lightweight moving-window estimator throughout.
+	// Unknown names make Evaluate and NewDriver-based paths fail with a
+	// typed *ConfigError. Set via WithForecaster.
 	Forecaster string
 	// Recorder, when non-nil, records span trees for every invocation.
 	// Statistics are bit-identical with and without a recorder attached.
@@ -68,8 +65,8 @@ type EvaluateOptions struct {
 	Window float64
 	// Controller, when non-nil, overrides the full controller
 	// configuration (ablation switches, train/retrain schedule, SLA
-	// margin). Set it via WithControllerOptions; later WithSeed / WithLSTM
-	// options still override the corresponding fields.
+	// margin). Set it via WithControllerOptions; later WithSeed /
+	// WithForecaster options still override the corresponding fields.
 	Controller *ControllerOptions
 	// Placement selects the simulator's node-placement policy (default
 	// first-fit). Set via WithPlacement.
@@ -98,31 +95,16 @@ func WithSeed(seed int64) Option {
 	}
 }
 
-// WithLSTM toggles the LSTM predictors in SMIless variants (default off:
-// the moving-window estimator).
-func WithLSTM(enabled bool) Option {
-	return func(o *EvaluateOptions) {
-		o.UseLSTM = enabled
-		if o.Controller != nil {
-			o.Controller.UseLSTM = enabled
-		}
-	}
-}
-
 // WithForecaster selects the forecaster family behind the SMIless Online
-// Predictor by registry name — "lstm" (default), "arima", "fip", "gbt",
-// "histogram", "naive" or "transformer"; Forecasters() enumerates them.
-// Selecting a forecaster implies WithLSTM(true) (a named forecaster is
-// pointless with the trained predictors disabled); pass WithLSTM(false)
-// afterwards to keep the moving-window estimator anyway. Unknown names
-// surface as a typed *ConfigError from Evaluate.
+// Predictor by registry name — "lstm" (the paper's pair), "arima", "fip",
+// "gbt", "histogram", "naive" or "transformer"; Forecasters() enumerates
+// them. The empty name (the default) trains none: the moving-window
+// estimator. Unknown names surface as a typed *ConfigError from Evaluate.
 func WithForecaster(name string) Option {
 	return func(o *EvaluateOptions) {
 		o.Forecaster = name
-		o.UseLSTM = true
 		if o.Controller != nil {
 			o.Controller.Forecaster = name
-			o.Controller.UseLSTM = true
 		}
 	}
 }
@@ -174,13 +156,12 @@ func WithWindow(seconds float64) Option {
 
 // WithControllerOptions replaces the SMIless controller configuration
 // wholesale (ablations, train/retrain schedule, SLA margin). It also adopts
-// the configuration's Seed/UseLSTM/Forecaster as the run-level values, so
+// the configuration's Seed/Forecaster as the run-level values, so
 // apply it before any option that should override one of them.
 func WithControllerOptions(co ControllerOptions) Option {
 	return func(o *EvaluateOptions) {
 		o.Controller = &co
 		o.Seed = co.Seed
-		o.UseLSTM = co.UseLSTM
 		o.Forecaster = co.Forecaster
 	}
 }
@@ -202,7 +183,6 @@ func (o *EvaluateOptions) controllerOptions() ControllerOptions {
 		return *o.Controller
 	}
 	co := controller.DefaultOptions(o.Seed)
-	co.UseLSTM = o.UseLSTM
 	co.Forecaster = o.Forecaster
 	co.Interference = o.Interference
 	return co

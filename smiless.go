@@ -170,15 +170,15 @@ func Optimize(cat *Catalog, req OptimizeRequest) (OptimizeResult, error) {
 
 // NewSMIless builds the full SMIless controller as a simulator Driver:
 // Online Predictor → Strategy Optimizer → Auto-scaler. Options: WithSeed,
-// WithLSTM, or WithControllerOptions for full control over
+// WithForecaster, or WithControllerOptions for full control over
 // ablations and schedules.
 func NewSMIless(cat *Catalog, profiles map[NodeID]*FnProfile, sla float64, opts ...Option) Driver {
 	o := newEvaluateOptions(opts)
 	return controller.New(cat, profiles, sla, o.controllerOptions())
 }
 
-// DefaultControllerOptions returns the full SMIless configuration with
-// LSTM predictors enabled.
+// DefaultControllerOptions returns the full SMIless configuration with the
+// paper's LSTM forecasters.
 func DefaultControllerOptions(seed int64) ControllerOptions {
 	return controller.DefaultOptions(seed)
 }
@@ -222,7 +222,7 @@ const (
 
 // Evaluate runs a named system on (app, trace, SLA) and returns the run
 // statistics. The defaults are seed 0, moving-window predictors, no
-// tracing, no faults; override with WithSeed, WithLSTM, WithRecorder,
+// tracing, no faults; override with WithSeed, WithForecaster, WithRecorder,
 // WithFaults, WithControllerOptions. Unknown systems and
 // invalid inputs return an error rather than panicking.
 func Evaluate(system SystemName, app *Application, tr *Trace, sla float64, opts ...Option) (*RunStats, error) {
@@ -237,9 +237,8 @@ func Evaluate(system SystemName, app *Application, tr *Trace, sla float64, opts 
 	}
 	o := newEvaluateOptions(opts)
 	p := experiments.RunParams{
-		App: app, SLA: sla, Seed: o.Seed, UseLSTM: o.UseLSTM,
-		Forecaster: o.Forecaster,
-		Faults:     o.Faults, Recorder: o.Recorder,
+		App: app, SLA: sla, Seed: o.Seed, Forecaster: o.Forecaster,
+		Faults: o.Faults, Recorder: o.Recorder,
 		Controller: o.Controller,
 		Placement:  o.Placement, Interference: o.Interference, PriceTrace: o.PriceTrace,
 	}

@@ -42,9 +42,6 @@ func TestWithForecasterOption(t *testing.T) {
 	if o.Forecaster != "transformer" {
 		t.Errorf("Forecaster = %q", o.Forecaster)
 	}
-	if !o.UseLSTM {
-		t.Error("WithForecaster should enable the trained-forecaster path")
-	}
 	// Applied after WithControllerOptions, the family propagates into the
 	// embedded controller options too.
 	co := smiless.ControllerOptions{Seed: 1}

@@ -92,17 +92,17 @@ func TestWithFaultsInjects(t *testing.T) {
 
 func TestOptionComposition(t *testing.T) {
 	co := smiless.DefaultControllerOptions(42)
-	o := applyOptions(smiless.WithControllerOptions(co), smiless.WithSeed(9), smiless.WithLSTM(false))
+	o := applyOptions(smiless.WithControllerOptions(co), smiless.WithSeed(9), smiless.WithForecaster(""))
 	if o.Seed != 9 || o.Controller.Seed != 9 {
 		t.Errorf("WithSeed after WithControllerOptions did not win: %d / %d", o.Seed, o.Controller.Seed)
 	}
-	if o.UseLSTM || o.Controller.UseLSTM {
-		t.Error("WithLSTM(false) after WithControllerOptions did not win")
+	if o.Forecaster != "" || o.Controller.Forecaster != "" {
+		t.Error("WithForecaster(\"\") after WithControllerOptions did not win")
 	}
 	// Applied the other way around, the controller configuration wins.
 	o = applyOptions(smiless.WithSeed(9), smiless.WithControllerOptions(co))
-	if o.Seed != 42 || !o.UseLSTM {
-		t.Errorf("WithControllerOptions applied last should adopt its values, got seed %d lstm %v", o.Seed, o.UseLSTM)
+	if o.Seed != 42 || o.Forecaster != "lstm" {
+		t.Errorf("WithControllerOptions applied last should adopt its values, got seed %d forecaster %q", o.Seed, o.Forecaster)
 	}
 	o = applyOptions(smiless.WithWindow(4), smiless.WithFaults(nil))
 	if o.Window != 4 || o.Faults != nil || o.Recorder != nil {
