@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint fmt bench bench-opt bench-serve bench-forecast forecast-sweep affinity-sweep serve-smoke chaos-smoke invariants
+.PHONY: all build test race lint fmt bench bench-opt bench-serve bench-forecast forecast-sweep affinity-sweep serve-smoke chaos-smoke invariants loc
 
 all: build test lint
 
@@ -44,6 +44,11 @@ lint:
 
 fmt:
 	gofmt -w .
+
+# Non-test Go lines per package directory; fails when internal/simulator +
+# internal/serving exceed 4,300 lines (ROADMAP item 12).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' | sort | xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); if (!(d in n)) o[++k] = d; n[d] += $$1 } END { for (i = 1; i <= k; i++) printf "%7d %s\n", n[o[i]], o[i]; s = n["./internal/simulator"] + n["./internal/serving"]; printf "%7d internal/simulator + internal/serving (limit 4300)\n", s; if (s > 4300) { print "loc: internal/simulator + internal/serving over 4300 lines" > "/dev/stderr"; exit 1 } }'
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...

@@ -13,7 +13,7 @@
 //
 //	smiless-serve -app WL2 -system SMIless -sla 2 -addr :8080
 //	smiless-serve -app WL1 -timescale 25 -addr :0 -addr-file /tmp/addr
-//	smiless-serve -app WL2 -nodes 4 -timescale 25    # multi-node control plane
+//	smiless-serve -app WL2 -nodes 4 -affinity p2c -timescale 25    # multi-node control plane
 //
 // SIGINT/SIGTERM drain the gateway: admission stops (503), inflight
 // requests finish, then the process exits.
@@ -33,6 +33,7 @@ import (
 	"smiless/internal/clock"
 	"smiless/internal/experiments"
 	"smiless/internal/faults"
+	"smiless/internal/hardware"
 	"smiless/internal/serving"
 	"smiless/internal/tracing"
 )
@@ -60,7 +61,7 @@ func run() error {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "real-time bound on the shutdown drain")
 	faultRate := flag.Float64("faults", 0, "base failure rate: init-crash prob = rate, exec-crash = 0.6*rate, straggler = rate (0 = fault-free)")
 	straggler := flag.Float64("straggler", 6, "execution-time inflation factor for injected stragglers")
-	nodes := flag.Int("nodes", 1, "node agents the executor pool is spread over; >1 enables locality/p2c placement and the gossip failure detector")
+	nodes := flag.Int("nodes", 1, "node agents the executor pool is spread over, each with capacity that never binds; >1 runs the gossip failure detector (-affinity picks placement)")
 	gossip := flag.Float64("gossip-interval", 0, "failure-detector tick period in model seconds (0 = default 0.25; suspect after 2 ticks, down after 4)")
 	deadline := flag.Float64("default-deadline", 0, "per-request end-to-end deadline in model seconds (0 = unbounded; /invoke?deadline= overrides)")
 	pf := cliutil.AddPlacementFlags(flag.CommandLine)
@@ -70,6 +71,9 @@ func run() error {
 
 	if *timescale <= 0 {
 		return fmt.Errorf("-timescale must be positive, got %v", *timescale)
+	}
+	if *nodes < 1 {
+		return fmt.Errorf("-nodes must be at least 1, got %d", *nodes)
 	}
 	application, err := cliutil.App(*app)
 	if err != nil {
@@ -114,7 +118,7 @@ func run() error {
 		App: application, SLA: *sla, Window: *window, Seed: *seed,
 		BatchLinger: *linger, MaxInflight: *maxInflight, QueueCap: *queueCap,
 		Faults: plan, Recorder: rec, Clock: clk,
-		Nodes: *nodes, GossipInterval: *gossip, DefaultDeadline: *deadline,
+		Cluster: hardware.UnboundedCluster(*nodes), GossipInterval: *gossip, DefaultDeadline: *deadline,
 		Placement: pol, Interference: pf.Model(), PriceTrace: pt,
 	}, driver)
 	if err != nil {

@@ -204,10 +204,18 @@ type ClusterSpec struct {
 }
 
 // DefaultCluster returns the paper's 8-machine cluster.
-func DefaultCluster() ClusterSpec {
-	nodes := make([]NodeSpec, 8)
+func DefaultCluster() ClusterSpec { return uniformCluster(8, NodeSpec{Cores: 104, GPUs: 1}) }
+
+// UnboundedCluster returns n nodes whose capacity never binds: a pool in
+// which only node health decides where a launch can place.
+func UnboundedCluster(n int) ClusterSpec {
+	return uniformCluster(n, NodeSpec{Cores: 1 << 20, GPUs: 1 << 10})
+}
+
+func uniformCluster(n int, spec NodeSpec) ClusterSpec {
+	nodes := make([]NodeSpec, n)
 	for i := range nodes {
-		nodes[i] = NodeSpec{Cores: 104, GPUs: 1}
+		nodes[i] = spec
 	}
 	return ClusterSpec{Nodes: nodes}
 }

@@ -35,7 +35,7 @@ func (e *CapacityError) Error() string {
 // returns the node index chosen for each, or a *CapacityError naming the
 // first demand that cannot be hosted anywhere. It is the static
 // admission check behind the apps-on-default-cluster tests and the CLI
-// validation paths; the substrates do their own dynamic accounting.
+// validation paths; the engine does its own dynamic accounting.
 func CheckFit(cluster hardware.ClusterSpec, demands []Demand) ([]int, error) {
 	free := make([]Vector, len(cluster.Nodes))
 	for i, n := range cluster.Nodes {

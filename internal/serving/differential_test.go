@@ -20,8 +20,8 @@ import (
 
 // scenario is one run that replayBoth replays through both front ends.
 type scenario struct {
-	// cfg configures the runtime; the simulator's Config is derived from it,
-	// over cfg.Nodes nodes whose capacity never binds.
+	// cfg configures the runtime; the simulator runs the engine's share of
+	// it (engineConfig).
 	cfg    Config
 	driver func(app *apps.Application) simulator.Driver
 	trace  *trace.Trace
@@ -36,8 +36,9 @@ type diffCase struct {
 	name string
 	scenario
 	// trains requires the controller's forecaster to have trained and
-	// scored forecasts.
-	trains bool
+	// scored forecasts; blocks requires launches to have waited for
+	// capacity and to have overflowed off their home node.
+	trains, blocks bool
 }
 
 // retryHedgeDriver keeps two-way batches warm under a retry policy with a
@@ -79,7 +80,7 @@ func diffCases() []diffCase {
 	}
 	crashPartition := scenario{
 		cfg: Config{
-			App: apps.ImageQuery(), SLA: 2, Seed: 7, Nodes: 3, Placement: simulator.PlaceSpread,
+			App: apps.ImageQuery(), SLA: 2, Seed: 7, Cluster: hardware.UnboundedCluster(3), Placement: simulator.PlaceSpread,
 			Faults: &faults.Plan{NodeFaults: []faults.NodeFault{
 				{Node: 0, Kind: faults.NodeCrash, Start: 6.3, End: 15.1},
 				{Node: 1, Kind: faults.NodePartition, Start: 9.6, End: 13.2},
@@ -94,6 +95,8 @@ func diffCases() []diffCase {
 	}
 	chaosAPI := crashPartition
 	chaosAPI.chaosAPI = true
+	firstFit := crashPartition
+	firstFit.cfg.Placement = simulator.PlaceFirstFit
 	return []diffCase{
 		{name: "window-boundaries", scenario: scenario{
 			cfg:    Config{App: apps.ImageQuery(), SLA: 2, Seed: 7},
@@ -110,6 +113,16 @@ func diffCases() []diffCase {
 		}},
 		{name: "crash-partition", scenario: crashPartition},
 		{name: "chaos-api", scenario: chaosAPI},
+		{name: "first-fit-churn", scenario: firstFit},
+		// Two 8-core nodes hold four of the driver's 4-core instances.
+		{name: "capacity", blocks: true, scenario: scenario{
+			cfg: Config{
+				App: apps.VoiceAssistant(), SLA: 2, Seed: 7, Placement: simulator.PlaceP2C,
+				Cluster: hardware.ClusterSpec{Nodes: []hardware.NodeSpec{{Cores: 8}, {Cores: 8}}},
+			},
+			driver: retryHedgeDriver,
+			trace:  trace.Poisson(mathx.NewRand(26), 2, 40),
+		}},
 		{name: "forecast-trains", trains: true, scenario: scenario{
 			cfg:    Config{App: apps.ImageQuery(), SLA: 2, Seed: 7},
 			driver: trainingController,
@@ -137,6 +150,9 @@ func TestDifferentialSimulatorServing(t *testing.T) {
 				t.Fatalf("the forecaster never trained: %q, %d count samples, %d refits",
 					st.ForecastName, st.ForecastCount.Samples[0], st.ForecastIT.Refits)
 			}
+			if tc.blocks && (st.CapacityBlocked == 0 || st.Forwards == 0) {
+				t.Fatalf("no launch waited for capacity and overflowed: %s", st.Summary())
+			}
 		})
 	}
 }
@@ -153,16 +169,11 @@ func TestDifferentialSimulatorServing(t *testing.T) {
 // on the simulator's windows.
 func replayBoth(t *testing.T, sc scenario) *simulator.RunStats {
 	t.Helper()
-	cfg := sc.cfg
-	nodes := make([]hardware.NodeSpec, max(cfg.Nodes, 1))
-	for i := range nodes {
-		nodes[i] = hardware.NodeSpec{Cores: 1 << 20, GPUs: 1 << 10} // capacity never binds
+	cfg, err := sc.cfg.withDefaults()
+	if err != nil {
+		t.Fatal(err)
 	}
-	sim, err := simulator.New(simulator.Config{
-		App: cfg.App, SLA: cfg.SLA, Window: cfg.Window, Seed: cfg.Seed, Faults: cfg.Faults,
-		Placement: cfg.Placement, Interference: cfg.Interference, PriceTrace: cfg.PriceTrace,
-		Cluster: hardware.ClusterSpec{Nodes: nodes},
-	}, sc.driver(cfg.App))
+	sim, err := simulator.New(cfg.engineConfig(), sc.driver(cfg.App))
 	if err != nil {
 		t.Fatal(err)
 	}

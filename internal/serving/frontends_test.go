@@ -200,9 +200,9 @@ func replayPlacement(t *testing.T, cfg Config) *simulator.RunStats {
 // exactly equal to a run with the machinery absent. Any drift here means the
 // interference/pricing gates leak into default runs.
 func TestServingPlacementOffByteIdentical(t *testing.T) {
-	plain := replayPlacement(t, Config{Nodes: 3, Placement: simulator.PlacePack})
+	plain := replayPlacement(t, Config{Cluster: hardware.UnboundedCluster(3), Placement: simulator.PlacePack})
 	gated := replayPlacement(t, Config{
-		Nodes: 3, Placement: simulator.PlacePack,
+		Cluster: hardware.UnboundedCluster(3), Placement: simulator.PlacePack,
 		Interference: placement.NewModel(placement.ZeroMatrix()),
 		PriceTrace:   hardware.FlatTrace(1),
 	})
@@ -217,15 +217,15 @@ func TestServingPlacementOffByteIdentical(t *testing.T) {
 // over three nodes must meet no more co-location pressure than packing.
 func TestServingInterferencePerturbs(t *testing.T) {
 	hot := &placement.Model{Matrix: placement.DefaultMatrix(), Scale: 5}
-	plain := replayPlacement(t, Config{Nodes: 3, Placement: simulator.PlacePack})
-	pack := replayPlacement(t, Config{Nodes: 3, Placement: simulator.PlacePack, Interference: hot})
+	plain := replayPlacement(t, Config{Cluster: hardware.UnboundedCluster(3), Placement: simulator.PlacePack})
+	pack := replayPlacement(t, Config{Cluster: hardware.UnboundedCluster(3), Placement: simulator.PlacePack, Interference: hot})
 	if pack.InterferedInits+pack.InterferedBatches == 0 || pack.InterferenceSeconds <= 0 {
 		t.Fatalf("packing under a hot interference model interfered with nothing: %s", pack.Summary())
 	}
 	if reflect.DeepEqual(plain.E2E, pack.E2E) {
 		t.Fatal("interference model left every latency untouched")
 	}
-	spread := replayPlacement(t, Config{Nodes: 3, Placement: simulator.PlaceSpread, Interference: hot})
+	spread := replayPlacement(t, Config{Cluster: hardware.UnboundedCluster(3), Placement: simulator.PlaceSpread, Interference: hot})
 	if spread.InterferenceSeconds > pack.InterferenceSeconds {
 		t.Errorf("spread accrued more interference (%.3fs) than pack (%.3fs)",
 			spread.InterferenceSeconds, pack.InterferenceSeconds)
@@ -237,7 +237,7 @@ func TestServingInterferencePerturbs(t *testing.T) {
 // over to the other nodes.
 func TestServingPreemptionWindow(t *testing.T) {
 	st := replayPlacement(t, Config{
-		Nodes: 3, Placement: simulator.PlaceSpread,
+		Cluster: hardware.UnboundedCluster(3), Placement: simulator.PlaceSpread,
 		PriceTrace: &hardware.PriceTrace{
 			Preemptions: []hardware.PreemptionWindow{{Node: 0, Start: 20, End: 40}},
 		},

@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"smiless/internal/clock"
+	"smiless/internal/hardware"
+	"smiless/internal/simulator"
 )
 
 // chaosPaths are the node-admin endpoints FuzzGatewayQuery drives.
@@ -42,7 +44,7 @@ func FuzzGatewayQuery(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, chaos uint8, chaosQ, invokeQ string) {
 		fake := clock.NewFake()
-		rt, err := New(Config{App: testChain([]float64{0.5}, 0.25), SLA: 10, Nodes: 3, Clock: fake}, keepAliveDriver(1))
+		rt, err := New(Config{App: testChain([]float64{0.5}, 0.25), SLA: 10, Cluster: hardware.UnboundedCluster(3), Placement: simulator.PlaceP2C, Clock: fake}, keepAliveDriver(1))
 		if err != nil {
 			t.Fatal(err)
 		}

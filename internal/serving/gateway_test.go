@@ -276,7 +276,7 @@ func TestGatewayOverloadReturns429(t *testing.T) {
 func TestGatewayNodesAndChaos(t *testing.T) {
 	app := testChain([]float64{5.0}, 1.0)
 	fake := clock.NewFake()
-	rt, err := New(Config{App: app, SLA: 30, Nodes: 3, Clock: fake}, keepAliveDriver(1))
+	rt, err := New(Config{App: app, SLA: 30, Cluster: hardware.UnboundedCluster(3), Placement: simulator.PlaceP2C, Clock: fake}, keepAliveDriver(1))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

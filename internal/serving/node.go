@@ -37,7 +37,7 @@ func (rt *Runtime) SetPartitioned(i int, partitioned bool) error {
 func (rt *Runtime) NodeInfos() []NodeInfo {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	out := make([]NodeInfo, rt.cfg.Nodes)
+	out := make([]NodeInfo, len(rt.cfg.Cluster.Nodes))
 	for i := range out {
 		out[i].ID = i
 		out[i].Health, out[i].Alive, out[i].Partitioned, out[i].Containers = rt.eng.NodeStatus(i)
@@ -47,8 +47,8 @@ func (rt *Runtime) NodeInfos() []NodeInfo {
 
 // onNode runs f on node i through onEngine, once i is known to be a node.
 func (rt *Runtime) onNode(i int, f func(int)) error {
-	if i < 0 || i >= rt.cfg.Nodes {
-		return fmt.Errorf("serving: node %d out of range [0,%d)", i, rt.cfg.Nodes)
+	if n := len(rt.cfg.Cluster.Nodes); i < 0 || i >= n {
+		return fmt.Errorf("serving: node %d out of range [0,%d)", i, n)
 	}
 	return rt.onEngine(func() error {
 		f(i)

@@ -7,18 +7,20 @@ import (
 	"time"
 
 	"smiless/internal/faults"
+	"smiless/internal/hardware"
 	"smiless/internal/simulator"
 )
 
 // nodeChainConfig is the shared fixture for the churn tests: one function
-// with a noise-free 1s cold start and 5s execution, spread over three node
-// agents with the default detector timings (tick 0.25s, suspect 0.5s,
-// down 1.0s). The long execution leaves a wide window for faults to land
-// mid-flight, and exact latencies make every failover assertion exact.
+// with a noise-free 1s cold start and 5s execution, placed on its home node
+// (PlaceP2C) among the given node agents, with the default detector timings
+// (tick 0.25s, suspect 0.5s, down 1.0s). The long execution leaves a wide
+// window for faults to land mid-flight, and exact latencies make every
+// failover assertion exact.
 func nodeChainConfig(nodes int, plan *faults.Plan) Config {
 	return Config{
-		App: testChain([]float64{5.0}, 1.0),
-		SLA: 30, Nodes: nodes, Faults: plan,
+		App: testChain([]float64{5.0}, 1.0), SLA: 30, Faults: plan,
+		Cluster: hardware.UnboundedCluster(nodes), Placement: simulator.PlaceP2C,
 	}
 }
 

@@ -65,28 +65,26 @@ type waiter struct {
 }
 
 // New prepares a runtime for the given configuration and driver. The
-// runtime is inert until Start.
+// runtime is inert until Start. An invalid configuration is a
+// *simulator.ConfigError.
 func New(cfg Config, driver simulator.Driver) (*Runtime, error) {
-	if driver == nil {
-		return nil, &ConfigError{Field: "driver", Reason: "must not be nil"}
-	}
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
 	rt := &Runtime{
-		cfg:      cfg,
 		clk:      cfg.Clock,
 		wake:     make(chan struct{}, 1),
 		stopCh:   make(chan struct{}),
 		loopDone: make(chan struct{}),
 	}
-	rt.eng.InitLive(simulator.Config{
-		App: cfg.App, SLA: cfg.SLA, Window: cfg.Window, Seed: cfg.Seed,
-		Pricing: cfg.Pricing, Placement: cfg.Placement,
-		GossipInterval: cfg.GossipInterval, SuspectAfter: cfg.SuspectAfter, DownAfter: cfg.DownAfter,
-		Interference: cfg.Interference, PriceTrace: cfg.PriceTrace, Faults: cfg.Faults,
-	}, driver, cfg.Nodes, cfg.LocalitySlack, cfg.BatchLinger, rt.resolve)
+	ec, err := rt.eng.InitLive(cfg.engineConfig(), driver, cfg.BatchLinger, rt.resolve)
+	if err != nil {
+		return nil, err
+	}
+	cfg.SLA, cfg.Window, cfg.Pricing = ec.SLA, ec.Window, ec.Pricing
+	cfg.GossipInterval, cfg.SuspectAfter, cfg.DownAfter = ec.GossipInterval, ec.SuspectAfter, ec.DownAfter
+	rt.cfg = cfg
 	rt.eng.AttachRecorder(cfg.Recorder)
 	return rt, nil
 }

@@ -2,6 +2,7 @@ package serving
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -369,21 +370,38 @@ func TestWindowCadenceAndCounts(t *testing.T) {
 	}
 }
 
-func TestConfigValidation(t *testing.T) {
-	driver := keepAliveDriver(1)
+// New rejects an invalid configuration with one error type, the engine's,
+// whichever front end's field is at fault.
+func TestNewConfigErrors(t *testing.T) {
 	app := testChain([]float64{0.1}, 1.0)
-	cases := []Config{
-		{},                          // no app
-		{App: app, SLA: -1},         // negative SLA
-		{App: app, Window: -1},      // negative window
-		{App: app, BatchLinger: -1}, // negative linger
+	backward := &faults.Plan{NodeFaults: []faults.NodeFault{{Node: 1, Kind: faults.NodePartition, Start: 5, End: 2}}}
+	cases := []struct {
+		name  string
+		cfg   Config
+		drv   simulator.Driver
+		field string
+	}{
+		{"nil-driver", Config{App: app}, nil, "driver"},
+		{"no-app", Config{}, keepAliveDriver(1), "App"},
+		{"negative-sla", Config{App: app, SLA: -1}, keepAliveDriver(1), "SLA"},
+		{"negative-window", Config{App: app, Window: -1}, keepAliveDriver(1), "Window"},
+		{"negative-linger", Config{App: app, BatchLinger: -1}, keepAliveDriver(1), "BatchLinger"},
+		{"negative-deadline", Config{App: app, DefaultDeadline: -1}, keepAliveDriver(1), "DefaultDeadline"},
+		{"negative-gossip", Config{App: app, GossipInterval: -1}, keepAliveDriver(1), "GossipInterval"},
+		{"no-nodes", Config{App: app, Cluster: hardware.ClusterSpec{Nodes: []hardware.NodeSpec{}}}, keepAliveDriver(1), "Cluster"},
+		{"node-fault-out-of-range", Config{App: app, Faults: backward}, keepAliveDriver(1), "Faults.NodeFaults"},
+		{"backward-partition", Config{App: app, Cluster: hardware.UnboundedCluster(2), Faults: backward}, keepAliveDriver(1), "Faults.NodeFaults"},
 	}
-	for i, cfg := range cases {
-		if _, err := New(cfg, driver); err == nil {
-			t.Errorf("case %d: New accepted invalid config %+v", i, cfg)
-		}
-	}
-	if _, err := New(Config{App: app}, nil); err == nil {
-		t.Error("New accepted nil driver")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := New(c.cfg, c.drv)
+			var ce *simulator.ConfigError
+			if !errors.As(err, &ce) {
+				t.Fatalf("New err = %v, want *simulator.ConfigError", err)
+			}
+			if ce.Field != c.field {
+				t.Errorf("field = %q, want %q", ce.Field, c.field)
+			}
+		})
 	}
 }

@@ -33,17 +33,19 @@
 //     deadline, so integration tests can assert latencies to float
 //     precision.
 //
-// The live pool is elastic: the engine is handed no capacity model (and so
-// no GPU MPS contention or capacity-blocked launches) and places every
-// launch. Fault injection takes the same faults.Plan as the simulator: its
-// rates and its NodeFault entries (crash, partition) alike.
+// The engine owns the node pool, its capacity and its placement policies,
+// as in the simulator; Config.Cluster is the pool, by default one node
+// whose capacity never binds. GPU MPS contention stays simulator-only. Fault
+// injection takes the same faults.Plan as the simulator: its rates and its
+// NodeFault entries (crash, partition) alike.
 //
 // # Multi-node control plane
 //
-// With Config.Nodes > 1 new containers land on their function's locality
-// home node and overflow to the less loaded of two sampled healthy peers
-// (power of two choices), or follow the affinity policies. The engine's
-// deterministic health-gossip failure detector walks nodes through
+// On more than one node, new containers land by Config.Placement: the first
+// up node with room, the function's locality home with power-of-two-choices
+// overflow, or the affinity policies; a launch that finds no up node with
+// room waits for one (CapacityBlocked). The engine's deterministic
+// health-gossip failure detector walks nodes through
 // up → suspect → down as heartbeats go missing and recovers them when
 // heartbeats resume; a node declared down has its in-flight requests failed
 // over to live peers under first-completion-wins idempotency — no request is
@@ -64,7 +66,6 @@ package serving
 
 import (
 	"errors"
-	"fmt"
 
 	"smiless/internal/apps"
 	"smiless/internal/clock"
@@ -112,12 +113,11 @@ type Config struct {
 	// clock.Wall). Inject a clock.Fake in tests or a clock.ScaledWall for
 	// accelerated replays.
 	Clock clock.Scheduler
-	// Nodes is the number of node agents the executor pool is spread over
-	// (default 1: the classic single-pool runtime, byte-for-byte
-	// unchanged). With Nodes > 1, placement routes by locality with
-	// power-of-two-choices overflow and the health-gossip failure detector
-	// runs.
-	Nodes int
+	// Cluster is the node pool the executor runs on, one node agent per
+	// entry (default hardware.UnboundedCluster(1): one node whose capacity
+	// never binds). With more than one node the health-gossip failure
+	// detector runs.
+	Cluster hardware.ClusterSpec
 	// GossipInterval is the failure-detector tick period in seconds
 	// (default 0.25). SuspectAfter and DownAfter are how long a node must
 	// miss heartbeats before it is suspected (default 2×GossipInterval)
@@ -125,19 +125,14 @@ type Config struct {
 	GossipInterval float64
 	SuspectAfter   float64
 	DownAfter      float64
-	// LocalitySlack is how many more live containers the home node may
-	// carry than the least-loaded healthy peer before a launch overflows
-	// (default 2).
-	LocalitySlack int
 	// DefaultDeadline, when positive, bounds every request's end-to-end
 	// latency in model seconds: requests still unresolved at the deadline
 	// fail with Result.DeadlineExceeded. Per-request deadlines via
 	// InvokeWithDeadline override it.
 	DefaultDeadline float64
-	// Placement selects the node-placement policy, sharing the simulator's
-	// enum: first-fit home placement (default), P2C locality overflow,
-	// affinity packing, or interference spreading. Only consulted with
-	// Nodes > 1.
+	// Placement selects the node-placement policy, the simulator's:
+	// first-fit (default), P2C locality overflow, affinity packing, or
+	// interference spreading.
 	Placement simulator.PlacementPolicy
 	// Interference is the optional co-location interference model
 	// (internal/placement): sampled init and inference durations are
@@ -152,25 +147,14 @@ type Config struct {
 	PriceTrace *hardware.PriceTrace
 }
 
-// withDefaults validates cfg and fills defaults, mirroring simulator.New.
+// withDefaults checks and defaults the fields only a runtime has, and the
+// cluster; the engine validates the rest (simulator.Config).
 func (cfg Config) withDefaults() (Config, error) {
-	if cfg.App == nil || cfg.App.Graph == nil || cfg.App.Graph.Len() == 0 {
-		return cfg, &ConfigError{Field: "App", Reason: "must have a non-empty graph"}
-	}
-	if cfg.SLA < 0 {
-		return cfg, &ConfigError{Field: "SLA", Reason: "must not be negative"}
-	}
-	if cfg.Window < 0 {
-		return cfg, &ConfigError{Field: "Window", Reason: "must not be negative"}
-	}
 	if cfg.BatchLinger < 0 {
-		return cfg, &ConfigError{Field: "BatchLinger", Reason: "must not be negative"}
+		return cfg, &simulator.ConfigError{Field: "BatchLinger", Reason: "must not be negative"}
 	}
-	if cfg.SLA <= 0 {
-		cfg.SLA = 2
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 1
+	if cfg.DefaultDeadline < 0 {
+		return cfg, &simulator.ConfigError{Field: "DefaultDeadline", Reason: "must not be negative"}
 	}
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 256
@@ -178,67 +162,23 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 1024
 	}
-	if cfg.Pricing == (hardware.Pricing{}) {
-		cfg.Pricing = hardware.DefaultPricing
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.NewWall()
 	}
-	if cfg.Nodes < 0 {
-		return cfg, &ConfigError{Field: "Nodes", Reason: "must not be negative"}
-	}
-	if cfg.Nodes == 0 {
-		cfg.Nodes = 1
-	}
-	if cfg.GossipInterval < 0 || cfg.SuspectAfter < 0 || cfg.DownAfter < 0 {
-		return cfg, &ConfigError{Field: "GossipInterval", Reason: "detector timings must not be negative"}
-	}
-	if cfg.GossipInterval == 0 { //lint:allow floateq zero means "unset", not computed
-		cfg.GossipInterval = 0.25
-	}
-	if cfg.SuspectAfter == 0 { //lint:allow floateq zero means "unset", not computed
-		cfg.SuspectAfter = 2 * cfg.GossipInterval
-	}
-	if cfg.DownAfter <= cfg.SuspectAfter {
-		cfg.DownAfter = 2 * cfg.SuspectAfter
-	}
-	if cfg.LocalitySlack <= 0 {
-		cfg.LocalitySlack = 2
-	}
-	if cfg.DefaultDeadline < 0 {
-		return cfg, &ConfigError{Field: "DefaultDeadline", Reason: "must not be negative"}
-	}
-	if cfg.Faults != nil {
-		for _, nf := range cfg.Faults.NodeFaults {
-			if nf.Node < 0 || nf.Node >= cfg.Nodes {
-				return cfg, &ConfigError{Field: "Faults",
-					Reason: fmt.Sprintf("NodeFault node %d out of range [0,%d)", nf.Node, cfg.Nodes)}
-			}
-		}
-	}
-	if cfg.PriceTrace != nil {
-		for _, w := range cfg.PriceTrace.Preemptions {
-			if w.Node < 0 || w.Node >= cfg.Nodes {
-				return cfg, &ConfigError{Field: "PriceTrace",
-					Reason: fmt.Sprintf("preemption node %d out of range [0,%d)", w.Node, cfg.Nodes)}
-			}
-			if w.End <= w.Start {
-				return cfg, &ConfigError{Field: "PriceTrace",
-					Reason: fmt.Sprintf("preemption window on node %d must have End > Start", w.Node)}
-			}
-		}
+	if cfg.Cluster.Nodes == nil {
+		cfg.Cluster = hardware.UnboundedCluster(1)
 	}
 	return cfg, nil
 }
 
-// ConfigError reports an invalid Config field passed to New.
-type ConfigError struct {
-	Field  string
-	Reason string
-}
-
-func (e *ConfigError) Error() string {
-	return fmt.Sprintf("serving: invalid config: %s %s", e.Field, e.Reason)
+// engineConfig is the engine's share of cfg.
+func (cfg Config) engineConfig() simulator.Config {
+	return simulator.Config{
+		App: cfg.App, Cluster: cfg.Cluster, SLA: cfg.SLA, Window: cfg.Window, Seed: cfg.Seed,
+		Pricing: cfg.Pricing, Placement: cfg.Placement,
+		GossipInterval: cfg.GossipInterval, SuspectAfter: cfg.SuspectAfter, DownAfter: cfg.DownAfter,
+		Interference: cfg.Interference, PriceTrace: cfg.PriceTrace, Faults: cfg.Faults,
+	}
 }
 
 // Admission and lifecycle errors returned by Invoke.

@@ -2,24 +2,19 @@ package simulator
 
 import (
 	"fmt"
-	"math/rand"
 
 	"smiless/internal/hardware"
+	"smiless/internal/placement"
 )
 
-// The simulator's cluster model: each node's free cores and MPS GPU slices.
-// *Simulator is the engine's substrate — placement against that capacity,
-// launches that wait for it, and GPU co-location contention.
-
-// capacity is one node's free resources.
-type capacity struct {
-	spec      hardware.NodeSpec
-	freeCores int
-	freeGPU   int // in percent (10% MPS slices)
-}
+// The node pool both front ends run: each node's free cores and MPS GPU
+// slices, placement against that capacity, launches that wait for it, and
+// GPU co-location contention. A live runtime's default pool is
+// hardware.UnboundedCluster, whose capacity never binds, so there only node
+// health decides where a launch lands.
 
 // fits reports whether the node has free capacity for cfg.
-func (n *capacity) fits(cfg hardware.Config) bool {
+func (n *nodeState) fits(cfg hardware.Config) bool {
 	switch cfg.Kind {
 	case hardware.CPU:
 		return n.freeCores >= cfg.Cores
@@ -30,7 +25,7 @@ func (n *capacity) fits(cfg hardware.Config) bool {
 }
 
 // take reserves cfg's resources on the node.
-func (n *capacity) take(cfg hardware.Config) {
+func (n *nodeState) take(cfg hardware.Config) {
 	switch cfg.Kind {
 	case hardware.CPU:
 		n.freeCores -= cfg.Cores
@@ -41,43 +36,47 @@ func (n *capacity) take(cfg hardware.Config) {
 
 // freeFor returns the free capacity relevant to cfg's kind, the p2c load
 // signal (more free = less loaded).
-func (n *capacity) freeFor(cfg hardware.Config) int {
+func (n *nodeState) freeFor(cfg hardware.Config) int {
 	if cfg.Kind == hardware.GPU {
 		return n.freeGPU
 	}
 	return n.freeCores
 }
 
-func newCapacities(spec hardware.ClusterSpec) []capacity {
-	caps := make([]capacity, len(spec.Nodes))
-	for i, n := range spec.Nodes {
-		caps[i] = capacity{spec: n, freeCores: n.Cores, freeGPU: n.GPUs * 100}
+// place reserves a node for launching c. A launch that fits nowhere waits
+// in pendingLaunch, counted in CapacityBlocked, until capacity frees or a
+// node returns to service (reopened).
+func (e *Engine) place(c *container) (int, bool) {
+	node, ok := e.allocate(c.fn, c.cfg)
+	if !ok {
+		e.pendingLaunch = append(e.pendingLaunch, c)
+		e.stats.CapacityBlocked++
 	}
-	return caps
+	return node, ok
 }
 
 // allocate places cfg under the configured policy and reserves it,
 // counting overflow forwards under PlaceP2C; ok is false when nothing fits.
-func (s *Simulator) allocate(fs *fnState, cfg hardware.Config) (int, bool) {
-	switch s.cfg.Placement {
+func (e *Engine) allocate(fs *fnState, cfg hardware.Config) (int, bool) {
+	switch e.cfg.Placement {
 	case PlaceP2C:
-		node, forwarded, ok := s.allocateP2C(cfg, HomeNode(string(fs.id), len(s.caps)), s.prng)
+		node, forwarded, ok := e.allocateP2C(cfg, HomeNode(string(fs.id), len(e.nodes)))
 		if ok && forwarded {
-			s.stats.Forwards++
+			e.stats.Forwards++
 		}
 		return node, ok
 	case PlacePack, PlaceSpread:
-		node := s.affinityNode(fs, cfg, s.cfg.Placement == PlacePack)
+		node := e.affinityNode(fs, cfg, e.cfg.Placement == PlacePack)
 		if node < 0 {
 			return -1, false
 		}
-		s.caps[node].take(cfg)
+		e.nodes[node].take(cfg)
 		return node, true
 	}
 	// First fit: the first placeable node in index order with room.
-	for i := range s.caps {
-		if s.nodes[i].placeable() && s.caps[i].fits(cfg) {
-			s.caps[i].take(cfg)
+	for i, n := range e.nodes {
+		if n.placeable() && n.fits(cfg) {
+			n.take(cfg)
 			return i, true
 		}
 	}
@@ -86,17 +85,17 @@ func (s *Simulator) allocate(fs *fnState, cfg hardware.Config) (int, bool) {
 
 // allocateP2C places cfg by locality with power-of-two-choices overflow:
 // the function's home node keeps the launch while it has capacity;
-// otherwise two placeable candidates are sampled from prng and the less
-// loaded one (more free capacity of cfg's kind, ties to the lower index)
-// takes it. forwarded reports an off-home placement.
-func (s *Simulator) allocateP2C(cfg hardware.Config, home int, prng *rand.Rand) (node int, forwarded, ok bool) {
-	if s.nodes[home].placeable() && s.caps[home].fits(cfg) {
-		s.caps[home].take(cfg)
+// otherwise two placeable candidates are sampled from the placement RNG and
+// the less loaded one (more free capacity of cfg's kind, ties to the lower
+// index) takes it. forwarded reports an off-home placement.
+func (e *Engine) allocateP2C(cfg hardware.Config, home int) (node int, forwarded, ok bool) {
+	if h := e.nodes[home]; h.placeable() && h.fits(cfg) {
+		h.take(cfg)
 		return home, false, true
 	}
-	cand := make([]int, 0, len(s.caps))
-	for i := range s.caps {
-		if i != home && s.nodes[i].placeable() && s.caps[i].fits(cfg) {
+	cand := make([]int, 0, len(e.nodes))
+	for i, n := range e.nodes {
+		if i != home && n.placeable() && n.fits(cfg) {
 			cand = append(cand, i)
 		}
 	}
@@ -105,44 +104,72 @@ func (s *Simulator) allocateP2C(cfg hardware.Config, home int, prng *rand.Rand) 
 	}
 	best := cand[0]
 	if len(cand) > 1 {
-		a, b := cand[prng.Intn(len(cand))], cand[prng.Intn(len(cand))]
+		a, b := cand[e.prng.Intn(len(cand))], cand[e.prng.Intn(len(cand))]
 		best = a
-		if s.caps[b].freeFor(cfg) > s.caps[a].freeFor(cfg) ||
-			(s.caps[b].freeFor(cfg) == s.caps[a].freeFor(cfg) && b < a) {
+		if fa, fb := e.nodes[a].freeFor(cfg), e.nodes[b].freeFor(cfg); fb > fa || (fb == fa && b < a) {
 			best = b
 		}
 	}
-	s.caps[best].take(cfg)
+	e.nodes[best].take(cfg)
 	return best, true, true
 }
 
-// place implements substrate: a launch that fits nowhere waits in
-// pendingLaunch until capacity frees.
-func (s *Simulator) place(c *container) (int, bool) {
-	node, ok := s.allocate(c.fn, c.cfg)
-	if !ok {
-		s.pendingLaunch = append(s.pendingLaunch, c)
-		s.stats.CapacityBlocked++
+// affinityNode scores every placeable node with room for cfg by the class
+// pressure a launch of fs would meet there, then packs (highest pressure
+// wins: same-class work concentrates) or spreads (lowest pressure wins: the
+// launch lands where it is interfered with least). Nodes are visited in
+// index order and strict comparisons break ties to the lower index, so the
+// choice is deterministic. It returns -1 when no node qualifies.
+func (e *Engine) affinityNode(fs *fnState, cfg hardware.Config, pack bool) int {
+	best, bestScore := -1, 0.0
+	for i, n := range e.nodes {
+		if !n.placeable() || !n.fits(cfg) {
+			continue
+		}
+		score := e.classPressure(i, fs.class)
+		if best < 0 || (pack && score > bestScore) || (!pack && score < bestScore) {
+			best, bestScore = i, score
+		}
 	}
-	return node, ok
+	return best
 }
 
-func (s *Simulator) fits(i int, cfg hardware.Config) bool { return s.caps[i].fits(cfg) }
+// classPressure sums the interference-weighted memory-bandwidth demand that
+// node n's live containers exert on the given class. Without a configured
+// interference model it degrades to the same-class resident demand, so the
+// affinity policies still have a signal. Containers are visited in id order
+// for reproducible float accumulation.
+func (e *Engine) classPressure(n int, class placement.Class) float64 {
+	total := 0.0
+	for _, c := range e.conts {
+		if c.node != n {
+			continue
+		}
+		w := placement.DemandOf(c.cfg).MemBW
+		if m := e.cfg.Interference; m != nil {
+			total += m.Matrix.Coef(class, c.fn.class) * w
+		} else if c.fn.class == class {
+			total += w
+		}
+	}
+	return total
+}
 
-// release implements substrate: a placed container's resources return to
-// its node and waiting launches that now fit start; a never-placed one
-// leaves the pending queue.
-func (s *Simulator) release(c *container) {
+// release returns a terminated container's resources to its node, and
+// waiting launches that now fit start; a never-placed one leaves the
+// pending queue.
+func (e *Engine) release(c *container) {
 	if c.node < 0 {
-		for i, p := range s.pendingLaunch {
+		for i, p := range e.pendingLaunch {
 			if p == c {
-				s.pendingLaunch = append(s.pendingLaunch[:i], s.pendingLaunch[i+1:]...)
+				e.pendingLaunch = append(e.pendingLaunch[:i], e.pendingLaunch[i+1:]...)
 				break
 			}
 		}
 		return
 	}
-	n := &s.caps[c.node]
+	n := e.nodes[c.node]
+	n.conts--
 	switch c.cfg.Kind {
 	case hardware.CPU:
 		n.freeCores += c.cfg.Cores
@@ -155,40 +182,53 @@ func (s *Simulator) release(c *container) {
 			panic(fmt.Sprintf("simulator: GPU over-release on node %d", c.node))
 		}
 	}
-	s.reopened()
+	e.reopened()
 }
 
-// reopened implements substrate: queued launches that now fit start.
-func (s *Simulator) reopened() {
-	remaining := s.pendingLaunch[:0]
-	for _, c := range s.pendingLaunch {
+// reopened starts the waiting launches that now fit, after capacity freed
+// or a node returned to service.
+func (e *Engine) reopened() {
+	remaining := e.pendingLaunch[:0]
+	for _, c := range e.pendingLaunch {
 		if c.state != cInitializing {
 			continue
 		}
-		node, ok := s.allocate(c.fn, c.cfg)
+		node, ok := e.allocate(c.fn, c.cfg)
 		if !ok {
 			remaining = append(remaining, c)
 			continue
 		}
-		s.placed(c, node)
+		e.placed(c, node)
 	}
-	s.pendingLaunch = remaining
+	e.pendingLaunch = remaining
 }
 
-// gpuSlowdown implements substrate: an MPS slice on a node with u percent of
-// its GPU allocated runs (1 + GPUContention·(u−share)/100)× slower — the
-// PCIe/memory bandwidth sharing the paper mitigates with the 10% allocation
-// floor (§IV-A2).
-func (s *Simulator) gpuSlowdown(c *container) float64 {
-	if s.cfg.GPUContention > 0 {
-		n := &s.caps[c.node]
+// gpuSlowdown is the contention factor a batch starting on GPU slice c runs
+// under: an MPS slice on a node with u percent of its GPU allocated runs
+// (1 + GPUContention·(u−share)/100)× slower — the PCIe/memory bandwidth
+// sharing the paper mitigates with the 10% allocation floor (§IV-A2).
+func (e *Engine) gpuSlowdown(c *container) float64 {
+	if e.cfg.GPUContention > 0 {
+		n := e.nodes[c.node]
 		if others := n.spec.GPUs*100 - n.freeGPU - c.cfg.GPUShare; others > 0 {
-			return 1 + s.cfg.GPUContention*float64(others)/100
+			return 1 + e.cfg.GPUContention*float64(others)/100
 		}
 	}
 	return 1
 }
 
-// churns implements substrate: simulated nodes fail only as the fault plan
-// schedules.
-func (*Simulator) churns() bool { return false }
+// HomeNode maps a function name onto its locality home node with a 32-bit
+// FNV-1a hash — stable across runs and platforms, so both front ends and
+// the tests agree on homes.
+func HomeNode(fn string, nodes int) int {
+	const (
+		offset32 = 2166136261
+		prime32  = 16777619
+	)
+	h := uint32(offset32)
+	for i := 0; i < len(fn); i++ {
+		h ^= uint32(fn[i])
+		h *= prime32
+	}
+	return int(h % uint32(nodes))
+}

@@ -65,12 +65,14 @@ type Engine struct {
 	// rec is the optional span recorder. Like inj, every emission is gated on
 	// it being non-nil and it only observes.
 	rec *tracing.Recorder
-	// sub is what the front end models of the nodes; linger how long
-	// dispatch onto an idle instance waits for a batch to fill (0: never);
-	// resolved, when set, receives each request's outcome once.
-	sub      substrate
+	// linger is how long dispatch onto an idle instance waits for a batch
+	// to fill (0: never); resolved, when set, receives each request's
+	// outcome once; churns reports whether nodes can fail with no fault
+	// scheduled (a live pool's chaos calls), so the failure detector must
+	// always run.
 	linger   float64
 	resolved func(*Request, Outcome)
+	churns   bool
 
 	now    float64
 	events eventq.Queue[event]
@@ -78,6 +80,8 @@ type Engine struct {
 	// tick past lastTick is queued.
 	windowAt, lastTick float64
 	nodes              []*nodeState
+	// pendingLaunch holds launches waiting for node capacity (cluster.go).
+	pendingLaunch []*container
 
 	// fns resolves the driver-facing ids; fnList is the same set in graph
 	// order and sources the entry functions. conts holds every live
@@ -106,30 +110,6 @@ type injector interface {
 	ExecOutcome(fn string) (bool, float64)
 	StragglerFactor(fn string) float64
 	Jitter() float64
-}
-
-// substrate is what a front end models of the nodes under the engine and the
-// engine does not: where a launch lands and what a container costs its node.
-// Two exist — the simulator's finite cluster (*Simulator, cluster.go) and a
-// live runtime's elastic pool (*LiveEngine, nodes.go).
-type substrate interface {
-	// place reserves a node for launching c. When nothing fits it reports
-	// false and holds c, placing it (through placed) once capacity frees.
-	place(c *container) (node int, ok bool)
-	// fits reports whether node i has room for cfg: affinity placement
-	// scores only nodes that fit.
-	fits(i int, cfg hardware.Config) bool
-	// release returns a terminated container's resources, or drops its held
-	// launch.
-	release(c *container)
-	// reopened is told a node returned to service.
-	reopened()
-	// gpuSlowdown is the contention factor a batch starting on GPU slice c
-	// runs under.
-	gpuSlowdown(c *container) float64
-	// churns reports whether nodes can fail with no fault scheduled (a live
-	// pool's chaos endpoints), so the failure detector must always run.
-	churns() bool
 }
 
 // eventKind discriminates queued events.
@@ -333,10 +313,10 @@ type nodeInv struct {
 	span *tracing.NodeSpan
 }
 
-// init wires the engine for one run of cfg's application, which the front
-// end has validated and defaulted, on a substrate of the given node count.
-func (e *Engine) init(cfg Config, driver Driver, sub substrate, nodes int) {
-	e.cfg, e.driver, e.sub = cfg, driver, sub
+// init wires the engine for one run of cfg's application on cfg's cluster;
+// cfg has been validated and defaulted (Config.normalized).
+func (e *Engine) init(cfg Config, driver Driver) {
+	e.cfg, e.driver = cfg, driver
 	e.rng = mathx.NewRand(cfg.Seed)
 	e.prng = mathx.NewRand(cfg.Seed ^ 0x9e3779b9)
 	e.fns = make(map[dag.NodeID]*fnState)
@@ -365,9 +345,9 @@ func (e *Engine) init(cfg Config, driver Driver, sub substrate, nodes int) {
 	for _, src := range g.Sources() {
 		e.sources = append(e.sources, e.fns[src])
 	}
-	e.nodes = make([]*nodeState, nodes)
-	for i := range e.nodes {
-		e.nodes[i] = &nodeState{health: nodeUp, alive: true}
+	e.nodes = make([]*nodeState, len(cfg.Cluster.Nodes))
+	for i, spec := range cfg.Cluster.Nodes {
+		e.nodes[i] = &nodeState{spec: spec, freeCores: spec.Cores, freeGPU: spec.GPUs * 100, health: nodeUp, alive: true}
 	}
 	// Guard against the typed-nil interface trap: only assign when the
 	// injector is actually enabled.
@@ -402,7 +382,7 @@ func (e *Engine) begin() {
 			}
 		}
 	}
-	if nodeFaults > 0 || e.sub.churns() {
+	if nodeFaults > 0 || e.churns {
 		e.schedule(now+e.cfg.GossipInterval, event{kind: evGossip})
 	}
 	if e.cfg.PriceTrace != nil {
@@ -473,6 +453,7 @@ func (e *Engine) settle() (unresolved int) {
 		e.terminate(c)
 	}
 	e.checkConservation(owed)
+	invariant(len(e.pendingLaunch) == 0, "settle left %d launches pending", len(e.pendingLaunch))
 	for _, n := range e.nodes {
 		if n.health == nodeDown && n.detectorDown {
 			e.stats.NodeDownSeconds += e.now - n.downSince
@@ -488,24 +469,22 @@ func (e *Engine) settle() (unresolved int) {
 // LiveEngine is the Engine as a live front end outside this package (the
 // serving runtime) drives it: the front end holds its own lock around every
 // call and sets the instant before each one. Drivers are handed the
-// embedded Engine, never this surface. It is also the engine's substrate:
-// an elastic pool of nodes (nodes.go).
-type LiveEngine struct {
-	Engine
-	slack int // how many more containers a home node may carry than the least loaded
-}
+// embedded Engine, never this surface.
+type LiveEngine struct{ Engine }
 
-// InitLive wires the engine for a live front end: cfg's application, timing,
-// pricing, placement policy, fault plan and detector timings (validated and
-// defaulted), an elastic pool of nodes — every launch places, on its
-// function's locality home unless that node is not up or carries slack more
-// containers than the least-loaded up node, otherwise on the less loaded of
-// two up nodes sampled — a batch linger, and resolved, which receives every
-// admitted request's outcome once. Config's Cluster, StatsAfter and
-// GPUContention are simulator-only and ignored.
-func (l *LiveEngine) InitLive(cfg Config, driver Driver, nodes, slack int, linger float64, resolved func(*Request, Outcome)) {
-	l.init(cfg, driver, l, nodes)
-	l.slack, l.linger, l.resolved = slack, linger, resolved
+// InitLive validates and defaults cfg as New does and wires the engine for
+// a live front end: cfg's application on cfg's cluster, a batch linger, and
+// resolved, which receives every admitted request's outcome once. On more
+// than one node the failure detector always runs, since chaos calls can
+// fail a node at any time. It returns the effective config.
+func (l *LiveEngine) InitLive(cfg Config, driver Driver, linger float64, resolved func(*Request, Outcome)) (Config, error) {
+	cfg, err := cfg.normalized(driver)
+	if err != nil {
+		return cfg, err
+	}
+	l.init(cfg, driver)
+	l.linger, l.resolved, l.churns = linger, resolved, len(cfg.Cluster.Nodes) > 1
+	return cfg, nil
 }
 
 // Begin queues the first window tick, the scheduled faults and preemptions,

@@ -148,8 +148,8 @@ func (e *Engine) pickInitializing(fs *fnState) *container {
 	return nil
 }
 
-// launch starts a new container (cold start). When the substrate has no
-// room the launch waits, unplaced, until capacity frees.
+// launch starts a new container (cold start). When no node has room the
+// launch waits, unplaced, until capacity frees.
 func (e *Engine) launch(fs *fnState, cfg hardware.Config, prewarmed bool) *container {
 	c := &container{
 		id: e.nextCont, fn: fs, cfg: cfg, state: cInitializing,
@@ -160,7 +160,7 @@ func (e *Engine) launch(fs *fnState, cfg hardware.Config, prewarmed bool) *conta
 	fs.containers = append(fs.containers, c) // ids only grow: both lists stay ordered
 	e.conts = append(e.conts, c)
 	e.stats.Inits++
-	if node, ok := e.sub.place(c); ok {
+	if node, ok := e.place(c); ok {
 		e.placed(c, node)
 	}
 	return c
@@ -298,7 +298,7 @@ func (e *Engine) startBatch(c *container, cause tracing.Phase) {
 	}
 	dur := fs.spec.SampleInference(e.rng, c.cfg, len(batch))
 	if c.cfg.Kind == hardware.GPU {
-		dur *= e.sub.gpuSlowdown(c)
+		dur *= e.gpuSlowdown(c)
 	}
 	if e.cfg.Interference != nil {
 		if f := e.interferenceFactor(c); f > 1 {
@@ -607,10 +607,7 @@ func (e *Engine) terminate(c *container) {
 		c.assigned = nil
 	}
 	c.state = cDead
-	if c.node >= 0 {
-		e.nodes[c.node].conts--
-	}
-	e.sub.release(c)
+	e.release(c)
 	life, cost := e.billedLife(c)
 	e.stats.addCost(string(c.fn.id), c.cfg, life, cost)
 	c.fn.containers = dropContainer(c.fn.containers, c)

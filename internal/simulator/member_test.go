@@ -11,15 +11,17 @@ import (
 	"smiless/internal/hardware"
 )
 
-// newLive wires a LiveEngine as the serving runtime does — the detector
-// timings it defaults, an elastic pool of nodes — with every function under
-// dir, and begins the run at t=0.
+// newLive wires a LiveEngine as the serving runtime does — nodes whose
+// capacity never binds — with every function under dir, placed on its home
+// node (PlaceP2C), and begins the run at t=0.
 func newLive(app *apps.Application, dir Directive, nodes int, window float64) *LiveEngine {
 	l := &LiveEngine{}
-	l.InitLive(Config{
-		App: app, SLA: 10, Window: window, Seed: 1, Pricing: hardware.DefaultPricing,
-		GossipInterval: 0.25, SuspectAfter: 0.5, DownAfter: 1,
-	}, &staticDriver{directive: func(dag.NodeID) Directive { return dir }}, nodes, 2, 0, nil)
+	if _, err := l.InitLive(Config{
+		App: app, SLA: 10, Window: window, Seed: 1, Cluster: hardware.UnboundedCluster(nodes),
+		Placement: PlaceP2C,
+	}, &staticDriver{directive: func(dag.NodeID) Directive { return dir }}, 0, nil); err != nil {
+		panic(err)
+	}
 	l.Begin()
 	return l
 }

@@ -5,12 +5,10 @@ import (
 	"strconv"
 
 	"smiless/internal/hardware"
-	"smiless/internal/placement"
 	"smiless/internal/tracing"
 )
 
-// Node health, the gossip failure detector, failover, and the placement
-// both substrates share.
+// Node health, the gossip failure detector and failover.
 
 // nodeHealth is the control plane's view of one node, advanced by the
 // deterministic gossip failure detector: Up → Suspect once SuspectAfter
@@ -37,11 +35,14 @@ func (h nodeHealth) String() string {
 	return "unknown"
 }
 
-// nodeState is one node agent's state machine. health is what the control
-// plane believes; alive and partitioned are ground truth it cannot see
-// directly — only through missing heartbeats.
+// nodeState is one node agent's state machine and its capacity. health is
+// what the control plane believes; alive and partitioned are ground truth
+// it cannot see directly — only through missing heartbeats.
 type nodeState struct {
-	conts int // live containers placed here
+	spec      hardware.NodeSpec
+	freeCores int
+	freeGPU   int // in percent (10% MPS slices)
+	conts     int // live containers placed here
 
 	health      nodeHealth
 	alive       bool // process running (false between crash and restart)
@@ -104,7 +105,7 @@ func (e *Engine) recoverNode(i int) {
 	n.health = nodeUp
 	n.detectorDown = false
 	e.nodeInstant("node_recovered", i)
-	e.sub.reopened()
+	e.reopened()
 	e.pumpAll()
 }
 
@@ -288,118 +289,6 @@ func (e *Engine) onPreemptEnd(i int) {
 	}
 	n.health = nodeUp
 	e.nodeInstant("preempt_end", i)
-	e.sub.reopened()
+	e.reopened()
 	e.pumpAll()
-}
-
-// --- Placement ------------------------------------------------------------
-
-// affinityNode scores every placeable node with room for cfg by the class
-// pressure a launch of fs would meet there, then packs (highest pressure
-// wins: same-class work concentrates) or spreads (lowest pressure wins: the
-// launch lands where it is interfered with least). Nodes are visited in
-// index order and strict comparisons break ties to the lower index, so the
-// choice is deterministic. It returns -1 when no node qualifies.
-func (e *Engine) affinityNode(fs *fnState, cfg hardware.Config, pack bool) int {
-	best, bestScore := -1, 0.0
-	for i, n := range e.nodes {
-		if !n.placeable() || !e.sub.fits(i, cfg) {
-			continue
-		}
-		score := e.classPressure(i, fs.class)
-		if best < 0 || (pack && score > bestScore) || (!pack && score < bestScore) {
-			best, bestScore = i, score
-		}
-	}
-	return best
-}
-
-// classPressure sums the interference-weighted memory-bandwidth demand that
-// node n's live containers exert on the given class. Without a configured
-// interference model it degrades to the same-class resident demand, so the
-// affinity policies still have a signal. Containers are visited in id order
-// for reproducible float accumulation.
-func (e *Engine) classPressure(n int, class placement.Class) float64 {
-	total := 0.0
-	for _, c := range e.conts {
-		if c.node != n {
-			continue
-		}
-		w := placement.DemandOf(c.cfg).MemBW
-		if m := e.cfg.Interference; m != nil {
-			total += m.Matrix.Coef(class, c.fn.class) * w
-		} else if c.fn.class == class {
-			total += w
-		}
-	}
-	return total
-}
-
-// place implements substrate for a live runtime's elastic node pool: no
-// capacity model, so every launch places — on a single node trivially;
-// otherwise by the affinity policies, or on the function's locality home
-// unless that node is not up or carries slack more containers than the
-// least-loaded up node, in which case on the less loaded of two up nodes
-// sampled (power of two choices; ties to the lower index). With every node
-// suspect or down the launch goes home anyway: eviction and failover
-// conserve its work when the node returns.
-func (l *LiveEngine) place(c *container) (int, bool) {
-	fs := c.fn
-	if len(l.nodes) == 1 {
-		return 0, true
-	}
-	home := HomeNode(string(fs.id), len(l.nodes))
-	switch l.cfg.Placement {
-	case PlacePack, PlaceSpread:
-		if n := l.affinityNode(fs, c.cfg, l.cfg.Placement == PlacePack); n >= 0 {
-			return n, true
-		}
-		return home, true
-	}
-	up := make([]int, 0, len(l.nodes))
-	minLoad := -1
-	for i, n := range l.nodes {
-		if !n.placeable() {
-			continue
-		}
-		up = append(up, i)
-		if minLoad < 0 || n.conts < minLoad {
-			minLoad = n.conts
-		}
-	}
-	if len(up) == 0 {
-		return home, true
-	}
-	if h := l.nodes[home]; h.placeable() && h.conts <= minLoad+l.slack {
-		return home, true
-	}
-	a, b := up[l.prng.Intn(len(up))], up[l.prng.Intn(len(up))]
-	best := a
-	if nb, na := l.nodes[b].conts, l.nodes[a].conts; nb < na || (nb == na && b < a) {
-		best = b
-	}
-	l.stats.Forwards++
-	return best, true
-}
-
-func (*LiveEngine) fits(int, hardware.Config) bool { return true }
-func (*LiveEngine) release(*container)             {}
-func (*LiveEngine) reopened()                      {}
-func (*LiveEngine) gpuSlowdown(*container) float64 { return 1 }
-func (l *LiveEngine) churns() bool                 { return len(l.nodes) > 1 }
-
-// HomeNode maps a function name onto its locality home node with a 32-bit
-// FNV-1a hash — stable across runs and platforms, so both substrates agree
-// on homes.
-func HomeNode(fn string, nodes int) int {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(fn); i++ {
-		h ^= uint32(fn[i])
-		h *= prime32
-	}
-	return int(h % uint32(nodes))
 }

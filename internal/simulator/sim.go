@@ -107,9 +107,12 @@ const (
 	PlaceSpread
 )
 
-// Config parameterizes a simulation run.
+// Config parameterizes a run of the engine: a simulation (New) or a live
+// runtime (LiveEngine.InitLive).
 type Config struct {
-	App     *apps.Application
+	App *apps.Application
+	// Cluster is the node pool, one node agent per entry with its cores
+	// and GPUs (default hardware.DefaultCluster, the paper's testbed).
 	Cluster hardware.ClusterSpec
 	Pricing hardware.Pricing
 	// Placement selects the node-placement policy (default PlaceFirstFit).
@@ -118,7 +121,8 @@ type Config struct {
 	// (default 0.25). SuspectAfter and DownAfter are how long a node must
 	// miss heartbeats before it is suspected (default 2×GossipInterval)
 	// and declared down with its in-flight work failed over (default
-	// 2×SuspectAfter). Only consulted when Faults carries NodeFaults.
+	// 2×SuspectAfter). Only consulted when Faults carries NodeFaults or a
+	// live runtime has more than one node.
 	GossipInterval float64
 	SuspectAfter   float64
 	DownAfter      float64
@@ -162,24 +166,22 @@ type Config struct {
 
 // Simulator runs one (application, driver, trace) evaluation: the Engine on
 // virtual time, fed by a cursor over the trace's arrivals and run until the
-// workload has quiesced, over a cluster of finite capacity (cluster.go).
+// workload has quiesced.
 type Simulator struct {
 	Engine
-	caps []capacity
-	// pendingLaunch holds launches waiting for cluster capacity.
-	pendingLaunch []*container
 	// handled counts every arrival and queue event processed.
 	handled int
 }
 
-// ConfigError reports an invalid Config field passed to New.
+// ConfigError reports an invalid configuration field, of a simulator or of
+// a serving runtime.
 type ConfigError struct {
 	Field  string
 	Reason string
 }
 
 func (e *ConfigError) Error() string {
-	return fmt.Sprintf("simulator: invalid config: %s %s", e.Field, e.Reason)
+	return fmt.Sprintf("invalid config: %s %s", e.Field, e.Reason)
 }
 
 // ErrEmptyTrace is returned by Run when the trace carries no arrivals.
@@ -187,20 +189,37 @@ var ErrEmptyTrace = errors.New("simulator: empty trace")
 
 // New prepares a simulator for the given run configuration and driver. It
 // returns a *ConfigError when the configuration is structurally invalid
-// (nil driver, missing application, negative SLA or window); zero SLA and
-// window still take their documented defaults.
+// (see Config.normalized).
 func New(cfg Config, driver Driver) (*Simulator, error) {
+	cfg, err := cfg.normalized(driver)
+	if err != nil {
+		return nil, err
+	}
+	s := &Simulator{}
+	s.init(cfg, driver)
+	return s, nil
+}
+
+// normalized is the one validation of a Config, for both front ends: it
+// rejects a nil driver, a missing application, a negative SLA, window or
+// detector timing, a cluster of no nodes, and node faults or preemption windows that name no node
+// or end before they start; it fills the defaults — SLA 2 s, 1 s windows,
+// the paper's cluster, default pricing and detector timings.
+func (cfg Config) normalized(driver Driver) (Config, error) {
 	if driver == nil {
-		return nil, &ConfigError{Field: "driver", Reason: "must not be nil"}
+		return cfg, &ConfigError{Field: "driver", Reason: "must not be nil"}
 	}
 	if cfg.App == nil || cfg.App.Graph == nil || cfg.App.Graph.Len() == 0 {
-		return nil, &ConfigError{Field: "App", Reason: "must have a non-empty graph"}
+		return cfg, &ConfigError{Field: "App", Reason: "must have a non-empty graph"}
 	}
 	if cfg.SLA < 0 {
-		return nil, &ConfigError{Field: "SLA", Reason: "must not be negative"}
+		return cfg, &ConfigError{Field: "SLA", Reason: "must not be negative"}
 	}
 	if cfg.Window < 0 {
-		return nil, &ConfigError{Field: "Window", Reason: "must not be negative"}
+		return cfg, &ConfigError{Field: "Window", Reason: "must not be negative"}
+	}
+	if cfg.GossipInterval < 0 || cfg.SuspectAfter < 0 || cfg.DownAfter < 0 {
+		return cfg, &ConfigError{Field: "GossipInterval", Reason: "detector timings must not be negative"}
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = 1
@@ -210,6 +229,8 @@ func New(cfg Config, driver Driver) (*Simulator, error) {
 	}
 	if cfg.Cluster.Nodes == nil {
 		cfg.Cluster = hardware.DefaultCluster()
+	} else if len(cfg.Cluster.Nodes) == 0 {
+		return cfg, &ConfigError{Field: "Cluster", Reason: "must have a node"}
 	}
 	if cfg.Pricing == (hardware.Pricing{}) {
 		cfg.Pricing = hardware.DefaultPricing
@@ -226,26 +247,24 @@ func New(cfg Config, driver Driver) (*Simulator, error) {
 	if cfg.Faults != nil {
 		for _, nf := range cfg.Faults.NodeFaults {
 			if nf.Node < 0 || nf.Node >= len(cfg.Cluster.Nodes) {
-				return nil, &ConfigError{Field: "Faults.NodeFaults", Reason: fmt.Sprintf("node %d out of range", nf.Node)}
+				return cfg, &ConfigError{Field: "Faults.NodeFaults", Reason: fmt.Sprintf("node %d out of range", nf.Node)}
 			}
 			if nf.Kind == faults.NodePartition && nf.End <= nf.Start {
-				return nil, &ConfigError{Field: "Faults.NodeFaults", Reason: fmt.Sprintf("partition of node %d must have End > Start", nf.Node)}
+				return cfg, &ConfigError{Field: "Faults.NodeFaults", Reason: fmt.Sprintf("partition of node %d must have End > Start", nf.Node)}
 			}
 		}
 	}
 	if cfg.PriceTrace != nil {
 		for _, w := range cfg.PriceTrace.Preemptions {
 			if w.Node < 0 || w.Node >= len(cfg.Cluster.Nodes) {
-				return nil, &ConfigError{Field: "PriceTrace.Preemptions", Reason: fmt.Sprintf("node %d out of range", w.Node)}
+				return cfg, &ConfigError{Field: "PriceTrace.Preemptions", Reason: fmt.Sprintf("node %d out of range", w.Node)}
 			}
 			if w.End <= w.Start {
-				return nil, &ConfigError{Field: "PriceTrace.Preemptions", Reason: fmt.Sprintf("window on node %d must have End > Start", w.Node)}
+				return cfg, &ConfigError{Field: "PriceTrace.Preemptions", Reason: fmt.Sprintf("window on node %d must have End > Start", w.Node)}
 			}
 		}
 	}
-	s := &Simulator{caps: newCapacities(cfg.Cluster)}
-	s.init(cfg, driver, s, len(cfg.Cluster.Nodes))
-	return s, nil
+	return cfg, nil
 }
 
 // MustNew is New that panics on configuration error, for tests and
@@ -314,7 +333,10 @@ func (s *Simulator) Run(tr *trace.Trace) (*RunStats, error) {
 			break
 		}
 	}
-	s.finish()
+	// Requests that never resolved by the safety horizon (only possible
+	// under fault injection: work stranded behind a dead node or an exhausted
+	// queue) count as failed so availability reflects them.
+	s.stats.FailedInvocations += s.settle()
 	return s.stats, nil
 }
 
@@ -340,13 +362,4 @@ func (s *Simulator) allIdle() bool {
 		}
 	}
 	return true
-}
-
-// finish settles the run. Requests that never resolved by the safety
-// horizon (only possible under fault injection: work stranded behind a dead
-// node or an exhausted queue) count as failed so availability reflects them.
-func (s *Simulator) finish() {
-	unresolved := s.settle()
-	invariant(len(s.pendingLaunch) == 0, "finish left %d launches pending", len(s.pendingLaunch))
-	s.stats.FailedInvocations += unresolved
 }

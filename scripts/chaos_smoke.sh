@@ -1,9 +1,11 @@
 #!/bin/sh
 # chaos-smoke: boot the live gateway with a multi-node control plane under
 # the race detector, replay a seeded open-loop trace, and — mid-load — kill
-# and restart one node through the /chaos endpoints. The run fails on any
-# lost or duplicated request (loadgen -require-clean: every request must
-# come back exactly once with HTTP 200), any 5xx, or a data race.
+# and restart one node through the /chaos endpoints. P2C placement keeps
+# each function on its home node, so the killed node holds work; the run
+# fails if it holds no containers when it is killed, on any lost or
+# duplicated request (loadgen -require-clean: every request must come back
+# exactly once with HTTP 200), any 5xx, or a data race.
 set -eu
 
 # Timescale 10 keeps the replay at ~7 s of wall clock, long enough that the
@@ -20,6 +22,9 @@ report="$workdir/report.json"
 
 cleanup() {
     status=$?
+    if [ -n "${load_pid:-}" ]; then
+        kill "$load_pid" 2>/dev/null || true
+    fi
     if [ -n "${serve_pid:-}" ] && kill -0 "$serve_pid" 2>/dev/null; then
         kill -TERM "$serve_pid" 2>/dev/null || true
         wait "$serve_pid" 2>/dev/null || true
@@ -43,6 +48,7 @@ echo "chaos-smoke: booting gateway (nodes=$NODES, timescale ${TIMESCALE}x)"
     -addr-file "$addr_file" \
     -timescale "$TIMESCALE" \
     -nodes "$NODES" \
+    -affinity p2c \
     -seed 1 \
     >"$serve_log" 2>&1 &
 serve_pid=$!
@@ -80,7 +86,14 @@ echo "chaos-smoke: gateway at $addr"
 load_pid=$!
 
 sleep 2
-echo "chaos-smoke: killing node 1 mid-load"
+# /nodes is indented JSON, one field a line: node 1's container count.
+held=$(curl -fsS "http://$addr/nodes" \
+    | awk -F: '/"id"/ {gsub(/[ ,]/, "", $2); id = $2} /"containers"/ && id == 1 {gsub(/[ ,]/, "", $2); print $2}')
+if [ "${held:-0}" -eq 0 ]; then
+    echo "chaos-smoke: node 1 holds no containers: killing it would test nothing" >&2
+    exit 1
+fi
+echo "chaos-smoke: killing node 1 ($held containers) mid-load"
 curl -fsS -X POST "http://$addr/chaos/kill?node=1" >/dev/null
 sleep 2
 echo "chaos-smoke: restarting node 1"
@@ -90,6 +103,7 @@ if ! wait "$load_pid"; then
     echo "chaos-smoke: loadgen reported lost/duplicated/5xx requests" >&2
     exit 1
 fi
+load_pid=""
 
 # Cross-check the server's ledger against the client's: the gateway must have
 # completed exactly as many requests as the client sent. Fewer means a lost

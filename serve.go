@@ -47,8 +47,8 @@ func NewScaledWallClock(factor float64) Clock { return clock.NewScaledWall(facto
 func NewFakeClock() *FakeClock { return clock.NewFake() }
 
 // NewRuntime builds and validates (but does not start) an online serving
-// runtime around driver. Call Runtime.Start, then Invoke or serve it
-// through NewServingGateway.
+// runtime around driver; an invalid cfg is a *ConfigError. Call
+// Runtime.Start, then Invoke or serve it through NewServingGateway.
 func NewRuntime(cfg ServeConfig, driver Driver) (*Runtime, error) {
 	return serving.New(cfg, driver)
 }

@@ -2,6 +2,7 @@ package smiless_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -57,6 +58,23 @@ func TestServeFacade(t *testing.T) {
 func TestServeFacadeRejectsOracle(t *testing.T) {
 	if _, err := smiless.NewSystemDriver(smiless.SystemOPT, smiless.ImageQuery(), 2.0); err == nil {
 		t.Error("OPT must be rejected as a live driver")
+	}
+}
+
+// An invalid serving config is the façade's ConfigError, as an invalid
+// simulator config is.
+func TestNewRuntimeConfigError(t *testing.T) {
+	drv, err := smiless.NewSystemDriver(smiless.SystemSMIless, smiless.ImageQuery(), 2.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []smiless.ServeConfig{
+		{App: smiless.ImageQuery(), SLA: -1},
+		{App: smiless.ImageQuery(), BatchLinger: -1},
+	} {
+		if _, err := smiless.NewRuntime(cfg, drv); !errors.As(err, new(*smiless.ConfigError)) {
+			t.Errorf("NewRuntime err = %v, want *smiless.ConfigError", err)
+		}
 	}
 }
 

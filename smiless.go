@@ -76,7 +76,8 @@ type (
 	// ControllerOptions configures the SMIless controller.
 	ControllerOptions = controller.Options
 	// ConfigError is the typed validation error returned for invalid run
-	// configuration (bad simulator config, unknown forecaster names, ...).
+	// configuration (bad simulator or serving config, unknown forecaster
+	// names, ...).
 	ConfigError = simulator.ConfigError
 	// Forecaster is the pluggable forecasting interface behind the SMIless
 	// Online Predictor (internal/forecast): Fit/Predict/Update/Clone over
