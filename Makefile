@@ -28,10 +28,11 @@ chaos-smoke:
 # ordering, end-of-run conservation of requests and cost, admission-slot
 # accounting, done-map idempotency, node health transitions, drivers writing
 # through a history view) and the
-# goroutine-leak checker adopted by TestMain. The controller and baseline
-# suites ride along so every shipped driver runs under the history guard.
+# goroutine-leak checker adopted by TestMain (serving, and loadgen's
+# pacer/worker engine). The controller and baseline suites ride along so
+# every shipped driver runs under the history guard.
 invariants:
-	$(GO) test -tags smiless_invariants ./internal/serving/... ./internal/simulator/... ./internal/eventq/... ./internal/clock/... ./internal/controller/... ./internal/baselines/...
+	$(GO) test -tags smiless_invariants ./internal/serving/... ./internal/simulator/... ./internal/eventq/... ./internal/clock/... ./internal/controller/... ./internal/baselines/... ./cmd/loadgen/...
 
 # Mirrors CI's lint and hygiene jobs: vet, the repo's own analyzer suite,
 # and gofmt.
@@ -46,9 +47,16 @@ fmt:
 	gofmt -w .
 
 # Non-test Go lines per package directory; fails when internal/simulator +
-# internal/serving exceed 4,300 lines (ROADMAP item 12).
+# internal/serving exceed 4,300 lines (ROADMAP item 12) or internal/lint +
+# internal/lint/linttest exceed 1,300.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' | sort | xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); if (!(d in n)) o[++k] = d; n[d] += $$1 } END { for (i = 1; i <= k; i++) printf "%7d %s\n", n[o[i]], o[i]; s = n["./internal/simulator"] + n["./internal/serving"]; printf "%7d internal/simulator + internal/serving (limit 4300)\n", s; if (s > 4300) { print "loc: internal/simulator + internal/serving over 4300 lines" > "/dev/stderr"; exit 1 } }'
+	@find . -name '*.go' ! -name '*_test.go' | sort | xargs wc -l | awk ' \
+	function limit(name, s, max) { printf "%7d %s (limit %d)\n", s, name, max; if (s > max) { print "loc: " name " over " max " lines" > "/dev/stderr"; bad = 1 } } \
+	$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); if (!(d in n)) o[++k] = d; n[d] += $$1 } \
+	END { for (i = 1; i <= k; i++) printf "%7d %s\n", n[o[i]], o[i]; \
+		limit("internal/simulator + internal/serving", n["./internal/simulator"] + n["./internal/serving"], 4300); \
+		limit("internal/lint + internal/lint/linttest", n["./internal/lint"] + n["./internal/lint/linttest"], 1300); \
+		exit bad }'
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...

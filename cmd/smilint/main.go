@@ -2,11 +2,8 @@
 // module: determinism (no wall clocks / global rand / goroutines in
 // //lint:deterministic packages), maporder (randomized map iteration must
 // not order appends, float sums or event scheduling), floateq (no exact
-// float equality outside tests), unitsafety (no silent ms/sec mixing),
-// clockhygiene (raw time access only inside internal/clock and main),
-// lockcheck (mutex copies, missing unlocks, blocking under locks, ordering
-// inversions), ctxflow (cancellation plumbing) and goroleak (goroutine
-// shutdown paths and loop captures).
+// float equality outside tests) and clockhygiene (raw time access only
+// inside internal/clock and main).
 //
 // Usage:
 //

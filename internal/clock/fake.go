@@ -80,8 +80,6 @@ func (t *fakeTimer) fire() {
 }
 
 // Sleep implements Scheduler.
-//
-//lint:allow ctxflow fake-clock sleep parks until a test advances the clock; the Scheduler contract has no cancellation
 func (f *Fake) Sleep(d float64) {
 	t := f.NewTimer()
 	t.Reset(d)

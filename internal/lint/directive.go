@@ -20,20 +20,19 @@ import (
 //	    global math/rand source, sleeps and goroutine spawning.
 //
 //	//lint:allow <analyzer> <reason>
-//	    Suppresses that analyzer's diagnostics on the directive's line (a
-//	    trailing comment) or on the following line (a standalone comment);
-//	    consecutive standalone directives all bind to the first line after
-//	    the stack, so one line can hold allows for several analyzers.
-//	    The reason is mandatory; a directive that names an unknown analyzer,
-//	    omits the reason, or suppresses nothing (stale) is itself reported.
+//	    Suppresses that analyzer's diagnostics on the line the directive
+//	    trails. The reason is mandatory; a directive that stands on its own
+//	    line, names an unknown analyzer, omits the reason, or suppresses
+//	    nothing (stale) is itself reported.
 type Directive struct {
 	Pos      token.Pos
 	Position token.Position
 	Verb     string // "allow" or "deterministic"
 	Analyzer string // for allow
 	Reason   string // for allow
-	// Line is the source line the directive applies to.
-	Line string // file:line key
+	// Line is the file:line key of the code the directive trails; empty
+	// when the directive stands on its own line.
+	Line string
 	used bool
 }
 
@@ -43,8 +42,6 @@ const directivePrefix = "//lint:"
 // file contents, used to decide whether a comment trails code on its line.
 func parseDirectives(fset *token.FileSet, f *ast.File, src []byte) []*Directive {
 	var out []*Directive
-	var standalone []*Directive
-	standaloneLines := make(map[int]bool)
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
 			text := strings.TrimSpace(c.Text)
@@ -73,24 +70,9 @@ func parseDirectives(fset *token.FileSet, f *ast.File, src []byte) []*Directive 
 			}
 			if trailsCode(src, pos) {
 				d.Line = lineKey(pos.Filename, pos.Line)
-			} else {
-				// Standalone comment: resolved below, once every standalone
-				// directive line in the file is known.
-				standalone = append(standalone, d)
-				standaloneLines[pos.Line] = true
 			}
 			out = append(out, d)
 		}
-	}
-	// A standalone directive applies to the next line that is not itself a
-	// standalone directive, so a stack of allows — one per analyzer — all
-	// bind to the same code line.
-	for _, d := range standalone {
-		line := d.Position.Line + 1
-		for standaloneLines[line] {
-			line++
-		}
-		d.Line = lineKey(d.Position.Filename, line)
 	}
 	return out
 }
@@ -128,12 +110,13 @@ func hasDeterministicTag(files []*ast.File) bool {
 
 // applyDirectives filters diags through the package's //lint:allow
 // directives and appends directive-error diagnostics: unknown verbs,
-// unknown analyzer names, missing reasons, and stale allows. Directive
-// errors use the pseudo-analyzer name "directive" and cannot themselves be
-// allowlisted. ran is the set of analyzers that executed this invocation:
-// staleness is only judged for those, so running a subset (smilint -only)
-// never misreports an allow held for an analyzer that was skipped. known is
-// the full registry, gating the unknown-name error.
+// standalone allows, unknown analyzer names, missing reasons, and stale
+// allows. Directive errors use the pseudo-analyzer name "directive" and
+// cannot themselves be allowlisted. ran is the set of analyzers that
+// executed this invocation: staleness is only judged for those, so running
+// a subset (smilint -only) never misreports an allow held for an analyzer
+// that was skipped. known is the full registry, gating the unknown-name
+// error.
 func applyDirectives(pkg *Package, diags []Diagnostic, ran, known map[string]bool) []Diagnostic {
 	var dirs []*Directive
 	for _, f := range pkg.Files {
@@ -149,6 +132,8 @@ func applyDirectives(pkg *Package, diags []Diagnostic, ran, known map[string]boo
 			continue
 		case "allow":
 			switch {
+			case d.Line == "":
+				out = append(out, directiveError(d, "standalone //lint:allow: a directive must trail the line it allows"))
 			case d.Analyzer == "":
 				out = append(out, directiveError(d, "malformed //lint:allow: missing analyzer name (want //lint:allow <analyzer> <reason>)"))
 			case !known[d.Analyzer]:

@@ -36,19 +36,18 @@ func TestParseAllowDirective(t *testing.T) {
 	}
 }
 
-func TestParseStandaloneDirectiveAppliesToNextLine(t *testing.T) {
+func TestStandaloneDirectiveIsAnError(t *testing.T) {
 	src := "package p\n\nfunc f() {\n\t//lint:allow maporder sum is tolerance-checked\n\t_ = 1\n}\n"
 	dirs := parseOne(t, src)
-	if len(dirs) != 1 {
-		t.Fatalf("got %d directives, want 1", len(dirs))
+	if len(dirs) != 1 || dirs[0].Line != "" {
+		t.Fatalf("standalone directive binds to a line: %+v", dirs)
 	}
-	if dirs[0].Line != "d.go:5" {
-		t.Errorf("standalone directive applies to %s, want d.go:5", dirs[0].Line)
-	}
+	out := applyAll(t, src, Diagnostic{Position: token.Position{Filename: "d.go", Line: 5}, Analyzer: "maporder", Message: "m"})
+	wantDiagnostics(t, out, "d.go:4 must trail", "d.go:5 m")
 }
 
 func TestParseDirectiveStripsWantMarker(t *testing.T) {
-	src := "package p\n\nvar x = 1 //lint:allow unitsafety migrating // want `stale`\n"
+	src := "package p\n\nvar x = 1 //lint:allow floateq migrating // want `stale`\n"
 	dirs := parseOne(t, src)
 	if len(dirs) != 1 {
 		t.Fatalf("got %d directives, want 1", len(dirs))
@@ -58,36 +57,8 @@ func TestParseDirectiveStripsWantMarker(t *testing.T) {
 	}
 }
 
-func TestParseStackedDirectivesBindToSameLine(t *testing.T) {
-	src := "package p\n\nfunc f() {\n\t//lint:allow maporder iteration feeds a sort\n\t//lint:allow floateq exact by construction\n\t_ = 1\n}\n"
-	dirs := parseOne(t, src)
-	if len(dirs) != 2 {
-		t.Fatalf("got %d directives, want 2", len(dirs))
-	}
-	for _, d := range dirs {
-		if d.Line != "d.go:6" {
-			t.Errorf("//lint:allow %s applies to %s, want d.go:6 (stacked allows must share the code line)", d.Analyzer, d.Line)
-		}
-	}
-}
-
-func TestParseStandaloneThenTrailingDirective(t *testing.T) {
-	// A trailing directive on the next line must not absorb the standalone
-	// one above it: both bind to the code line, not past it.
-	src := "package p\n\nfunc f() {\n\t//lint:allow maporder iteration feeds a sort\n\t_ = 1 //lint:allow floateq exact by construction\n}\n"
-	dirs := parseOne(t, src)
-	if len(dirs) != 2 {
-		t.Fatalf("got %d directives, want 2", len(dirs))
-	}
-	for _, d := range dirs {
-		if d.Line != "d.go:5" {
-			t.Errorf("//lint:allow %s applies to %s, want d.go:5", d.Analyzer, d.Line)
-		}
-	}
-}
-
 func TestParseDirectiveOnStructField(t *testing.T) {
-	src := "package p\n\ntype s struct {\n\tlatency float64 //lint:allow unitsafety stored in model seconds\n\t//lint:allow unitsafety milliseconds at the wire boundary\n\twireMs int64\n}\n"
+	src := "package p\n\ntype s struct {\n\tlatency float64 //lint:allow floateq stored bit-exact\n\t//lint:allow floateq a field doc comment is standalone\n\twire float64\n}\n"
 	dirs := parseOne(t, src)
 	if len(dirs) != 2 {
 		t.Fatalf("got %d directives, want 2", len(dirs))
@@ -95,9 +66,10 @@ func TestParseDirectiveOnStructField(t *testing.T) {
 	if dirs[0].Line != "d.go:4" {
 		t.Errorf("trailing field directive applies to %s, want d.go:4", dirs[0].Line)
 	}
-	if dirs[1].Line != "d.go:6" {
-		t.Errorf("field doc directive applies to %s, want d.go:6", dirs[1].Line)
-	}
+	out := applyAll(t, src,
+		Diagnostic{Position: token.Position{Filename: "d.go", Line: 4}, Analyzer: "floateq", Message: "m4"},
+		Diagnostic{Position: token.Position{Filename: "d.go", Line: 6}, Analyzer: "floateq", Message: "m6"})
+	wantDiagnostics(t, out, "d.go:5 must trail", "d.go:6 m6")
 }
 
 func TestParseDirectiveOnPackageClause(t *testing.T) {
@@ -118,26 +90,20 @@ func TestParseDirectivesCRLF(t *testing.T) {
 		t.Fatalf("got %d directives, want 2", len(dirs))
 	}
 	for _, d := range dirs {
-		if d.Line != "d.go:5" {
-			t.Errorf("//lint:allow %s applies to %s, want d.go:5", d.Analyzer, d.Line)
-		}
 		if strings.ContainsAny(d.Reason, "\r\n") {
 			t.Errorf("//lint:allow %s reason %q contains line-ending bytes", d.Analyzer, d.Reason)
 		}
 	}
+	out := applyAll(t, src, Diagnostic{Position: token.Position{Filename: "d.go", Line: 5}, Analyzer: "floateq", Message: "m"})
+	wantDiagnostics(t, out, "d.go:4 must trail")
 }
 
-func TestApplyDirectivesStackedSuppression(t *testing.T) {
-	src := "package p\n\nfunc f() {\n\t//lint:allow maporder iteration feeds a sort\n\t//lint:allow floateq exact by construction\n\t_ = 1\n}\n"
-	pkg := packageFromSource(t, src)
-	diags := []Diagnostic{
-		{Position: token.Position{Filename: "d.go", Line: 6}, Analyzer: "maporder", Message: "m1"},
-		{Position: token.Position{Filename: "d.go", Line: 6}, Analyzer: "floateq", Message: "m2"},
-	}
-	ran := map[string]bool{"maporder": true, "floateq": true}
-	out := applyDirectives(pkg, diags, ran, ran)
-	if len(out) != 0 {
-		t.Fatalf("stacked allows left %d diagnostics: %v", len(out), out)
+// TestAllowForDeletedAnalyzerIsUnknown keeps allows for the analyzers the
+// suite no longer ships from lingering as silent no-ops.
+func TestAllowForDeletedAnalyzerIsUnknown(t *testing.T) {
+	for _, name := range []string{"lockcheck", "ctxflow", "goroleak", "unitsafety"} {
+		out := applyAll(t, "package p\n\nvar x = 1 //lint:allow "+name+" reason\n")
+		wantDiagnostics(t, out, "d.go:3 unknown analyzer \""+name+"\"")
 	}
 }
 
@@ -172,6 +138,31 @@ func packageFromSource(t *testing.T, src string) *Package {
 	}
 }
 
+// applyAll applies src's directives to diags as a full-suite run does.
+func applyAll(t *testing.T, src string, diags ...Diagnostic) []Diagnostic {
+	t.Helper()
+	known := make(map[string]bool)
+	for _, a := range All() {
+		known[a.Name] = true
+	}
+	return applyDirectives(packageFromSource(t, src), diags, known, known)
+}
+
+// wantDiagnostics checks out, in order, against "file:line substring"
+// expectations.
+func wantDiagnostics(t *testing.T, out []Diagnostic, wants ...string) {
+	t.Helper()
+	if len(out) != len(wants) {
+		t.Fatalf("got %d diagnostics %v, want %d %q", len(out), out, len(wants), wants)
+	}
+	for i, w := range wants {
+		at, msg, _ := strings.Cut(w, " ")
+		if got := lineKey(out[i].Position.Filename, out[i].Position.Line); got != at || !strings.Contains(out[i].Message, msg) {
+			t.Errorf("diagnostic %d = %s, want %s containing %q", i, out[i], at, msg)
+		}
+	}
+}
+
 func TestDeterministicTag(t *testing.T) {
 	src := "// Package p models things.\n//\n//lint:deterministic\npackage p\n"
 	fset := token.NewFileSet()
@@ -190,31 +181,5 @@ func TestDeterministicTag(t *testing.T) {
 	}
 	if hasDeterministicTag([]*ast.File{g}) {
 		t.Error("tag detected in untagged package")
-	}
-}
-
-func TestUnitOfName(t *testing.T) {
-	cases := map[string]unitClass{
-		"latencyMs":    unitMs,
-		"coldStartMs":  unitMs,
-		"budgetMillis": unitMs,
-		"ms":           unitMs,
-		"window_ms":    unitMs,
-		"Millisecond":  unitMs, // must not match the Second suffix
-		"Milliseconds": unitMs,
-		"slaSec":       unitSec,
-		"CPUSeconds":   unitSec,
-		"timeoutSecs":  unitSec,
-		"idle_sec":     unitSec,
-		"Second":       unitSec,
-		"keepAlive":    unitNone,
-		"params":       unitNone, // lowercase "ms" tail is not a unit suffix
-		"alarms":       unitNone,
-		"latencyP50":   unitNone,
-	}
-	for name, want := range cases {
-		if got := unitOfName(name); got != want {
-			t.Errorf("unitOfName(%q) = %v, want %v", name, got, want)
-		}
 	}
 }

@@ -3,10 +3,12 @@
 // Pass, Diagnostic) plus a package loader built on `go list -export` and the
 // standard library's gc export-data importer.
 //
-// The suite exists to mechanically enforce the guarantees PR 1 made
-// load-bearing: fault-free simulator runs are bit-identical, cost arithmetic
-// is reproducible, and time units never mix silently. Four analyzers ship
-// with the framework:
+// The suite mechanically enforces the guarantees the simulator's results
+// rest on: fault-free runs are bit-identical, cost arithmetic is
+// reproducible, and behavioural time goes through the clock abstraction.
+// Four analyzers ship with the framework, each kept because a replay over
+// the repository's history showed it catching a defect (determinism,
+// introduced with its package tags, guards the tags' promise):
 //
 //   - determinism: forbids wall-clock reads, the global math/rand source,
 //     sleeps and goroutine spawning in packages tagged //lint:deterministic.
@@ -15,17 +17,20 @@
 //     three ways Go's randomized map order leaks into simulation results.
 //   - floateq: flags == and != on floating-point operands outside tests;
 //     exact comparison is allowed only under an explicit //lint:allow.
-//   - unitsafety: flags arithmetic, assignments and call arguments that mix
-//     identifiers suffixed Ms/Millis with identifiers suffixed
-//     Sec/Seconds, and recognizes units.Duration conversions as the sound
-//     way to cross that boundary.
+//   - clockhygiene: forbids direct time.Now/Sleep/After/... outside
+//     internal/clock and package main; behavioural time goes through
+//     clock.Scheduler, measurement time through clock.Monotonic.
 //
-// False positives are suppressed line by line with
+// Lock copies are go vet's (copylocks); goroutine leaks in the concurrent
+// packages are caught at run time by linttest.VerifyTestMain.
 //
-//	//lint:allow <analyzer> <reason>
+// False positives are suppressed line by line with a comment trailing the
+// code it allows,
 //
-// and every suppression must carry a reason; stale or malformed directives
-// are themselves diagnostics, so the allowlist cannot rot.
+//	x == y //lint:allow <analyzer> <reason>
+//
+// and every suppression must carry a reason; stale, standalone or malformed
+// directives are themselves diagnostics, so the allowlist cannot rot.
 package lint
 
 import (
@@ -149,8 +154,5 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{
-		Determinism, MapOrder, FloatEq, UnitSafety,
-		ClockHygiene, LockCheck, CtxFlow, GoroLeak,
-	}
+	return []*Analyzer{Determinism, MapOrder, FloatEq, ClockHygiene}
 }

@@ -23,10 +23,6 @@ func TestFloatEqFixture(t *testing.T) {
 	linttest.Run(t, "testdata/floateq", lint.FloatEq)
 }
 
-func TestUnitSafetyFixture(t *testing.T) {
-	linttest.Run(t, "testdata/unitsafety", lint.UnitSafety)
-}
-
 func TestClockHygieneFixture(t *testing.T) {
 	linttest.Run(t, "testdata/clockhygiene", lint.ClockHygiene)
 }
@@ -38,21 +34,9 @@ func TestClockHygieneHomeFixture(t *testing.T) {
 	linttest.Run(t, "testdata/clock", lint.ClockHygiene)
 }
 
-func TestLockCheckFixture(t *testing.T) {
-	linttest.Run(t, "testdata/lockcheck", lint.LockCheck)
-}
-
-func TestCtxFlowFixture(t *testing.T) {
-	linttest.Run(t, "testdata/ctxflow", lint.CtxFlow)
-}
-
-func TestGoroLeakFixture(t *testing.T) {
-	linttest.Run(t, "testdata/goroleak", lint.GoroLeak)
-}
-
 // TestDirectivesFixture covers //lint:allow handling end to end: unknown
-// analyzer names, missing reasons, unknown verbs, stale allows, and the
-// rule that an invalid allow suppresses nothing.
+// analyzer names, missing reasons, unknown verbs, standalone and stale
+// allows, and the rule that an invalid allow suppresses nothing.
 func TestDirectivesFixture(t *testing.T) {
 	linttest.Run(t, "testdata/directives", lint.All()...)
 }

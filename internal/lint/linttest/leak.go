@@ -52,6 +52,18 @@ func leakedGoroutines(patience time.Duration) []string {
 	}
 }
 
+// moduleRoot is the module's source root with a trailing slash: a stack
+// frame running the module's code prints its file under it. Located from
+// this file rather than spelled as the module path, so renaming the module
+// cannot silently turn the check into a no-op.
+var moduleRoot = func() string {
+	_, file, _, ok := runtime.Caller(0)
+	if !ok || !strings.HasSuffix(file, "internal/lint/linttest/leak.go") {
+		panic("linttest: cannot locate the module's source root")
+	}
+	return strings.TrimSuffix(file, "internal/lint/linttest/leak.go")
+}()
+
 // moduleGoroutines snapshots all goroutine stacks and keeps those executing
 // this module's code, excluding the calling goroutine (the test main).
 func moduleGoroutines() []string {
@@ -67,7 +79,7 @@ func moduleGoroutines() []string {
 	stacks := strings.Split(string(buf), "\n\n")
 	var leaked []string
 	for _, st := range stacks[1:] { // stacks[0] is the caller's own stack
-		if strings.Contains(st, "smiless/") {
+		if strings.Contains(st, moduleRoot) {
 			leaked = append(leaked, st)
 		}
 	}

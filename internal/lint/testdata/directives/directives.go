@@ -1,6 +1,7 @@
 // Package directives exercises //lint:allow parsing and staleness: wrong
-// analyzer names, missing reasons, unknown verbs and stale allows are all
-// diagnostics themselves, and an invalid allow never suppresses.
+// analyzer names, missing reasons, unknown verbs, standalone and stale
+// allows are all diagnostics themselves, and an invalid allow never
+// suppresses.
 package directives
 
 func comparisons(a, b float64) {
@@ -12,15 +13,15 @@ func comparisons(a, b float64) {
 
 	_ = a < b //lint:allow floateq ordered comparisons never trip floateq // want `stale //lint:allow floateq`
 
-	//lint:allow // want `missing analyzer name`
-	_ = a == b // want `== on floating-point operands`
+	_ = a == b //lint:allow // want `missing analyzer name` `== on floating-point operands`
 
 	//lint:frobnicate // want `unknown directive //lint:frobnicate`
 	_ = a != b // want `!= on floating-point operands`
 }
 
-// standalone directives apply to the next line.
+// A standalone directive is an error and suppresses nothing: an allow binds
+// only to the line it trails.
 func standalone(x, y float64) bool {
-	//lint:allow floateq bit-pattern identity check on canonical constants
-	return x == y
+	//lint:allow floateq bit-pattern identity check on canonical constants // want `must trail the line it allows`
+	return x == y // want `== on floating-point operands`
 }

@@ -282,7 +282,7 @@ func (rt *Runtime) InvokeWithDeadline(ctx context.Context, budget float64) (<-ch
 		return nil, errNonFiniteDeadline
 	}
 	if ctx == nil {
-		ctx = context.Background() //lint:allow ctxflow nil-ctx compatibility fallback: the caller explicitly declined cancellation
+		ctx = context.Background()
 	}
 	var ch chan Result
 	err := rt.onEngine(func() error {
@@ -364,8 +364,6 @@ func (rt *Runtime) resolve(inv *simulator.Request, o simulator.Outcome) {
 // Drain stops admitting new requests and blocks until every inflight
 // request has resolved, or the real-time timeout elapses. It is idempotent;
 // concurrent calls share the same drain.
-//
-//lint:allow ctxflow the wait is bounded by the timeout parameter; a context would duplicate it
 func (rt *Runtime) Drain(timeout time.Duration) error {
 	rt.mu.Lock()
 	if rt.closed {
@@ -394,8 +392,6 @@ func (rt *Runtime) Drain(timeout time.Duration) error {
 // idempotent. Builds tagged smiless_invariants check, as the simulator's
 // end of run does, that every billed second belongs to exactly one container
 // and that every admitted request is resolved or still inflight.
-//
-//lint:allow ctxflow shutdown joins the scheduler goroutine, which always terminates once stopCh closes
 func (rt *Runtime) Close() {
 	rt.mu.Lock()
 	if rt.closed {

@@ -3,9 +3,8 @@
 // simulated time — float64 values that the paper's equations express in
 // seconds — while the metrics exposition format and several serverless
 // platform APIs speak milliseconds. Duration makes that boundary explicit:
-// raw float64 seconds and milliseconds no longer mix silently, and the
-// unitsafety analyzer (internal/lint) flags code that combines Ms- and
-// Sec-suffixed raw floats instead of converting through this type.
+// a value typed Duration is seconds, and crossing to milliseconds is a
+// named conversion (Millis, Duration.Millis) rather than a bare * 1e3.
 //
 // Duration is deliberately a defined float64, not a struct: arithmetic
 // (d1 + d2, d * 3) keeps working, conversion is free, and values are
