@@ -237,6 +237,38 @@ func TestAbandonFreesAdmissionSlot(t *testing.T) {
 	}
 }
 
+// slotRequest reads the request waiter slot tag holds.
+func slotRequest(rt *Runtime, tag int) *simulator.Request {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return rt.waiters[tag].req
+}
+
+// TestStaleAbandonSparesReusedSlot: an abandon that fires after its request
+// resolved — the context watch lost the race with resolve — finds the waiter
+// slot, and the engine's Request object, already serving the next request.
+// It names the old request by id, so the new one completes.
+func TestStaleAbandonSparesReusedSlot(t *testing.T) {
+	rt, fake := newTestRuntime(t, nodeChainConfig(1, nil), keepAliveDriver(1))
+	ch := mustInvoke(t, rt)
+	first := slotRequest(rt, 0)
+	old := await(t, rt, fake, ch)
+	if old.Failed {
+		t.Fatalf("first request = %+v, want success", old)
+	}
+	ch = mustInvoke(t, rt)
+	if next := slotRequest(rt, 0); next == nil || next.ID() == old.ReqID || (!invariantsEnabled && next != first) {
+		t.Fatal("the second request did not take over slot 0 and the first request's object")
+	}
+	rt.abandon(0, old.ReqID)
+	if res := await(t, rt, fake, ch); res.Failed || res.Abandoned {
+		t.Errorf("second request = %+v, want success", res)
+	}
+	if st := rt.Snapshot(); st.Abandoned != 0 || st.Completed != 2 {
+		t.Errorf("Abandoned=%d Completed=%d, want 0/2", st.Abandoned, st.Completed)
+	}
+}
+
 // TestMultiNodeChurnDeterministic runs the same crash+partition churn twice
 // on a fake clock: every statistic, including the full E2E series and the
 // detector's down-time ledger, must be identical across runs.

@@ -33,8 +33,8 @@ type Runtime struct {
 	clk clock.Scheduler
 
 	mu sync.Mutex
-	// waiters[r.Tag()] holds an unresolved request's result channel and
-	// context watch; free lists the vacant slots, so a request in steady
+	// waiters[r.Tag()] holds an unresolved request, its result channel and
+	// its context watch; free lists the vacant slots, so a request in steady
 	// state reuses one rather than allocating.
 	waiters []waiter
 	free    []int
@@ -58,7 +58,10 @@ type Runtime struct {
 
 // waiter is where one admitted request's Result goes.
 type waiter struct {
-	ch chan Result
+	// req is the request while it is unresolved: resolve clears the slot
+	// before the engine may hand the object to a later arrival.
+	req *simulator.Request
+	ch  chan Result
 	// unwatch withdraws the abandon-on-cancel registration on the caller's
 	// context; nil when that context cannot be cancelled.
 	unwatch func() bool
@@ -311,12 +314,19 @@ func (rt *Runtime) InvokeWithDeadline(ctx context.Context, budget float64) (<-ch
 		ch = make(chan Result, 1)
 		rt.waiters[tag].ch = ch
 		inv := rt.eng.Arrive(budget, tag)
+		if inv.Resolved() {
+			return nil
+		}
+		rt.waiters[tag].req = inv
 		// Watch for caller disconnect only when the context can actually be
-		// cancelled, and only if the request is still open. The watch is a
-		// registration on ctx that resolve withdraws, not a parked goroutine:
-		// one starts only if the caller really goes away first.
-		if ctx.Done() != nil && !inv.Resolved() {
-			rt.waiters[tag].unwatch = context.AfterFunc(ctx, func() { rt.abandon(inv) })
+		// cancelled. The watch is a registration on ctx that resolve
+		// withdraws, not a parked goroutine: one starts only if the caller
+		// really goes away first. It names the request by slot and id, not
+		// by pointer: fired after resolve, it must not reach the request
+		// that reuses the slot or the object.
+		if ctx.Done() != nil {
+			id := inv.ID()
+			rt.waiters[tag].unwatch = context.AfterFunc(ctx, func() { rt.abandon(tag, id) })
 		}
 		return nil
 	})
@@ -326,11 +336,14 @@ func (rt *Runtime) InvokeWithDeadline(ctx context.Context, budget float64) (<-ch
 	return ch, nil
 }
 
-// abandon fails an admitted request whose caller went away, freeing its
-// admission slot and purging its queued members.
-func (rt *Runtime) abandon(inv *simulator.Request) {
+// abandon fails the admitted request id in waiter slot tag, whose caller
+// went away, freeing its admission slot and purging its queued members. It
+// does nothing once that request has resolved.
+func (rt *Runtime) abandon(tag, id int) {
 	rt.onEngine(func() error {
-		rt.eng.Abandon(inv)
+		if r := rt.waiters[tag].req; r != nil && r.ID() == id {
+			rt.eng.Abandon(r)
+		}
 		return nil
 	})
 }

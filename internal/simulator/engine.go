@@ -92,6 +92,9 @@ type Engine struct {
 	conts    []*container
 	nextCont int
 	nextInv  int
+	// spare holds completed requests nothing can point at any more
+	// (completeInvocation); arrive reuses the last one before allocating.
+	spare []*Request
 
 	arrivalsThisWindow int
 	counts             []int // per-window arrival history
@@ -159,11 +162,12 @@ type event struct {
 	// (its graph index).
 	idx int32
 	// c is the container of a container event; epoch its idle-timer
-	// generation, batch sequence or linger epoch (stale events are ignored).
+	// generation, batch sequence or linger epoch, or a deadline event's
+	// request id (stale events are ignored).
 	epoch int
 	c     *container
 	ni    *nodeInv // retried invocation
-	inv   *Request // deadline events
+	inv   *Request // deadline events; the object may since stand for a later request
 }
 
 // container states.
@@ -251,7 +255,9 @@ func (f *fnState) liveCount() int { return len(f.containers) }
 
 // Request is one admitted application request. Its fields are sized to
 // keep it in a 64-byte allocation; prog, with every function's primary
-// member embedded, is the request's one other allocation.
+// member embedded, is its one other. Both are reused: once a request has
+// completed and nothing can point at it any more, the engine hands the
+// same object, prog included, to a later arrival (completeInvocation).
 type Request struct {
 	id        int
 	arrival   float64
@@ -261,6 +267,12 @@ type Request struct {
 	tag       int32
 	failed    bool // a member exhausted its retries, or the request was dropped
 	resolved  bool // completed or failed: the outcome has been handed out
+	// shared marks a request a hedge twin or a partition failover copy
+	// points at: a second nodeInv that may outlive its completion.
+	shared bool
+	// retired marks, in invariant builds, a completed request that would
+	// have been reused; touching one of its members is a stale reference.
+	retired bool
 }
 
 // ID is the request's engine-assigned id (it matches tracing spans).
@@ -289,8 +301,8 @@ const (
 // member: the invocation queued once the function's predecessors finish,
 // and re-queued by retries and failover. It lives here, not in an
 // allocation of its own; hedge twins and partition failover copies, which
-// must not alias it, are allocated separately. The request outlives every
-// event and batch that points at its members, so nothing is recycled.
+// must not alias it, are allocated separately and mark the request shared,
+// which keeps it from being reused.
 type fnProgress struct {
 	member  nodeInv
 	pending int32 // unfinished predecessors
@@ -406,23 +418,28 @@ func (e *Engine) queueWindow(at float64) {
 // logged in the window, reactive pre-warms fire and the entry functions are
 // released. budget > 0 bounds it end to end — it fails as deadline-exceeded
 // if still unresolved that long after arrival. tag is the front end's own
-// index for the request, handed back through Request.Tag.
+// index for the request, handed back through Request.Tag. The request is
+// a spare one when completeInvocation has left one, with a fresh id.
 func (e *Engine) arrive(budget float64, tag int) *Request {
 	now := e.now
 	e.arrivalsThisWindow++
 	e.arrivalTimes = append(e.arrivalTimes, now)
-	inv := &Request{
+	var inv *Request
+	if n := len(e.spare); n > 0 {
+		inv, e.spare = e.spare[n-1], e.spare[:n-1]
+	} else {
+		inv = &Request{prog: make([]fnProgress, len(e.fnList))}
+	}
+	*inv = Request{
 		id: e.nextInv, tag: int32(tag), arrival: now,
-		prog:      make([]fnProgress, len(e.fnList)),
-		remaining: int32(len(e.fnList)),
+		prog: inv.prog, remaining: int32(len(e.fnList)),
 	}
 	e.nextInv++
 	if e.rec != nil {
 		e.rec.BeginRequest(inv.id, now)
 	}
 	for i, fs := range e.fnList {
-		inv.prog[i].member = nodeInv{inv: inv, fs: fs}
-		inv.prog[i].pending = int32(fs.npred)
+		inv.prog[i] = fnProgress{member: nodeInv{inv: inv, fs: fs}, pending: int32(fs.npred)}
 	}
 	// Reactive pre-warming for functions that request it.
 	for _, fs := range e.fnList {
@@ -436,7 +453,7 @@ func (e *Engine) arrive(budget float64, tag int) *Request {
 	}
 	if budget > 0 {
 		inv.deadline = now + budget
-		e.schedule(inv.deadline, event{kind: evDeadline, inv: inv})
+		e.schedule(inv.deadline, event{kind: evDeadline, inv: inv, epoch: inv.id})
 	}
 	return inv
 }
@@ -514,10 +531,15 @@ func (l *LiveEngine) EntryBacklog() int {
 	return n
 }
 
-// Arrive admits one application request now (see arrive).
+// Arrive admits one application request now (see arrive). The returned
+// *Request is valid until its outcome has been handed out: once a request
+// has completed the engine may reuse the object for a later arrival, so a
+// front end that keeps it past resolution must compare ids, not pointers.
 func (l *LiveEngine) Arrive(budget float64, tag int) *Request { return l.arrive(budget, tag) }
 
-// Abandon fails an unresolved request whose caller went away.
+// Abandon fails an unresolved request whose caller went away. r must be
+// the object Arrive returned for that request, not yet resolved: after
+// resolution it may stand for another request.
 func (l *LiveEngine) Abandon(r *Request) {
 	if r.resolved || r.failed {
 		return
@@ -597,7 +619,7 @@ func (e *Engine) dispatch(ev *event) bool {
 	case evWindow:
 		e.onWindow()
 	case evDeadline:
-		e.onDeadline(ev.inv)
+		e.onDeadline(ev.inv, ev.epoch)
 	case evGossip:
 		e.onGossip()
 	case evNodeCrash:

@@ -15,6 +15,7 @@ import (
 
 // enqueue adds a ready node invocation and attempts dispatch.
 func (e *Engine) enqueue(ni *nodeInv) {
+	notStale(ni, "enqueue")
 	if e.rec != nil && ni.span == nil {
 		ni.span = e.rec.BeginNode(ni.inv.id, string(ni.fs.id), e.now, ni.isHedge)
 	}
@@ -271,13 +272,16 @@ func (e *Engine) startBatch(c *container, cause tracing.Phase) {
 	fs.lingerEpoch++
 	batch := c.assigned[:0]
 	for _, ni := range c.assigned {
+		notStale(ni, "startBatch")
 		if !ni.inv.failed {
 			batch = append(batch, ni)
 		}
 	}
 	c.assigned = nil
 	for len(batch) < d.Batch && fs.queue.Len() > 0 {
-		if ni := fs.queue.Pop(); !ni.inv.failed {
+		ni := fs.queue.Pop()
+		notStale(ni, "startBatch")
+		if !ni.inv.failed {
 			batch = append(batch, ni)
 		}
 	}
@@ -352,6 +356,7 @@ func (e *Engine) onExecDone(c *container, epoch int) {
 	// discarded (first completion wins).
 	counted := false
 	for _, ni := range batch {
+		notStale(ni, "onExecDone")
 		inv := ni.inv
 		if inv.failed || inv.prog[fs.idx].done {
 			ni.span.Finish(now, false)
@@ -448,6 +453,7 @@ func (e *Engine) onExecTimeout(c *container, epoch int) {
 // still running. A retry that could not become ready before the request's
 // deadline fails the request as deadline-exceeded instead.
 func (e *Engine) retryMember(fs *fnState, ni *nodeInv) {
+	notStale(ni, "retryMember")
 	if ni.inv.failed || ni.isHedge || ni.inv.prog[fs.idx].done {
 		return
 	}
@@ -500,8 +506,10 @@ func (e *Engine) failInvocation(inv *Request, o Outcome) {
 }
 
 // onDeadline fails a request whose end-to-end budget elapsed unresolved.
-func (e *Engine) onDeadline(inv *Request) {
-	if inv.resolved || inv.failed {
+// id is the request the deadline was queued for: a request that completed
+// first may have been reused, and the object then stands for another one.
+func (e *Engine) onDeadline(inv *Request, id int) {
+	if inv.id != id || inv.resolved || inv.failed {
 		return
 	}
 	e.stats.DeadlineExceeded++
@@ -510,6 +518,7 @@ func (e *Engine) onDeadline(inv *Request) {
 
 // onRetry re-enqueues a backed-off member once its delay elapses.
 func (e *Engine) onRetry(ni *nodeInv) {
+	notStale(ni, "onRetry")
 	if ni.inv.failed || ni.inv.prog[ni.fs.idx].done {
 		return
 	}
@@ -524,6 +533,7 @@ func (e *Engine) onHedge(c *container, epoch int) {
 		return
 	}
 	primary := c.batch[0]
+	notStale(primary, "onHedge")
 	if primary.inv.failed || primary.hedged || primary.isHedge || primary.inv.prog[c.fn.idx].done {
 		return
 	}
@@ -532,6 +542,7 @@ func (e *Engine) onHedge(c *container, epoch int) {
 		return // no spare warm instance: hedging never launches cold starts
 	}
 	primary.hedged = true
+	primary.inv.shared = true
 	twin := &nodeInv{inv: primary.inv, fs: c.fn, isHedge: true}
 	if e.rec != nil {
 		twin.span = e.rec.BeginNode(primary.inv.id, string(c.fn.id), e.now, true)
@@ -665,6 +676,31 @@ func (e *Engine) completeInvocation(inv *Request) {
 		}
 	}
 	e.resolve(inv, OutcomeCompleted)
+	e.recycle(inv)
+}
+
+// recycle makes a request that completed the next one arrive hands out,
+// unless it is shared: then a hedge twin or failover copy may still sit in
+// a queue or batch. A failed request is never recycled (its members may
+// still be queued, assigned or awaiting a retry), and a queued deadline
+// event carries the id onDeadline checks (DESIGN.md, "Buffers that stay").
+// Builds tagged smiless_invariants mark the request retired instead, and
+// every member touch asserts it is not (notStale).
+func (e *Engine) recycle(inv *Request) {
+	if inv.shared {
+		return
+	}
+	if invariantsEnabled {
+		inv.retired = true
+		return
+	}
+	e.spare = append(e.spare, inv)
+}
+
+// notStale checks, in invariant builds, that a member touched at where does
+// not belong to a request recycle has retired.
+func notStale(ni *nodeInv, where string) {
+	invariant(!ni.inv.retired, "%s touched a member of request %d after it completed", where, ni.inv.id)
 }
 
 // resolve hands a request's outcome to the front end, once.

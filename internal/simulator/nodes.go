@@ -162,9 +162,11 @@ func (e *Engine) twinNodeInflight(i int) {
 		}
 		members := append(append([]*nodeInv(nil), c.batch...), c.assigned...)
 		for _, ni := range members {
+			notStale(ni, "twinNodeInflight")
 			if ni.inv.failed || ni.inv.prog[ni.fs.idx].done || ni.isHedge {
 				continue
 			}
+			ni.inv.shared = true
 			e.failoverMember(c.fn, &nodeInv{inv: ni.inv, fs: ni.fs})
 		}
 	}
@@ -177,6 +179,7 @@ func (e *Engine) twinNodeInflight(i int) {
 // work — a member that keeps landing on dying nodes keeps its attempt
 // count, so its next genuine failure routes through the retry policy.
 func (e *Engine) failoverMember(fs *fnState, ni *nodeInv) {
+	notStale(ni, "failoverMember")
 	if ni.inv.failed || ni.inv.prog[fs.idx].done || ni.isHedge {
 		return
 	}
