@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"sync"
 	"time"
@@ -463,16 +464,7 @@ func (rt *Runtime) Snapshot() *simulator.RunStats {
 	defer rt.mu.Unlock()
 	src := rt.eng.Stats()
 	st := *src
-	st.CostPerFn = make(map[string]float64, len(src.CostPerFn))
-	for k, v := range src.CostPerFn {
-		st.CostPerFn[k] = v
-	}
-	if src.ViolationByFn != nil {
-		st.ViolationByFn = make(map[string]int, len(src.ViolationByFn))
-		for k, v := range src.ViolationByFn {
-			st.ViolationByFn[k] = v
-		}
-	}
+	st.CostPerFn, st.ViolationByFn = maps.Clone(src.CostPerFn), maps.Clone(src.ViolationByFn)
 	st.E2E = append([]float64(nil), src.E2E...)
 	st.E2EArrival = append([]float64(nil), src.E2EArrival...)
 	st.PodSamples = append([]simulator.PodSample(nil), src.PodSamples...)

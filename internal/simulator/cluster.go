@@ -47,6 +47,7 @@ func (n *nodeState) freeFor(cfg hardware.Config) int {
 // in pendingLaunch, counted in CapacityBlocked, until capacity frees or a
 // node returns to service (reopened).
 func (e *Engine) place(c *container) (int, bool) {
+	notRetired(c, "place")
 	node, ok := e.allocate(c.fn, c.cfg)
 	if !ok {
 		e.pendingLaunch = append(e.pendingLaunch, c)
@@ -160,12 +161,7 @@ func (e *Engine) classPressure(n int, class placement.Class) float64 {
 // pending queue.
 func (e *Engine) release(c *container) {
 	if c.node < 0 {
-		for i, p := range e.pendingLaunch {
-			if p == c {
-				e.pendingLaunch = append(e.pendingLaunch[:i], e.pendingLaunch[i+1:]...)
-				break
-			}
-		}
+		e.pendingLaunch = dropContainer(e.pendingLaunch, c)
 		return
 	}
 	n := e.nodes[c.node]
@@ -186,13 +182,11 @@ func (e *Engine) release(c *container) {
 }
 
 // reopened starts the waiting launches that now fit, after capacity freed
-// or a node returned to service.
+// or a node returned to service. Every waiting launch is live: release
+// takes a terminated one off the list.
 func (e *Engine) reopened() {
 	remaining := e.pendingLaunch[:0]
 	for _, c := range e.pendingLaunch {
-		if c.state != cInitializing {
-			continue
-		}
 		node, ok := e.allocate(c.fn, c.cfg)
 		if !ok {
 			remaining = append(remaining, c)

@@ -135,7 +135,7 @@ func (e *Engine) ArrivalTimes() []float64 {
 func (e *Engine) QueueLen(id dag.NodeID) int { return e.fn(id).queue.Len() }
 
 // LiveInstances returns the number of live containers for a function.
-func (e *Engine) LiveInstances(id dag.NodeID) int { return e.fn(id).liveCount() }
+func (e *Engine) LiveInstances(id dag.NodeID) int { return len(e.fn(id).containers) }
 
 // EnsureConfigInstance launches one instance of the function's current
 // directive configuration unless one is already live (idle, busy or
@@ -157,10 +157,7 @@ func (e *Engine) EnsureConfigInstance(id dag.NodeID) {
 // by drivers that pre-scale ahead of a predicted burst.
 func (e *Engine) EnsureInstances(id dag.NodeID, n int) {
 	fs := e.fn(id)
-	if n > fs.directive.Instances {
-		n = fs.directive.Instances
-	}
-	for fs.liveCount() < n {
+	for len(fs.containers) < min(n, fs.directive.Instances) {
 		e.launch(fs, fs.directive.Config, true)
 	}
 }
@@ -186,7 +183,7 @@ func (e *Engine) RetireMismatched(id dag.NodeID) {
 	for i := 0; i < len(fs.containers); {
 		c := fs.containers[i]
 		if c.state == cIdle && c.cfg != fs.directive.Config &&
-			fs.liveCount() > fs.directive.MinWarm+1 {
+			len(fs.containers) > fs.directive.MinWarm+1 {
 			e.terminate(c) // removes c, shifting the rest of the list down onto i
 			continue
 		}

@@ -94,7 +94,11 @@ type Engine struct {
 	nextInv  int
 	// spare holds completed requests nothing can point at any more
 	// (completeInvocation); arrive reuses the last one before allocating.
-	spare []*Request
+	// dead lists the containers terminated since the last top-level entry
+	// (dispatch, arrive), which then moves them to spareConts for launch.
+	// Both are linked through container.next, so neither ever allocates.
+	spare            []*Request
+	dead, spareConts *container
 
 	arrivalsThisWindow int
 	counts             []int // per-window arrival history
@@ -161,9 +165,9 @@ type event struct {
 	// idx is a node event's node, or a pre-warm or linger event's function
 	// (its graph index).
 	idx int32
-	// c is the container of a container event; epoch its idle-timer
-	// generation, batch sequence or linger epoch, or a deadline event's
-	// request id (stale events are ignored).
+	// c is the container of a container event. epoch tells a stale event
+	// apart: an init event's launch (container id), an idle-timer generation
+	// or batch sequence, a linger epoch, or a deadline event's request id.
 	epoch int
 	c     *container
 	ni    *nodeInv // retried invocation
@@ -178,13 +182,17 @@ const (
 	cDead
 )
 
+// container is one instance. The object is reused: a terminated container
+// becomes the next launch (recycleDead), so every event names the life it
+// was queued for — an init event by id, a fresh one per launch — and the
+// counters batchSeq and timerGen keep running across lives.
 type container struct {
 	id        int
 	fn        *fnState
 	cfg       hardware.Config
 	state     int
 	initStart float64
-	batchSeq  int // validates in-flight timeout/hedge/failure events
+	batchSeq  int // validates in-flight completion, timeout and hedge events
 	// Keep-alive: idleAt is the deadline of the last armIdleTimer and
 	// idleTicket its same-instant rank; idleArmed drops when a batch starts.
 	// At most one queue entry per container is live — generation timerGen,
@@ -192,7 +200,6 @@ type container struct {
 	// has moved later by the time it fires.
 	idleAt     float64
 	idleTicket uint64
-	idleArmed  bool
 	timerAt    float64
 	timerGen   int
 	node       int // -1 while the launch waits for capacity
@@ -200,9 +207,14 @@ type container struct {
 	// one of them is non-empty, and they pass one backing array back and
 	// forth (startBatch builds the batch in assigned's, onExecDone hands it
 	// back), so a warm container dispatches without allocating.
-	assigned  []*nodeInv
-	batch     []*nodeInv
-	prewarmed bool // launched by a pre-warm, not by a waiting request
+	assigned []*nodeInv
+	batch    []*nodeInv
+	next     *container // dead or spare list link
+	// The flags share one word: idleArmed (see Keep-alive), prewarmed
+	// (launched by a pre-warm, not by a waiting request) and, in invariant
+	// builds, retired: a dead container that would have been reused, which
+	// no code may touch again.
+	idleArmed, prewarmed, retired bool
 }
 
 // latWindow is the per-function ring of recent execution durations backing
@@ -248,10 +260,6 @@ func (f *fnState) recordLatency(d float64) {
 	f.execLat[f.latPos] = d
 	f.latPos = (f.latPos + 1) % latWindow
 }
-
-// liveCount returns the number of live containers (terminate removes dead
-// ones from the list).
-func (f *fnState) liveCount() int { return len(f.containers) }
 
 // Request is one admitted application request. Its fields are sized to
 // keep it in a 64-byte allocation; prog, with every function's primary
@@ -421,6 +429,7 @@ func (e *Engine) queueWindow(at float64) {
 // index for the request, handed back through Request.Tag. The request is
 // a spare one when completeInvocation has left one, with a fresh id.
 func (e *Engine) arrive(budget float64, tag int) *Request {
+	e.recycleDead()
 	now := e.now
 	e.arrivalsThisWindow++
 	e.arrivalTimes = append(e.arrivalTimes, now)
@@ -469,6 +478,7 @@ func (e *Engine) settle() (unresolved int) {
 	for _, c := range slices.Clone(e.conts) { // terminate edits the list
 		e.terminate(c)
 	}
+	e.dead = nil // the run is over: nothing launches again
 	e.checkConservation(owed)
 	invariant(len(e.pendingLaunch) == 0, "settle left %d launches pending", len(e.pendingLaunch))
 	for _, n := range e.nodes {
@@ -578,13 +588,14 @@ func (l *LiveEngine) NodeStatus(i int) (health string, alive, partitioned bool, 
 
 func (e *Engine) schedule(at float64, ev event) { e.events.Push(at, ev) }
 
-// dispatch routes one due event to its handler. Node-side events (init and
-// exec completions or crashes) from a crashed node are dropped — the work
-// died with the process — and from a partitioned node they are held on the
-// node and replayed in order when the partition heals. It reports false for
-// a keep-alive entry that found its deadline voided or moved: queue
-// bookkeeping, not an event.
+// dispatch runs recycleDead, then routes one due event to its handler.
+// Node-side events (init and exec completions or crashes) from a crashed
+// node are dropped — the work died with the process — and from a
+// partitioned node they are held and replayed in order, through dispatch,
+// when the partition heals. It reports false for a keep-alive entry that
+// found its deadline voided or moved: queue bookkeeping, not an event.
 func (e *Engine) dispatch(ev *event) bool {
+	e.recycleDead()
 	if c := ev.c; ev.nodeSide() && c.state != cDead && c.node >= 0 {
 		n := e.nodes[c.node]
 		if !n.alive {
@@ -597,7 +608,7 @@ func (e *Engine) dispatch(ev *event) bool {
 	}
 	switch ev.kind {
 	case evInitDone:
-		e.onInitDone(ev.c)
+		e.onInitDone(ev.c, ev.epoch)
 	case evExecDone:
 		e.onExecDone(ev.c, ev.epoch)
 	case evIdleTimeout:
@@ -605,7 +616,7 @@ func (e *Engine) dispatch(ev *event) bool {
 	case evPrewarm:
 		e.onPrewarm(e.fnList[ev.idx])
 	case evInitFail:
-		e.onInitFail(ev.c)
+		e.onInitFail(ev.c, ev.epoch)
 	case evExecFail:
 		e.onExecFail(ev.c, ev.epoch)
 	case evExecTimeout:
@@ -650,7 +661,8 @@ func (e *Engine) onWindow() {
 	e.samplePods()
 }
 
-// samplePods records pod-count and backend-usage series each window.
+// samplePods records pod-count and backend-usage series each window, after
+// onWindow has logged its arrival count.
 func (e *Engine) samplePods() {
 	cpuPods, gpuPods := 0, 0
 	for _, c := range e.conts {
@@ -660,11 +672,7 @@ func (e *Engine) samplePods() {
 			gpuPods++
 		}
 	}
-	last := 0
-	if len(e.counts) > 0 {
-		last = e.counts[len(e.counts)-1]
-	}
 	e.stats.PodSamples = append(e.stats.PodSamples, PodSample{
-		Time: e.now, CPU: cpuPods, GPU: gpuPods, Arrivals: last,
+		Time: e.now, CPU: cpuPods, GPU: gpuPods, Arrivals: e.counts[len(e.counts)-1],
 	})
 }

@@ -82,6 +82,7 @@ func (e *Engine) pump(fs *fnState) {
 
 // assign binds up to n queued invocations to an initializing container.
 func assign(c *container, n int) {
+	notRetired(c, "assign")
 	for ; n > 0 && c.fn.queue.Len() > 0; n-- {
 		c.assigned = append(c.assigned, c.fn.queue.Pop())
 	}
@@ -132,6 +133,7 @@ func (e *Engine) routable(c *container) bool {
 // route to.
 func (e *Engine) pickIdle(fs *fnState) *container {
 	for _, c := range fs.containers {
+		notRetired(c, "pickIdle")
 		if c.state == cIdle && e.routable(c) {
 			return c
 		}
@@ -141,6 +143,7 @@ func (e *Engine) pickIdle(fs *fnState) *container {
 
 func (e *Engine) pickInitializing(fs *fnState) *container {
 	for _, c := range fs.containers {
+		notRetired(c, "pickInitializing")
 		if c.state == cInitializing && c.node >= 0 && e.routable(c) &&
 			len(c.assigned) < fs.directive.Batch {
 			return c
@@ -149,13 +152,26 @@ func (e *Engine) pickInitializing(fs *fnState) *container {
 	return nil
 }
 
-// launch starts a new container (cold start). When no node has room the
-// launch waits, unplaced, until capacity frees.
+// launch starts a new container (cold start), reusing the last spare one
+// with its assigned/batch backing array before allocating. When no node has
+// room the launch waits, unplaced, until capacity frees.
 func (e *Engine) launch(fs *fnState, cfg hardware.Config, prewarmed bool) *container {
-	c := &container{
+	c := e.spareConts
+	if c != nil {
+		e.spareConts = c.next
+	} else {
+		c = new(container)
+	}
+	buf := c.assigned
+	if c.batch != nil {
+		buf = c.batch // it died mid-batch (abortBatch)
+	}
+	clear(buf)
+	*c = container{
 		id: e.nextCont, fn: fs, cfg: cfg, state: cInitializing,
 		initStart: e.now, prewarmed: prewarmed, node: -1,
-		timerAt: math.Inf(1),
+		timerAt: math.Inf(1), batchSeq: c.batchSeq, timerGen: c.timerGen,
+		assigned: buf[:0],
 	}
 	e.nextCont++
 	fs.containers = append(fs.containers, c) // ids only grow: both lists stay ordered
@@ -192,11 +208,11 @@ func (e *Engine) beginInit(c *container) {
 	}
 	if e.inj != nil {
 		if fail, frac := e.inj.InitOutcome(string(c.fn.id)); fail {
-			e.schedule(e.now+dur*frac, event{kind: evInitFail, c: c})
+			e.schedule(e.now+dur*frac, event{kind: evInitFail, c: c, epoch: c.id})
 			return
 		}
 	}
-	e.schedule(e.now+dur, event{kind: evInitDone, c: c})
+	e.schedule(e.now+dur, event{kind: evInitDone, c: c, epoch: c.id})
 }
 
 // interferenceFactor returns the configured model's slowdown for container
@@ -215,10 +231,11 @@ func (e *Engine) interferenceFactor(c *container) float64 {
 	return e.cfg.Interference.Slowdown(c.fn.class, residents)
 }
 
-func (e *Engine) onInitDone(c *container) {
-	if c.state != cInitializing {
+func (e *Engine) onInitDone(c *container, id int) {
+	if c.id != id || c.state != cInitializing {
 		return
 	}
+	notRetired(c, "onInitDone")
 	c.state = cIdle
 	e.stats.WarmStarts++
 	fs := c.fn
@@ -248,10 +265,11 @@ func (e *Engine) onInitDone(c *container) {
 // init time is still billed (the provider charges for the attempt, Eq. 3),
 // assigned work returns to the queue, and pump relaunches — the natural
 // retry for a cold start.
-func (e *Engine) onInitFail(c *container) {
-	if c.state != cInitializing {
+func (e *Engine) onInitFail(c *container, id int) {
+	if c.id != id || c.state != cInitializing {
 		return
 	}
+	notRetired(c, "onInitFail")
 	e.stats.InitFailures++
 	c.fn.initFails++
 	fs := c.fn
@@ -265,6 +283,7 @@ func (e *Engine) onInitFail(c *container) {
 // wait each member just finished: a cold initialization the batch was gated
 // on, a batch rotation on a busy instance, or plain queueing.
 func (e *Engine) startBatch(c *container, cause tracing.Phase) {
+	notRetired(c, "startBatch")
 	fs := c.fn
 	d := &fs.directive
 	// Any dispatch from this function closes its aggregation window.
@@ -342,6 +361,7 @@ func (e *Engine) onExecDone(c *container, epoch int) {
 	if c.state != cBusy || c.batchSeq != epoch {
 		return
 	}
+	notRetired(c, "onExecDone")
 	batch := c.batch
 	c.batch = nil
 	c.state = cIdle
@@ -407,20 +427,18 @@ func (e *Engine) onExecDone(c *container, epoch int) {
 
 // --- Failure handling ---------------------------------------------------
 
-// abortBatch terminates a container whose batch crashed or timed out, then
-// routes each in-flight member through the retry policy.
-func (e *Engine) abortBatch(c *container) {
+// abortBatch terminates a container whose batch crashed, timed out or died
+// with its node, then hands each in-flight member to route: the retry
+// policy or failover.
+func (e *Engine) abortBatch(c *container, route func(*fnState, *nodeInv)) {
 	members := c.batch
-	c.batch = nil
-	fs := c.fn
 	for _, ni := range members {
 		ni.span.Fail(e.now)
 	}
 	e.terminate(c)
 	for _, ni := range members {
-		e.retryMember(fs, ni)
+		route(c.fn, ni)
 	}
-	e.pump(fs)
 }
 
 // onExecFail handles an injected crash mid-execution. The container dies
@@ -430,9 +448,11 @@ func (e *Engine) onExecFail(c *container, epoch int) {
 	if c.state != cBusy || c.batchSeq != epoch {
 		return
 	}
+	notRetired(c, "onExecFail")
 	e.stats.ExecFailures++
 	c.fn.execFails++
-	e.abortBatch(c)
+	e.abortBatch(c, e.retryMember)
+	e.pump(c.fn)
 }
 
 // onExecTimeout fires when a batch outlives the gateway's per-attempt
@@ -442,9 +462,11 @@ func (e *Engine) onExecTimeout(c *container, epoch int) {
 	if c.state != cBusy || c.batchSeq != epoch {
 		return
 	}
+	notRetired(c, "onExecTimeout")
 	e.stats.Timeouts++
 	c.fn.execFails++
-	e.abortBatch(c)
+	e.abortBatch(c, e.retryMember)
+	e.pump(c.fn)
 }
 
 // retryMember routes one failed batch member through the function's retry
@@ -532,6 +554,7 @@ func (e *Engine) onHedge(c *container, epoch int) {
 	if c.state != cBusy || c.batchSeq != epoch || len(c.batch) != 1 {
 		return
 	}
+	notRetired(c, "onHedge")
 	primary := c.batch[0]
 	notStale(primary, "onHedge")
 	if primary.inv.failed || primary.hedged || primary.isHedge || primary.inv.prog[c.fn.idx].done {
@@ -589,6 +612,7 @@ func (e *Engine) onIdleTimeout(c *container, gen int) bool {
 	if gen != c.timerGen || c.state == cDead {
 		return false // superseded by an entry for an earlier deadline
 	}
+	notRetired(c, "onIdleTimeout")
 	c.timerAt = math.Inf(1)
 	if !c.idleArmed || c.state != cIdle {
 		return false // a batch ran since the deadline was armed
@@ -597,7 +621,7 @@ func (e *Engine) onIdleTimeout(c *container, gen int) bool {
 		e.pushIdleTimer(c) // re-armed for later while this entry waited
 		return false
 	}
-	if c.fn.liveCount() <= c.fn.directive.MinWarm {
+	if len(c.fn.containers) <= c.fn.directive.MinWarm {
 		e.armIdleTimer(c) // floor reached: stay resident, check again later
 	} else {
 		e.terminate(c)
@@ -605,7 +629,10 @@ func (e *Engine) onIdleTimeout(c *container, gen int) bool {
 	return true
 }
 
+// terminate kills c and bills its life. A second call within the same event
+// is a no-op: c goes on the dead list, reused only from the next one.
 func (e *Engine) terminate(c *container) {
+	notRetired(c, "terminate")
 	if c.state == cDead {
 		return
 	}
@@ -615,7 +642,6 @@ func (e *Engine) terminate(c *container) {
 	// Requeue any assigned-but-unstarted work.
 	if len(c.assigned) > 0 {
 		c.fn.queue.PushFront(c.assigned)
-		c.assigned = nil
 	}
 	c.state = cDead
 	e.release(c)
@@ -623,6 +649,28 @@ func (e *Engine) terminate(c *container) {
 	e.stats.addCost(string(c.fn.id), c.cfg, life, cost)
 	c.fn.containers = dropContainer(c.fn.containers, c)
 	e.conts = dropContainer(e.conts, c)
+	c.next, e.dead = e.dead, c
+}
+
+// recycleDead, at each top-level entry (dispatch, arrive), makes spare the
+// containers terminated since the last one. Not sooner: evictNode and the
+// failover paths may terminate a container twice in one event, and the
+// second call must stay a no-op. Invariant builds retire them instead.
+func (e *Engine) recycleDead() {
+	for c := e.dead; c != nil; c = e.dead {
+		e.dead = c.next
+		if invariantsEnabled {
+			c.retired = true
+		} else {
+			c.next, e.spareConts = e.spareConts, c
+		}
+	}
+}
+
+// notRetired checks, in invariant builds, that a container touched at where
+// is not one recycleDead has retired.
+func notRetired(c *container, where string) {
+	invariant(!c.retired, "%s touched container %d after it was terminated", where, c.id)
 }
 
 // dropContainer removes c from an id-ordered container list, keeping order.
@@ -727,7 +775,7 @@ func (e *Engine) onPrewarm(fs *fnState) {
 			}
 		}
 	}
-	if fs.liveCount() >= fs.directive.Instances {
+	if len(fs.containers) >= fs.directive.Instances {
 		return
 	}
 	e.launch(fs, fs.directive.Config, true)

@@ -1,6 +1,7 @@
 package simulator
 
 import (
+	"maps"
 	"sort"
 
 	"smiless/internal/forecast"
@@ -47,9 +48,7 @@ func (r *RunStats) RecordMetrics(store *metrics.Store, labels metrics.Labels, t 
 			report *forecast.QualityReport
 		}{{"interarrival", &r.ForecastIT}, {"count", &r.ForecastCount}} {
 			fl := metrics.Labels{}
-			for k, v := range labels {
-				fl[k] = v
-			}
+			maps.Copy(fl, labels)
 			fl["forecaster"] = r.ForecastName
 			fl["role"] = role.name
 			rep := role.report
@@ -68,9 +67,7 @@ func (r *RunStats) RecordMetrics(store *metrics.Store, labels metrics.Labels, t 
 	rec("smiless_retry_on_path_seconds_total", r.RetryOnPathSeconds)
 	for _, fn := range sortedViolationFns(r.ViolationByFn) {
 		fl := metrics.Labels{}
-		for k, v := range labels {
-			fl[k] = v
-		}
+		maps.Copy(fl, labels)
 		fl["function"] = fn
 		store.Record("smiless_sla_violations_attributed_total", fl, t, float64(r.ViolationByFn[fn]))
 	}

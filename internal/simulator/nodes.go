@@ -139,16 +139,7 @@ func (e *Engine) evictNode(n int) {
 			continue
 		}
 		e.stats.EvictedContainers++
-		members := c.batch
-		c.batch = nil
-		fs := c.fn
-		for _, ni := range members {
-			ni.span.Fail(e.now)
-		}
-		e.terminate(c)
-		for _, ni := range members {
-			e.failoverMember(fs, ni)
-		}
+		e.abortBatch(c, e.failoverMember)
 	}
 }
 

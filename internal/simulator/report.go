@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"smiless/internal/mathx"
 )
@@ -131,26 +130,13 @@ func BuildReport(system, app string, st *RunStats) Report {
 	r.InitOnPathSeconds = st.InitOnPathSeconds
 	r.ExecOnPathSeconds = st.ExecOnPathSeconds
 	r.RetryOnPathSeconds = st.RetryOnPathSeconds
-	if len(st.ViolationByFn) > 0 {
-		fns := make([]string, 0, len(st.ViolationByFn))
-		for fn := range st.ViolationByFn {
-			fns = append(fns, fn)
-		}
-		sort.Strings(fns)
-		for _, fn := range fns {
-			r.ViolationsByFunction = append(r.ViolationsByFunction,
-				FunctionViolationEntry{Function: fn, Violations: st.ViolationByFn[fn]})
-		}
+	for _, fn := range sortedViolationFns(st.ViolationByFn) {
+		r.ViolationsByFunction = append(r.ViolationsByFunction,
+			FunctionViolationEntry{Function: fn, Violations: st.ViolationByFn[fn]})
 	}
-	for fn, c := range st.CostPerFn {
-		r.CostByFunction = append(r.CostByFunction, FunctionCostEntry{Function: fn, Cost: c})
+	for _, fn := range st.TopCostFunctions() {
+		r.CostByFunction = append(r.CostByFunction, FunctionCostEntry{Function: fn, Cost: st.CostPerFn[fn]})
 	}
-	sort.Slice(r.CostByFunction, func(i, j int) bool {
-		if r.CostByFunction[i].Cost != r.CostByFunction[j].Cost { //lint:allow floateq comparator tie-break: exact equality decides when the name ordering applies
-			return r.CostByFunction[i].Cost > r.CostByFunction[j].Cost
-		}
-		return r.CostByFunction[i].Function < r.CostByFunction[j].Function
-	})
 	return r
 }
 
