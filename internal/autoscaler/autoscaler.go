@@ -15,6 +15,7 @@
 package autoscaler
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -42,6 +43,12 @@ type Plan struct {
 	CostRate float64
 }
 
+// ErrInfeasible is the error Decide and DecideReactive return when no
+// configuration meets the latency budget even at batch size 1. It is a
+// sentinel, not a formatted error: a burst window asks this of every function
+// whose budget is out of reach, and the caller only tests for it.
+var ErrInfeasible = errors.New("autoscaler: no configuration meets the latency budget")
+
 // Scaler solves the Eq. (7)/(8) problems over a hardware catalog.
 type Scaler struct {
 	Catalog *hardware.Catalog
@@ -60,8 +67,8 @@ func New(cat *hardware.Catalog) *Scaler {
 // Decide chooses the cost-minimal (config, batch) pair that serves g
 // invocations with per-batch latency at most is, given it as the window
 // length used for billing. It returns an error when no configuration can
-// meet is even at batch size 1 — the caller should then fall back to the
-// fastest configuration via Fallback.
+// meet is even at batch size 1 (ErrInfeasible) — the caller should then fall
+// back to the fastest configuration via Fallback.
 func (s *Scaler) Decide(prof *perfmodel.Profile, g int, it, is float64) (Plan, error) {
 	key := decideKey{prof: prof, g: g, it: it, bound: is, maxBatch: s.MaxBatch}
 	if e, ok := s.memo.lookup(key); ok {
@@ -114,7 +121,7 @@ func (s *Scaler) decide(prof *perfmodel.Profile, g int, it, is float64) (Plan, e
 		}
 	}
 	if !found {
-		return Plan{}, fmt.Errorf("autoscaler: no configuration meets latency budget %.3fs", is)
+		return Plan{}, ErrInfeasible
 	}
 	return best, nil
 }
@@ -219,7 +226,7 @@ func (s *Scaler) decideReactive(prof *perfmodel.Profile, g int, it, budget float
 		}
 	}
 	if !found {
-		return Plan{}, fmt.Errorf("autoscaler: no configuration meets reactive budget %.3fs", budget)
+		return Plan{}, ErrInfeasible
 	}
 	return best, nil
 }

@@ -1,6 +1,7 @@
 package autoscaler
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -49,20 +50,27 @@ func TestDecideBatchMaximal(t *testing.T) {
 	}
 }
 
+// TestDecideInfeasible: an unreachable budget is ErrInfeasible from both
+// solvers, solved and served from the memo alike.
 func TestDecideInfeasible(t *testing.T) {
 	s := New(hardware.DefaultCatalog())
-	if _, err := s.Decide(trsProfile(), 4, 1.0, 0.01); err == nil {
-		t.Error("10 ms budget should be infeasible for TRS")
+	for i := 0; i < 2; i++ { // the second round hits the memo
+		if _, err := s.Decide(trsProfile(), 4, 1.0, 0.01); !errors.Is(err, ErrInfeasible) {
+			t.Errorf("10 ms budget for TRS: err = %v, want ErrInfeasible", err)
+		}
+		if _, err := s.DecideReactive(trsProfile(), 4, 1.0, 0.01); !errors.Is(err, ErrInfeasible) {
+			t.Errorf("10 ms reactive budget for TRS: err = %v, want ErrInfeasible", err)
+		}
 	}
 }
 
 func TestDecideArgErrors(t *testing.T) {
 	s := New(hardware.DefaultCatalog())
-	if _, err := s.Decide(trsProfile(), 0, 1, 1); err == nil {
-		t.Error("zero invocations should error")
+	if _, err := s.Decide(trsProfile(), 0, 1, 1); err == nil || errors.Is(err, ErrInfeasible) {
+		t.Errorf("zero invocations: err = %v, want an argument error", err)
 	}
-	if _, err := s.Decide(trsProfile(), 1, 1, 0); err == nil {
-		t.Error("zero budget should error")
+	if _, err := s.Decide(trsProfile(), 1, 1, 0); err == nil || errors.Is(err, ErrInfeasible) {
+		t.Errorf("zero budget: err = %v, want an argument error", err)
 	}
 }
 

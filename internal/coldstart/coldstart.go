@@ -181,6 +181,14 @@ func (e Evaluation) Clone() Evaluation {
 // that consulted the Evaluation without checking the error consumed a
 // half-summed cost as if it were complete.
 func Evaluate(g *dag.Graph, profiles map[dag.NodeID]*perfmodel.Profile, plan *Plan, pricing hardware.Pricing, it float64, batch int) (Evaluation, error) {
+	return EvaluateInto(nil, g, profiles, plan, pricing, it, batch)
+}
+
+// EvaluateInto is Evaluate with the PerFunction breakdown written into per,
+// which it clears first; a nil per is allocated. A caller that keeps per
+// across calls evaluates without allocating. On error per holds a partial
+// breakdown and the zero Evaluation is returned.
+func EvaluateInto(per map[dag.NodeID]float64, g *dag.Graph, profiles map[dag.NodeID]*perfmodel.Profile, plan *Plan, pricing hardware.Pricing, it float64, batch int) (Evaluation, error) {
 	l := g.Layout()
 	n := len(l.Topo)
 	// contrib and finish are indexed like the layout; small graphs keep them
@@ -191,7 +199,12 @@ func Evaluate(g *dag.Graph, profiles map[dag.NodeID]*perfmodel.Profile, plan *Pl
 		scratch = make([]float64, 2*n)
 	}
 	contrib, finish := scratch[:n], scratch[n:2*n]
-	ev := Evaluation{PerFunction: make(map[dag.NodeID]float64, n)}
+	if per == nil {
+		per = make(map[dag.NodeID]float64, n)
+	} else {
+		clear(per)
+	}
+	ev := Evaluation{PerFunction: per}
 	// Per-node path latency contribution and cost, summed in insertion order.
 	for _, id := range l.Nodes {
 		prof, ok := profiles[id]

@@ -38,14 +38,31 @@ func (p *logPlane) tick(w float64, arrivals ...float64) float64 {
 }
 
 // denseWindows drives the control_dense configuration (DefaultOptions, naive
-// forecaster) one window at a time over steady traffic: one arrival per
-// one-second window, offset into it on a ten-window cycle. The cycle divides
-// the 60-gap quantile window, so the controller sees the same gap multiset
-// every window and its behaviour (and allocation) is the same at every
-// history length — what is left to differ is the cost of the history itself.
+// forecaster unless a row names another) one window at a time: one arrival
+// per one-second window, placed by the arrival rule.
 type denseWindows struct {
-	drv   *SMIless
-	plane *logPlane
+	drv     *SMIless
+	plane   *logPlane
+	arrival func(window int) float64
+}
+
+// steadyArrival offsets window i's arrival on a ten-window cycle. The cycle
+// divides the 60-gap quantile window, so the controller sees the same gap
+// multiset every window and its behaviour (and allocation) is the same at
+// every history length — what is left to differ is the cost of the history
+// itself.
+func steadyArrival(i int) float64 { return float64(i) + 0.09*float64(i*7%10) }
+
+// replanArrival puts even windows' arrivals late and odd windows' early, so
+// the last gap, which the naive forecaster predicts as the mean
+// inter-arrival time, alternates between 0.1 s and 1.9 s: every window moves
+// the operating point past the controller's 3x re-plan threshold, between
+// the same two points.
+func replanArrival(i int) float64 {
+	if i%2 == 1 {
+		return float64(i) + 0.05
+	}
+	return float64(i) + 0.95
 }
 
 // newDenseWindows returns a controller with history windows already behind
@@ -54,10 +71,15 @@ type denseWindows struct {
 // history length. room is how many further windows the logs have capacity
 // for, keeping the harness's own slice growth out of the measurement.
 func newDenseWindows(history, room int) *denseWindows {
+	return newWindows(history, room, "naive", steadyArrival)
+}
+
+// newWindows is newDenseWindows with the given forecaster and arrival rule.
+func newWindows(history, room int, forecaster string, arrival func(int) float64) *denseWindows {
 	app := apps.ImageQuery()
 	opts := DefaultOptions(1)
-	opts.Forecaster = "naive"
-	d := &denseWindows{drv: New(hardware.DefaultCatalog(), app.TrueProfiles(perfmodel.DefaultUncertainty), 2.0, opts)}
+	opts.Forecaster = forecaster
+	d := &denseWindows{drv: New(hardware.DefaultCatalog(), app.TrueProfiles(perfmodel.DefaultUncertainty), 2.0, opts), arrival: arrival}
 	d.plane = newLogPlane(app, d.drv, 1)
 	d.plane.arrivals = make([]float64, 0, history+room)
 	d.plane.counts = make([]int, 0, history+room)
@@ -70,8 +92,7 @@ func newDenseWindows(history, room int) *denseWindows {
 }
 
 func (d *denseWindows) log() float64 {
-	i := len(d.plane.counts)
-	return d.plane.tick(1, float64(i)+0.09*float64(i*7%10))
+	return d.plane.tick(1, d.arrival(len(d.plane.counts)))
 }
 
 // step closes one more window and runs the controller on it.
@@ -134,24 +155,52 @@ func TestWindowCostDoesNotGrowWithHistory(t *testing.T) {
 
 // TestSteadyWindowAllocatesNothing pins the decision window's allocation
 // budget at zero: once the controller has planned and its buffers have
-// reached their high-water marks, a window that does not re-plan or refit
-// reads the graph's layout, forecasts into the predictor's own buffers and
-// updates the run's quality report in place, at any history length.
-// AllocsPerRun counts whole allocations per window, so the amortised
-// regrowth of the history series themselves (a few per thousand windows)
-// reads as zero while any per-window allocation reads as one.
+// reached their high-water marks, a window reads the graph's layout,
+// forecasts into the predictor's own buffers and updates the run's quality
+// report in place, at any history length. Two rows add the work a window
+// may do on top: one re-plans in every window, alternating between two
+// operating points, and one forecasts with the LSTM family (its windows do
+// not refit; a refit trains, which allocates). AllocsPerRun counts whole
+// allocations per window, so the amortised regrowth of the history series
+// themselves (a few per thousand windows) reads as zero while any
+// per-window allocation reads as one.
 func TestSteadyWindowAllocatesNothing(t *testing.T) {
 	if allocsInstrumented {
 		t.Skip("race and invariant builds allocate inside instrumentation")
 	}
 	const settle, measured = 64, 256
-	for _, history := range []int{1_000, 16_000} {
-		d := newDenseWindows(history, settle+measured+1)
+	for _, row := range []struct {
+		name       string
+		history    int
+		forecaster string
+		arrival    func(int) float64
+	}{
+		{"steady-1k", 1_000, "naive", steadyArrival},
+		{"steady-16k", 16_000, "naive", steadyArrival},
+		{"replan", 1_000, "naive", replanArrival},
+		{"lstm", 1_000, "lstm", steadyArrival},
+	} {
+		d := newWindows(row.history, settle+measured+1, row.forecaster, row.arrival)
 		for i := 0; i < settle; i++ {
 			d.step()
 		}
-		if allocs := testing.AllocsPerRun(measured, d.step); allocs != 0 {
-			t.Errorf("%v allocations per steady window at %dk history, want 0", allocs, history/1000)
+		refits := d.drv.itFc.Refits() + d.drv.cntFc.Refits()
+		replans := 0
+		allocs := testing.AllocsPerRun(measured, func() {
+			before := d.drv.planITMean
+			d.step()
+			if d.drv.planITMean != before { //lint:allow floateq counts a re-plan by the operating point it moved to
+				replans++
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocations per window, want 0", row.name, allocs)
+		}
+		if n := d.drv.itFc.Refits() + d.drv.cntFc.Refits(); n != refits {
+			t.Errorf("%s: fixture: %d refits during the measured windows", row.name, n-refits)
+		}
+		if row.name == "replan" && replans != measured+1 {
+			t.Errorf("%s: fixture: %d of %d windows re-planned", row.name, replans, measured+1)
 		}
 	}
 }

@@ -136,10 +136,10 @@ type SMIless struct {
 }
 
 // New builds the SMIless controller. Windowed re-optimization runs on one
-// long-lived Optimizer, so each re-plan reuses its workspace and allocates
-// only the plan it returns. No evaluation cache is attached: the plans are
-// byte-identical either way, and on the dense control workload it hit 2.4 %
-// of lookups while costing more than it saved.
+// long-lived Optimizer, so each re-plan reuses its workspace and its Result
+// storage and allocates nothing. No evaluation cache is attached: the plans
+// are byte-identical either way, and on the dense control workload it hit
+// 2.4 % of lookups while costing more than it saved.
 func New(cat *hardware.Catalog, profiles map[dag.NodeID]*perfmodel.Profile, sla float64, opts Options) *SMIless {
 	opt := core.New(cat)
 	opt.Cache = nil
@@ -224,6 +224,9 @@ func (s *SMIless) reoptimize(sim simulator.ControlPlane, it float64) {
 	}
 	s.traceReoptimize(sim, it, res, true)
 	s.degraded = false
+	// The plan is the Optimizer's storage: it stays valid until the next
+	// successful Optimize, which replaces s.plan right here, and a failed one
+	// leaves it untouched, so the last good plan keeps serving.
 	s.plan = res.Plan
 	s.planIT = it
 	s.planITMean = s.itMean

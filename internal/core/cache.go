@@ -340,14 +340,14 @@ func (c *EvalCache) lookupPlan(key planKey, graphSig string, guard []*perfmodel.
 	}
 	c.stats.PlanHits++
 	stats.PlanHits++
-	return cloneResult(e.res), true
+	return e.res.Clone(), true
 }
 
 // storePlan memoizes a completed search Result. Wall-clock path timings are
 // zeroed in the stored copy: they are measurement-only and replaying them
 // from a cache would misattribute time.
 func (c *EvalCache) storePlan(key planKey, graphSig string, guard []*perfmodel.Profile, res Result, stats *CacheStats) {
-	cp := cloneResult(res)
+	cp := res.Clone()
 	for i := range cp.Paths {
 		cp.Paths[i].Nanos = 0
 	}
@@ -362,8 +362,9 @@ func (c *EvalCache) storePlan(key planKey, graphSig string, guard []*perfmodel.P
 	c.mu.Unlock()
 }
 
-// cloneResult deep-copies a Result (plan maps, evaluation map, path slice).
-func cloneResult(res Result) Result {
+// Clone deep-copies a Result (plan maps, evaluation map, path traces), so
+// the copy outlives the Optimizer's next call.
+func (res Result) Clone() Result {
 	out := res
 	if res.Plan != nil {
 		out.Plan = res.Plan.Clone()

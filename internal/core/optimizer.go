@@ -44,7 +44,12 @@ type Request struct {
 	Interference map[dag.NodeID]float64
 }
 
-// Result is the optimizer's output.
+// Result is the optimizer's output. Its plan maps, Eval.PerFunction and path
+// traces are storage the Optimizer that returned it reuses, like the view
+// LSTM.Forward returns: they stay valid until the next successful Optimize
+// or OptimizeWithPaperCombine call on that Optimizer, which may rewrite them
+// in place. A failed call leaves them as they were. Clone what must outlive
+// that.
 type Result struct {
 	Plan *coldstart.Plan
 	Eval coldstart.Evaluation
@@ -94,8 +99,10 @@ type PathStats struct {
 // Optimizer is the Strategy Optimizer. The zero value is not usable;
 // construct with New. Every call works in one workspace the Optimizer keeps
 // (candidate tables, beam and refinement arrays indexed like the graph's
-// dag.Layout), so a re-plan allocates only the Result it returns. An
-// Optimizer is therefore not safe for concurrent use.
+// dag.Layout) and builds its Result in storage the Optimizer keeps too (see
+// Result), so once both have reached their high-water marks a re-plan
+// without the cache allocates nothing. An Optimizer is therefore not safe
+// for concurrent use.
 type Optimizer struct {
 	Catalog *hardware.Catalog
 	// TopK is the beam width of the path search; the paper evaluates K = 1
@@ -113,6 +120,10 @@ type Optimizer struct {
 	Nanotime func() int64
 
 	ws workspace
+	// out holds the last successful Result; the next one is built in spare,
+	// and the two swap only once it is complete, so a call that fails on
+	// the way leaves out untouched.
+	out, spare resultStore
 	// search, when set, wraps the refiner in another local search over the
 	// same state; tests install the full-evaluation reference here.
 	search func(*refiner) localSearch
@@ -246,6 +257,13 @@ type workspace struct {
 	assign, saved []int
 	finish, trial []float64
 	ref           refiner
+}
+
+// resultStore is the storage one Result lives in: the Result and the array
+// behind its paths' PerLayer counters.
+type resultStore struct {
+	res    Result
+	layers []int
 }
 
 // beamEntry is the committed prefix cost and latency of one beam entry.
@@ -513,7 +531,6 @@ func (o *Optimizer) Optimize(req Request) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	res.Paths = o.pathStats(l)
 	if o.Cache != nil {
 		o.Cache.storePlan(pkey, graphSig, guard, res, &stats)
 		res.Search.Cache = stats
@@ -521,14 +538,17 @@ func (o *Optimizer) Optimize(req Request) (Result, error) {
 	return res, nil
 }
 
-// result builds the plan from the workspace assignment and evaluates it.
+// result builds the plan from the workspace assignment, evaluates it and
+// copies out the path traces, all into o.spare, which then becomes o.out.
 func (o *Optimizer) result(req Request, l *dag.Layout, explored int, feasible bool, stats *CacheStats) (Result, error) {
-	ws := &o.ws
-	n := len(l.Topo)
-	plan := &coldstart.Plan{
-		Configs:   make(map[dag.NodeID]hardware.Config, n),
-		Decisions: make(map[dag.NodeID]coldstart.Decision, n),
+	ws, st := &o.ws, &o.spare
+	plan := st.res.Plan
+	if plan == nil {
+		plan = coldstart.NewPlan()
+		st.res.Plan = plan
 	}
+	clear(plan.Configs)
+	clear(plan.Decisions)
 	for i, id := range l.Topo {
 		c := ws.cands[i][ws.assign[i]]
 		plan.Configs[id] = c.cfg
@@ -543,36 +563,33 @@ func (o *Optimizer) result(req Request, l *dag.Layout, explored int, feasible bo
 	if o.Cache != nil {
 		ekey := evalKey{sig: planSignature(req.Graph, plan), qbill: bill, batch: req.Batch}
 		ev, err = o.Cache.evaluate(req.Graph, req.Profiles, ekey, stats, func() (coldstart.Evaluation, error) {
-			return coldstart.Evaluate(req.Graph, req.Profiles, plan, o.Catalog.Pricing, bill, req.Batch)
+			return coldstart.EvaluateInto(st.res.Eval.PerFunction, req.Graph, req.Profiles, plan, o.Catalog.Pricing, bill, req.Batch)
 		})
 	} else {
-		ev, err = coldstart.Evaluate(req.Graph, req.Profiles, plan, o.Catalog.Pricing, bill, req.Batch)
+		ev, err = coldstart.EvaluateInto(st.res.Eval.PerFunction, req.Graph, req.Profiles, plan, o.Catalog.Pricing, bill, req.Batch)
 	}
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{
+	st.layers = append(st.layers[:0], ws.layers...)
+	paths, layers := resize(st.res.Paths, len(ws.runs)), st.layers
+	for pi, run := range ws.runs {
+		paths[pi] = PathStats{Length: len(l.Paths[pi]), Explored: run.explored, Feasible: run.feasible, Nanos: run.nanos}
+		if run.layers > 0 {
+			paths[pi].PerLayer = layers[:run.layers:run.layers]
+			layers = layers[run.layers:]
+		}
+	}
+	st.res = Result{
 		Plan:          plan,
 		Eval:          ev,
 		Feasible:      feasible && ev.E2ELatency <= req.SLA,
 		NodesExplored: explored,
+		Paths:         paths,
 		Search:        SearchStats{Cache: *stats},
-	}, nil
-}
-
-// pathStats copies the workspace's path traces out into the Result.
-func (o *Optimizer) pathStats(l *dag.Layout) []PathStats {
-	ws := &o.ws
-	out := make([]PathStats, len(ws.runs))
-	layers := slices.Clone(ws.layers)
-	for pi, run := range ws.runs {
-		out[pi] = PathStats{Length: len(l.Paths[pi]), Explored: run.explored, Feasible: run.feasible, Nanos: run.nanos}
-		if run.layers > 0 {
-			out[pi].PerLayer = layers[:run.layers:run.layers]
-			layers = layers[run.layers:]
-		}
 	}
-	return out
+	o.out, o.spare = o.spare, o.out
+	return o.out.res, nil
 }
 
 // refiner holds the indexed state of the local search: nodes are numbered

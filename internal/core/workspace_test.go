@@ -133,20 +133,43 @@ func fuzzRequest(s optimizeStep) (Request, bool) {
 	return Request{Graph: g, Profiles: profiles, SLA: s.sla, IT: s.it, Batch: 1}, true
 }
 
-// withoutNanos zeroes the measurement-only path timings.
+// withoutNanos returns a copy of res with the measurement-only path timings
+// zeroed.
 func withoutNanos(res Result) Result {
+	res = res.Clone()
 	for i := range res.Paths {
 		res.Paths[i].Nanos = 0
 	}
 	return res
 }
 
+// failingRequests derives from a valid request two that Optimize must
+// reject: a NaN SLA, refused before any search, and a profile map missing
+// the last function in topological order, refused only once every earlier
+// function's candidates are resolved.
+func failingRequests(req Request) []Request {
+	nan := req
+	nan.SLA = math.NaN()
+	topo := req.Graph.TopoSort()
+	missing := req
+	missing.Profiles = make(map[dag.NodeID]*perfmodel.Profile, len(req.Profiles))
+	for id, p := range req.Profiles {
+		if id != topo[len(topo)-1] {
+			missing.Profiles[id] = p
+		}
+	}
+	return []Request{nan, missing}
+}
+
 // FuzzWorkspacePlanEquivalence runs one long-lived Optimizer over a
 // sequence of (DAG, IT, SLA, TopK) calls — a seeded prelude, the fuzzed
-// call, then one more seeded call — and requires each Result to be
-// DeepEqual, PathStats.Nanos aside, to a fresh Optimizer's on the same
-// call: nothing one search leaves in the reused workspace may leak into
-// the next search or into a Result handed out earlier.
+// call, then one more seeded call — and checks two things:
+//   - each Result is DeepEqual, PathStats.Nanos aside, to a fresh
+//     Optimizer's on the same call: nothing one search leaves in the reused
+//     workspace or Result storage may leak into the next search;
+//   - a failing call (NaN SLA, missing profile), made after every step,
+//     leaves the last successful Result DeepEqual to a Clone taken before
+//     it: a caller keeps serving its last good plan.
 func FuzzWorkspacePlanEquivalence(f *testing.F) {
 	f.Add(uint8(3), uint64(0b111), 2.0, 15.0, uint8(1), int64(1))
 	f.Add(uint8(6), uint64(0x3ff), 1.2, 5.0, uint8(3), int64(2))
@@ -166,8 +189,8 @@ func FuzzWorkspacePlanEquivalence(f *testing.F) {
 
 		long := New(hardware.DefaultCatalog())
 		long.Cache = nil
-		var earlier []Result
-		var kept []Result
+		var last, kept Result
+		planned := false
 		for i, s := range steps {
 			req, ok := fuzzRequest(s)
 			if !ok {
@@ -182,49 +205,61 @@ func FuzzWorkspacePlanEquivalence(f *testing.F) {
 			if (errWant == nil) != (errGot == nil) {
 				t.Fatalf("step %d: error mismatch: fresh %v, reused %v", i, errWant, errGot)
 			}
-			if errWant != nil {
-				continue
+			if errWant == nil {
+				if !reflect.DeepEqual(withoutNanos(want), withoutNanos(got)) {
+					t.Fatalf("step %d (%d nodes, edges %#x, SLA %v, IT %v, top-%d): reused workspace diverged:\n fresh  %+v\n reused %+v",
+						i, req.Graph.Len(), s.edges, s.sla, s.it, s.topK, want, got)
+				}
+				last, kept, planned = got, got.Clone(), true
 			}
-			if !reflect.DeepEqual(withoutNanos(want), withoutNanos(got)) {
-				t.Fatalf("step %d (%d nodes, edges %#x, SLA %v, IT %v, top-%d): reused workspace diverged:\n fresh  %+v\n reused %+v",
-					i, req.Graph.Len(), s.edges, s.sla, s.it, s.topK, want, got)
-			}
-			earlier = append(earlier, got)
-			kept = append(kept, cloneResult(got))
-		}
-		for i := range earlier {
-			if !reflect.DeepEqual(earlier[i], kept[i]) {
-				t.Fatalf("result %d changed after later calls on the same Optimizer", i)
+			for k, bad := range failingRequests(req) {
+				if _, err := long.Optimize(bad); err == nil {
+					t.Fatalf("step %d: failing request %d was accepted", i, k)
+				}
+				if planned && !reflect.DeepEqual(last, kept) {
+					t.Fatalf("step %d: failing request %d changed the last successful Result:\n before %+v\n after  %+v", i, k, kept, last)
+				}
 			}
 		}
 	})
 }
 
 // TestOptimizeAllocations pins what a re-plan allocates on the control
-// path (no cache attached): after the first call has sized the workspace,
-// a call allocates only the Result it returns — the plan's two maps, the
-// evaluation's map, the path traces and their layer counters.
+// path (no cache attached): nothing, once the first calls have sized the
+// workspace and the Result storage. The calls alternate between two
+// operating points, so every call rewrites a plan with other choices.
 func TestOptimizeAllocations(t *testing.T) {
 	if allocsInstrumented {
 		t.Skip("race and invariant builds allocate inside instrumentation")
 	}
-	const limit = 16
 	for _, app := range []*apps.Application{apps.VoiceAssistant(), apps.AmberAlert(), apps.ImageQuery(), apps.Pipeline(12)} {
 		profiles := app.TrueProfiles(perfmodel.DefaultUncertainty)
-		req := Request{Graph: app.Graph, Profiles: profiles, SLA: 1.4, IT: 15, Batch: 1}
+		reqs := [2]Request{
+			{Graph: app.Graph, Profiles: profiles, SLA: 1.4, IT: 15, Batch: 1},
+			{Graph: app.Graph, Profiles: profiles, SLA: 1.4, IT: 0.5, Batch: 1},
+		}
 		o := New(hardware.DefaultCatalog())
 		o.Cache = nil
-		if _, err := o.Optimize(req); err != nil {
-			t.Fatalf("%s: %v", app.Name, err)
+		var plans [2]string
+		for i, req := range reqs {
+			res, err := o.Optimize(req)
+			if err != nil {
+				t.Fatalf("%s: %v", app.Name, err)
+			}
+			plans[i] = planSignature(app.Graph, res.Plan)
 		}
+		if plans[0] == plans[1] {
+			t.Fatalf("%s: fixture too weak: both operating points plan %s", app.Name, plans[0])
+		}
+		call := 0
 		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := o.Optimize(req); err != nil {
+			call++
+			if _, err := o.Optimize(reqs[call%2]); err != nil {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("%s: %.0f allocations per Optimize", app.Name, allocs)
-		if allocs > limit {
-			t.Errorf("%s: %.0f allocations per Optimize, want at most %d", app.Name, allocs, limit)
+		if allocs != 0 {
+			t.Errorf("%s: %v allocations per Optimize, want 0", app.Name, allocs)
 		}
 	}
 }

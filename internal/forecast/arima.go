@@ -46,7 +46,9 @@ func (f *arimaForecaster) Predict(horizon int) []float64 {
 	if f.coef == nil {
 		return persistence(f.hist, horizon)
 	}
-	return rollForward(f.tail(f.p+horizon), horizon, f.step)
+	out := make([]float64, horizon)
+	rollForward(out, nil, f.tail(f.p+horizon), f.step)
+	return out
 }
 
 // step is the one-step forecast after h, which holds at least p

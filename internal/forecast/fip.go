@@ -41,7 +41,9 @@ func (f *fipForecaster) Predict(horizon int) []float64 {
 	if !f.fitted {
 		return persistence(f.hist, horizon)
 	}
-	return rollForward(f.tail(fipWindow+horizon), horizon, fipStep)
+	out := make([]float64, horizon)
+	rollForward(out, nil, f.tail(fipWindow+horizon), fipStep)
+	return out
 }
 
 func (f *fipForecaster) Update(obs Observation) { f.append(obs) }

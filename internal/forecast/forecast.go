@@ -25,6 +25,7 @@ package forecast
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Role selects which series of the Online Predictor a forecaster instance
@@ -178,10 +179,11 @@ func DeriveSeed(base int64, tag string) int64 {
 }
 
 // intoPredictor is implemented by families that can write a forecast into
-// a caller's buffer: Predict(len(dst)) without the allocation. Online uses
-// it when present.
+// a caller's buffer: Predict(len(dst)) without the allocation and, when
+// upper is not nil (only ever for an UpperBounder), PredictUpper(len(upper))
+// into upper. Online uses it when present.
 type intoPredictor interface {
-	predictInto(dst []float64)
+	predictInto(dst, upper []float64)
 }
 
 // persistence is the shared untrained fallback: the last observed value
@@ -250,27 +252,28 @@ func (s *series) column(cov bool) []float64 {
 	return out
 }
 
-// rollForward produces a multi-step forecast by iterating a one-step
-// predictor: each predicted value is appended to a scratch history (with
-// the covariate held at its last observed value) before predicting the
-// next step. Horizon 1 never copies the history.
-func rollForward(hist []Observation, horizon int, step func(h []Observation) float64) []float64 {
-	validHorizon(horizon)
-	out := make([]float64, horizon)
+// rollForward writes a len(out)-step forecast into out by iterating a
+// one-step predictor: each predicted value is appended to a copy of hist
+// (with the covariate held at its last observed value) before predicting
+// the next step. The copy is built in scratch's array, grown when too small,
+// and returned so a caller can keep it for the next forecast. Horizon 1
+// never copies the history.
+func rollForward(out []float64, scratch, hist []Observation, step func(h []Observation) float64) []Observation {
+	validHorizon(len(out))
 	out[0] = step(hist)
-	if horizon == 1 {
-		return out
+	if len(out) == 1 {
+		return scratch
 	}
-	scratch := append(make([]Observation, 0, len(hist)+horizon-1), hist...)
+	scratch = append(slices.Grow(scratch[:0], len(hist)+len(out)-1), hist...)
 	cov := 0.0
 	if len(hist) > 0 {
 		cov = hist[len(hist)-1].Cov
 	}
-	for i := 1; i < horizon; i++ {
+	for i := 1; i < len(out); i++ {
 		scratch = append(scratch, Observation{Value: out[i-1], Cov: cov})
 		out[i] = step(scratch)
 	}
-	return out
+	return scratch
 }
 
 // naiveForecaster is the persistence baseline: predict the last observed
@@ -297,7 +300,7 @@ func (f *naiveForecaster) Predict(horizon int) []float64 {
 	return persistence(f.hist, horizon)
 }
 
-func (f *naiveForecaster) predictInto(dst []float64) { persistenceInto(dst, f.hist) }
+func (f *naiveForecaster) predictInto(dst, _ []float64) { persistenceInto(dst, f.hist) }
 
 func (f *naiveForecaster) Update(obs Observation) { f.append(obs) }
 

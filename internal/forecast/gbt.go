@@ -89,7 +89,9 @@ func (f *gbtForecaster) Predict(horizon int) []float64 {
 	if f.stumps == nil {
 		return persistence(f.hist, horizon)
 	}
-	return rollForward(f.tail(gbtLags+horizon), horizon, f.step)
+	out := make([]float64, horizon)
+	rollForward(out, nil, f.tail(gbtLags+horizon), f.step)
+	return out
 }
 
 // step is the one-step forecast after h.

@@ -2,6 +2,7 @@ package forecast
 
 import (
 	"math"
+	"slices"
 
 	"smiless/internal/mathx"
 )
@@ -24,8 +25,11 @@ type lstmState struct {
 	// memo is the last forecast computed for the current (model, history),
 	// nil once either changes. PredictUpper repeats Predict at the same
 	// horizon every window, and the LSTM roll-forward is the family's
-	// whole prediction cost.
-	memo []float64
+	// whole prediction cost. It is a view of memoBuf, which every forecast
+	// refills.
+	memo, memoBuf []float64
+	// rolled is the roll-forward's extended history, kept for the next one.
+	rolled []Observation
 	// valBuf and covBuf are the tail of the history split into the aligned
 	// series the models read, refilled for every roll-forward step.
 	valBuf, covBuf []float64
@@ -51,22 +55,32 @@ func (s *lstmState) fitWith(hist []Observation, n int, refit func()) error {
 	return nil
 }
 
-// predict returns the caller's own copy of the forecast, computing it only
+// predict returns the forecast as a view of the memo, computing it only
 // when the model or the history changed since the last call at this horizon:
 // by rolling step forward over the last seqLen observations once trained,
-// by persistence before.
+// by persistence before. Predict copies the view; predictInto copies it into
+// the caller's buffers.
 func (s *lstmState) predict(horizon, seqLen int, trained bool, step func(vals, covs []float64) float64) []float64 {
 	validHorizon(horizon)
 	if len(s.memo) != horizon {
+		s.memoBuf = sized(s.memoBuf, horizon)
 		if trained {
-			s.memo = rollForward(s.tail(seqLen+horizon), horizon, func(h []Observation) float64 {
+			s.rolled = rollForward(s.memoBuf, s.rolled, s.tail(seqLen+horizon), func(h []Observation) float64 {
 				return step(s.split(h))
 			})
 		} else {
-			s.memo = persistence(s.hist, horizon)
+			persistenceInto(s.memoBuf, s.hist)
 		}
+		s.memo = s.memoBuf
 	}
-	return append([]float64(nil), s.memo...)
+	return s.memo
+}
+
+// fill copies a forecast view into dst and, when it is not nil, upper: the
+// family's upper bound is its point forecast.
+func fill(dst, upper, view []float64) {
+	copy(dst, view)
+	copy(upper, view)
 }
 
 // split copies h's values and covariates into the forecaster's scratch.
@@ -129,7 +143,12 @@ func (f *countLSTM) Fit(hist []Observation) error {
 	return f.fitWith(hist, f.seqLen+countFitMargin, func() { f.refit(f.column(false), f.fresh) })
 }
 
-func (f *countLSTM) Predict(horizon int) []float64 {
+func (f *countLSTM) Predict(horizon int) []float64 { return slices.Clone(f.view(horizon)) }
+
+func (f *countLSTM) predictInto(dst, upper []float64) { fill(dst, upper, f.view(len(dst))) }
+
+// view is lstmState.predict on the classifier.
+func (f *countLSTM) view(horizon int) []float64 {
 	return f.predict(horizon, f.seqLen, f.lstm != nil, func(vals, _ []float64) float64 { return f.forecast(vals) })
 }
 
@@ -294,7 +313,12 @@ func (f *iatLSTM) Fit(hist []Observation) error {
 	return f.fitWith(hist, f.seqLen, func() { f.refit(f.column(false), f.column(true), f.fresh) })
 }
 
-func (f *iatLSTM) Predict(horizon int) []float64 {
+func (f *iatLSTM) Predict(horizon int) []float64 { return slices.Clone(f.view(horizon)) }
+
+func (f *iatLSTM) predictInto(dst, upper []float64) { fill(dst, upper, f.view(len(dst))) }
+
+// view is lstmState.predict on the regressor.
+func (f *iatLSTM) view(horizon int) []float64 {
 	return f.predict(horizon, f.seqLen, f.lstmIAT != nil, f.forecast)
 }
 

@@ -159,8 +159,8 @@ type Online struct {
 	armed   bool
 	queue   []pending
 	// into is f's buffer-filling predictor, when its family has one; then
-	// every forecast lands in a buffer Online owns, and spare holds the
-	// buffers no pending forecast uses.
+	// every forecast and upper bound lands in a buffer Online owns, and
+	// spare holds the buffers no pending forecast uses.
 	into  intoPredictor
 	spare [][]float64
 
@@ -200,16 +200,24 @@ func (o *Online) Horizon() int { return o.horizon }
 // quality scoring (point and, when the family supports it, upper bound).
 // Only the first call after each Observe registers; later calls re-predict
 // without double-counting. For a family that predicts into a buffer (the
-// naive baseline) the returned slice is Online's own, so a steady window
-// forecasts without allocating: read it before the next Forecast or
-// Observe, and copy what must outlive that.
+// naive baseline and the LSTM pair) the returned slice and the registered
+// upper bound are Online's own, recycled once scored, so a window that does
+// not refit forecasts without allocating: read the slice before the next
+// Forecast or Observe, and copy what must outlive that.
 func (o *Online) Forecast() []float64 {
-	var preds []float64
+	ub, _ := o.f.(UpperBounder)
+	var preds, upper []float64
 	if o.into != nil {
 		preds = o.buffer()
-		o.into.predictInto(preds)
+		if o.armed && ub != nil {
+			upper = o.buffer()
+		}
+		o.into.predictInto(preds, upper)
 	} else {
 		preds = o.f.Predict(o.horizon)
+		if o.armed && ub != nil {
+			upper = ub.PredictUpper(o.horizon)
+		}
 	}
 	if !o.armed {
 		if o.into != nil {
@@ -217,11 +225,7 @@ func (o *Online) Forecast() []float64 {
 		}
 		return preds
 	}
-	p := pending{preds: preds}
-	if ub, ok := o.f.(UpperBounder); ok {
-		p.upper = ub.PredictUpper(o.horizon)
-	}
-	o.queue = append(o.queue, p)
+	o.queue = append(o.queue, pending{preds: preds, upper: upper})
 	o.armed = false
 	return preds
 }
@@ -282,6 +286,9 @@ func (o *Online) Observe(obs Observation) {
 			live = append(live, *p)
 		} else if o.into != nil {
 			o.spare = append(o.spare, p.preds)
+			if p.upper != nil {
+				o.spare = append(o.spare, p.upper)
+			}
 		}
 	}
 	o.queue = live

@@ -2,9 +2,9 @@ package forecast
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
-	"slices"
 	"testing"
 )
 
@@ -286,25 +286,69 @@ func TestEvaluateSeriesScoresEveryStep(t *testing.T) {
 // allocating Predict path.
 type unbuffered struct{ Forecaster }
 
-// TestOnlineBufferedForecastsMatch: forecasts written into Online's recycled
-// buffers score exactly like freshly allocated ones — same forecasts, same
-// report — including re-predictions between observations.
+// unbufferedUpper is unbuffered for a family with upper bounds.
+type unbufferedUpper struct {
+	unbuffered
+	UpperBounder
+}
+
+// hideBuffers wraps f in unbuffered, keeping its upper-bound capability.
+func hideBuffers(f Forecaster) Forecaster {
+	if ub, ok := f.(UpperBounder); ok {
+		return unbufferedUpper{unbuffered{f}, ub}
+	}
+	return unbuffered{f}
+}
+
+// TestOnlineBufferedForecastsMatch: forecasts and upper bounds written into
+// Online's recycled buffers score exactly like freshly allocated ones — same
+// forecasts, same registered upper bounds, same report — for the naive
+// family and both roles of the LSTM family, including re-predictions between
+// observations and a refit half way.
 func TestOnlineBufferedForecastsMatch(t *testing.T) {
-	buffered := NewOnline(&naiveForecaster{}, 4)
-	plain := NewOnline(unbuffered{&naiveForecaster{}}, 4)
-	if buffered.into == nil || plain.into != nil {
-		t.Fatal("the naive family should predict into Online's buffers, the wrapper should not")
+	lstm := func(role Role) func() Forecaster {
+		return func() Forecaster { return MustNew("lstm", Config{Seed: 3, Role: role, Budget: BudgetOnline}) }
 	}
-	for i, v := range driftingSeries(300, 150) {
-		for k := 0; k <= i%3; k++ { // re-predictions register nothing
-			if a, b := buffered.Forecast(), plain.Forecast(); !slices.Equal(a, b) {
-				t.Fatalf("step %d: forecast %v, want %v", i, a, b)
-			}
+	for _, c := range []struct {
+		name string
+		f    func() Forecaster
+		hist []Observation
+		fit  int // observations fitted on before the stream starts
+	}{
+		{"naive", func() Forecaster { return &naiveForecaster{} }, driftingSeries(300, 150), 0},
+		{"lstm-count", lstm(RoleCount), lstmFixture(RoleCount, 200), 96},
+		{"lstm-interarrival", lstm(RoleInterArrival), lstmFixture(RoleInterArrival, 200), 96},
+	} {
+		buffered, plain := NewOnline(c.f(), 4), NewOnline(hideBuffers(c.f()), 4)
+		if buffered.into == nil || plain.into != nil {
+			t.Fatalf("%s: the family should predict into Online's buffers, the wrapper should not", c.name)
 		}
-		buffered.Observe(v)
-		plain.Observe(v)
-	}
-	if a, b := buffered.Report(), plain.Report(); !reflect.DeepEqual(a, b) {
-		t.Errorf("report %+v, want %+v", a, b)
+		_, hasUpper := buffered.f.(UpperBounder)
+		if _, ok := plain.f.(UpperBounder); ok != hasUpper {
+			t.Fatalf("%s: the wrapper changed the upper-bound capability", c.name)
+		}
+		refitAt := c.fit + (len(c.hist)-c.fit)/2
+		for i := c.fit; i < len(c.hist); i++ {
+			if (i == c.fit && c.fit > 0) || i == refitAt {
+				for _, o := range []*Online{buffered, plain} {
+					if err := o.Refit(c.hist[:i]); err != nil {
+						t.Fatalf("%s: Refit at %d: %v", c.name, i, err)
+					}
+				}
+			}
+			for k := 0; k <= i%3; k++ { // re-predictions register nothing
+				sameForecast(t, fmt.Sprintf("%s: step %d forecast %d", c.name, i, k), buffered.Forecast(), plain.Forecast())
+			}
+			a, b := buffered.queue[len(buffered.queue)-1].upper, plain.queue[len(plain.queue)-1].upper
+			if (a != nil) != hasUpper {
+				t.Fatalf("%s: step %d registered upper bound %v", c.name, i, a)
+			}
+			sameForecast(t, fmt.Sprintf("%s: step %d upper bound", c.name, i), a, b)
+			buffered.Observe(c.hist[i])
+			plain.Observe(c.hist[i])
+		}
+		if a, b := buffered.Report(), plain.Report(); !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: report %+v, want %+v", c.name, a, b)
+		}
 	}
 }

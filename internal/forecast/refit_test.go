@@ -177,9 +177,11 @@ func TestTailRollForwardMatchesWholeHistory(t *testing.T) {
 			}
 		}
 		for _, horizon := range []int{1, 4} {
-			whole := rollForward(ar.hist, horizon, ar.step)
+			whole := make([]float64, horizon)
+			rollForward(whole, nil, ar.hist, ar.step)
 			sameForecast(t, fmt.Sprintf("arima over %d observations, horizon %d", n, horizon), ar.Predict(horizon), whole)
-			whole = rollForward(gb.hist, horizon, gb.step)
+			whole = make([]float64, horizon)
+			rollForward(whole, nil, gb.hist, gb.step)
 			sameForecast(t, fmt.Sprintf("gbt over %d observations, horizon %d", n, horizon), gb.Predict(horizon), whole)
 		}
 	}

@@ -174,13 +174,15 @@ func (f *transformerForecaster) Predict(horizon int) []float64 {
 	if !f.fitted {
 		return persistence(f.hist, horizon)
 	}
-	return rollForward(f.hist, horizon, func(h []Observation) float64 {
+	out := make([]float64, horizon)
+	rollForward(out, nil, f.hist, func(h []Observation) float64 {
 		pred, ok := attend(h, len(h), f.temp)
 		if !ok {
 			return persistence(h, 1)[0]
 		}
 		return pred
 	})
+	return out
 }
 
 // PredictUpper widens the point forecast by the rolling high quantile of

@@ -165,6 +165,8 @@ func ProfileApplication(app *Application, seed int64) (map[NodeID]*FnProfile, er
 // Optimize runs the Strategy Optimizer (§V-C): top-1 path search with DAG
 // decomposition and cost refinement over the catalog, memoizing plan
 // evaluations. OptimizeResult.Search reports the cache hit/miss counters.
+// Each call builds a fresh Optimizer, so the Result, which a long-lived
+// core.Optimizer would reuse on its next call, is the caller's own.
 func Optimize(cat *Catalog, req OptimizeRequest) (OptimizeResult, error) {
 	return core.New(cat).Optimize(req)
 }
