@@ -1,12 +1,14 @@
 package serving
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"math"
 	"net"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"smiless/internal/metrics"
@@ -67,9 +69,11 @@ func NewGateway(rt *Runtime, system string) *Gateway {
 	g.mux.HandleFunc("/statz", g.handleStatz)
 	g.mux.HandleFunc("/trace", g.handleTrace)
 	g.mux.HandleFunc("/nodes", g.handleNodes)
-	g.mux.HandleFunc("/chaos/kill", g.handleChaos(func(rt *Runtime, n int) error { return rt.KillNode(n) }))
-	g.mux.HandleFunc("/chaos/restart", g.handleChaos(func(rt *Runtime, n int) error { return rt.RestartNode(n) }))
-	g.mux.HandleFunc("/chaos/partition", g.handleChaosPartition)
+	g.mux.HandleFunc("/chaos/kill", g.handleChaos(func(n int, _ *http.Request) error { return rt.KillNode(n) }))
+	g.mux.HandleFunc("/chaos/restart", g.handleChaos(func(n int, _ *http.Request) error { return rt.RestartNode(n) }))
+	g.mux.HandleFunc("/chaos/partition", g.handleChaos(func(n int, r *http.Request) error {
+		return rt.SetPartitioned(n, r.URL.Query().Get("healed") == "")
+	}))
 	return g
 }
 
@@ -95,7 +99,8 @@ func (g *Gateway) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		}
 		deadline = d
 	}
-	ch, err := g.rt.InvokeWithDeadline(r.Context(), deadline)
+	// A client that goes away abandons its request; the answer is lost.
+	res, err := g.rt.Call(r.Context(), deadline)
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrOverloaded):
@@ -110,24 +115,29 @@ func (g *Gateway) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	select {
-	case res := <-ch:
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(InvokeResponse{
-			Request:          res.ReqID,
-			ArrivalSeconds:   res.Arrival,
-			E2ESeconds:       res.E2E,
-			Failed:           res.Failed,
-			DeadlineExceeded: res.DeadlineExceeded,
-			Abandoned:        res.Abandoned,
-			SLAViolated:      res.SLAViolated,
-		})
-	case <-r.Context().Done():
-		// Client went away; the runtime's abandonment watch (armed because
-		// we passed r.Context above) cancels the request, frees its admission
-		// slot and accounts it as Abandoned.
-	}
+	e := invokeEncoders.Get().(*invokeEncoder)
+	e.resp = InvokeResponse{Request: res.ReqID, ArrivalSeconds: res.Arrival, E2ESeconds: res.E2E, Failed: res.Failed,
+		DeadlineExceeded: res.DeadlineExceeded, Abandoned: res.Abandoned, SLAViolated: res.SLAViolated}
+	e.buf.Reset()
+	_ = e.enc.Encode(&e.resp) // a struct of bools and finite numbers encodes
+	w.Header()["Content-Type"] = jsonContentType
+	_, _ = w.Write(e.buf.Bytes())
+	invokeEncoders.Put(e)
 }
+
+// invokeEncoder is one /invoke answer's encoding state, pooled so that a
+// request allocates no encoder, buffer or boxed response.
+type invokeEncoder struct {
+	buf  bytes.Buffer
+	enc  *json.Encoder
+	resp InvokeResponse
+}
+
+var (
+	invokeEncoders = sync.Pool{New: func() any { e := new(invokeEncoder); e.enc = json.NewEncoder(&e.buf); return e }}
+	// jsonContentType is shared: Header().Set allocates a slice per call.
+	jsonContentType = []string{"application/json"}
+)
 
 // retryAfterSeconds rounds the decision window up to a whole second, the
 // granularity Retry-After speaks (minimum 1).
@@ -146,46 +156,25 @@ func (g *Gateway) handleNodes(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, g.rt.NodeInfos())
 }
 
-// handleChaos adapts a node-targeted admin action to an HTTP endpoint taking
+// handleChaos adapts a node-targeted admin action to a POST endpoint taking
 // ?node=N.
-func (g *Gateway) handleChaos(action func(*Runtime, int) error) http.HandlerFunc {
+func (g *Gateway) handleChaos(action func(n int, r *http.Request) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		n, ok := g.chaosNode(w, r)
-		if !ok {
+		if r.Method != http.MethodPost {
+			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
 		}
-		if err := action(g.rt, n); err != nil {
+		n, err := strconv.Atoi(r.URL.Query().Get("node"))
+		if err != nil {
+			http.Error(w, "node must be an integer index", http.StatusBadRequest)
+			return
+		}
+		if err := action(n, r); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		writeJSON(w, http.StatusOK, g.rt.NodeInfos())
 	}
-}
-
-func (g *Gateway) handleChaosPartition(w http.ResponseWriter, r *http.Request) {
-	n, ok := g.chaosNode(w, r)
-	if !ok {
-		return
-	}
-	healed := r.URL.Query().Get("healed") != ""
-	if err := g.rt.SetPartitioned(n, !healed); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	writeJSON(w, http.StatusOK, g.rt.NodeInfos())
-}
-
-func (g *Gateway) chaosNode(w http.ResponseWriter, r *http.Request) (int, bool) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return 0, false
-	}
-	n, err := strconv.Atoi(r.URL.Query().Get("node"))
-	if err != nil {
-		http.Error(w, "node must be an integer index", http.StatusBadRequest)
-		return 0, false
-	}
-	return n, true
 }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {

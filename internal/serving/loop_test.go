@@ -65,7 +65,8 @@ func TestNoGoroutinePerRequest(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	firstID := goroutineID(t)
-	for i := 0; i < requests || len(rt.CountsHistoryLocked()) < windows; i++ {
+	windowsClosed := func() int { counts, _ := history(rt); return len(counts) }
+	for i := 0; i < requests || windowsClosed() < windows; i++ {
 		ch, err := rt.Invoke(ctx)
 		if err != nil {
 			t.Fatalf("Invoke: %v", err)

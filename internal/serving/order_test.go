@@ -35,7 +35,8 @@ func runBoundaryArrivals(t *testing.T, n int) (*simulator.RunStats, []int, []flo
 	quiesceBefore(float64(n + 1))
 	fake.AdvanceToNext()
 	stepUntil(t, rt, fake, func() bool { return true })
-	return rt.Snapshot(), rt.CountsHistoryLocked(), rt.ArrivalTimesLocked()
+	counts, arrivals := history(rt)
+	return rt.Snapshot(), counts, arrivals
 }
 
 // TestArrivalOrderedAfterDueEvents pins the order InvokeWithDeadline

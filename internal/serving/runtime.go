@@ -26,7 +26,7 @@ var _ clock.Clock = (*simulator.Simulator)(nil)
 // an unexported field: the driver reaches it as the simulator.ControlPlane
 // its Setup and OnWindow callbacks are handed, which already run under mu,
 // and this package calls it under mu. External callers (gateways, tests) use
-// the locked surface: Invoke, Snapshot, LiveCost, Inflight, Rejected, the
+// the locked surface: Invoke, Call, Snapshot, LiveCost, Inflight, Rejected, the
 // chaos methods, Drain, Close.
 type Runtime struct {
 	eng simulator.LiveEngine
@@ -36,7 +36,7 @@ type Runtime struct {
 	mu sync.Mutex
 	// waiters[r.Tag()] holds an unresolved request, its result channel and
 	// its context watch; free lists the vacant slots, so a request in steady
-	// state reuses one rather than allocating.
+	// state reuses one, and its channel, rather than allocating.
 	waiters []waiter
 	free    []int
 
@@ -256,7 +256,8 @@ func (rt *Runtime) Quiesced() bool {
 // shutdown. ctx binds the request to its caller: if ctx is cancelled before
 // the request resolves, the request is abandoned — it fails immediately and
 // frees its admission slot. Config.DefaultDeadline, when set, bounds the
-// request's end-to-end latency.
+// request's end-to-end latency. Receive the Result once: the channel is then
+// recycled and may carry a later request's Result. Call is the blocking form.
 func (rt *Runtime) Invoke(ctx context.Context) (<-chan Result, error) {
 	return rt.InvokeWithDeadline(ctx, 0)
 }
@@ -282,14 +283,43 @@ var errNonFiniteDeadline = errors.New("serving: deadline must be a finite number
 // they stay with the loop pass that caller woke, so how long a call takes
 // does not depend on whose work happens to be pending.
 func (rt *Runtime) InvokeWithDeadline(ctx context.Context, budget float64) (<-chan Result, error) {
+	ch, _, _, err := rt.admit(ctx, budget, true)
+	return ch, err
+}
+
+// Call is InvokeWithDeadline's blocking form. It registers nothing on ctx:
+// if ctx ends first, Call abandons the request and returns what that
+// leaves, a Failed+Abandoned Result unless the request resolved meanwhile,
+// or ErrClosed after Close, past which a request never resolves.
+func (rt *Runtime) Call(ctx context.Context, budget float64) (Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	ch, tag, id, err := rt.admit(ctx, budget, false)
+	if err != nil {
+		return Result{}, err
+	}
+	select {
+	case res := <-ch:
+		return res, nil
+	case <-ctx.Done():
+		if err := rt.abandon(tag, id); err != nil && len(ch) == 0 {
+			return Result{}, err
+		}
+		return <-ch, nil
+	}
+}
+
+// admit is Invoke's and Call's admission. It returns the request's result
+// channel, waiter slot and id; watch arms Invoke's abandon-on-cancel watch.
+func (rt *Runtime) admit(ctx context.Context, budget float64, watch bool) (ch chan Result, tag, id int, err error) {
 	if math.IsNaN(budget) || math.IsInf(budget, 0) {
-		return nil, errNonFiniteDeadline
+		return nil, 0, 0, errNonFiniteDeadline
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var ch chan Result
-	err := rt.onEngine(func() error {
+	err = rt.onEngine(func() error {
 		if rt.draining {
 			return ErrDraining
 		}
@@ -306,16 +336,19 @@ func (rt *Runtime) InvokeWithDeadline(ctx context.Context, budget float64) (<-ch
 		}
 		rt.inflight++
 		invariant(rt.inflight <= rt.cfg.MaxInflight, "admission slots over-committed: inflight %d > max %d", rt.inflight, rt.cfg.MaxInflight)
-		tag := len(rt.waiters)
+		tag = len(rt.waiters)
 		if n := len(rt.free); n > 0 {
 			tag, rt.free = rt.free[n-1], rt.free[:n-1]
 		} else {
 			rt.waiters = append(rt.waiters, waiter{})
 		}
-		ch = make(chan Result, 1)
-		rt.waiters[tag].ch = ch
+		// A channel still holding a Result nobody received is not reused.
+		if ch = rt.waiters[tag].ch; ch == nil || len(ch) > 0 {
+			ch = make(chan Result, 1)
+			rt.waiters[tag].ch = ch
+		}
 		inv := rt.eng.Arrive(budget, tag)
-		if inv.Resolved() {
+		if id = inv.ID(); inv.Resolved() {
 			return nil
 		}
 		rt.waiters[tag].req = inv
@@ -325,23 +358,20 @@ func (rt *Runtime) InvokeWithDeadline(ctx context.Context, budget float64) (<-ch
 		// really goes away first. It names the request by slot and id, not
 		// by pointer: fired after resolve, it must not reach the request
 		// that reuses the slot or the object.
-		if ctx.Done() != nil {
-			id := inv.ID()
+		if watch && ctx.Done() != nil {
+			tag, id := tag, id // copies: capturing the results would move them to the heap
 			rt.waiters[tag].unwatch = context.AfterFunc(ctx, func() { rt.abandon(tag, id) })
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return ch, nil
+	return ch, tag, id, err
 }
 
 // abandon fails the admitted request id in waiter slot tag, whose caller
 // went away, freeing its admission slot and purging its queued members. It
-// does nothing once that request has resolved.
-func (rt *Runtime) abandon(tag, id int) {
-	rt.onEngine(func() error {
+// does nothing once that request has resolved; after Close it is ErrClosed.
+func (rt *Runtime) abandon(tag, id int) error {
+	return rt.onEngine(func() error {
 		if r := rt.waiters[tag].req; r != nil && r.ID() == id {
 			rt.eng.Abandon(r)
 		}
@@ -356,7 +386,7 @@ func (rt *Runtime) resolve(inv *simulator.Request, o simulator.Outcome) {
 	rt.inflight--
 	invariant(rt.inflight >= 0, "admission accounting went negative: inflight %d after resolving request %d", rt.inflight, inv.ID())
 	w := rt.waiters[inv.Tag()]
-	rt.waiters[inv.Tag()] = waiter{}
+	rt.waiters[inv.Tag()] = waiter{ch: w.ch}
 	rt.free = append(rt.free, inv.Tag())
 	end := rt.eng.Now()
 	e2e := end - inv.Arrival()
@@ -472,23 +502,6 @@ func (rt *Runtime) Snapshot() *simulator.RunStats {
 	st.ForecastIT = src.ForecastIT.Clone()
 	st.ForecastCount = src.ForecastCount.Clone()
 	return &st
-}
-
-// CountsHistoryLocked is the external (locked) counterpart of the
-// driver-facing CountsHistory. It copies: the caller keeps the result after
-// rt.mu is released, while the event loop keeps appending to the log.
-func (rt *Runtime) CountsHistoryLocked() []int {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return append([]int(nil), rt.eng.CountsHistory()...)
-}
-
-// ArrivalTimesLocked is the external (locked) counterpart of the
-// driver-facing ArrivalTimes; it copies for the same reason.
-func (rt *Runtime) ArrivalTimesLocked() []float64 {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return append([]float64(nil), rt.eng.ArrivalTimes()...)
 }
 
 // LiveCost returns the cost accrued by still-live containers.

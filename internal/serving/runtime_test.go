@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -119,6 +120,14 @@ func await(t *testing.T, rt *Runtime, fake *clock.Fake, ch <-chan Result) Result
 		return got
 	})
 	return res
+}
+
+// history copies the engine's per-window arrival counts and arrival log
+// under the runtime's lock.
+func history(rt *Runtime) (counts []int, arrivals []float64) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return slices.Clone(rt.eng.CountsHistory()), slices.Clone(rt.eng.ArrivalTimes())
 }
 
 func near(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -354,8 +363,8 @@ func TestWindowCadenceAndCounts(t *testing.T) {
 	chB := mustInvoke(t, rt)
 	_ = await(t, rt, fake, chA)
 	_ = await(t, rt, fake, chB)
-	stepUntil(t, rt, fake, func() bool { return len(rt.CountsHistoryLocked()) >= 3 })
-	counts := rt.CountsHistoryLocked()
+	stepUntil(t, rt, fake, func() bool { counts, _ := history(rt); return len(counts) >= 3 })
+	counts, arrivals := history(rt)
 	if counts[0] != 2 {
 		t.Errorf("first window count = %d, want 2", counts[0])
 	}
@@ -365,7 +374,7 @@ func TestWindowCadenceAndCounts(t *testing.T) {
 			break
 		}
 	}
-	if got := len(rt.ArrivalTimesLocked()); got != 2 {
+	if got := len(arrivals); got != 2 {
 		t.Errorf("arrival times = %d, want 2", got)
 	}
 }

@@ -48,7 +48,8 @@ func NewFakeClock() *FakeClock { return clock.NewFake() }
 
 // NewRuntime builds and validates (but does not start) an online serving
 // runtime around driver; an invalid cfg is a *ConfigError. Call
-// Runtime.Start, then Invoke or serve it through NewServingGateway.
+// Runtime.Start, then Invoke (asynchronous) or Call (blocking), or serve it
+// through NewServingGateway.
 func NewRuntime(cfg ServeConfig, driver Driver) (*Runtime, error) {
 	return serving.New(cfg, driver)
 }
