@@ -17,9 +17,11 @@
 //
 // A Scheduler hands out wake-ups as Timers: one value its owner re-arms for
 // as long as it lives, so a goroutine that sleeps until "the next deadline"
-// a million times costs the clock one timer, not a million. There is no
-// fire-and-forget After: a wake-up nobody can cancel is a leak whenever the
-// sleeper is woken by something else first.
+// a million times costs the clock one timer, not a million. A Timer is armed
+// at an absolute instant on its clock, not a span from a reading, so whoever
+// arms it needs no reading of its own and a clock that moves meanwhile cannot
+// shift the wake-up. There is no fire-and-forget After: a wake-up nobody can
+// cancel is a leak whenever the sleeper is woken by something else first.
 package clock
 
 import "time"
@@ -45,20 +47,20 @@ type Scheduler interface {
 // Timer is a one-shot wake-up its owner arms again and again. At most one
 // deadline is pending per Timer, and a fire is one value on C.
 //
-// A Timer belongs to one goroutine: the one that receives from C is the only
-// one that may call Reset and Stop (they discard an undelivered fire, which
-// is only meaningful when no other receiver is racing for it). After either
-// returns, no fire for an earlier deadline is left on C — on a wall clock
-// with one exception the owner must tolerate: a fire already in flight on
-// another thread may still land, so a receive from C means "look again", not
-// "the deadline passed".
+// ResetAt and Stop may be called from any goroutine, provided the owner
+// serialises them (the serving runtime calls them under its mutex); they
+// discard an undelivered fire. After either returns, no fire for an earlier
+// deadline is left on C — on a wall clock with one exception the receiver
+// must tolerate: a fire already in flight on another thread may still land,
+// and rounding the deadline to whole nanoseconds may fire one early, so a
+// receive from C means "look again", not "the deadline passed".
 type Timer interface {
 	// C returns the channel fires are delivered on. It has room for one
 	// value, so firing never blocks the clock.
 	C() <-chan time.Time
-	// Reset arms the timer to fire once, d seconds from now (at once if
-	// d <= 0), replacing any pending deadline.
-	Reset(d float64)
+	// ResetAt arms the timer to fire once, when the clock reads at (at
+	// once if it already has), replacing any pending deadline.
+	ResetAt(at float64)
 	// Stop disarms the timer.
 	Stop()
 }
@@ -76,7 +78,7 @@ func NewWall() *Wall { return &Wall{epoch: time.Now()} }
 func (w *Wall) Now() float64 { return time.Since(w.epoch).Seconds() }
 
 // NewTimer implements Scheduler.
-func (w *Wall) NewTimer() Timer { return newWallTimer(1) }
+func (w *Wall) NewTimer() Timer { return newWallTimer(w.epoch, 1) }
 
 // Sleep implements Scheduler.
 func (w *Wall) Sleep(d float64) { time.Sleep(duration(d)) }
@@ -105,7 +107,7 @@ func NewScaledWall(factor float64) *ScaledWall {
 func (s *ScaledWall) Now() float64 { return time.Since(s.epoch).Seconds() * s.factor }
 
 // NewTimer implements Scheduler.
-func (s *ScaledWall) NewTimer() Timer { return newWallTimer(s.factor) }
+func (s *ScaledWall) NewTimer() Timer { return newWallTimer(s.epoch, s.factor) }
 
 // Sleep implements Scheduler.
 func (s *ScaledWall) Sleep(d float64) { time.Sleep(duration(d / s.factor)) }
@@ -115,20 +117,21 @@ func (s *ScaledWall) Sleep(d float64) { time.Sleep(duration(d / s.factor)) }
 // fire, and nothing left behind in the runtime's timer heap by a Reset.
 type wallTimer struct {
 	t      *time.Timer
-	factor float64 // model seconds per real second
+	epoch  time.Time // the clock's epoch: model time 0
+	factor float64   // model seconds per real second
 }
 
-func newWallTimer(factor float64) *wallTimer {
+func newWallTimer(epoch time.Time, factor float64) *wallTimer {
 	t := time.NewTimer(time.Hour)
 	t.Stop()
-	return &wallTimer{t: t, factor: factor}
+	return &wallTimer{t: t, epoch: epoch, factor: factor}
 }
 
 func (w *wallTimer) C() <-chan time.Time { return w.t.C }
 
-func (w *wallTimer) Reset(d float64) {
+func (w *wallTimer) ResetAt(at float64) {
 	w.Stop()
-	w.t.Reset(duration(d / w.factor))
+	w.t.Reset(time.Until(w.epoch.Add(duration(at / w.factor))))
 }
 
 // Stop is written for the timer channels of go ≤ 1.22 (what both go.mod files
@@ -165,7 +168,7 @@ func Monotonic() int64 { return int64(time.Since(monotonicEpoch)) }
 
 // duration converts seconds to time.Duration, saturating instead of
 // overflowing for absurd inputs. Non-positive seconds give 0, which
-// time.Sleep and Timer.Reset both treat as "now".
+// time.Sleep treats as "now".
 func duration(seconds float64) time.Duration {
 	const maxSeconds = float64(1<<62) / float64(time.Second)
 	if seconds <= 0 {

@@ -9,7 +9,7 @@ import (
 // after arms a fresh timer on s for d seconds and returns its channel.
 func after(s Scheduler, d float64) <-chan time.Time {
 	t := s.NewTimer()
-	t.Reset(d)
+	t.ResetAt(s.Now() + d)
 	return t.C()
 }
 
@@ -97,7 +97,7 @@ func TestFakeNonPositiveAfterFiresImmediately(t *testing.T) {
 	select {
 	case <-after(f, 0):
 	default:
-		t.Fatal("Reset(0) should fire immediately")
+		t.Fatal("a timer armed for now should fire immediately")
 	}
 	f.Sleep(-1) // must not block
 	if f.Now() != 0 {
@@ -131,13 +131,13 @@ func TestFakeTimerIsOneWaiter(t *testing.T) {
 	f := NewFake()
 	tm := f.NewTimer()
 	for i := 1; i <= 100; i++ {
-		tm.Reset(float64(i))
+		tm.ResetAt(float64(i))
 	}
 	if got := f.Waiters(); got != 1 {
-		t.Fatalf("Waiters() = %d after 100 Resets of one timer, want 1", got)
+		t.Fatalf("Waiters() = %d after 100 ResetAts of one timer, want 1", got)
 	}
 	if at, _ := f.NextDeadline(); at != 100 {
-		t.Fatalf("NextDeadline = %v, want the last Reset's 100", at)
+		t.Fatalf("NextDeadline = %v, want the last ResetAt's 100", at)
 	}
 	tm.Stop()
 	if got := f.Waiters(); got != 0 {
@@ -174,6 +174,8 @@ func TestTimer(t *testing.T) {
 			u := tc.unit
 			tm := clk.NewTimer()
 			defer tm.Stop()
+			// reset arms tm d model seconds from the clock's reading.
+			reset := func(d float64) { tm.ResetAt(clk.Now() + d) }
 			fired := func() bool {
 				select {
 				case <-tm.C():
@@ -197,8 +199,8 @@ func TestTimer(t *testing.T) {
 				t.Fatal("a new timer fired before it was armed")
 			}
 			// Reset to an earlier deadline: fires at the new one.
-			tm.Reset(1000 * u)
-			tm.Reset(2 * u)
+			reset(1000 * u)
+			reset(2 * u)
 			start := clk.Now()
 			pass(2 * u)
 			wait("Reset earlier")
@@ -209,8 +211,8 @@ func TestTimer(t *testing.T) {
 				t.Error("one Reset fired twice")
 			}
 			// Reset to a later deadline: the earlier one is gone.
-			tm.Reset(2 * u)
-			tm.Reset(6 * u)
+			reset(2 * u)
+			reset(6 * u)
 			pass(3 * u)
 			if fired() {
 				t.Error("fired at the deadline a later Reset replaced")
@@ -218,26 +220,50 @@ func TestTimer(t *testing.T) {
 			pass(3 * u)
 			wait("Reset later")
 			// Stop: no fire, then or later.
-			tm.Reset(2 * u)
+			reset(2 * u)
 			tm.Stop()
 			pass(3 * u)
 			if fired() {
 				t.Error("fired after Stop")
 			}
 			// Re-arm after a fire, received or not: one fire per Reset.
-			tm.Reset(u)
+			reset(u)
 			pass(2 * u)
-			tm.Reset(u) // drops the fire nobody received
+			reset(u) // drops the fire nobody received
 			if fired() {
 				t.Error("Reset left the previous fire on C")
 			}
 			pass(u)
 			wait("Reset after fire")
 			// Non-positive: at once.
-			tm.Reset(0)
+			reset(0)
 			wait("Reset(0)")
-			tm.Reset(-1)
+			reset(-1)
 			wait("Reset(-1)")
+
+			f, ok := clk.(*Fake)
+			if !ok {
+				return
+			}
+			// An instant the clock has already passed: at once.
+			at := f.Now()
+			pass(u)
+			tm.ResetAt(at)
+			wait("ResetAt a passed instant")
+			// The deadline is the instant asked for, to the bit, whatever
+			// the clock read when it was armed: 42.3 + (target-42.3) would
+			// round to 254.
+			f.AdvanceTo(42.3)
+			target := 253.99999999999997
+			tm.ResetAt(target)
+			if next, _ := f.NextDeadline(); next != target {
+				t.Fatalf("armed for %v, want exactly %v", next, target)
+			}
+			f.AdvanceToNext()
+			wait("ResetAt exact")
+			if now := f.Now(); now != target {
+				t.Errorf("fired at %v, want exactly %v", now, target)
+			}
 		})
 	}
 }
@@ -257,7 +283,7 @@ func TestScaledWall(t *testing.T) {
 	start := time.Now()
 	<-after(s, 0.5) // 0.5 model seconds = 5ms real
 	if real := time.Since(start); real > 2*time.Second {
-		t.Fatalf("Reset(0.5) at 100x took %v real", real)
+		t.Fatalf("a 0.5 s timer at 100x took %v real", real)
 	}
 	if now := s.Now(); now < 0.5 {
 		t.Fatalf("Now() = %v after waiting 0.5 model seconds", now)

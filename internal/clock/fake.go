@@ -43,17 +43,18 @@ func (f *Fake) NewTimer() Timer { return &fakeTimer{f: f, c: make(chan time.Time
 
 func (t *fakeTimer) C() <-chan time.Time { return t.c }
 
-// Reset implements Timer: the timer fires when the fake time reaches now+d.
-func (t *fakeTimer) Reset(d float64) {
+// ResetAt implements Timer: the timer fires when the fake time reaches at,
+// exactly, or at once if it already has.
+func (t *fakeTimer) ResetAt(at float64) {
 	f := t.f
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.disarm(t)
-	if d <= 0 {
+	if at <= f.now {
 		t.fire()
 		return
 	}
-	t.at = f.now + d
+	t.at = at
 	f.armed = append(f.armed, t)
 }
 
@@ -74,7 +75,7 @@ func (f *Fake) disarm(t *fakeTimer) {
 }
 
 // fire delivers one wake-up; callers hold mu. The send cannot block: a timer
-// fires once per Reset, and Reset drained the channel.
+// fires once per ResetAt, and ResetAt drained the channel.
 func (t *fakeTimer) fire() {
 	t.c <- time.Time{}
 }
@@ -82,7 +83,7 @@ func (t *fakeTimer) fire() {
 // Sleep implements Scheduler.
 func (f *Fake) Sleep(d float64) {
 	t := f.NewTimer()
-	t.Reset(d)
+	t.ResetAt(f.Now() + d)
 	<-t.C()
 }
 

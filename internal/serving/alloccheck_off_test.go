@@ -2,6 +2,7 @@
 
 package serving
 
-// allocsInstrumented reports whether the build instruments allocations
-// (race detector, invariant assertions), which allocation tests skip.
+// allocsInstrumented reports whether the build instruments allocations and
+// scheduling (race detector, invariant assertions), which the allocation and
+// scheduler hand-off tests skip.
 const allocsInstrumented = false

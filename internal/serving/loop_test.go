@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/metrics"
 	"sort"
 	"testing"
 
@@ -16,8 +17,8 @@ import (
 	"smiless/internal/tracing"
 )
 
-// The scheduler loop owns one timer: however many passes requests poke it
-// into, the clock holds at most one wake-up for it.
+// The runtime owns one timer: however many requests re-arm it, the clock
+// holds at most one wake-up for it.
 func TestLoopKeepsOneClockWaiter(t *testing.T) {
 	rt, fake := newTestRuntime(t, Config{App: testChain([]float64{0, 0}, 0), SLA: 10}, keepAliveDriver(1))
 	for i := 0; i < 1000; i++ {
@@ -30,6 +31,63 @@ func TestLoopKeepsOneClockWaiter(t *testing.T) {
 	stepUntil(t, rt, fake, func() bool { return true })
 	if got := fake.Waiters(); got > 1 {
 		t.Errorf("%d clock waiters after 1000 requests, want the loop's one timer", got)
+	}
+}
+
+// Whoever makes work due runs it: a request whose DAG takes no model time
+// has resolved by the time Invoke returns, its Result already on the channel,
+// with no pass of the loop goroutine in between.
+func TestInvokeRunsItsOwnWork(t *testing.T) {
+	rt, _ := newTestRuntime(t, Config{App: zeroDiamond(), SLA: 10}, keepAliveDriver(1))
+	for i := 0; i < 1000; i++ {
+		ch := mustInvoke(t, rt)
+		if n := len(ch); n != 1 {
+			t.Fatalf("request %d: Invoke returned with %d Results on its channel, want 1", i, n)
+		}
+		if res := <-ch; res.Failed {
+			t.Fatalf("request %d failed: %+v", i, res)
+		}
+	}
+}
+
+// schedLatencySamples is the runtime's sampled count of goroutines that went
+// from runnable to running: one hand-off from one goroutine to another (a
+// wake-up on a channel) adds one to it about one time in eight.
+func schedLatencySamples() uint64 {
+	s := []metrics.Sample{{Name: "/sched/latencies:seconds"}}
+	metrics.Read(s)
+	var n uint64
+	for _, c := range s[0].Value.Float64Histogram().Counts {
+		n += c
+	}
+	return n
+}
+
+// A blocking Call hands its work to no other goroutine: on one P, the
+// caller admits, runs the DAG and reads its Result without the scheduler
+// switching to the loop goroutine and back.
+func TestCallHandsOffNoGoroutine(t *testing.T) {
+	if allocsInstrumented {
+		t.Skip("race and invariant builds add scheduler work inside instrumentation")
+	}
+	const calls = 20000
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rt := newWallRuntime(t)
+	ctx := context.Background()
+	call := func() {
+		if res, err := rt.Call(ctx, 0); err != nil || res.Failed {
+			t.Fatalf("Call: %+v, %v", res, err)
+		}
+	}
+	for i := 0; i < 1000; i++ { // cold starts
+		call()
+	}
+	before := schedLatencySamples()
+	for i := 0; i < calls; i++ {
+		call()
+	}
+	if per := float64(schedLatencySamples()-before) / calls; per > 0.01 {
+		t.Errorf("%.4f sampled scheduler hand-offs per Call, want at most 0.01", per)
 	}
 }
 

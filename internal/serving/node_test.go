@@ -309,14 +309,14 @@ func TestMultiNodeChurnDeterministic(t *testing.T) {
 	}
 }
 
-// A chaos call that queues an event earlier than the deadline the sleeping
-// loop is armed for must wake the loop. One node (so no gossip tick bounds
-// the sleep): request A cold-starts and leaves its container idle on a 60s
-// keep-alive. Request B runs warm on it from t=7 and the node is killed at
-// t=8, so B's completion at t=12 dies with the process and the loop goes
-// back to sleep on the keep-alive entry at t=66. Restarting the node at t=13
-// fails B over onto a fresh container: a 1s cold start and the 5s execution
-// finish it at t=19. A loop left asleep would run the cold start at t=66.
+// A chaos call that queues an event earlier than the deadline the timer is
+// armed for must re-arm it. One node (so no gossip tick bounds the sleep):
+// request A cold-starts and leaves its container idle on a 60s keep-alive.
+// Request B runs warm on it from t=7 and the node is killed at t=8, so B's
+// completion at t=12 dies with the process and the timer moves to the
+// keep-alive entry at t=66. Restarting the node at t=13 fails B over onto a
+// fresh container: a 1s cold start and the 5s execution finish it at t=19.
+// A timer left at t=66 would run the cold start then.
 func TestChaosWakesSleepingLoop(t *testing.T) {
 	rt, fake := newTestRuntime(t, Config{App: testChain([]float64{5.0}, 1.0), SLA: 30, Window: 1000}, keepAliveDriver(1))
 	if res := await(t, rt, fake, mustInvoke(t, rt)); res.Failed || !near(res.E2E, 6, 1e-9) {
@@ -330,7 +330,7 @@ func TestChaosWakesSleepingLoop(t *testing.T) {
 	}
 	stepTo(t, rt, fake, 13)
 	if next, ok := fake.NextDeadline(); !ok || next != 66 {
-		t.Fatalf("loop armed for %v (%t) before the restart, want the keep-alive at 66", next, ok)
+		t.Fatalf("timer armed for %v (%t) before the restart, want the keep-alive at 66", next, ok)
 	}
 	if err := rt.RestartNode(0); err != nil {
 		t.Fatal(err)

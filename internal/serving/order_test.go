@@ -40,8 +40,7 @@ func runBoundaryArrivals(t *testing.T, n int) (*simulator.RunStats, []int, []flo
 }
 
 // TestArrivalOrderedAfterDueEvents pins the order InvokeWithDeadline
-// documents: an arrival stamped t comes after every event that came due, at
-// or before t, while the scheduler loop slept.
+// documents: an arrival stamped t comes after every event due at or before t.
 // A request sent exactly on a window boundary is therefore counted in the
 // window that opens there, never in the one the tick closes, whichever
 // goroutine wins the lock — and the whole run is replay-deterministic.

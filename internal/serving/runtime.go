@@ -44,17 +44,14 @@ type Runtime struct {
 	rejected int
 	draining bool
 	closed   bool
-	started  bool
 	drainCh  chan struct{}
 
-	// Loop coordination: wake is poked when an external caller schedules
-	// an event the sleeping loop does not know about; sleeping and
-	// wakePending back the Quiesced probe fake-clock tests step on.
-	wake        chan struct{}
-	stopCh      chan struct{}
-	sleeping    bool
-	wakePending bool
-	loopDone    chan struct{}
+	// timer wakes the loop goroutine at armedAt, the earliest queued
+	// deadline when mu was last released (+Inf: stopped); nil until Start.
+	timer    clock.Timer
+	armedAt  float64
+	stopCh   chan struct{}
+	loopDone chan struct{}
 }
 
 // waiter is where one admitted request's Result goes.
@@ -78,7 +75,6 @@ func New(cfg Config, driver simulator.Driver) (*Runtime, error) {
 	}
 	rt := &Runtime{
 		clk:      cfg.Clock,
-		wake:     make(chan struct{}, 1),
 		stopCh:   make(chan struct{}),
 		loopDone: make(chan struct{}),
 	}
@@ -98,13 +94,14 @@ func New(cfg Config, driver simulator.Driver) (*Runtime, error) {
 // exactly once.
 func (rt *Runtime) Start() {
 	rt.mu.Lock()
-	if rt.started || rt.closed {
+	if rt.timer != nil || rt.closed {
 		rt.mu.Unlock()
 		panic("serving: Start called twice or after Close")
 	}
-	rt.started = true
 	rt.readClock()
 	rt.eng.Begin()
+	rt.timer = rt.clk.NewTimer()
+	rt.arm(true)
 	rt.mu.Unlock()
 	go rt.loop()
 }
@@ -119,41 +116,20 @@ func (rt *Runtime) readClock() float64 {
 
 // onEngine is how every external entry point that can queue an event —
 // Invoke, abandon, the chaos calls — reaches the engine. It takes mu, fails
-// with ErrClosed once the runtime is closed, and runs f at one fresh clock
-// reading after every event that came due while the loop slept (see
-// InvokeWithDeadline). When f succeeds it pokes the loop: f may have queued
-// an event earlier than the deadline the sleeping loop is armed for.
+// with ErrClosed once the runtime is closed, runs what is due, runs f at the
+// reading that found nothing else due, runs what f made due and re-arms the
+// timer: whoever makes work due runs it (see InvokeWithDeadline).
 func (rt *Runtime) onEngine(f func() error) error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if rt.closed {
 		return ErrClosed
 	}
-	if rt.sleeping && !rt.wakePending {
-		rt.runDue()
-	} else {
-		rt.readClock()
-	}
-	if err := f(); err != nil {
-		return err
-	}
-	rt.wakeLoop()
-	return nil
-}
-
-// wakeLoop pokes the scheduler loop to re-read the heap; callers hold mu.
-// Used by external entry points (onEngine) whose events the sleeping loop
-// does not know about; events scheduled from inside the loop are picked up
-// when it recomputes its next deadline.
-func (rt *Runtime) wakeLoop() {
-	if rt.wakePending {
-		return
-	}
-	rt.wakePending = true
-	select {
-	case rt.wake <- struct{}{}:
-	default:
-	}
+	rt.runDue()
+	err := f()
+	rt.runDue()
+	rt.arm(false)
+	return err
 }
 
 // runDue pops and handles, in deadline order, every event that is due;
@@ -172,82 +148,61 @@ func (rt *Runtime) due(now float64) bool {
 	return ok && at <= now
 }
 
-// loop is the scheduler goroutine: sleep until the earliest event deadline,
-// then run everything due under the lock. It owns one timer for its whole
-// life and re-arms it only when it fired or the earliest deadline is no
-// longer the one it is armed for; a pass started by a poke that leaves the
-// earliest deadline where it was — every request on a busy node — does not
-// touch the clock's timers at all.
+// arm points the timer at the earliest queued deadline; callers hold mu, and
+// every holder that runs events arms before it unlocks. It touches the timer
+// only when forced (the timer is new or fired) or that deadline moved, so a
+// pass that leaves the deadline where it was — every request on a busy node
+// — makes no timer call. Before Start there is no timer to arm.
+func (rt *Runtime) arm(force bool) {
+	if rt.timer == nil {
+		return
+	}
+	at, ok := rt.eng.NextAt()
+	if !ok {
+		at = math.Inf(1)
+	}
+	if !force && at == rt.armedAt { //lint:allow floateq armedAt is a stored copy of a queue timestamp, never recomputed
+		return
+	}
+	if ok {
+		rt.timer.ResetAt(at)
+	} else {
+		rt.timer.Stop()
+	}
+	rt.armedAt = at
+}
+
+// loop is the scheduler goroutine. It only sleeps on the timer, then runs
+// what the clock made due. A receive from the timer means "look again" (see
+// clock.Timer), hence arm(true) even when the deadline did not move.
 func (rt *Runtime) loop() {
 	defer close(rt.loopDone)
-	timer := rt.clk.NewTimer()
-	defer timer.Stop()
-	armedAt := math.Inf(1) // the deadline the timer is armed for; +Inf: stopped
-	fired := false
+	defer rt.timer.Stop() // past Close, nothing else touches the timer
 	for {
-		rt.mu.Lock()
-		if rt.closed {
-			rt.mu.Unlock()
-			return
-		}
-		rt.sleeping = false
-		// This pass serves any poke so far. A poke that raced the timer is
-		// still in the channel; left there it would start one more pass that
-		// Quiesced cannot see coming, and a fake-clock test advancing during
-		// that pass gets its timer registered past the event it is for.
-		rt.wakePending = false
-		select {
-		case <-rt.wake:
-		default:
-		}
-		rt.runDue()
-		// Arm the timer BEFORE publishing sleeping=true and releasing the
-		// lock: Quiesced (the fake-clock stepping probe) must only report
-		// true once the timer stands at the earliest deadline, so that a
-		// test's AdvanceToNext lands exactly on it.
-		at, ok := rt.eng.NextAt()
-		if !ok {
-			at = math.Inf(1)
-		}
-		if fired || at != armedAt { //lint:allow floateq armedAt is a stored copy of a queue timestamp, never recomputed
-			if ok {
-				// A fresh reading: the pass may have spent real time in a
-				// handler. Rounding must not carry the wake-up past the
-				// deadline — a fake clock would run the event late — so an
-				// early one is taken and re-armed from closer in.
-				now := rt.clk.Now()
-				d := at - now
-				if now+d > at {
-					d = math.Nextafter(d, 0)
-				}
-				timer.Reset(d)
-			} else {
-				timer.Stop()
-			}
-			armedAt, fired = at, false
-		}
-		rt.sleeping = true
-		rt.mu.Unlock()
-
 		select {
 		case <-rt.stopCh:
 			return
-		case <-rt.wake:
-		case <-timer.C():
-			fired = true
+		case <-rt.timer.C():
 		}
+		rt.mu.Lock()
+		if !rt.closed {
+			rt.runDue()
+			rt.arm(true)
+		}
+		rt.mu.Unlock()
 	}
 }
 
 // Quiesced reports whether the runtime has fully reacted to the current
-// clock reading: the scheduler loop is asleep with no pending wake-up and
-// no event is due. Fake-clock tests step time by waiting for Quiesced, then
+// clock reading: no event is due. Every holder of mu that runs events
+// re-arms the timer before it unlocks, so the timer then stands at the
+// earliest deadline. Fake-clock tests step time by waiting for Quiesced, then
 // advancing to the next deadline — that way every event is handled exactly
 // at its deadline and latency assertions hold to float precision.
 func (rt *Runtime) Quiesced() bool {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return rt.sleeping && !rt.wakePending && !rt.due(rt.clk.Now())
+	return !rt.due(rt.clk.Now())
 }
 
 // Invoke admits one application request and returns a channel that yields
@@ -272,16 +227,14 @@ var errNonFiniteDeadline = errors.New("serving: deadline must be a finite number
 // respect the deadline: a request still unresolved when it elapses fails
 // with Result.DeadlineExceeded.
 //
-// Order: an arrival comes after every event that came due while the scheduler
-// loop slept. If the loop is asleep with no poke outstanding, whatever is due
-// is due because the clock moved, and the call runs it itself before it
-// admits the request, whichever of it and the loop's timer takes the lock
-// first: a request sent exactly on a decision-window boundary is counted in
-// the window that opens there and is admitted against the state the tick
-// left. With a poke outstanding the due events are what another caller
-// scheduled a moment ago (a zero-latency completion, a pre-warm at offset 0);
-// they stay with the loop pass that caller woke, so how long a call takes
-// does not depend on whose work happens to be pending.
+// Order: a caller runs everything due before it admits the request, then
+// everything its admission made due, including other requests' work due by
+// then, and the arrival is stamped with the reading that found nothing else
+// due. A request sent exactly on a decision-window boundary is therefore
+// counted in the window that opens there and admitted against the state the
+// tick left, whichever of the call and the loop's timer takes the lock
+// first; a request whose DAG runs in zero model time has resolved when the
+// call returns.
 func (rt *Runtime) InvokeWithDeadline(ctx context.Context, budget float64) (<-chan Result, error) {
 	ch, _, _, err := rt.admit(ctx, budget, true)
 	return ch, err
@@ -447,7 +400,7 @@ func (rt *Runtime) Close() {
 	unresolved := rt.eng.Settle()
 	invariant(unresolved == rt.inflight, "%d admitted requests unresolved at close, but %d inflight", unresolved, rt.inflight)
 	close(rt.stopCh)
-	started := rt.started
+	started := rt.timer != nil
 	rt.mu.Unlock()
 	if started {
 		<-rt.loopDone

@@ -19,17 +19,18 @@
 // # Architecture
 //
 // Every future transition is an event on the engine's deadline-ordered
-// queue, and a single scheduler goroutine sleeps on one clock.Timer, armed
-// for the earliest deadline, then drains everything due under the runtime
-// mutex, each event at one clock reading handed to the engine. Invoke admits
-// arrivals inline and wakes the loop. This gives three properties for free:
+// queue, run under the runtime mutex, each event at one clock reading handed
+// to the engine, by whoever makes it due: Invoke runs what is due, admits its
+// arrival and runs what that made due; a single scheduler goroutine sleeps on
+// one clock.Timer, armed at the earliest deadline, and runs what the clock
+// made due. This gives three properties for free:
 //
 //   - one engine and one same-instant order with the simulator: the same
 //     seeded trace yields DeepEqual statistics on both front ends
 //     (TestDifferentialSimulatorServing);
 //   - tracing.Recorder and faults.Injector, which are single-threaded by
 //     contract, are only ever touched under the mutex;
-//   - with a Fake clock the loop processes each event exactly at its
+//   - with a Fake clock each event is processed exactly at its
 //     deadline, so integration tests can assert latencies to float
 //     precision.
 //
