@@ -16,12 +16,13 @@
 //     milliseconds of real time without sleeping.
 //
 // A Scheduler hands out wake-ups as Timers: one value its owner re-arms for
-// as long as it lives, so a goroutine that sleeps until "the next deadline"
-// a million times costs the clock one timer, not a million. A Timer is armed
-// at an absolute instant on its clock, not a span from a reading, so whoever
-// arms it needs no reading of its own and a clock that moves meanwhile cannot
-// shift the wake-up. There is no fire-and-forget After: a wake-up nobody can
-// cancel is a leak whenever the sleeper is woken by something else first.
+// as long as it lives, and a fire is one call of the function the Timer was
+// made with, so the owner needs no goroutine of its own to wait on it. A
+// Timer is armed at an absolute instant on its clock, not a span from a
+// reading, so whoever arms it needs no reading of its own and a clock that
+// moves meanwhile cannot shift the wake-up. There is no fire-and-forget
+// After: a wake-up nobody can cancel is a leak whenever the sleeper is woken
+// by something else first.
 package clock
 
 import "time"
@@ -38,26 +39,21 @@ type Clock interface {
 // is written against. All methods are safe for concurrent use.
 type Scheduler interface {
 	Clock
-	// NewTimer returns a stopped Timer on this clock.
-	NewTimer() Timer
-	// Sleep blocks until d seconds have elapsed (immediately if d <= 0).
-	Sleep(d float64)
+	// NewTimer returns a stopped Timer on this clock that calls f on a fire.
+	NewTimer(f func()) Timer
 }
 
 // Timer is a one-shot wake-up its owner arms again and again. At most one
-// deadline is pending per Timer, and a fire is one value on C.
+// deadline is pending per Timer, and a fire is one call of its function,
+// made with none of the clock's locks held: on a wall clock on a goroutine
+// of its own, on a Fake inside the Advance that reaches the deadline.
 //
 // ResetAt and Stop may be called from any goroutine, provided the owner
-// serialises them (the serving runtime calls them under its mutex); they
-// discard an undelivered fire. After either returns, no fire for an earlier
-// deadline is left on C — on a wall clock with one exception the receiver
-// must tolerate: a fire already in flight on another thread may still land,
-// and rounding the deadline to whole nanoseconds may fire one early, so a
-// receive from C means "look again", not "the deadline passed".
+// serialises them (the serving runtime calls them under its mutex, which the
+// function takes). On a wall clock a fire already in flight when they are
+// called may still run, and rounding the deadline to whole nanoseconds may
+// fire one early, so a call means "look again", not "the deadline passed".
 type Timer interface {
-	// C returns the channel fires are delivered on. It has room for one
-	// value, so firing never blocks the clock.
-	C() <-chan time.Time
 	// ResetAt arms the timer to fire once, when the clock reads at (at
 	// once if it already has), replacing any pending deadline.
 	ResetAt(at float64)
@@ -78,16 +74,13 @@ func NewWall() *Wall { return &Wall{epoch: time.Now()} }
 func (w *Wall) Now() float64 { return time.Since(w.epoch).Seconds() }
 
 // NewTimer implements Scheduler.
-func (w *Wall) NewTimer() Timer { return newWallTimer(w.epoch, 1) }
-
-// Sleep implements Scheduler.
-func (w *Wall) Sleep(d float64) { time.Sleep(duration(d)) }
+func (w *Wall) NewTimer(f func()) Timer { return newWallTimer(w.epoch, 1, f) }
 
 // ScaledWall is a wall clock that runs Factor× faster than real time: Now
-// returns Factor·(real seconds since epoch) and timers and Sleep wait
-// d/Factor real seconds for d model seconds. It lets the serving runtime
-// replay multi-minute workloads in seconds of wall time (smoke tests, demos)
-// while keeping every model-time quantity — latencies, keep-alives, windows —
+// returns Factor·(real seconds since epoch) and timers wait d/Factor real
+// seconds for d model seconds. It lets the serving runtime replay
+// multi-minute workloads in seconds of wall time (smoke tests, demos) while
+// keeping every model-time quantity — latencies, keep-alives, windows —
 // at its real value. Factor 1 is an ordinary wall clock.
 type ScaledWall struct {
 	epoch  time.Time
@@ -107,50 +100,29 @@ func NewScaledWall(factor float64) *ScaledWall {
 func (s *ScaledWall) Now() float64 { return time.Since(s.epoch).Seconds() * s.factor }
 
 // NewTimer implements Scheduler.
-func (s *ScaledWall) NewTimer() Timer { return newWallTimer(s.epoch, s.factor) }
+func (s *ScaledWall) NewTimer(f func()) Timer { return newWallTimer(s.epoch, s.factor, f) }
 
-// Sleep implements Scheduler.
-func (s *ScaledWall) Sleep(d float64) { time.Sleep(duration(d / s.factor)) }
-
-// wallTimer is the Timer of Wall and ScaledWall: one time.Timer, whose
-// channel the runtime's timer code sends on directly — no goroutine per
-// fire, and nothing left behind in the runtime's timer heap by a Reset.
+// wallTimer is the Timer of Wall and ScaledWall: one time.AfterFunc timer,
+// made stopped, that every ResetAt and Stop re-arms or disarms, so a fire is
+// one call of f on a goroutine of its own and a Reset leaves nothing behind
+// in the runtime's timer heap.
 type wallTimer struct {
 	t      *time.Timer
 	epoch  time.Time // the clock's epoch: model time 0
 	factor float64   // model seconds per real second
 }
 
-func newWallTimer(epoch time.Time, factor float64) *wallTimer {
-	t := time.NewTimer(time.Hour)
+func newWallTimer(epoch time.Time, factor float64, f func()) *wallTimer {
+	t := time.AfterFunc(time.Hour, f) //lint:allow clockhygiene one timer per owner, made stopped here, re-armed and stopped through Timer
 	t.Stop()
 	return &wallTimer{t: t, epoch: epoch, factor: factor}
 }
 
-func (w *wallTimer) C() <-chan time.Time { return w.t.C }
-
 func (w *wallTimer) ResetAt(at float64) {
-	w.Stop()
 	w.t.Reset(time.Until(w.epoch.Add(duration(at / w.factor))))
 }
 
-// Stop is written for the timer channels of go ≤ 1.22 (what both go.mod files
-// select): a timer that already fired keeps its value buffered on C, so stop,
-// then drain without blocking. Under the later unbuffered semantics the
-// drain finds nothing and is harmless.
-func (w *wallTimer) Stop() {
-	if !w.t.Stop() {
-		drain(w.t.C)
-	}
-}
-
-// drain discards a fire the timer's owner has not received, if there is one.
-func drain(c <-chan time.Time) {
-	select {
-	case <-c:
-	default:
-	}
-}
+func (w *wallTimer) Stop() { w.t.Stop() }
 
 // monotonicEpoch anchors Monotonic: readings are deltas against a single
 // process-lifetime instant, so they are monotone and comparable but carry no
@@ -167,8 +139,7 @@ var monotonicEpoch = time.Now()
 func Monotonic() int64 { return int64(time.Since(monotonicEpoch)) }
 
 // duration converts seconds to time.Duration, saturating instead of
-// overflowing for absurd inputs. Non-positive seconds give 0, which
-// time.Sleep treats as "now".
+// overflowing for absurd inputs. Non-positive seconds give 0.
 func duration(seconds float64) time.Duration {
 	const maxSeconds = float64(1<<62) / float64(time.Second)
 	if seconds <= 0 {

@@ -6,12 +6,16 @@ import (
 	"time"
 )
 
-// after arms a fresh timer on s for d seconds and returns its channel.
-func after(s Scheduler, d float64) <-chan time.Time {
-	t := s.NewTimer()
-	t.ResetAt(s.Now() + d)
-	return t.C()
+// after arms a fresh timer on s for d seconds and returns the channel its
+// function sends on.
+func after(s Scheduler, d float64) <-chan struct{} {
+	ch := make(chan struct{}, 1)
+	s.NewTimer(func() { ch <- struct{}{} }).ResetAt(s.Now() + d)
+	return ch
 }
+
+// sleep blocks until d seconds have passed on s (at once if d <= 0).
+func sleep(s Scheduler, d float64) { <-after(s, d) }
 
 func TestFakeAdvanceFiresInOrder(t *testing.T) {
 	f := NewFake()
@@ -92,14 +96,16 @@ func TestFakeAdvanceToIsExact(t *testing.T) {
 	}
 }
 
+// A timer armed for an instant already reached fires without an Advance, on
+// a goroutine of its own.
 func TestFakeNonPositiveAfterFiresImmediately(t *testing.T) {
 	f := NewFake()
 	select {
 	case <-after(f, 0):
-	default:
+	case <-time.After(5 * time.Second):
 		t.Fatal("a timer armed for now should fire immediately")
 	}
-	f.Sleep(-1) // must not block
+	sleep(f, -1) // must not block
 	if f.Now() != 0 {
 		t.Fatalf("Now moved without Advance: %v", f.Now())
 	}
@@ -109,27 +115,27 @@ func TestFakeSleepBlocksUntilAdvance(t *testing.T) {
 	f := NewFake()
 	done := make(chan struct{})
 	go func() {
-		f.Sleep(2)
+		sleep(f, 2)
 		close(done)
 	}()
 	waitFor(t, func() bool { return f.Waiters() == 1 })
 	select {
 	case <-done:
-		t.Fatal("Sleep returned before Advance")
+		t.Fatal("sleep returned before Advance")
 	default:
 	}
 	f.Advance(2)
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
-		t.Fatal("Sleep did not return after Advance")
+		t.Fatal("sleep did not return after Advance")
 	}
 }
 
 // A fake timer is one slot however often it is re-armed.
 func TestFakeTimerIsOneWaiter(t *testing.T) {
 	f := NewFake()
-	tm := f.NewTimer()
+	tm := f.NewTimer(func() {})
 	for i := 1; i <= 100; i++ {
 		tm.ResetAt(float64(i))
 	}
@@ -147,6 +153,8 @@ func TestFakeTimerIsOneWaiter(t *testing.T) {
 
 // TestTimer runs one body against every Scheduler. pass(d) lets d model
 // seconds go by: the fake clock is advanced, the wall clocks are slept on.
+// The timer's function sends on a channel with room for every fire the body
+// leaves unreceived, so a fire never blocks the clock.
 func TestTimer(t *testing.T) {
 	// unit is the model-time step of the test, sized so that the wall
 	// clocks wait 10 ms of real time for it.
@@ -161,24 +169,25 @@ func TestTimer(t *testing.T) {
 		}},
 		{"Wall", 0.01, func() (Scheduler, func(float64)) {
 			w := NewWall()
-			return w, w.Sleep
+			return w, func(d float64) { sleep(w, d) }
 		}},
 		{"ScaledWall", 1, func() (Scheduler, func(float64)) {
 			s := NewScaledWall(100)
-			return s, s.Sleep
+			return s, func(d float64) { sleep(s, d) }
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			clk, pass := tc.mk()
 			u := tc.unit
-			tm := clk.NewTimer()
+			fires := make(chan struct{}, 4)
+			tm := clk.NewTimer(func() { fires <- struct{}{} })
 			defer tm.Stop()
 			// reset arms tm d model seconds from the clock's reading.
 			reset := func(d float64) { tm.ResetAt(clk.Now() + d) }
 			fired := func() bool {
 				select {
-				case <-tm.C():
+				case <-fires:
 					return true
 				default:
 					return false
@@ -189,7 +198,7 @@ func TestTimer(t *testing.T) {
 			wait := func(what string) {
 				t.Helper()
 				select {
-				case <-tm.C():
+				case <-fires:
 				case <-time.After(5 * time.Second):
 					t.Fatalf("%s: no fire", what)
 				}
@@ -226,14 +235,17 @@ func TestTimer(t *testing.T) {
 			if fired() {
 				t.Error("fired after Stop")
 			}
-			// Re-arm after a fire, received or not: one fire per Reset.
+			// Re-arm after a fire nobody has received yet: one call per
+			// Reset, the first one's already made and the second one's due
+			// at its own deadline.
 			reset(u)
 			pass(2 * u)
-			reset(u) // drops the fire nobody received
+			reset(3 * u)
+			wait("Reset before the re-arm")
 			if fired() {
-				t.Error("Reset left the previous fire on C")
+				t.Error("a re-armed timer fired before its deadline")
 			}
-			pass(u)
+			pass(3 * u)
 			wait("Reset after fire")
 			// Non-positive: at once.
 			reset(0)
@@ -268,6 +280,73 @@ func TestTimer(t *testing.T) {
 	}
 }
 
+// A timer's function runs inside Advance with none of the clock's locks
+// held: it reads Now at its own deadline to the bit, re-arms its timer and
+// arms another, and whatever it arms that falls due by the advance's target
+// fires in the same call, in deadline order. A ResetAt of an instant already
+// reached, made while holding a lock the function takes, does not deadlock.
+func TestFakeTimerReentrant(t *testing.T) {
+	f := NewFake()
+	type fire struct {
+		name string
+		at   float64
+	}
+	var fires []fire
+	first := 0.1 + 0.2 // 0.30000000000000004: no round number to fall back on
+	var a, b Timer
+	a = f.NewTimer(func() {
+		now := f.Now()
+		fires = append(fires, fire{"a", now})
+		if now == first {
+			a.ResetAt(first + 2)
+			b.ResetAt(first + 1)
+		}
+	})
+	b = f.NewTimer(func() { fires = append(fires, fire{"b", f.Now()}) })
+	a.ResetAt(first)
+	f.Advance(10)
+	want := []fire{{"a", first}, {"b", first + 1}, {"a", first + 2}}
+	if len(fires) != len(want) {
+		t.Fatalf("fires = %v, want %v", fires, want)
+	}
+	for i := range want {
+		if fires[i] != want[i] {
+			t.Errorf("fire %d = %v, want %v (Now inside a fire is its deadline, to the bit)", i, fires[i], want[i])
+		}
+	}
+	if now, n := f.Now(), f.Waiters(); now != 10 || n != 0 {
+		t.Errorf("after Advance: Now() = %v, Waiters() = %d, want 10, 0", now, n)
+	}
+
+	var mu sync.Mutex
+	ran := make(chan float64, 1)
+	c := f.NewTimer(func() {
+		mu.Lock()
+		defer mu.Unlock()
+		ran <- f.Now()
+	})
+	armed := make(chan struct{})
+	go func() {
+		mu.Lock()
+		c.ResetAt(5) // already passed
+		mu.Unlock()
+		close(armed)
+	}()
+	select {
+	case <-armed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("ResetAt of a passed instant under a lock the function takes deadlocked")
+	}
+	select {
+	case at := <-ran:
+		if at != 10 {
+			t.Errorf("passed-instant fire read Now() = %v, want 10", at)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ResetAt of a passed instant did not fire")
+	}
+}
+
 func TestWallClock(t *testing.T) {
 	w := NewWall()
 	a := w.Now()
@@ -275,7 +354,7 @@ func TestWallClock(t *testing.T) {
 	if b := w.Now(); b <= a {
 		t.Fatalf("wall clock did not move: %v -> %v", a, b)
 	}
-	w.Sleep(0) // must not block
+	sleep(w, 0) // must not block
 }
 
 func TestScaledWall(t *testing.T) {
@@ -288,7 +367,7 @@ func TestScaledWall(t *testing.T) {
 	if now := s.Now(); now < 0.5 {
 		t.Fatalf("Now() = %v after waiting 0.5 model seconds", now)
 	}
-	s.Sleep(0) // must not block
+	sleep(s, 0) // must not block
 	if NewScaledWall(0).factor != 1 {
 		t.Fatal("non-positive factor should default to 1")
 	}

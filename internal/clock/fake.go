@@ -3,14 +3,13 @@ package clock
 import (
 	"slices"
 	"sync"
-	"time"
 )
 
 // Fake is a manually-advanced Scheduler for tests. Time moves only through
-// Advance/AdvanceToNext, so a test covering minutes of serving latency runs
+// Advance/AdvanceTo/AdvanceToNext, which call each due timer's function on
+// the advancing goroutine, so a test covering minutes of serving latency runs
 // in milliseconds and is immune to machine load. It is safe for concurrent
-// use: runtime goroutines block on their timers while the test goroutine
-// advances.
+// use.
 type Fake struct {
 	mu  sync.Mutex
 	now float64
@@ -24,7 +23,7 @@ type Fake struct {
 // the clock's armed list.
 type fakeTimer struct {
 	f  *Fake
-	c  chan time.Time
+	fn func()
 	at float64
 }
 
@@ -39,19 +38,18 @@ func (f *Fake) Now() float64 {
 }
 
 // NewTimer implements Scheduler.
-func (f *Fake) NewTimer() Timer { return &fakeTimer{f: f, c: make(chan time.Time, 1)} }
-
-func (t *fakeTimer) C() <-chan time.Time { return t.c }
+func (f *Fake) NewTimer(fn func()) Timer { return &fakeTimer{f: f, fn: fn} }
 
 // ResetAt implements Timer: the timer fires when the fake time reaches at,
-// exactly, or at once if it already has.
+// exactly. An instant already reached fires at once, on a goroutine of its
+// own, because the caller may hold a lock the function takes.
 func (t *fakeTimer) ResetAt(at float64) {
 	f := t.f
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.disarm(t)
 	if at <= f.now {
-		t.fire()
+		go t.fn()
 		return
 	}
 	t.at = at
@@ -65,47 +63,30 @@ func (t *fakeTimer) Stop() {
 	t.f.disarm(t)
 }
 
-// disarm drops t's pending deadline and any fire its owner has not received;
-// callers hold mu.
+// disarm drops t's pending deadline; callers hold mu.
 func (f *Fake) disarm(t *fakeTimer) {
 	if i := slices.Index(f.armed, t); i >= 0 {
 		f.armed = slices.Delete(f.armed, i, i+1)
 	}
-	drain(t.c)
-}
-
-// fire delivers one wake-up; callers hold mu. The send cannot block: a timer
-// fires once per ResetAt, and ResetAt drained the channel.
-func (t *fakeTimer) fire() {
-	t.c <- time.Time{}
-}
-
-// Sleep implements Scheduler.
-func (f *Fake) Sleep(d float64) {
-	t := f.NewTimer()
-	t.ResetAt(f.Now() + d)
-	<-t.C()
 }
 
 // Advance moves the fake time forward by d seconds, firing every timer whose
-// deadline falls within the advanced span (in deadline order).
+// deadline falls within the advanced span (see advanceTo).
 func (f *Fake) Advance(d float64) {
 	if d < 0 {
 		panic("clock: negative advance")
 	}
 	f.mu.Lock()
 	target := f.now + d
-	f.advanceTo(target)
 	f.mu.Unlock()
+	f.advanceTo(target)
 }
 
 // AdvanceTo moves the fake time to exactly t, firing every timer whose
-// deadline falls on the way (in deadline order) — Advance(t-Now()) may
-// round. It panics if t is in the past.
+// deadline falls on the way (see advanceTo) — Advance(t-Now()) may round. It
+// panics if t is in the past.
 func (f *Fake) AdvanceTo(t float64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if t < f.now {
+	if t < f.Now() {
 		panic("clock: advance into the past")
 	}
 	f.advanceTo(t)
@@ -113,24 +94,23 @@ func (f *Fake) AdvanceTo(t float64) {
 
 // AdvanceToNext jumps the fake time to the earliest pending timer deadline
 // and fires it (plus any timers sharing that deadline). It reports whether a
-// timer was pending. Tests drive concurrent runtimes by looping:
-// give goroutines a moment to arm their next timer, then jump.
+// timer was pending.
 func (f *Fake) AdvanceToNext() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	at, ok := f.nextDeadline()
-	if !ok {
-		return false
+	at, ok := f.NextDeadline()
+	if ok {
+		f.advanceTo(at)
 	}
-	f.advanceTo(at)
-	return true
+	return ok
 }
 
 // NextDeadline returns the earliest pending timer deadline, if any.
 func (f *Fake) NextDeadline() (float64, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.nextDeadline()
+	if t := f.earliest(); t != nil {
+		return t.at, true
+	}
+	return 0, false
 }
 
 // Waiters returns the number of armed timers.
@@ -140,37 +120,35 @@ func (f *Fake) Waiters() int {
 	return len(f.armed)
 }
 
-// nextDeadline scans the armed timers; callers hold mu.
-func (f *Fake) nextDeadline() (float64, bool) {
-	best, ok := 0.0, false
+// earliest returns the armed timer with the earliest deadline, on a tie the
+// one armed first, or nil; callers hold mu.
+func (f *Fake) earliest() *fakeTimer {
+	var best *fakeTimer
 	for _, t := range f.armed {
-		if !ok || t.at < best {
-			best, ok = t.at, true
+		if best == nil || t.at < best.at {
+			best = t
 		}
 	}
-	return best, ok
+	return best
 }
 
-// advanceTo fires due timers in deadline order; callers hold mu.
+// advanceTo fires, one at a time in deadline order, every timer due by
+// target, then stands the clock on target. Each function runs on the calling
+// goroutine with the fake time at its deadline and mu released, so it may
+// read the clock and arm timers, itself included; one it arms due by target
+// fires in the same call.
 func (f *Fake) advanceTo(target float64) {
 	for {
-		at, ok := f.nextDeadline()
-		if !ok || at > target {
-			break
+		f.mu.Lock()
+		t := f.earliest()
+		if t == nil || t.at > target {
+			f.now = max(f.now, target)
+			f.mu.Unlock()
+			return
 		}
-		f.now = at
-		rest := f.armed[:0]
-		for _, t := range f.armed {
-			if t.at <= f.now {
-				t.fire()
-			} else {
-				rest = append(rest, t)
-			}
-		}
-		clear(f.armed[len(rest):])
-		f.armed = rest
-	}
-	if target > f.now {
-		f.now = target
+		f.disarm(t)
+		f.now = t.at
+		f.mu.Unlock()
+		t.fn()
 	}
 }

@@ -72,32 +72,23 @@ func TestGatewayEndToEnd(t *testing.T) {
 
 	// fire launches n concurrent invokes, waits for all of them to be
 	// admitted at the current (frozen) model time, then steps the clock
-	// until every response lands.
+	// until every request has resolved — not until the clients have read
+	// their responses, which a step could overtake — and waits for them.
 	fire := func(n int) []InvokeResponse {
 		t.Helper()
 		out := make([]InvokeResponse, n)
 		var wg sync.WaitGroup
-		var mu sync.Mutex
-		done := 0
 		for i := 0; i < n; i++ {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				r := invoke()
-				mu.Lock()
-				out[i] = r
-				done++
-				mu.Unlock()
+				out[i] = invoke()
 			}(i)
 		}
 		// Admission happens inline in Invoke, so once Inflight reaches n
 		// all requests share one arrival timestamp.
 		waitForReal(t, func() bool { return rt.Inflight() == n })
-		stepUntil(t, rt, fake, func() bool {
-			mu.Lock()
-			defer mu.Unlock()
-			return done == n
-		})
+		stepUntil(t, rt, fake, func() bool { return rt.Inflight() == 0 })
 		wg.Wait()
 		return out
 	}
@@ -428,7 +419,7 @@ func TestGatewayWithController(t *testing.T) {
 		target := fake.Now() + 1.1
 		stepUntil(t, rt, fake, func() bool { return fake.Now() >= target })
 	}
-	stepUntil(t, rt, fake, func() bool { return countDone(&mu, &results) == 3 })
+	stepUntil(t, rt, fake, func() bool { return rt.Inflight() == 0 })
 	wg.Wait()
 	for _, r := range results {
 		if r.Failed {

@@ -50,6 +50,27 @@ func TestInvokeRunsItsOwnWork(t *testing.T) {
 	}
 }
 
+// The timer's function runs inside the Advance that reaches its deadline:
+// on one P, with no other goroutine given a turn, a request's Result is on
+// its channel as soon as AdvanceToNext returns from its last deadline.
+func TestAdvanceRunsDueWork(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rt, fake := newTestRuntime(t, Config{App: testChain([]float64{0.1, 0.2}, 1.0), SLA: 10}, keepAliveDriver(1))
+	ch := mustInvoke(t, rt)
+	const e2e = 2*1.0 + 0.1 + 0.2 // both stages cold: init, then execution
+	for fake.Now() < e2e-1e-9 {
+		if !fake.AdvanceToNext() {
+			t.Fatalf("no deadline pending at %v, before the request's last at %v", fake.Now(), e2e)
+		}
+	}
+	if n := len(ch); n != 1 {
+		t.Fatalf("AdvanceToNext returned at %v with %d Results on the channel, want 1", fake.Now(), n)
+	}
+	if res := <-ch; res.Failed || !near(res.E2E, e2e, 1e-9) {
+		t.Fatalf("result %+v, want a completed request with E2E %v", res, e2e)
+	}
+}
+
 // schedLatencySamples is the runtime's sampled count of goroutines that went
 // from runnable to running: one hand-off from one goroutine to another (a
 // wake-up on a channel) adds one to it about one time in eight.
@@ -108,10 +129,11 @@ func goroutineID(t *testing.T) int {
 	return <-ch
 }
 
-// Serving a request starts no goroutine and leaves none behind: not for the
-// loop's wake-up (several decision windows pass during the run, so a timer
-// that fired through a goroutine would show) and not for watching a caller's
-// context that is never cancelled.
+// Serving a request starts no goroutine and leaves none behind: not for
+// watching a caller's context that is never cancelled, and not for the
+// runtime's wake-ups. A wall timer's fire starts one goroutine for its
+// function, so the several decision windows that pass during the run start a
+// few; the bound is per request, far below one.
 func TestNoGoroutinePerRequest(t *testing.T) {
 	const requests, windows = 20000, 3
 	before := runtime.NumGoroutine()
@@ -145,9 +167,8 @@ func TestNoGoroutinePerRequest(t *testing.T) {
 // exactly when the test says and no goroutine hand-off is involved.
 type setClock struct{ now float64 }
 
-func (c *setClock) Now() float64          { return c.now }
-func (c *setClock) NewTimer() clock.Timer { return nil }
-func (c *setClock) Sleep(float64)         {}
+func (c *setClock) Now() float64                { return c.now }
+func (c *setClock) NewTimer(func()) clock.Timer { return nil }
 
 // tickClock is a set-by-hand clock that moves a little on every reading, as
 // a wall clock does between two calls: the first reading after a set returns

@@ -46,12 +46,10 @@ type Runtime struct {
 	closed   bool
 	drainCh  chan struct{}
 
-	// timer wakes the loop goroutine at armedAt, the earliest queued
-	// deadline when mu was last released (+Inf: stopped); nil until Start.
-	timer    clock.Timer
-	armedAt  float64
-	stopCh   chan struct{}
-	loopDone chan struct{}
+	// timer calls onTimer at armedAt, the earliest queued deadline when mu
+	// was last released (+Inf: stopped); nil until Start.
+	timer   clock.Timer
+	armedAt float64
 }
 
 // waiter is where one admitted request's Result goes.
@@ -73,11 +71,7 @@ func New(cfg Config, driver simulator.Driver) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt := &Runtime{
-		clk:      cfg.Clock,
-		stopCh:   make(chan struct{}),
-		loopDone: make(chan struct{}),
-	}
+	rt := &Runtime{clk: cfg.Clock}
 	ec, err := rt.eng.InitLive(cfg.engineConfig(), driver, cfg.BatchLinger, rt.resolve)
 	if err != nil {
 		return nil, err
@@ -90,8 +84,8 @@ func New(cfg Config, driver simulator.Driver) (*Runtime, error) {
 }
 
 // Start runs the driver's Setup, arms the decision-window cadence and the
-// scheduled faults, and launches the scheduler loop. It must be called
-// exactly once.
+// scheduled faults, and arms the runtime's one clock timer. It starts no
+// goroutine. It must be called exactly once.
 func (rt *Runtime) Start() {
 	rt.mu.Lock()
 	if rt.timer != nil || rt.closed {
@@ -100,10 +94,10 @@ func (rt *Runtime) Start() {
 	}
 	rt.readClock()
 	rt.eng.Begin()
-	rt.timer = rt.clk.NewTimer()
-	rt.arm(true)
+	rt.timer = rt.clk.NewTimer(rt.onTimer)
+	rt.armedAt = math.Inf(1)
+	rt.arm()
 	rt.mu.Unlock()
-	go rt.loop()
 }
 
 // readClock takes the clock reading an external entry point's work happens
@@ -128,7 +122,7 @@ func (rt *Runtime) onEngine(f func() error) error {
 	rt.runDue()
 	err := f()
 	rt.runDue()
-	rt.arm(false)
+	rt.arm()
 	return err
 }
 
@@ -150,10 +144,10 @@ func (rt *Runtime) due(now float64) bool {
 
 // arm points the timer at the earliest queued deadline; callers hold mu, and
 // every holder that runs events arms before it unlocks. It touches the timer
-// only when forced (the timer is new or fired) or that deadline moved, so a
-// pass that leaves the deadline where it was — every request on a busy node
-// — makes no timer call. Before Start there is no timer to arm.
-func (rt *Runtime) arm(force bool) {
+// only when that deadline moved from armedAt, so a pass that leaves the
+// deadline where it was — every request on a busy node — makes no timer
+// call. Before Start there is no timer to arm.
+func (rt *Runtime) arm() {
 	if rt.timer == nil {
 		return
 	}
@@ -161,7 +155,7 @@ func (rt *Runtime) arm(force bool) {
 	if !ok {
 		at = math.Inf(1)
 	}
-	if !force && at == rt.armedAt { //lint:allow floateq armedAt is a stored copy of a queue timestamp, never recomputed
+	if at == rt.armedAt { //lint:allow floateq armedAt is a stored copy of a queue timestamp, never recomputed
 		return
 	}
 	if ok {
@@ -172,25 +166,19 @@ func (rt *Runtime) arm(force bool) {
 	rt.armedAt = at
 }
 
-// loop is the scheduler goroutine. It only sleeps on the timer, then runs
-// what the clock made due. A receive from the timer means "look again" (see
-// clock.Timer), hence arm(true) even when the deadline did not move.
-func (rt *Runtime) loop() {
-	defer close(rt.loopDone)
-	defer rt.timer.Stop() // past Close, nothing else touches the timer
-	for {
-		select {
-		case <-rt.stopCh:
-			return
-		case <-rt.timer.C():
-		}
-		rt.mu.Lock()
-		if !rt.closed {
-			rt.runDue()
-			rt.arm(true)
-		}
-		rt.mu.Unlock()
+// onTimer is the timer's function: it runs what the clock made due. The
+// timer is no longer armed, so armedAt is +Inf and arm re-arms it. A call
+// means "look again" (see clock.Timer): a caller may already have run the
+// event.
+func (rt *Runtime) onTimer() {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if rt.closed {
+		return
 	}
+	rt.armedAt = math.Inf(1)
+	rt.runDue()
+	rt.arm()
 }
 
 // Quiesced reports whether the runtime has fully reacted to the current
@@ -232,7 +220,7 @@ var errNonFiniteDeadline = errors.New("serving: deadline must be a finite number
 // then, and the arrival is stamped with the reading that found nothing else
 // due. A request sent exactly on a decision-window boundary is therefore
 // counted in the window that opens there and admitted against the state the
-// tick left, whichever of the call and the loop's timer takes the lock
+// tick left, whichever of the call and the timer's function takes the lock
 // first; a request whose DAG runs in zero model time has resolved when the
 // call returns.
 func (rt *Runtime) InvokeWithDeadline(ctx context.Context, budget float64) (<-chan Result, error) {
@@ -334,7 +322,7 @@ func (rt *Runtime) abandon(tag, id int) error {
 
 // resolve delivers a request's terminal Result and settles admission and
 // drain accounting; the engine calls it, under mu, once per request. The
-// channel is buffered, so delivery never blocks the loop.
+// channel is buffered, so delivery never blocks.
 func (rt *Runtime) resolve(inv *simulator.Request, o simulator.Outcome) {
 	rt.inflight--
 	invariant(rt.inflight >= 0, "admission accounting went negative: inflight %d after resolving request %d", rt.inflight, inv.ID())
@@ -376,15 +364,17 @@ func (rt *Runtime) Drain(timeout time.Duration) error {
 	}
 	ch := rt.drainCh
 	rt.mu.Unlock()
+	timer := time.NewTimer(timeout) //lint:allow clockhygiene drain timeout is a real-time operational bound by contract, not model time
+	defer timer.Stop()
 	select {
 	case <-ch:
 		return nil
-	case <-time.After(timeout): //lint:allow clockhygiene drain timeout is a real-time operational bound by contract, not model time
+	case <-timer.C:
 		return fmt.Errorf("serving: drain timed out after %v with %d inflight", timeout, rt.Inflight())
 	}
 }
 
-// Close stops the scheduler loop and terminates every container, settling
+// Close stops the runtime's timer and terminates every container, settling
 // the cost ledger. Requests that have not resolved stay unresolved. Close is
 // idempotent. Builds tagged smiless_invariants check, as the simulator's
 // end of run does, that every billed second belongs to exactly one container
@@ -399,12 +389,10 @@ func (rt *Runtime) Close() {
 	rt.readClock()
 	unresolved := rt.eng.Settle()
 	invariant(unresolved == rt.inflight, "%d admitted requests unresolved at close, but %d inflight", unresolved, rt.inflight)
-	close(rt.stopCh)
-	started := rt.timer != nil
-	rt.mu.Unlock()
-	if started {
-		<-rt.loopDone
+	if rt.timer != nil {
+		rt.timer.Stop() // a fire already in flight finds the runtime closed
 	}
+	rt.mu.Unlock()
 }
 
 // --- Locked external observers -----------------------------------------

@@ -21,9 +21,9 @@
 // Every future transition is an event on the engine's deadline-ordered
 // queue, run under the runtime mutex, each event at one clock reading handed
 // to the engine, by whoever makes it due: Invoke runs what is due, admits its
-// arrival and runs what that made due; a single scheduler goroutine sleeps on
-// one clock.Timer, armed at the earliest deadline, and runs what the clock
-// made due. This gives three properties for free:
+// arrival and runs what that made due; the runtime's one clock.Timer, armed
+// at the earliest deadline, calls a function that runs what the clock made
+// due. The runtime owns no goroutine. This gives three properties for free:
 //
 //   - one engine and one same-instant order with the simulator: the same
 //     seeded trace yields DeepEqual statistics on both front ends
