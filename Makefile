@@ -27,7 +27,7 @@ chaos-smoke:
 # -tags smiless_invariants, turning on in-code assertions (event-queue
 # ordering, end-of-run conservation of requests and cost, admission-slot
 # accounting, done-map idempotency, node health transitions, drivers writing
-# through a history view) and the
+# through a history view, no reference left to a slot's reused object) and the
 # goroutine-leak checker adopted by TestMain (serving, and loadgen's
 # pacer/worker engine). The controller and baseline suites ride along so
 # every shipped driver runs under the history guard.
@@ -47,14 +47,14 @@ fmt:
 	gofmt -w .
 
 # Non-test Go lines per package directory; fails when internal/simulator +
-# internal/serving exceed 4,240 lines (ROADMAP item 6) or internal/lint +
+# internal/serving exceed 4,235 lines (ROADMAP item 6) or internal/lint +
 # internal/lint/linttest exceed 1,300.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' | sort | xargs wc -l | awk ' \
 	function limit(name, s, max) { printf "%7d %s (limit %d)\n", s, name, max; if (s > max) { print "loc: " name " over " max " lines" > "/dev/stderr"; bad = 1 } } \
 	$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); if (!(d in n)) o[++k] = d; n[d] += $$1 } \
 	END { for (i = 1; i <= k; i++) printf "%7d %s\n", n[o[i]], o[i]; \
-		limit("internal/simulator + internal/serving", n["./internal/simulator"] + n["./internal/serving"], 4240); \
+		limit("internal/simulator + internal/serving", n["./internal/simulator"] + n["./internal/serving"], 4235); \
 		limit("internal/lint + internal/lint/linttest", n["./internal/lint"] + n["./internal/lint/linttest"], 1300); \
 		exit bad }'
 

@@ -9,27 +9,26 @@
 //	pushed later (a keep-alive deadline keeps the rank of the instant it was
 //	armed however often its entry is re-pushed).
 //
-// The heap sifts pointer-free keys — (time, ticket, slot) — so moving an
-// entry is a plain copy with no GC write barrier, however many pointers T
-// holds. Payloads sit in a slab indexed by slot, written once on Push and
-// zeroed on Pop so the queue keeps no references; freed slots are reused.
-// There is no container/heap interface and no boxing, and once the heap and
-// the slab have grown to the run's high-water mark no event allocates.
+// Each heap entry holds its payload beside its (time, ticket) key, so moving
+// an entry is one plain copy: T should be small and pointer-free (the
+// engine's event is 16 bytes), else every sift step pays a GC write barrier.
+// There is no container/heap interface and no boxing, and once the heap has
+// grown to the run's high-water mark no event allocates.
 //
 //lint:deterministic
 package eventq
 
 import "fmt"
 
-// key is a heap entry: when the event is due, its same-instant rank, and
-// the slab slot holding its payload.
-type key struct {
+// entry is a heap entry: when the event is due, its same-instant rank, and
+// the event.
+type entry[T any] struct {
 	at     float64
 	ticket uint64
-	slot   int32
+	v      T
 }
 
-func (a *key) before(b *key) bool {
+func (a *entry[T]) before(b *entry[T]) bool {
 	if a.at != b.at { //lint:allow floateq exact tie-break: only bit-identical timestamps fall through to ticket order
 		return a.at < b.at
 	}
@@ -39,15 +38,20 @@ func (a *key) before(b *key) bool {
 // Queue is a min-heap of T ordered on (time, ticket). The zero value is an
 // empty queue.
 type Queue[T any] struct {
-	h       []key
-	vals    []T     // payload slab, indexed by key.slot
-	free    []int32 // vacant slots of vals
+	h       []entry[T]
 	tickets uint64
 	lastPop float64 // read and written only in smiless_invariants builds
 }
 
 // Len returns the number of queued events.
 func (q *Queue[T]) Len() int { return len(q.h) }
+
+// Each calls f on every queued event, in no particular order.
+func (q *Queue[T]) Each(f func(T)) {
+	for i := range q.h {
+		f(q.h[i].v)
+	}
+}
 
 // Ticket draws the next same-instant rank without pushing anything.
 func (q *Queue[T]) Ticket() uint64 {
@@ -61,15 +65,7 @@ func (q *Queue[T]) Push(at float64, v T) { q.PushTicket(at, q.Ticket(), v) }
 
 // PushTicket queues v at time at under a rank drawn earlier with Ticket.
 func (q *Queue[T]) PushTicket(at float64, ticket uint64, v T) {
-	var slot int32
-	if n := len(q.free); n > 0 {
-		slot, q.free = q.free[n-1], q.free[:n-1]
-		q.vals[slot] = v
-	} else {
-		slot = int32(len(q.vals))
-		q.vals = append(q.vals, v)
-	}
-	k := key{at, ticket, slot}
+	k := entry[T]{at, ticket, v}
 	q.h = append(q.h, k)
 	i := len(q.h) - 1
 	for i > 0 {
@@ -99,6 +95,7 @@ func (q *Queue[T]) Pop() (at float64, v T) {
 	top := q.h[0]
 	n := len(q.h) - 1
 	k := q.h[n]
+	q.h[n] = entry[T]{} // drop the vacated entry's references
 	q.h = q.h[:n]
 	if n > 0 {
 		i := 0
@@ -124,9 +121,5 @@ func (q *Queue[T]) Pop() (at float64, v T) {
 		}
 		q.lastPop = top.at
 	}
-	v = q.vals[top.slot]
-	var zero T
-	q.vals[top.slot] = zero // drop the slot's references
-	q.free = append(q.free, top.slot)
-	return top.at, v
+	return top.at, top.v
 }

@@ -135,27 +135,7 @@ func TestSteadyStateDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// The payload slab holds one slot per queued event, reusing freed slots:
-// it never grows past the most events ever queued at once.
-func TestSlabBoundedByHighWater(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	var q Queue[int]
-	high, now := 0, 0.0
-	for op := 0; op < 20000; op++ {
-		if q.Len() > 0 && r.Intn(2) == 0 {
-			now, _ = q.Pop()
-		} else {
-			q.Push(now+float64(r.Intn(8)), op)
-		}
-		high = max(high, q.Len())
-		if len(q.vals) > high || len(q.vals) != q.Len()+len(q.free) {
-			t.Fatalf("op %d: slab %d slots (%d free) for %d queued, high-water %d",
-				op, len(q.vals), len(q.free), q.Len(), high)
-		}
-	}
-}
-
-// Pop leaves no reference behind in the slot it frees.
+// Pop leaves no reference behind in the heap entry it vacates.
 func TestPopZeroesSlot(t *testing.T) {
 	var q Queue[*int]
 	for i := 0; i < 8; i++ {
@@ -164,28 +144,25 @@ func TestPopZeroesSlot(t *testing.T) {
 	for q.Len() > 4 {
 		q.Pop()
 	}
-	for _, slot := range q.free {
-		if q.vals[slot] != nil {
-			t.Fatalf("freed slot %d still holds %p", slot, q.vals[slot])
+	for i, e := range q.h[q.Len():cap(q.h)] {
+		if e.v != nil {
+			t.Fatalf("vacated entry %d still holds %p", q.Len()+i, e.v)
 		}
 	}
 }
 
-// benchEvent mirrors the engine's event: five words, three of them
-// pointers. A queue that moved such payloads through its heap would pay a
-// write barrier per move whenever a GC cycle is running.
+// benchEvent mirrors the engine's event: 16 bytes and no pointer, so the
+// heap moves it with plain copies.
 type benchEvent struct {
-	kind    uint8
-	idx     int32
-	epoch   int
-	a, b, c *int
+	kind      uint8
+	idx       int32
+	slot, gen int32
 }
 
 func BenchmarkPushPop(b *testing.B) {
 	var q Queue[benchEvent]
-	p := new(int)
 	for i := 0; i < 128; i++ {
-		q.Push(float64(i%13), benchEvent{epoch: i, a: p, b: p, c: p})
+		q.Push(float64(i%13), benchEvent{idx: int32(i)})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -27,6 +27,13 @@ func (q *FIFO[T]) Push(v T) {
 	q.buf = append(q.buf, v)
 }
 
+// Each calls f on every queued item, front to back.
+func (q *FIFO[T]) Each(f func(T)) {
+	for _, v := range q.buf[q.head:] {
+		f(v)
+	}
+}
+
 // Pop removes and returns the front item. It panics on an empty queue.
 func (q *FIFO[T]) Pop() T {
 	v := q.buf[q.head]

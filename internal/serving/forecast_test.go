@@ -47,9 +47,8 @@ func runForecastServing(t *testing.T, opts controller.Options) *simulator.RunSta
 		next := float64(i+1) * 2
 		stepUntil(t, rt, fake, func() bool { return fake.Now() >= next })
 	}
-	// The clock stands on the last window boundary: let the loop handle that
-	// tick, or the snapshot holds one scored forecast more or less depending
-	// on which goroutine runs first.
+	// The clock stands on the last window boundary: wait until nothing is
+	// due there, so the snapshot always includes that tick's scored forecast.
 	stepUntil(t, rt, fake, rt.Quiesced)
 	return rt.Snapshot()
 }

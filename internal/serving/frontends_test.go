@@ -129,7 +129,7 @@ func TestMinWarmFloorRearms(t *testing.T) {
 
 // Ten thousand batches on four instances leave at most one keep-alive entry
 // per instance in the queue, not one per batch. The runtime is never started:
-// the test plays the scheduler loop, running each event at its deadline.
+// the test runs each event itself, at its deadline.
 // Every entry queued after the last arrival comes due (keep-alive 1000 s), so
 // draining the queue counts them: at most one per in-flight batch and two
 // per instance, the entry and its one re-push when its deadline has moved.

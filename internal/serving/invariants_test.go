@@ -90,7 +90,7 @@ func TestConservationCatchesMisbilling(t *testing.T) {
 				MustRun(&trace.Trace{Horizon: 10, Arrivals: []float64{0.5, 2.5}})
 		}},
 		{"serving", func(d simulator.Driver) {
-			// Never started: the test goroutine plays the scheduler loop, so a
+			// Never started: the test goroutine runs every event itself, so a
 			// panic in Close is recoverable and leaves no goroutine behind.
 			clk := &setClock{}
 			rt, err := New(Config{App: app, SLA: 10, Clock: clk}, d)

@@ -30,13 +30,13 @@ func TestLoopKeepsOneClockWaiter(t *testing.T) {
 	}
 	stepUntil(t, rt, fake, func() bool { return true })
 	if got := fake.Waiters(); got > 1 {
-		t.Errorf("%d clock waiters after 1000 requests, want the loop's one timer", got)
+		t.Errorf("%d clock waiters after 1000 requests, want the runtime's one timer", got)
 	}
 }
 
 // Whoever makes work due runs it: a request whose DAG takes no model time
 // has resolved by the time Invoke returns, its Result already on the channel,
-// with no pass of the loop goroutine in between.
+// put there by the calling goroutine.
 func TestInvokeRunsItsOwnWork(t *testing.T) {
 	rt, _ := newTestRuntime(t, Config{App: zeroDiamond(), SLA: 10}, keepAliveDriver(1))
 	for i := 0; i < 1000; i++ {
@@ -86,7 +86,7 @@ func schedLatencySamples() uint64 {
 
 // A blocking Call hands its work to no other goroutine: on one P, the
 // caller admits, runs the DAG and reads its Result without the scheduler
-// switching to the loop goroutine and back.
+// switching to another goroutine and back.
 func TestCallHandsOffNoGoroutine(t *testing.T) {
 	if allocsInstrumented {
 		t.Skip("race and invariant builds add scheduler work inside instrumentation")
@@ -162,9 +162,9 @@ func TestNoGoroutinePerRequest(t *testing.T) {
 	waitForReal(t, func() bool { return runtime.NumGoroutine() <= before })
 }
 
-// setClock is a clock the test sets directly, for runtimes that are never
-// started: the test goroutine plays the scheduler loop, so every event runs
-// exactly when the test says and no goroutine hand-off is involved.
+// setClock is a clock the test sets directly. Its timers never fire (a
+// runtime started on it arms none), so the test goroutine runs every event
+// itself, exactly when the test says, and no goroutine hand-off is involved.
 type setClock struct{ now float64 }
 
 func (c *setClock) Now() float64                { return c.now }
@@ -208,7 +208,7 @@ func TestEventIsOneInstant(t *testing.T) {
 			Retry: faults.RetryPolicy{MaxAttempts: 3, BaseBackoff: 0.2},
 		})
 	}
-	// The test plays the scheduler loop: one event per clock setting.
+	// The test plays the runtime's timer: one event per clock setting.
 	runTo := func(until float64) {
 		for {
 			at, ok := rt.eng.NextAt()

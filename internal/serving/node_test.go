@@ -237,30 +237,34 @@ func TestAbandonFreesAdmissionSlot(t *testing.T) {
 	}
 }
 
-// slotRequest reads the request waiter slot tag holds.
-func slotRequest(rt *Runtime, tag int) *simulator.Request {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.waiters[tag].req
+// admitRef admits one request as Invoke does and returns its channel and
+// the engine's ref for it.
+func admitRef(t *testing.T, rt *Runtime) (<-chan Result, simulator.Ref) {
+	t.Helper()
+	ch, ref, err := rt.admit(context.Background(), 0, true)
+	if err != nil {
+		t.Fatalf("admit: %v", err)
+	}
+	return ch, ref
 }
 
 // TestStaleAbandonSparesReusedSlot: an abandon that fires after its request
-// resolved — the context watch lost the race with resolve — finds the waiter
-// slot, and the engine's Request object, already serving the next request.
-// It names the old request by id, so the new one completes.
+// resolved — the context watch lost the race with resolve — finds the
+// engine's request slot, and the waiter indexed by it, already serving the
+// next request. It names the old request by its ref, so the new one
+// completes.
 func TestStaleAbandonSparesReusedSlot(t *testing.T) {
 	rt, fake := newTestRuntime(t, nodeChainConfig(1, nil), keepAliveDriver(1))
-	ch := mustInvoke(t, rt)
-	first := slotRequest(rt, 0)
+	ch, first := admitRef(t, rt)
 	old := await(t, rt, fake, ch)
 	if old.Failed {
 		t.Fatalf("first request = %+v, want success", old)
 	}
-	ch = mustInvoke(t, rt)
-	if next := slotRequest(rt, 0); next == nil || next.ID() == old.ReqID || (!invariantsEnabled && next != first) {
-		t.Fatal("the second request did not take over slot 0 and the first request's object")
+	ch, next := admitRef(t, rt)
+	if next.Slot() != first.Slot() || next == first {
+		t.Fatal("the second request did not take over the first request's slot")
 	}
-	rt.abandon(0, old.ReqID)
+	rt.abandon(first)
 	if res := await(t, rt, fake, ch); res.Failed || res.Abandoned {
 		t.Errorf("second request = %+v, want success", res)
 	}

@@ -8,42 +8,51 @@ import (
 )
 
 // runBoundaryArrivals sends one request exactly on each of the first n
-// decision-window boundaries of a fake-clock runtime, without waiting for
-// the scheduler loop to handle the window tick first: the clock is advanced
-// onto the boundary, which wakes the loop, and Invoke is called at once, so
-// the two race for the runtime's lock.
+// decision-window boundaries of a started runtime whose clock never fires.
+// The test plays the timer up to each boundary k, then sets the clock onto k
+// and calls Invoke: the tick at k is due and not yet run when Invoke takes
+// the runtime's lock, so Invoke itself decides whether the tick or the
+// arrival comes first.
 func runBoundaryArrivals(t *testing.T, n int) (*simulator.RunStats, []int, []float64) {
 	t.Helper()
 	app := testChain([]float64{0.1}, 0.5)
-	rt, fake := newTestRuntime(t, Config{App: app, SLA: 10, Window: 1}, keepAliveDriver(1))
+	clk := &setClock{}
+	rt, err := New(Config{App: app, SLA: 10, Window: 1, Clock: clk}, keepAliveDriver(1))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	rt.Start()
 	defer rt.Close()
-	// quiesceBefore handles every event due before model time at and leaves
-	// the loop asleep on its timer for at.
-	quiesceBefore := func(at float64) {
-		stepUntil(t, rt, fake, func() bool {
-			next, ok := fake.NextDeadline()
-			return ok && next >= at
-		})
+	// runBefore sets the clock onto each queued deadline before at and runs
+	// what is due there, as the timer would.
+	runBefore := func(at float64) {
+		for {
+			next, ok := rt.eng.NextAt()
+			if !ok || next >= at {
+				return
+			}
+			clk.now = next
+			rt.onTimer()
+		}
 	}
 	for k := 1; k <= n; k++ {
-		quiesceBefore(float64(k))
-		fake.AdvanceToNext()
+		runBefore(float64(k))
+		clk.now = float64(k)
 		mustInvoke(t, rt)
 	}
-	// Step onto the tick that closes the last window and no further, then
-	// let the runtime settle there.
-	quiesceBefore(float64(n + 1))
-	fake.AdvanceToNext()
-	stepUntil(t, rt, fake, func() bool { return true })
+	// Run up to the tick that closes the last window, and that tick.
+	runBefore(float64(n + 1))
+	clk.now = float64(n + 1)
+	rt.onTimer()
 	counts, arrivals := history(rt)
 	return rt.Snapshot(), counts, arrivals
 }
 
 // TestArrivalOrderedAfterDueEvents pins the order InvokeWithDeadline
 // documents: an arrival stamped t comes after every event due at or before t.
-// A request sent exactly on a window boundary is therefore counted in the
-// window that opens there, never in the one the tick closes, whichever
-// goroutine wins the lock — and the whole run is replay-deterministic.
+// A request sent exactly on a window boundary, while that boundary's tick is
+// still queued, is therefore counted in the window that opens there, never
+// in the one the tick closes — and the whole run is replay-deterministic.
 func TestArrivalOrderedAfterDueEvents(t *testing.T) {
 	const n = 200
 	stats, counts, arrivals := runBoundaryArrivals(t, n)

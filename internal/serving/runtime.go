@@ -34,11 +34,10 @@ type Runtime struct {
 	clk clock.Scheduler
 
 	mu sync.Mutex
-	// waiters[r.Tag()] holds an unresolved request, its result channel and
-	// its context watch; free lists the vacant slots, so a request in steady
-	// state reuses one, and its channel, rather than allocating.
+	// waiters is indexed by the engine's request slot (simulator.Ref.Slot):
+	// a request in steady state reuses a vacated slot, and its channel,
+	// rather than allocating.
 	waiters []waiter
-	free    []int
 
 	inflight int
 	rejected int
@@ -52,12 +51,9 @@ type Runtime struct {
 	armedAt float64
 }
 
-// waiter is where one admitted request's Result goes.
+// waiter is where the Result of the request in one engine slot goes.
 type waiter struct {
-	// req is the request while it is unresolved: resolve clears the slot
-	// before the engine may hand the object to a later arrival.
-	req *simulator.Request
-	ch  chan Result
+	ch chan Result
 	// unwatch withdraws the abandon-on-cancel registration on the caller's
 	// context; nil when that context cannot be cancelled.
 	unwatch func() bool
@@ -224,7 +220,7 @@ var errNonFiniteDeadline = errors.New("serving: deadline must be a finite number
 // first; a request whose DAG runs in zero model time has resolved when the
 // call returns.
 func (rt *Runtime) InvokeWithDeadline(ctx context.Context, budget float64) (<-chan Result, error) {
-	ch, _, _, err := rt.admit(ctx, budget, true)
+	ch, _, err := rt.admit(ctx, budget, true)
 	return ch, err
 }
 
@@ -236,7 +232,7 @@ func (rt *Runtime) Call(ctx context.Context, budget float64) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ch, tag, id, err := rt.admit(ctx, budget, false)
+	ch, ref, err := rt.admit(ctx, budget, false)
 	if err != nil {
 		return Result{}, err
 	}
@@ -244,7 +240,7 @@ func (rt *Runtime) Call(ctx context.Context, budget float64) (Result, error) {
 	case res := <-ch:
 		return res, nil
 	case <-ctx.Done():
-		if err := rt.abandon(tag, id); err != nil && len(ch) == 0 {
+		if err := rt.abandon(ref); err != nil && len(ch) == 0 {
 			return Result{}, err
 		}
 		return <-ch, nil
@@ -252,10 +248,10 @@ func (rt *Runtime) Call(ctx context.Context, budget float64) (Result, error) {
 }
 
 // admit is Invoke's and Call's admission. It returns the request's result
-// channel, waiter slot and id; watch arms Invoke's abandon-on-cancel watch.
-func (rt *Runtime) admit(ctx context.Context, budget float64, watch bool) (ch chan Result, tag, id int, err error) {
+// channel and ref; watch arms Invoke's abandon-on-cancel watch.
+func (rt *Runtime) admit(ctx context.Context, budget float64, watch bool) (ch chan Result, ref simulator.Ref, err error) {
 	if math.IsNaN(budget) || math.IsInf(budget, 0) {
-		return nil, 0, 0, errNonFiniteDeadline
+		return nil, ref, errNonFiniteDeadline
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -277,45 +273,36 @@ func (rt *Runtime) admit(ctx context.Context, budget float64, watch bool) (ch ch
 		}
 		rt.inflight++
 		invariant(rt.inflight <= rt.cfg.MaxInflight, "admission slots over-committed: inflight %d > max %d", rt.inflight, rt.cfg.MaxInflight)
-		tag = len(rt.waiters)
-		if n := len(rt.free); n > 0 {
-			tag, rt.free = rt.free[n-1], rt.free[:n-1]
-		} else {
+		ref = rt.eng.Arrive(budget).Ref()
+		for len(rt.waiters) <= ref.Slot() {
 			rt.waiters = append(rt.waiters, waiter{})
 		}
+		w := &rt.waiters[ref.Slot()]
 		// A channel still holding a Result nobody received is not reused.
-		if ch = rt.waiters[tag].ch; ch == nil || len(ch) > 0 {
+		if ch = w.ch; ch == nil || len(ch) > 0 {
 			ch = make(chan Result, 1)
-			rt.waiters[tag].ch = ch
+			w.ch = ch
 		}
-		inv := rt.eng.Arrive(budget, tag)
-		if id = inv.ID(); inv.Resolved() {
-			return nil
-		}
-		rt.waiters[tag].req = inv
 		// Watch for caller disconnect only when the context can actually be
 		// cancelled. The watch is a registration on ctx that resolve
 		// withdraws, not a parked goroutine: one starts only if the caller
-		// really goes away first. It names the request by slot and id, not
-		// by pointer: fired after resolve, it must not reach the request
-		// that reuses the slot or the object.
+		// really goes away first. It names the request by its ref: fired
+		// after resolve, it reaches nothing.
 		if watch && ctx.Done() != nil {
-			tag, id := tag, id // copies: capturing the results would move them to the heap
-			rt.waiters[tag].unwatch = context.AfterFunc(ctx, func() { rt.abandon(tag, id) })
+			ref := ref // a copy: capturing the result would move it to the heap
+			w.unwatch = context.AfterFunc(ctx, func() { rt.abandon(ref) })
 		}
 		return nil
 	})
-	return ch, tag, id, err
+	return ch, ref, err
 }
 
-// abandon fails the admitted request id in waiter slot tag, whose caller
-// went away, freeing its admission slot and purging its queued members. It
-// does nothing once that request has resolved; after Close it is ErrClosed.
-func (rt *Runtime) abandon(tag, id int) error {
+// abandon fails the admitted request r names, whose caller went away,
+// freeing its admission slot and purging its queued members. It does
+// nothing once that request has resolved; after Close it is ErrClosed.
+func (rt *Runtime) abandon(r simulator.Ref) error {
 	return rt.onEngine(func() error {
-		if r := rt.waiters[tag].req; r != nil && r.ID() == id {
-			rt.eng.Abandon(r)
-		}
+		rt.eng.Abandon(r)
 		return nil
 	})
 }
@@ -326,9 +313,8 @@ func (rt *Runtime) abandon(tag, id int) error {
 func (rt *Runtime) resolve(inv *simulator.Request, o simulator.Outcome) {
 	rt.inflight--
 	invariant(rt.inflight >= 0, "admission accounting went negative: inflight %d after resolving request %d", rt.inflight, inv.ID())
-	w := rt.waiters[inv.Tag()]
-	rt.waiters[inv.Tag()] = waiter{ch: w.ch}
-	rt.free = append(rt.free, inv.Tag())
+	w := rt.waiters[inv.Ref().Slot()]
+	rt.waiters[inv.Ref().Slot()] = waiter{ch: w.ch}
 	end := rt.eng.Now()
 	e2e := end - inv.Arrival()
 	w.ch <- Result{

@@ -47,7 +47,6 @@ func (n *nodeState) freeFor(cfg hardware.Config) int {
 // in pendingLaunch, counted in CapacityBlocked, until capacity frees or a
 // node returns to service (reopened).
 func (e *Engine) place(c *container) (int, bool) {
-	notRetired(c, "place")
 	node, ok := e.allocate(c.fn, c.cfg)
 	if !ok {
 		e.pendingLaunch = append(e.pendingLaunch, c)

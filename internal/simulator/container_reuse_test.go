@@ -17,11 +17,10 @@ import (
 )
 
 // A container reaped by keep-alive is the next launch: the same object,
-// under a new id, with a fresh life. Builds tagged smiless_invariants retire
-// it instead.
+// under a new id, with a fresh life, in every build.
 func TestReapedContainerIsReused(t *testing.T) {
 	l := newLive(exactChain(1), keepAlive(5), 1, 1e9)
-	l.Arrive(0, 0) // cold start 0–1, executes 1–1.1, reaped at 6.1
+	l.Arrive(0) // cold start 0–1, executes 1–1.1, reaped at 6.1
 	runTo(l, 2, nil)
 	c := l.fnList[0].containers[0]
 	old := c.id
@@ -29,15 +28,8 @@ func TestReapedContainerIsReused(t *testing.T) {
 	if l.LiveInstances("F1") != 0 {
 		t.Fatal("the idle instance was not reaped")
 	}
-	l.Arrive(0, 0)
-	next := l.fnList[0].containers[0]
-	if invariantsEnabled {
-		if next == c || !c.retired {
-			t.Errorf("invariant build: reused %t, retired %t; want a new object and the old one retired", next == c, c.retired)
-		}
-		return
-	}
-	if next != c {
+	l.Arrive(0)
+	if next := l.fnList[0].containers[0]; next != c {
 		t.Fatal("the reaped container was not handed to the next launch")
 	}
 	fresh := c.id == old+1 && c.state == cInitializing && c.initStart == 7 && !c.prewarmed &&
@@ -57,9 +49,10 @@ func TestReapedContainerIsReused(t *testing.T) {
 // starts container X at 0 and runs on it from 1; at kill the node crashes
 // and reboots, evicting X (its member fails over to a fresh launch Y);
 // request 1 arrives 0.1 s later and reuses X. X's event of kind then comes
-// due — or, with a partition, is held and replayed at the heal — while the
-// reused X is in the state the handler acts on, so only the handler's
-// staleness guard stands between them: the event must change nothing.
+// due — on a partitioned node too, which holds a live completion but must
+// not hold a stale one — while the reused X is in the state the handler
+// acts on, so only dispatch's generation check stands between them: the
+// event must change nothing.
 func TestStaleEventSparesReusedContainer(t *testing.T) {
 	straggle := func(s0, s2 float64) []float64 { return []float64{s0, 1, s2} }
 	retry := func(d Directive, timeout float64) Directive {
@@ -69,14 +62,14 @@ func TestStaleEventSparesReusedContainer(t *testing.T) {
 	hedge := keepAlive(60)
 	hedge.HedgeDelay = 3
 	cases := []struct {
-		name      string
-		dir       Directive
-		inj       *scriptInjector
-		kill      float64
-		kind      eventKind
-		staleAt   float64    // when X's event comes due
-		partition [2]float64 // cut and heal times; zero: no partition
-		state     int        // the reused X's state when the event reaches it
+		name    string
+		dir     Directive
+		inj     *scriptInjector
+		kill    float64
+		kind    eventKind
+		staleAt float64 // when X's event comes due
+		cut     float64 // when the node is partitioned; zero: never
+		state   int     // the reused X's state when the event reaches it
 	}{
 		{name: "init-done", dir: keepAlive(60), inj: &scriptInjector{}, kill: 0.5,
 			kind: evInitDone, staleAt: 1, state: cInitializing},
@@ -92,27 +85,21 @@ func TestStaleEventSparesReusedContainer(t *testing.T) {
 			kind: evHedge, staleAt: 4, state: cBusy},
 		{name: "idle-timeout", dir: keepAlive(60), inj: &scriptInjector{}, kill: 1.5,
 			kind: evIdleTimeout, staleAt: 61.1, state: cIdle},
-		{name: "held-exec-done", dir: keepAlive(60), inj: &scriptInjector{straggler: straggle(30, 30)}, kill: 1.5,
-			kind: evExecDone, staleAt: 4, partition: [2]float64{3, 5}, state: cBusy},
+		{name: "partitioned-exec-done", dir: keepAlive(60), inj: &scriptInjector{straggler: straggle(30, 30)}, kill: 1.5,
+			kind: evExecDone, staleAt: 4, cut: 3, state: cBusy},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			l := newLive(exactChain(1), tc.dir, 1, 1e9)
 			l.inj = tc.inj
-			l.Arrive(0, 0)
+			l.Arrive(0)
 			runTo(l, tc.kill, nil)
 			x := l.conts[0]
-			old := x.id
+			old, oldRef := x.id, x.ref
 			l.CrashNode(0)
 			l.RebootNode(0)
 			runTo(l, tc.kill+0.1, nil)
-			l.Arrive(0, 0)
-			if invariantsEnabled {
-				if !x.retired || x.state != cDead {
-					t.Errorf("invariant build: container %d retired %t, state %d; want retired and dead", old, x.retired, x.state)
-				}
-				return
-			}
+			l.Arrive(0)
 			if x.id == old || x.state != cInitializing {
 				t.Fatalf("container %d was not reused by the next launch (id %d, state %d)", old, x.id, x.state)
 			}
@@ -124,17 +111,15 @@ func TestStaleEventSparesReusedContainer(t *testing.T) {
 				}
 				before, stats = *x, *l.stats
 			}
-			if cut, heal := tc.partition[0], tc.partition[1]; heal > 0 {
-				runTo(l, cut, nil)
+			if tc.cut > 0 {
+				runTo(l, tc.cut, nil)
 				l.PartitionNode(0, true)
-				runTo(l, heal, nil)
-				if !slices.ContainsFunc(l.nodes[0].held, func(ev event) bool { return ev.kind == tc.kind && ev.c == x }) {
-					t.Fatalf("no %d event for container %d was held by the partition", tc.kind, old)
-				}
-				snapshot()
-				l.PartitionNode(0, false)
-			} else if !stepToEvent(l, tc.kind, x, tc.staleAt, snapshot) {
+			}
+			if !stepToEvent(l, tc.kind, oldRef, tc.staleAt, snapshot) {
 				t.Fatalf("no %d event for container %d came due at %v", tc.kind, old, tc.staleAt)
+			}
+			if slices.ContainsFunc(l.nodes[0].held, func(ev event) bool { return ev.ref == oldRef }) {
+				t.Errorf("the partition held a stale event of container %d", old)
 			}
 			if !reflect.DeepEqual(*x, before) || !reflect.DeepEqual(*l.stats, stats) {
 				t.Errorf("a stale event of container %d changed its reuse %d", old, x.id)
@@ -143,9 +128,9 @@ func TestStaleEventSparesReusedContainer(t *testing.T) {
 	}
 }
 
-// stepToEvent handles l's events in order until it pops one of kind for c
-// due at at: it calls before, dispatches that event and reports true.
-func stepToEvent(l *LiveEngine, kind eventKind, c *container, at float64, before func()) bool {
+// stepToEvent handles l's events in order until it pops one of kind for
+// ref due at at: it calls before, dispatches that event and reports true.
+func stepToEvent(l *LiveEngine, kind eventKind, ref Ref, at float64, before func()) bool {
 	for {
 		due, ok := l.NextAt()
 		if !ok || due > at+1e-9 {
@@ -153,7 +138,7 @@ func stepToEvent(l *LiveEngine, kind eventKind, c *container, at float64, before
 		}
 		_, ev := l.events.Pop()
 		l.SetNow(due)
-		if ev.kind == kind && ev.c == c && math.Abs(due-at) <= 1e-9 {
+		if ev.kind == kind && ev.ref == ref && math.Abs(due-at) <= 1e-9 {
 			before()
 			l.dispatch(&ev)
 			return true
@@ -194,7 +179,7 @@ func TestContainerKilledInCallbackNotReusedThere(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Begin()
-	l.Arrive(0, 0)
+	l.Arrive(0)
 	runTo(l, 3.5, nil)
 	if x == nil || launched[2] == nil || launched[3] == nil {
 		t.Fatal("the driver's windows did not run")
@@ -202,8 +187,8 @@ func TestContainerKilledInCallbackNotReusedThere(t *testing.T) {
 	if launched[2] == x {
 		t.Errorf("container %d was reused by a launch in the callback that terminated it", xID)
 	}
-	if reused, want := launched[3] == x, !invariantsEnabled; reused != want {
-		t.Errorf("container %d reused by the next window's launch: %t, want %t", xID, reused, want)
+	if launched[3] != x {
+		t.Errorf("container %d was not reused by the next window's launch", xID)
 	}
 }
 

@@ -92,13 +92,12 @@ type Engine struct {
 	conts    []*container
 	nextCont int
 	nextInv  int
-	// spare holds completed requests nothing can point at any more
-	// (completeInvocation); arrive reuses the last one before allocating.
-	// dead lists the containers terminated since the last top-level entry
-	// (dispatch, arrive), which then moves them to spareConts for launch.
-	// Both are linked through container.next, so neither ever allocates.
-	spare            []*Request
-	dead, spareConts *container
+	// The slot tables events name their targets in (see Ref), and the
+	// containers terminated since the last top-level entry (recycleDead).
+	contSlots slots[container]
+	reqSlots  slots[Request]
+	copySlots slots[nodeInv]
+	dead      []*container
 
 	arrivalsThisWindow int
 	counts             []int // per-window arrival history
@@ -119,19 +118,25 @@ type injector interface {
 	Jitter() float64
 }
 
-// eventKind discriminates queued events.
+// eventKind discriminates queued events. The container events come first:
+// up to evExecFail the completions and failures the container's own node
+// emits — lost with a crashed node, delayed by a partition — then the
+// gateway-side timers (timeouts, hedges, idle reaping), which the control
+// plane runs regardless of node reachability. A batch's events run from
+// evExecDone to evHedge.
 type eventKind uint8
 
 const (
 	evInitDone       eventKind = iota // container finished initializing
-	evExecDone                        // container finished a batch
-	evIdleTimeout                     // keep-alive queue entry due
-	evPrewarm                         // scheduled pre-warm point
 	evInitFail                        // injected crash mid-initialization
+	evExecDone                        // container finished a batch
 	evExecFail                        // injected crash mid-execution
 	evExecTimeout                     // gateway per-attempt timeout fired
 	evHedge                           // hedge point for a slow single execution
+	evIdleTimeout                     // keep-alive queue entry due
+	evPrewarm                         // scheduled pre-warm point
 	evRetry                           // backed-off retry becomes ready
+	evRetryCopy                       // a failover copy's retry becomes ready
 	evLinger                          // batch aggregation window expired
 	evWindow                          // decision-window boundary
 	evDeadline                        // per-request deadline elapsed
@@ -144,34 +149,77 @@ const (
 	evPreemptEnd                      // preempted capacity returns
 )
 
-// nodeSide reports whether the event is a completion or failure emitted by
-// the container's own node — lost with a crashed node, delayed by a
-// partition — as opposed to gateway-side timers (timeouts, hedges, idle
-// reaping), which the control plane runs regardless of node reachability.
-func (e *event) nodeSide() bool {
-	switch e.kind {
-	case evInitDone, evExecDone, evInitFail, evExecFail:
-		return true
-	}
-	return false
-}
-
-// event is one queued occurrence, the payload of an entry in the engine's
-// eventq.Queue (which carries its time and rank in a pointer-free heap key).
-// It is packed into five words, three of them pointers, and is written to
-// the queue's slab once per push rather than moved on every sift step.
+// event is one queued occurrence, 16 bytes and no pointer. ref names the
+// life it was queued for — a container's, a request's, a failover copy's in
+// backoff, or a linger window (slot: the function, gen: its lingerEpoch) —
+// and dispatch drops the event once that life has ended. idx is a node
+// event's node, a pre-warm event's or a request retry's function (its graph
+// index), a batch event's batchSeq or an idle entry's timerGen.
 type event struct {
 	kind eventKind
-	// idx is a node event's node, or a pre-warm or linger event's function
-	// (its graph index).
-	idx int32
-	// c is the container of a container event. epoch tells a stale event
-	// apart: an init event's launch (container id), an idle-timer generation
-	// or batch sequence, a linger epoch, or a deadline event's request id.
-	epoch int
-	c     *container
-	ni    *nodeInv // retried invocation
-	inv   *Request // deadline events; the object may since stand for a later request
+	idx  int32
+	ref  Ref
+}
+
+// Ref names one life of a slot in one of the engine's slot tables: a
+// container's from launch to termination, a request's from arrival to
+// resolution. Ending a life moves the slot's generation on, so a ref to an
+// ended life resolves to nothing, however often the slot is reused since.
+type Ref struct {
+	slot int32
+	gen  uint32
+}
+
+// Slot is the slot the ref names. Live requests hold distinct slots, which
+// are dense from 0, so a front end can index its own per-request state by it.
+func (r Ref) Slot() int { return int(r.slot) }
+
+// slots is a slot table. Each slot keeps its object from one life to the
+// next (unless a life ends without keep) and the generation of its current
+// life; the vacant slots form a stack linked through the table, so neither
+// opening nor closing a life allocates once the table has grown.
+type slots[T any] struct {
+	s    []slot[T]
+	free int32 // the last vacated slot plus one; 0: none
+}
+
+type slot[T any] struct {
+	obj  *T
+	gen  uint32
+	next int32 // while vacant: the slot vacated before it, as free
+}
+
+// get returns the object of r's life, or nil once that life has ended.
+func (t *slots[T]) get(r Ref) *T {
+	if s := &t.s[r.slot]; s.gen == r.gen {
+		return s.obj
+	}
+	return nil
+}
+
+// open starts a life in the last vacated slot, or a new one, and returns its
+// ref and the slot's object, which the caller sets when it is nil.
+func (t *slots[T]) open() (Ref, **T) {
+	i := t.free - 1
+	if i < 0 {
+		i = int32(len(t.s))
+		t.s = append(t.s, slot[T]{})
+	} else {
+		t.free = t.s[i].next
+	}
+	s := &t.s[i]
+	return Ref{i, s.gen}, &s.obj
+}
+
+// close ends r's life and vacates its slot; without keep the object goes to
+// the GC.
+func (t *slots[T]) close(r Ref, keep bool) {
+	s := &t.s[r.slot]
+	s.gen++
+	if !keep {
+		s.obj = nil
+	}
+	s.next, t.free = t.free, r.slot+1
 }
 
 // container states.
@@ -182,26 +230,26 @@ const (
 	cDead
 )
 
-// container is one instance. The object is reused: a terminated container
-// becomes the next launch (recycleDead), so every event names the life it
-// was queued for — an init event by id, a fresh one per launch — and the
-// counters batchSeq and timerGen keep running across lives.
+// container is one instance: one life, named by ref, of a slot of
+// Engine.contSlots, whose next life reuses the object. batchSeq and timerGen
+// start from zero each life and order the events within it.
 type container struct {
+	ref       Ref
 	id        int
 	fn        *fnState
 	cfg       hardware.Config
 	state     int
 	initStart float64
-	batchSeq  int // validates in-flight completion, timeout and hedge events
+	batchSeq  int32 // the running batch: its completion, timeout and hedge events carry it
 	// Keep-alive: idleAt is the deadline of the last armIdleTimer and
 	// idleTicket its same-instant rank; idleArmed drops when a batch starts.
-	// At most one queue entry per container is live — generation timerGen,
-	// due at timerAt (+Inf: none) — and it re-pushes itself when the deadline
-	// has moved later by the time it fires.
+	// At most one queue entry per container is live — push timerGen, due at
+	// timerAt (+Inf: none) — and it re-pushes itself when the deadline has
+	// moved later by the time it fires.
 	idleAt     float64
 	idleTicket uint64
 	timerAt    float64
-	timerGen   int
+	timerGen   int32
 	node       int // -1 while the launch waits for capacity
 	// assigned waits to run when init completes, batch is executing; at most
 	// one of them is non-empty, and they pass one backing array back and
@@ -209,12 +257,9 @@ type container struct {
 	// back), so a warm container dispatches without allocating.
 	assigned []*nodeInv
 	batch    []*nodeInv
-	next     *container // dead or spare list link
-	// The flags share one word: idleArmed (see Keep-alive), prewarmed
-	// (launched by a pre-warm, not by a waiting request) and, in invariant
-	// builds, retired: a dead container that would have been reused, which
-	// no code may touch again.
-	idleArmed, prewarmed, retired bool
+	// idleArmed: see Keep-alive; prewarmed: launched by a pre-warm, not by a
+	// waiting request.
+	idleArmed, prewarmed bool
 }
 
 // latWindow is the per-function ring of recent execution durations backing
@@ -237,9 +282,11 @@ type fnState struct {
 	queue      eventq.FIFO[*nodeInv]
 
 	// Batch-linger state: while armed, dispatch onto idle instances is held
-	// until the queue fills the batch or the linger deadline passes.
+	// until the queue fills the batch or the linger deadline passes. Each
+	// arming and each dispatch moves lingerEpoch on, so a linger event fires
+	// only for the window it was queued for.
 	lingerArmed   bool
-	lingerEpoch   int
+	lingerEpoch   uint32
 	lingerExpired bool
 
 	// Resilience bookkeeping: recent execution durations (ring buffer)
@@ -261,39 +308,33 @@ func (f *fnState) recordLatency(d float64) {
 	f.latPos = (f.latPos + 1) % latWindow
 }
 
-// Request is one admitted application request. Its fields are sized to
-// keep it in a 64-byte allocation; prog, with every function's primary
-// member embedded, is its one other. Both are reused: once a request has
-// completed and nothing can point at it any more, the engine hands the
-// same object, prog included, to a later arrival (completeInvocation).
+// Request is one admitted application request, one life of a slot of
+// Engine.reqSlots from arrival to resolution. Its fields are sized to keep it
+// in a 64-byte allocation; prog, with every function's primary member
+// embedded, is its one other. A completed, unshared request leaves both in
+// its slot for the next arrival (resolve); any other goes to the GC.
 type Request struct {
 	id        int
 	arrival   float64
 	deadline  float64      // absolute; 0 = unbounded
 	prog      []fnProgress // by function index
 	remaining int32        // unfinished functions
-	tag       int32
+	ref       Ref
 	failed    bool // a member exhausted its retries, or the request was dropped
 	resolved  bool // completed or failed: the outcome has been handed out
 	// shared marks a request a hedge twin or a partition failover copy
 	// points at: a second nodeInv that may outlive its completion.
 	shared bool
-	// retired marks, in invariant builds, a completed request that would
-	// have been reused; touching one of its members is a stale reference.
-	retired bool
 }
 
 // ID is the request's engine-assigned id (it matches tracing spans).
 func (r *Request) ID() int { return r.id }
 
-// Tag is the front end's own index for the request, as passed to Arrive.
-func (r *Request) Tag() int { return int(r.tag) }
+// Ref names the request's life, which ends when it resolves.
+func (r *Request) Ref() Ref { return r.ref }
 
 // Arrival is the instant the request was admitted.
 func (r *Request) Arrival() float64 { return r.arrival }
-
-// Resolved reports whether the request's outcome has been handed out.
-func (r *Request) Resolved() bool { return r.resolved }
 
 // Outcome is how a request resolved.
 type Outcome int
@@ -425,22 +466,20 @@ func (e *Engine) queueWindow(at float64) {
 // arrive admits one application request at the current instant: it is
 // logged in the window, reactive pre-warms fire and the entry functions are
 // released. budget > 0 bounds it end to end — it fails as deadline-exceeded
-// if still unresolved that long after arrival. tag is the front end's own
-// index for the request, handed back through Request.Tag. The request is
-// a spare one when completeInvocation has left one, with a fresh id.
-func (e *Engine) arrive(budget float64, tag int) *Request {
+// if still unresolved that long after arrival. The request takes the last
+// vacated slot, and the object a completed request left there.
+func (e *Engine) arrive(budget float64) *Request {
 	e.recycleDead()
 	now := e.now
 	e.arrivalsThisWindow++
 	e.arrivalTimes = append(e.arrivalTimes, now)
-	var inv *Request
-	if n := len(e.spare); n > 0 {
-		inv, e.spare = e.spare[n-1], e.spare[:n-1]
-	} else {
-		inv = &Request{prog: make([]fnProgress, len(e.fnList))}
+	ref, obj := e.reqSlots.open()
+	if *obj == nil {
+		*obj = &Request{prog: make([]fnProgress, len(e.fnList))}
 	}
+	inv := *obj
 	*inv = Request{
-		id: e.nextInv, tag: int32(tag), arrival: now,
+		id: e.nextInv, ref: ref, arrival: now,
 		prog: inv.prog, remaining: int32(len(e.fnList)),
 	}
 	e.nextInv++
@@ -462,7 +501,7 @@ func (e *Engine) arrive(budget float64, tag int) *Request {
 	}
 	if budget > 0 {
 		inv.deadline = now + budget
-		e.schedule(inv.deadline, event{kind: evDeadline, inv: inv, epoch: inv.id})
+		e.schedule(inv.deadline, event{kind: evDeadline, ref: ref})
 	}
 	return inv
 }
@@ -478,7 +517,6 @@ func (e *Engine) settle() (unresolved int) {
 	for _, c := range slices.Clone(e.conts) { // terminate edits the list
 		e.terminate(c)
 	}
-	e.dead = nil // the run is over: nothing launches again
 	e.checkConservation(owed)
 	invariant(len(e.pendingLaunch) == 0, "settle left %d launches pending", len(e.pendingLaunch))
 	for _, n := range e.nodes {
@@ -541,21 +579,18 @@ func (l *LiveEngine) EntryBacklog() int {
 	return n
 }
 
-// Arrive admits one application request now (see arrive). The returned
-// *Request is valid until its outcome has been handed out: once a request
-// has completed the engine may reuse the object for a later arrival, so a
-// front end that keeps it past resolution must compare ids, not pointers.
-func (l *LiveEngine) Arrive(budget float64, tag int) *Request { return l.arrive(budget, tag) }
+// Arrive admits one application request now (see arrive); its outcome comes
+// from a later call. The *Request is the request's until its outcome has been
+// handed out; a front end that names the request longer keeps its Ref.
+func (l *LiveEngine) Arrive(budget float64) *Request { return l.arrive(budget) }
 
-// Abandon fails an unresolved request whose caller went away. r must be
-// the object Arrive returned for that request, not yet resolved: after
-// resolution it may stand for another request.
-func (l *LiveEngine) Abandon(r *Request) {
-	if r.resolved || r.failed {
-		return
+// Abandon fails the request r names, whose caller went away; it does
+// nothing once that request has resolved.
+func (l *LiveEngine) Abandon(r Ref) {
+	if inv := l.reqSlots.get(r); inv != nil {
+		l.stats.Abandoned++
+		l.failInvocation(inv, OutcomeAbandoned)
 	}
-	l.stats.Abandoned++
-	l.failInvocation(r, OutcomeAbandoned)
 }
 
 // Settle ends the run now and returns how many requests never resolved (see
@@ -588,49 +623,72 @@ func (l *LiveEngine) NodeStatus(i int) (health string, alive, partitioned bool, 
 
 func (e *Engine) schedule(at float64, ev event) { e.events.Push(at, ev) }
 
-// dispatch runs recycleDead, then routes one due event to its handler.
-// Node-side events (init and exec completions or crashes) from a crashed
-// node are dropped — the work died with the process — and from a
-// partitioned node they are held and replayed in order, through dispatch,
-// when the partition heals. It reports false for a keep-alive entry that
-// found its deadline voided or moved: queue bookkeeping, not an event.
+// dispatch runs recycleDead, then routes one due event to its handler. An
+// event whose ref names a life that has ended is dropped here, as is a batch
+// event for a batch that is over and an idle entry a later push superseded:
+// no handler checks staleness. Node-side events (init and exec completions
+// or crashes) from a crashed node are dropped — the work died with the
+// process — and from a partitioned node they are held and replayed in order,
+// through dispatch, when the partition heals. It reports false for a
+// keep-alive entry that found its deadline voided, moved or its container
+// gone: queue bookkeeping, not an event.
 func (e *Engine) dispatch(ev *event) bool {
 	e.recycleDead()
-	if c := ev.c; ev.nodeSide() && c.state != cDead && c.node >= 0 {
-		n := e.nodes[c.node]
-		if !n.alive {
-			return true
+	if ev.kind <= evIdleTimeout { // a container event
+		c := e.contSlots.get(ev.ref)
+		switch {
+		case c == nil: // the container's life has ended
+			return ev.kind != evIdleTimeout
+		case ev.kind == evIdleTimeout: // unless a later push superseded it
+			return c.timerGen == ev.idx && e.onIdleTimeout(c)
+		case ev.kind >= evExecDone && (c.state != cBusy || c.batchSeq != ev.idx):
+			return true // its batch is over
 		}
-		if n.partitioned {
-			n.held = append(n.held, *ev)
-			return true
+		if ev.kind <= evExecFail { // node-side
+			if n := e.nodes[c.node]; !n.alive {
+				return true
+			} else if n.partitioned {
+				n.held = append(n.held, *ev)
+				return true
+			}
 		}
+		switch ev.kind {
+		case evInitDone:
+			e.onInitDone(c)
+		case evInitFail:
+			e.onInitFail(c)
+		case evExecDone:
+			e.onExecDone(c)
+		case evExecFail:
+			e.onExecFail(c)
+		case evExecTimeout:
+			e.onExecTimeout(c)
+		case evHedge:
+			e.onHedge(c)
+		}
+		return true
 	}
 	switch ev.kind {
-	case evInitDone:
-		e.onInitDone(ev.c, ev.epoch)
-	case evExecDone:
-		e.onExecDone(ev.c, ev.epoch)
-	case evIdleTimeout:
-		return e.onIdleTimeout(ev.c, ev.epoch)
 	case evPrewarm:
 		e.onPrewarm(e.fnList[ev.idx])
-	case evInitFail:
-		e.onInitFail(ev.c, ev.epoch)
-	case evExecFail:
-		e.onExecFail(ev.c, ev.epoch)
-	case evExecTimeout:
-		e.onExecTimeout(ev.c, ev.epoch)
-	case evHedge:
-		e.onHedge(ev.c, ev.epoch)
 	case evRetry:
-		e.onRetry(ev.ni)
+		if inv := e.reqSlots.get(ev.ref); inv != nil {
+			e.onRetry(&inv.prog[ev.idx].member)
+		}
+	case evRetryCopy:
+		ni := e.copySlots.get(ev.ref)
+		e.copySlots.close(ev.ref, false)
+		e.onRetry(ni)
 	case evLinger:
-		e.onLinger(e.fnList[ev.idx], ev.epoch)
+		if fs := e.fnList[ev.ref.slot]; fs.lingerEpoch == ev.ref.gen {
+			e.onLinger(fs)
+		}
 	case evWindow:
 		e.onWindow()
 	case evDeadline:
-		e.onDeadline(ev.inv, ev.epoch)
+		if inv := e.reqSlots.get(ev.ref); inv != nil {
+			e.onDeadline(inv)
+		}
 	case evGossip:
 		e.onGossip()
 	case evNodeCrash:

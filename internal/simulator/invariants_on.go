@@ -5,6 +5,7 @@ package simulator
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // invariantsEnabled selects the runtime assertion layer: `go test -tags
@@ -37,6 +38,27 @@ func (e *Engine) checkConservation(owed float64) {
 	st := e.stats
 	invariant(math.Abs(st.TotalCost-owed) <= 1e-9, "billed %.12f, but terminated plus accrued cost was %.12f", st.TotalCost, owed)
 	invariant(math.Abs(st.CPUCost+st.GPUCost-st.TotalCost) <= 1e-9, "CPU %.12f + GPU %.12f books do not add up to %.12f", st.CPUCost, st.GPUCost, st.TotalCost)
+}
+
+// checkReleased asserts, as the slot of c or of inv (the other is nil) is
+// vacated with its object kept for the next life, that nothing but a Ref
+// still names the object: no live-container list or pending launch holds c,
+// and no ready queue, assigned list, batch or queued retry a member of inv.
+func (e *Engine) checkReleased(c *container, inv *Request) {
+	if c != nil {
+		invariant(!slices.Contains(e.conts, c) && !slices.Contains(c.fn.containers, c) && !slices.Contains(e.pendingLaunch, c), "container %d released while listed", c.id)
+		return
+	}
+	names := func(ni *nodeInv) bool { return ni.inv == inv }
+	for _, fs := range e.fnList {
+		fs.queue.Each(func(ni *nodeInv) { invariant(!names(ni), "request %d released while queued", inv.id) })
+	}
+	for _, o := range e.conts {
+		invariant(!slices.ContainsFunc(o.assigned, names) && !slices.ContainsFunc(o.batch, names), "request %d released while in container %d", inv.id, o.id)
+	}
+	e.events.Each(func(ev event) {
+		invariant(ev.kind != evRetry || ev.ref != inv.ref, "request %d released with a retry queued", inv.id)
+	})
 }
 
 // historyGuard fingerprints the arrival and count logs ahead of a driver

@@ -74,3 +74,46 @@ func TestConservationCatchesMisbilling(t *testing.T) {
 	sim.checkConservation(st.TotalCost + 1)
 	t.Fatal("a ledger that disagrees with the per-container sum passed the check")
 }
+
+// TestCheckReleasedCatchesLeftovers: the check made where a slot is vacated
+// with its object kept fires for each kind of reference it scans for. No
+// engine path leaves one behind (the fuzzers run this build), so each case
+// plants it beside a request that completed at 1.1, or names the live
+// container itself.
+func TestCheckReleasedCatchesLeftovers(t *testing.T) {
+	cases := []struct {
+		name  string
+		plant func(l *LiveEngine, r *Request) (*container, *Request)
+	}{
+		{"queued", func(l *LiveEngine, r *Request) (*container, *Request) {
+			l.fnList[0].queue.Push(&r.prog[0].member)
+			return nil, r
+		}},
+		{"in a batch", func(l *LiveEngine, r *Request) (*container, *Request) {
+			l.conts[0].batch = append(l.conts[0].batch, &r.prog[0].member)
+			return nil, r
+		}},
+		{"retry queued", func(l *LiveEngine, r *Request) (*container, *Request) {
+			l.schedule(5, event{kind: evRetry, ref: r.ref})
+			return nil, r
+		}},
+		{"container listed", func(l *LiveEngine, _ *Request) (*container, *Request) {
+			return l.conts[0], nil
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			l := newLive(exactChain(1), keepAlive(60), 1, 1e9)
+			r := l.Arrive(0)
+			runTo(l, 2, nil)
+			c, inv := tc.plant(l, r)
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "invariant violated") || !strings.Contains(msg, "released") {
+					t.Fatalf("recovered %q, want a release invariant panic", msg)
+				}
+			}()
+			l.checkReleased(c, inv)
+			t.Fatal("a reference left behind passed the release check")
+		})
+	}
+}

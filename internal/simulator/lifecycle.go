@@ -15,7 +15,6 @@ import (
 
 // enqueue adds a ready node invocation and attempts dispatch.
 func (e *Engine) enqueue(ni *nodeInv) {
-	notStale(ni, "enqueue")
 	if e.rec != nil && ni.span == nil {
 		ni.span = e.rec.BeginNode(ni.inv.id, string(ni.fs.id), e.now, ni.isHedge)
 	}
@@ -82,7 +81,6 @@ func (e *Engine) pump(fs *fnState) {
 
 // assign binds up to n queued invocations to an initializing container.
 func assign(c *container, n int) {
-	notRetired(c, "assign")
 	for ; n > 0 && c.fn.queue.Len() > 0; n-- {
 		c.assigned = append(c.assigned, c.fn.queue.Pop())
 	}
@@ -105,17 +103,14 @@ func (e *Engine) holdForBatch(fs *fnState) bool {
 	if !fs.lingerArmed {
 		fs.lingerArmed = true
 		fs.lingerEpoch++
-		e.schedule(e.now+e.linger, event{kind: evLinger, idx: int32(fs.idx), epoch: fs.lingerEpoch})
+		e.schedule(e.now+e.linger, event{kind: evLinger, ref: Ref{int32(fs.idx), fs.lingerEpoch}})
 	}
 	return true
 }
 
 // onLinger fires when a batch aggregation window expires: whatever is
 // queued dispatches as a partial batch.
-func (e *Engine) onLinger(fs *fnState, epoch int) {
-	if !fs.lingerArmed || fs.lingerEpoch != epoch {
-		return
-	}
+func (e *Engine) onLinger(fs *fnState) {
 	fs.lingerArmed = false
 	fs.lingerExpired = true
 	e.pump(fs)
@@ -133,7 +128,6 @@ func (e *Engine) routable(c *container) bool {
 // route to.
 func (e *Engine) pickIdle(fs *fnState) *container {
 	for _, c := range fs.containers {
-		notRetired(c, "pickIdle")
 		if c.state == cIdle && e.routable(c) {
 			return c
 		}
@@ -143,7 +137,6 @@ func (e *Engine) pickIdle(fs *fnState) *container {
 
 func (e *Engine) pickInitializing(fs *fnState) *container {
 	for _, c := range fs.containers {
-		notRetired(c, "pickInitializing")
 		if c.state == cInitializing && c.node >= 0 && e.routable(c) &&
 			len(c.assigned) < fs.directive.Batch {
 			return c
@@ -152,26 +145,25 @@ func (e *Engine) pickInitializing(fs *fnState) *container {
 	return nil
 }
 
-// launch starts a new container (cold start), reusing the last spare one
-// with its assigned/batch backing array before allocating. When no node has
-// room the launch waits, unplaced, until capacity frees.
+// launch starts a new container (cold start) in the last vacated slot,
+// reusing the object a terminated container left there with its
+// assigned/batch backing array. When no node has room the launch waits,
+// unplaced, until capacity frees.
 func (e *Engine) launch(fs *fnState, cfg hardware.Config, prewarmed bool) *container {
-	c := e.spareConts
-	if c != nil {
-		e.spareConts = c.next
-	} else {
-		c = new(container)
+	ref, obj := e.contSlots.open()
+	if *obj == nil {
+		*obj = new(container)
 	}
+	c := *obj
 	buf := c.assigned
 	if c.batch != nil {
 		buf = c.batch // it died mid-batch (abortBatch)
 	}
 	clear(buf)
 	*c = container{
-		id: e.nextCont, fn: fs, cfg: cfg, state: cInitializing,
+		ref: ref, id: e.nextCont, fn: fs, cfg: cfg, state: cInitializing,
 		initStart: e.now, prewarmed: prewarmed, node: -1,
-		timerAt: math.Inf(1), batchSeq: c.batchSeq, timerGen: c.timerGen,
-		assigned: buf[:0],
+		timerAt: math.Inf(1), assigned: buf[:0],
 	}
 	e.nextCont++
 	fs.containers = append(fs.containers, c) // ids only grow: both lists stay ordered
@@ -208,11 +200,11 @@ func (e *Engine) beginInit(c *container) {
 	}
 	if e.inj != nil {
 		if fail, frac := e.inj.InitOutcome(string(c.fn.id)); fail {
-			e.schedule(e.now+dur*frac, event{kind: evInitFail, c: c, epoch: c.id})
+			e.schedule(e.now+dur*frac, event{kind: evInitFail, ref: c.ref})
 			return
 		}
 	}
-	e.schedule(e.now+dur, event{kind: evInitDone, c: c, epoch: c.id})
+	e.schedule(e.now+dur, event{kind: evInitDone, ref: c.ref})
 }
 
 // interferenceFactor returns the configured model's slowdown for container
@@ -231,14 +223,10 @@ func (e *Engine) interferenceFactor(c *container) float64 {
 	return e.cfg.Interference.Slowdown(c.fn.class, residents)
 }
 
-func (e *Engine) onInitDone(c *container, id int) {
-	if c.id != id || c.state != cInitializing {
-		return
-	}
-	notRetired(c, "onInitDone")
+func (e *Engine) onInitDone(c *container) {
+	invariant(c.state == cInitializing, "init of container %d completed in state %d", c.id, c.state)
 	c.state = cIdle
 	e.stats.WarmStarts++
-	fs := c.fn
 	if e.rec != nil {
 		e.rec.EndInit(c.id, e.now, len(c.assigned) > 0, false)
 	}
@@ -247,29 +235,22 @@ func (e *Engine) onInitDone(c *container, id int) {
 		// request path.
 		e.stats.InitGated++
 		e.startBatch(c, tracing.PhaseColdInit)
-		if c.state == cIdle {
-			// Only reachable under fault injection: every assigned member
-			// failed before the init completed, so the batch came up empty
-			// and the instance idles like a pre-warm.
-			e.armIdleTimer(c)
-			e.pump(fs)
-		}
-		return
 	}
-	// Pre-warmed and nothing waiting: idle with keep-alive timer.
-	e.armIdleTimer(c)
-	e.pump(fs)
+	if c.state == cIdle {
+		// Pre-warmed and nothing waiting — or, under fault injection, every
+		// assigned member failed before the init completed and the batch
+		// came up empty: idle with keep-alive timer.
+		e.armIdleTimer(c)
+		e.pump(c.fn)
+	}
 }
 
 // onInitFail handles an injected crash during initialization: the partial
 // init time is still billed (the provider charges for the attempt, Eq. 3),
 // assigned work returns to the queue, and pump relaunches — the natural
 // retry for a cold start.
-func (e *Engine) onInitFail(c *container, id int) {
-	if c.id != id || c.state != cInitializing {
-		return
-	}
-	notRetired(c, "onInitFail")
+func (e *Engine) onInitFail(c *container) {
+	invariant(c.state == cInitializing, "init of container %d failed in state %d", c.id, c.state)
 	e.stats.InitFailures++
 	c.fn.initFails++
 	fs := c.fn
@@ -283,7 +264,6 @@ func (e *Engine) onInitFail(c *container, id int) {
 // wait each member just finished: a cold initialization the batch was gated
 // on, a batch rotation on a busy instance, or plain queueing.
 func (e *Engine) startBatch(c *container, cause tracing.Phase) {
-	notRetired(c, "startBatch")
 	fs := c.fn
 	d := &fs.directive
 	// Any dispatch from this function closes its aggregation window.
@@ -291,7 +271,6 @@ func (e *Engine) startBatch(c *container, cause tracing.Phase) {
 	fs.lingerEpoch++
 	batch := c.assigned[:0]
 	for _, ni := range c.assigned {
-		notStale(ni, "startBatch")
 		if !ni.inv.failed {
 			batch = append(batch, ni)
 		}
@@ -299,7 +278,6 @@ func (e *Engine) startBatch(c *container, cause tracing.Phase) {
 	c.assigned = nil
 	for len(batch) < d.Batch && fs.queue.Len() > 0 {
 		ni := fs.queue.Pop()
-		notStale(ni, "startBatch")
 		if !ni.inv.failed {
 			batch = append(batch, ni)
 		}
@@ -311,7 +289,7 @@ func (e *Engine) startBatch(c *container, cause tracing.Phase) {
 	c.state = cBusy
 	c.batch = batch
 	c.idleArmed = false // the keep-alive deadline is void until re-armed
-	c.batchSeq++        // validates timeout/hedge/crash events for this batch
+	c.batchSeq++        // names this batch in its events
 	if e.rec != nil {
 		for _, ni := range batch {
 			ni.span.Dispatch(now, cause, c.initStart, c.id,
@@ -343,25 +321,21 @@ func (e *Engine) startBatch(c *container, cause tracing.Phase) {
 		if fail, frac := e.inj.ExecOutcome(string(fs.id)); fail {
 			// The instance crashes partway through; the retry policy decides
 			// each member's fate in onExecFail.
-			e.schedule(now+dur*frac, event{kind: evExecFail, c: c, epoch: c.batchSeq})
+			e.schedule(now+dur*frac, event{kind: evExecFail, idx: c.batchSeq, ref: c.ref})
 			return
 		}
 	}
-	e.schedule(now+dur, event{kind: evExecDone, c: c, epoch: c.batchSeq})
+	e.schedule(now+dur, event{kind: evExecDone, idx: c.batchSeq, ref: c.ref})
 	if t := d.Retry.Timeout; t > 0 && dur > t {
-		e.schedule(now+t, event{kind: evExecTimeout, c: c, epoch: c.batchSeq})
+		e.schedule(now+t, event{kind: evExecTimeout, idx: c.batchSeq, ref: c.ref})
 	}
 	if h := d.HedgeDelay; h > 0 && len(batch) == 1 && dur > h &&
 		!batch[0].isHedge && !batch[0].hedged {
-		e.schedule(now+h, event{kind: evHedge, c: c, epoch: c.batchSeq})
+		e.schedule(now+h, event{kind: evHedge, idx: c.batchSeq, ref: c.ref})
 	}
 }
 
-func (e *Engine) onExecDone(c *container, epoch int) {
-	if c.state != cBusy || c.batchSeq != epoch {
-		return
-	}
-	notRetired(c, "onExecDone")
+func (e *Engine) onExecDone(c *container) {
 	batch := c.batch
 	c.batch = nil
 	c.state = cIdle
@@ -376,7 +350,6 @@ func (e *Engine) onExecDone(c *container, epoch int) {
 	// discarded (first completion wins).
 	counted := false
 	for _, ni := range batch {
-		notStale(ni, "onExecDone")
 		inv := ni.inv
 		if inv.failed || inv.prog[fs.idx].done {
 			ni.span.Finish(now, false)
@@ -444,11 +417,7 @@ func (e *Engine) abortBatch(c *container, route func(*fnState, *nodeInv)) {
 // onExecFail handles an injected crash mid-execution. The container dies
 // (its billed life still charged) and each batch member is individually
 // retried or failed.
-func (e *Engine) onExecFail(c *container, epoch int) {
-	if c.state != cBusy || c.batchSeq != epoch {
-		return
-	}
-	notRetired(c, "onExecFail")
+func (e *Engine) onExecFail(c *container) {
 	e.stats.ExecFailures++
 	c.fn.execFails++
 	e.abortBatch(c, e.retryMember)
@@ -458,11 +427,7 @@ func (e *Engine) onExecFail(c *container, epoch int) {
 // onExecTimeout fires when a batch outlives the gateway's per-attempt
 // timeout. The hung instance is terminated — re-dispatching onto it would
 // just hang again — and the members retry elsewhere.
-func (e *Engine) onExecTimeout(c *container, epoch int) {
-	if c.state != cBusy || c.batchSeq != epoch {
-		return
-	}
-	notRetired(c, "onExecTimeout")
+func (e *Engine) onExecTimeout(c *container) {
 	e.stats.Timeouts++
 	c.fn.execFails++
 	e.abortBatch(c, e.retryMember)
@@ -475,7 +440,6 @@ func (e *Engine) onExecTimeout(c *container, epoch int) {
 // still running. A retry that could not become ready before the request's
 // deadline fails the request as deadline-exceeded instead.
 func (e *Engine) retryMember(fs *fnState, ni *nodeInv) {
-	notStale(ni, "retryMember")
 	if ni.inv.failed || ni.isHedge || ni.inv.prog[fs.idx].done {
 		return
 	}
@@ -504,16 +468,21 @@ func (e *Engine) retryMember(fs *fnState, ni *nodeInv) {
 		return
 	}
 	ni.span.Backoff(e.now, e.now+delay)
-	e.schedule(e.now+delay, event{kind: evRetry, ni: ni})
+	ev := event{kind: evRetry, idx: int32(fs.idx), ref: ni.inv.ref}
+	if ni != &ni.inv.prog[fs.idx].member {
+		// A failover copy is retried as itself, from a slot of its own.
+		ref, obj := e.copySlots.open()
+		*obj = ni
+		ev = event{kind: evRetryCopy, ref: ref}
+	}
+	e.schedule(e.now+delay, ev)
 }
 
 // failInvocation marks a request permanently failed, purges its remaining
 // members from every function queue so no further work is spent on it, and
 // resolves it with outcome o. Callers have bumped o's own counter.
 func (e *Engine) failInvocation(inv *Request, o Outcome) {
-	if inv.failed || inv.resolved {
-		return
-	}
+	invariant(!inv.failed && !inv.resolved, "request %d failed after it resolved", inv.id)
 	inv.failed = true
 	e.stats.FailedInvocations++
 	if e.rec != nil {
@@ -528,19 +497,13 @@ func (e *Engine) failInvocation(inv *Request, o Outcome) {
 }
 
 // onDeadline fails a request whose end-to-end budget elapsed unresolved.
-// id is the request the deadline was queued for: a request that completed
-// first may have been reused, and the object then stands for another one.
-func (e *Engine) onDeadline(inv *Request, id int) {
-	if inv.id != id || inv.resolved || inv.failed {
-		return
-	}
+func (e *Engine) onDeadline(inv *Request) {
 	e.stats.DeadlineExceeded++
 	e.failInvocation(inv, OutcomeDeadlineExceeded)
 }
 
 // onRetry re-enqueues a backed-off member once its delay elapses.
 func (e *Engine) onRetry(ni *nodeInv) {
-	notStale(ni, "onRetry")
 	if ni.inv.failed || ni.inv.prog[ni.fs.idx].done {
 		return
 	}
@@ -550,13 +513,8 @@ func (e *Engine) onRetry(ni *nodeInv) {
 // onHedge duplicates a slow single-member execution onto a second warm
 // instance. The first completion wins (onExecDone's done-map dedup); the
 // loser's result is discarded.
-func (e *Engine) onHedge(c *container, epoch int) {
-	if c.state != cBusy || c.batchSeq != epoch || len(c.batch) != 1 {
-		return
-	}
-	notRetired(c, "onHedge")
-	primary := c.batch[0]
-	notStale(primary, "onHedge")
+func (e *Engine) onHedge(c *container) {
+	primary := c.batch[0] // a hedge is queued for a batch of one
 	if primary.inv.failed || primary.hedged || primary.isHedge || primary.inv.prog[c.fn.idx].done {
 		return
 	}
@@ -603,16 +561,12 @@ func (e *Engine) armIdleTimer(c *container) {
 func (e *Engine) pushIdleTimer(c *container) {
 	c.timerGen++
 	c.timerAt = c.idleAt
-	e.events.PushTicket(c.idleAt, c.idleTicket, event{kind: evIdleTimeout, c: c, epoch: c.timerGen})
+	e.events.PushTicket(c.idleAt, c.idleTicket, event{kind: evIdleTimeout, idx: c.timerGen, ref: c.ref})
 }
 
-// onIdleTimeout handles the container's queue entry coming due and reports
-// whether its keep-alive deadline really expired.
-func (e *Engine) onIdleTimeout(c *container, gen int) bool {
-	if gen != c.timerGen || c.state == cDead {
-		return false // superseded by an entry for an earlier deadline
-	}
-	notRetired(c, "onIdleTimeout")
+// onIdleTimeout handles the container's live queue entry coming due and
+// reports whether its keep-alive deadline really expired.
+func (e *Engine) onIdleTimeout(c *container) bool {
 	c.timerAt = math.Inf(1)
 	if !c.idleArmed || c.state != cIdle {
 		return false // a batch ran since the deadline was armed
@@ -630,9 +584,9 @@ func (e *Engine) onIdleTimeout(c *container, gen int) bool {
 }
 
 // terminate kills c and bills its life. A second call within the same event
-// is a no-op: c goes on the dead list, reused only from the next one.
+// is a no-op: c goes on the dead list, and its life ends only at the next
+// one.
 func (e *Engine) terminate(c *container) {
-	notRetired(c, "terminate")
 	if c.state == cDead {
 		return
 	}
@@ -649,28 +603,20 @@ func (e *Engine) terminate(c *container) {
 	e.stats.addCost(string(c.fn.id), c.cfg, life, cost)
 	c.fn.containers = dropContainer(c.fn.containers, c)
 	e.conts = dropContainer(e.conts, c)
-	c.next, e.dead = e.dead, c
+	e.dead = append(e.dead, c)
 }
 
-// recycleDead, at each top-level entry (dispatch, arrive), makes spare the
-// containers terminated since the last one. Not sooner: evictNode and the
-// failover paths may terminate a container twice in one event, and the
-// second call must stay a no-op. Invariant builds retire them instead.
+// recycleDead, at each top-level entry (dispatch, arrive), ends the lives of
+// the containers terminated since the last one. Not sooner: evictNode and
+// the failover paths may terminate a container twice in one event, and the
+// second call must stay a no-op.
 func (e *Engine) recycleDead() {
-	for c := e.dead; c != nil; c = e.dead {
-		e.dead = c.next
-		if invariantsEnabled {
-			c.retired = true
-		} else {
-			c.next, e.spareConts = e.spareConts, c
-		}
+	for i := len(e.dead) - 1; i >= 0; i-- {
+		c := e.dead[i]
+		e.checkReleased(c, nil)
+		e.contSlots.close(c.ref, true)
 	}
-}
-
-// notRetired checks, in invariant builds, that a container touched at where
-// is not one recycleDead has retired.
-func notRetired(c *container, where string) {
-	invariant(!c.retired, "%s touched container %d after it was terminated", where, c.id)
+	e.dead = e.dead[:0]
 }
 
 // dropContainer removes c from an id-ordered container list, keeping order.
@@ -724,39 +670,23 @@ func (e *Engine) completeInvocation(inv *Request) {
 		}
 	}
 	e.resolve(inv, OutcomeCompleted)
-	e.recycle(inv)
 }
 
-// recycle makes a request that completed the next one arrive hands out,
-// unless it is shared: then a hedge twin or failover copy may still sit in
-// a queue or batch. A failed request is never recycled (its members may
-// still be queued, assigned or awaiting a retry), and a queued deadline
-// event carries the id onDeadline checks (DESIGN.md, "Buffers that stay").
-// Builds tagged smiless_invariants mark the request retired instead, and
-// every member touch asserts it is not (notStale).
-func (e *Engine) recycle(inv *Request) {
-	if inv.shared {
-		return
-	}
-	if invariantsEnabled {
-		inv.retired = true
-		return
-	}
-	e.spare = append(e.spare, inv)
-}
-
-// notStale checks, in invariant builds, that a member touched at where does
-// not belong to a request recycle has retired.
-func notStale(ni *nodeInv, where string) {
-	invariant(!ni.inv.retired, "%s touched a member of request %d after it completed", where, ni.inv.id)
-}
-
-// resolve hands a request's outcome to the front end, once.
+// resolve hands a request's outcome to the front end, once, and ends its
+// life. A completed request leaves its object in the slot for the next
+// arrival, unless it is shared: then a hedge twin or failover copy may still
+// sit in a queue or batch. A failed request's members may still be queued,
+// assigned or running, so its object goes to the GC.
 func (e *Engine) resolve(inv *Request, o Outcome) {
 	inv.resolved = true
 	if e.resolved != nil {
 		e.resolved(inv, o)
 	}
+	keep := o == OutcomeCompleted && !inv.shared
+	if keep {
+		e.checkReleased(nil, inv)
+	}
+	e.reqSlots.close(inv.ref, keep)
 }
 
 func (e *Engine) onPrewarm(fs *fnState) {

@@ -73,7 +73,7 @@ func TestSteadyStateRequestAllocations(t *testing.T) {
 	now := 0.0
 	request := func() {
 		l.SetNow(now)
-		l.Arrive(0, 0)
+		l.Arrive(0)
 		now++
 		runTo(l, now, nil)
 	}
@@ -155,11 +155,11 @@ func hedged() scenario {
 		dir:   Directive{Config: cpu(4), Policy: coldstart.KeepAlive, KeepAlive: 120, Batch: 1, Instances: 2, HedgeDelay: 0.5},
 		nodes: 1, inj: &scriptInjector{straggler: []float64{1, 1, 20}},
 		run: func(l *LiveEngine) (*Request, []*nodeInv) {
-			l.Arrive(0, 0)
+			l.Arrive(0)
 			runTo(l, 0.001, nil)
-			l.Arrive(0, 0)
+			l.Arrive(0)
 			runTo(l, 5, nil)
-			r := l.Arrive(0, 0)
+			r := l.Arrive(0)
 			return r, executed(l, r.id, 10, nil)
 		},
 	}
@@ -171,7 +171,7 @@ func twinned() scenario {
 	return scenario{
 		dir: keepAlive(60), nodes: 2, inj: &scriptInjector{straggler: []float64{50}},
 		run: func(l *LiveEngine) (*Request, []*nodeInv) {
-			r := l.Arrive(0, 0)
+			r := l.Arrive(0)
 			seen := executed(l, r.id, 1.5, nil)
 			l.PartitionNode(HomeNode("F1", 2), true)
 			return r, executed(l, r.id, 10, seen)
@@ -182,7 +182,7 @@ func twinned() scenario {
 // alone runs one request by itself to t.
 func alone(budget, t float64) func(l *LiveEngine) (*Request, []*nodeInv) {
 	return func(l *LiveEngine) (*Request, []*nodeInv) {
-		r := l.Arrive(budget, 0)
+		r := l.Arrive(budget)
 		return r, executed(l, r.id, t, nil)
 	}
 }
@@ -240,8 +240,7 @@ func TestMemberIdentity(t *testing.T) {
 }
 
 // The next Arrive hands out a request that completed cleanly, and never one
-// a second member may still point at or one that did not complete. Builds
-// tagged smiless_invariants retire the request instead of reusing it.
+// a second member may still point at or one that did not complete.
 func TestRequestReuse(t *testing.T) {
 	noRetry := keepAlive(60)
 	noRetry.Retry = faults.RetryPolicy{MaxAttempts: 1}
@@ -275,9 +274,9 @@ func TestRequestReuse(t *testing.T) {
 		{
 			name: "abandoned",
 			sc: scenario{dir: keepAlive(60), nodes: 1, run: func(l *LiveEngine) (*Request, []*nodeInv) {
-				r := l.Arrive(0, 0)
+				r := l.Arrive(0)
 				runTo(l, 0.5, nil) // still cold-starting
-				l.Abandon(r)
+				l.Abandon(r.Ref())
 				return r, executed(l, r.id, 10, nil)
 			}},
 			outcome: func(st *RunStats) bool { return st.Abandoned == 1 && st.Completed == 0 },
@@ -296,12 +295,9 @@ func TestRequestReuse(t *testing.T) {
 				t.Fatalf("scenario not reached: %s", st.Summary())
 			}
 			id := r.id
-			next := l.Arrive(0, 0)
-			if reused, want := next == r, tc.reused && !invariantsEnabled; reused != want {
-				t.Errorf("request %d handed out again: %t, want %t", id, reused, want)
-			}
-			if want := tc.reused && invariantsEnabled; r.retired != want {
-				t.Errorf("request %d retired: %t, want %t", id, r.retired, want)
+			next := l.Arrive(0)
+			if reused := next == r; reused != tc.reused {
+				t.Errorf("request %d handed out again: %t, want %t", id, reused, tc.reused)
 			}
 			if next.id != id+1 || next.resolved || next.failed {
 				t.Errorf("next request: id %d resolved %t failed %t, want a fresh request %d", next.id, next.resolved, next.failed, id+1)
@@ -314,13 +310,13 @@ func TestRequestReuse(t *testing.T) {
 // due the object stands for a later request, which it must leave alone.
 func TestStaleDeadlineSparesReusedRequest(t *testing.T) {
 	l := newLive(exactChain(1), keepAlive(60), 1, 1e9)
-	r := l.Arrive(5, 0) // cold start 1 s, execution 0.1 s, deadline at 5
+	r := l.Arrive(5) // cold start 1 s, execution 0.1 s, deadline at 5
 	runTo(l, 4.95, nil)
 	if !r.resolved || r.failed {
 		t.Fatal("first request did not complete before its deadline")
 	}
-	next := l.Arrive(0, 0) // runs 4.95–5.05 on the warm instance
-	if !invariantsEnabled && next != r {
+	next := l.Arrive(0) // runs 4.95–5.05 on the warm instance
+	if next != r {
 		t.Fatal("the completed request was not reused")
 	}
 	runTo(l, 10, nil)

@@ -153,7 +153,6 @@ func (e *Engine) twinNodeInflight(i int) {
 		}
 		members := append(append([]*nodeInv(nil), c.batch...), c.assigned...)
 		for _, ni := range members {
-			notStale(ni, "twinNodeInflight")
 			if ni.inv.failed || ni.inv.prog[ni.fs.idx].done || ni.isHedge {
 				continue
 			}
@@ -170,7 +169,6 @@ func (e *Engine) twinNodeInflight(i int) {
 // work — a member that keeps landing on dying nodes keeps its attempt
 // count, so its next genuine failure routes through the retry policy.
 func (e *Engine) failoverMember(fs *fnState, ni *nodeInv) {
-	notStale(ni, "failoverMember")
 	if ni.inv.failed || ni.inv.prog[fs.idx].done || ni.isHedge {
 		return
 	}

@@ -325,7 +325,7 @@ func (s *Simulator) Run(tr *trace.Trace) (*RunStats, error) {
 		s.handled++
 		if arrival {
 			arrivals = arrivals[1:]
-			s.arrive(0, 0)
+			s.arrive(0)
 		} else if _, ev := s.events.Pop(); !s.dispatch(&ev) {
 			continue // queue bookkeeping: nothing happened at this instant
 		}
