@@ -47,14 +47,16 @@ fmt:
 	gofmt -w .
 
 # Non-test Go lines per package directory; fails when internal/simulator +
-# internal/serving exceed 4,235 lines (ROADMAP item 6) or internal/lint +
-# internal/lint/linttest exceed 1,300.
+# internal/serving exceed 4,235 lines (ROADMAP item 6), internal/core +
+# internal/baselines exceed 2,439 (items 6 and 12: one plan model, which OPT
+# solves exactly) or internal/lint + internal/lint/linttest exceed 1,300.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' | sort | xargs wc -l | awk ' \
 	function limit(name, s, max) { printf "%7d %s (limit %d)\n", s, name, max; if (s > max) { print "loc: " name " over " max " lines" > "/dev/stderr"; bad = 1 } } \
 	$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); if (!(d in n)) o[++k] = d; n[d] += $$1 } \
 	END { for (i = 1; i <= k; i++) printf "%7d %s\n", n[o[i]], o[i]; \
 		limit("internal/simulator + internal/serving", n["./internal/simulator"] + n["./internal/serving"], 4235); \
+		limit("internal/core + internal/baselines", n["./internal/core"] + n["./internal/baselines"], 2439); \
 		limit("internal/lint + internal/lint/linttest", n["./internal/lint"] + n["./internal/lint/linttest"], 1300); \
 		exit bad }'
 

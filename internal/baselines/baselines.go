@@ -17,8 +17,8 @@
 //     configurations with a QoS penalty; no cold-start management, so it
 //     re-initializes containers frequently (Fig. 9b).
 //   - OPT: an oracle with the true arrival times and ground-truth profiles,
-//     solving the static plan near-exactly (exhaustive search over shared
-//     functions, budget DP along branches) and pre-warming perfectly.
+//     solving the static plan exactly on the Strategy Optimizer's own model
+//     (core.Optimizer.OptimizeExact) and pre-warming perfectly.
 //
 //lint:deterministic
 package baselines

@@ -37,10 +37,10 @@ func NewIceBreaker(cat *hardware.Catalog, profiles map[dag.NodeID]*perfmodel.Pro
 // Name implements simulator.Driver.
 func (b *IceBreaker) Name() string { return "IceBreaker" }
 
-// chooseConfig picks the hardware with the best speedup-to-cost ratio for
+// ChooseConfig picks the hardware with the best speedup-to-cost ratio for
 // one function, independent of the others: speedup relative to the 1-core
 // CPU divided by the unit-cost ratio.
-func (b *IceBreaker) chooseConfig(id dag.NodeID) hardware.Config {
+func (b *IceBreaker) ChooseConfig(id dag.NodeID) hardware.Config {
 	prof := b.Profiles[id]
 	base := hardware.Config{Kind: hardware.CPU, Cores: 1}
 	baseLat := prof.InferenceTime(base, 1)
@@ -75,7 +75,7 @@ func (b *IceBreaker) Setup(sim simulator.ControlPlane) {
 	b.counts = b.counts[:0]
 	b.configs = make(map[dag.NodeID]hardware.Config, g.Len())
 	for _, id := range g.Nodes() {
-		cfg := b.chooseConfig(id)
+		cfg := b.ChooseConfig(id)
 		b.configs[id] = cfg
 		sim.SetDirective(id, simulator.Directive{
 			Config:    cfg,

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"fmt"
 	"math"
 
 	"smiless/internal/autoscaler"
@@ -14,35 +15,27 @@ import (
 )
 
 // OPT is the oracle the paper obtains "through exhaustive search": it knows
-// the true arrival times and the exact profiles. The static plan is solved
-// near-exactly — functions shared by several source-to-sink paths are
-// enumerated exhaustively, and each path's exclusive interior chain is
-// solved by a latency-budget dynamic program (the only approximation is the
-// budget discretization). Pre-warming is scheduled at the true arrival
-// times, so initialization never lands on the critical path.
+// the true arrival times and the exact profiles. Its static plan is the
+// exact optimum (core.Optimizer.OptimizeExact) of the model SMIless plans
+// with: the same candidate tables, solved without the path search's
+// approximations. Pre-warming is scheduled at the true arrival times, so
+// initialization never lands on the critical path.
 type OPT struct {
 	Catalog  *hardware.Catalog
 	Profiles map[dag.NodeID]*perfmodel.Profile
 	SLA      float64
 	// Arrivals are the oracle-known request times.
 	Arrivals []float64
-	// BudgetBins controls DP discretization (default 400).
-	BudgetBins int
 
-	configs map[dag.NodeID]hardware.Config
-	// PlanCost is the analytic per-invocation cost of the chosen plan.
-	PlanCost float64
-	// Feasible reports whether the plan meets the SLA analytically.
-	Feasible bool
-	scaled   bool
+	plan   *coldstart.Plan
+	scaled bool
 	// winCounts caches per-window arrival counts for the oracle lookahead.
 	winCounts []int
-	maxInitT  float64
 }
 
 // NewOPT builds the oracle driver.
 func NewOPT(cat *hardware.Catalog, profiles map[dag.NodeID]*perfmodel.Profile, sla float64, arrivals []float64) *OPT {
-	return &OPT{Catalog: cat, Profiles: profiles, SLA: sla, Arrivals: arrivals, BudgetBins: 400}
+	return &OPT{Catalog: cat, Profiles: profiles, SLA: sla, Arrivals: arrivals}
 }
 
 // Name implements simulator.Driver.
@@ -83,132 +76,16 @@ func (o *OPT) policyIT() float64 {
 	if len(o.Arrivals) < 3 {
 		return o.trueIT()
 	}
-	gaps := make([]float64, 0, len(o.Arrivals)-1)
+	return mathx.Percentile(o.gaps(), 10)
+}
+
+// gaps returns the true inter-arrival gaps.
+func (o *OPT) gaps() []float64 {
+	gaps := make([]float64, 0, len(o.Arrivals))
 	for i := 1; i < len(o.Arrivals); i++ {
 		gaps = append(gaps, o.Arrivals[i]-o.Arrivals[i-1])
 	}
-	return mathx.Percentile(gaps, 10)
-}
-
-// nodeCost returns the per-invocation cost of a config under the adaptive
-// policy. The policy split uses the conservative gap quantile, the billing
-// estimate uses the mean inter-arrival time, and the latency estimate is
-// queue-aware (sustained arrivals queue behind saturated instances).
-func (o *OPT) nodeCost(id dag.NodeID, cfg hardware.Config, it float64) (cost, infer float64, d coldstart.Decision) {
-	prof := o.Profiles[id]
-	t := prof.InitTime(cfg)
-	i := prof.InferenceTime(cfg, 1)
-	d = coldstart.Decide(t, i, math.Min(it, o.policyIT()))
-	eff := core.QueueAwareLatency(i, it)
-	return coldstart.CostPerInvocation(d, t, i, it, o.Catalog.UnitCost(cfg)), eff, d
-}
-
-// planConfigs returns the configurations eligible for the static plan:
-// flavors whose initialization exceeds several SLAs are excluded, because
-// any scale event or keep-alive miss on them parks a cold start worth
-// multiple deadlines on the request path. The oracle still uses such
-// flavors through predictive burst scaling, where their warm-up is hidden.
-func (o *OPT) planConfigs(id dag.NodeID) []hardware.Config {
-	prof := o.Profiles[id]
-	var out []hardware.Config
-	for _, cfg := range o.Catalog.Configs {
-		if prof.InitTime(cfg) <= 2*o.SLA {
-			out = append(out, cfg)
-		}
-	}
-	if len(out) == 0 {
-		out = o.Catalog.Configs
-	}
-	return out
-}
-
-// chainDP solves min Σcost s.t. Σinfer <= budget for an exclusive chain,
-// returning per-node configs and total cost; ok=false when infeasible.
-func (o *OPT) chainDP(chain []dag.NodeID, budget, it float64) (map[dag.NodeID]hardware.Config, float64, bool) {
-	out := make(map[dag.NodeID]hardware.Config, len(chain))
-	if len(chain) == 0 {
-		return out, 0, budget >= 0
-	}
-	if budget < 0 {
-		return nil, 0, false
-	}
-	// Fast path: a single-node chain is a direct argmin, no DP needed
-	// (the common case after shared-node enumeration).
-	if len(chain) == 1 {
-		bestCost := math.Inf(1)
-		var bestCfg hardware.Config
-		for _, cfg := range o.planConfigs(chain[0]) {
-			cost, infer, _ := o.nodeCost(chain[0], cfg, it)
-			if infer <= budget && cost < bestCost {
-				bestCost = cost
-				bestCfg = cfg
-			}
-		}
-		if math.IsInf(bestCost, 1) {
-			return nil, 0, false
-		}
-		out[chain[0]] = bestCfg
-		return out, bestCost, true
-	}
-	bins := o.BudgetBins
-	if bins < 10 {
-		bins = 400
-	}
-	step := budget / float64(bins)
-	if step <= 0 {
-		step = 1e-9
-	}
-	const inf = math.MaxFloat64 / 4
-	n := len(chain)
-	// dp[i][b]: min cost of chain[i:] within b bins; choice[i][b]: config.
-	dp := make([][]float64, n+1)
-	choice := make([][]int, n)
-	for i := range dp {
-		dp[i] = make([]float64, bins+1)
-	}
-	for i := range choice {
-		choice[i] = make([]int, bins+1)
-		for b := range choice[i] {
-			choice[i][b] = -1
-		}
-	}
-	cfgSets := make([][]hardware.Config, n)
-	for i, id := range chain {
-		cfgSets[i] = o.planConfigs(id)
-	}
-	for i := n - 1; i >= 0; i-- {
-		for b := 0; b <= bins; b++ {
-			dp[i][b] = inf
-			for ci, cfg := range cfgSets[i] {
-				cost, infer, _ := o.nodeCost(chain[i], cfg, it)
-				// Bins consumed by this node's inference (ceil).
-				used := int(math.Ceil(infer / step))
-				if used > b {
-					continue
-				}
-				total := cost + dp[i+1][b-used]
-				if total < dp[i][b] {
-					dp[i][b] = total
-					choice[i][b] = ci
-				}
-			}
-		}
-	}
-	if dp[0][bins] >= inf {
-		return nil, 0, false
-	}
-	b := bins
-	for i := 0; i < n; i++ {
-		ci := choice[i][b]
-		if ci < 0 {
-			return nil, 0, false
-		}
-		cfg := cfgSets[i][ci]
-		out[chain[i]] = cfg
-		_, infer, _ := o.nodeCost(chain[i], cfg, it)
-		b -= int(math.Ceil(infer / step))
-	}
-	return out, dp[0][bins], true
+	return gaps
 }
 
 // PlanMargin shrinks the SLA the oracle plans against, covering realized
@@ -216,105 +93,34 @@ func (o *OPT) chainDP(chain []dag.NodeID, budget, it float64) (map[dag.NodeID]ha
 // comparison stays fair).
 const PlanMargin = 0.85
 
-// Plan computes the oracle's static configuration for the graph.
-func (o *OPT) Plan(g *dag.Graph) (map[dag.NodeID]hardware.Config, float64, bool) {
+// Plan computes the oracle's static plan for the graph: the exact optimum
+// against the SLA shrunk by PlanMargin, billed and queued at the true
+// inter-arrival time, with the Case I/II split taken at the conservative
+// policyIT. It returns the plan with its analytic per-invocation cost, or,
+// when no plan meets the SLA, the best-effort fastest plan, +Inf and false.
+func (o *OPT) Plan(g *dag.Graph) (*coldstart.Plan, float64, bool) {
 	it := o.trueIT()
-	paths := g.Paths()
-	onPaths := make(map[dag.NodeID]int, g.Len())
-	for _, p := range paths {
-		for _, id := range p {
-			onPaths[id]++
-		}
+	// A throwaway Optimizer: the plan it returns stays valid because
+	// nothing calls it again.
+	res, err := core.New(o.Catalog).OptimizeExact(core.Request{Graph: g, Profiles: o.Profiles,
+		SLA: o.SLA * PlanMargin, IT: math.Min(it, o.policyIT()), ITMean: it, Batch: 1})
+	if err != nil {
+		// The simulator validated the graph and the profiles cover it.
+		panic(fmt.Sprintf("baselines: OPT plan: %v", err))
 	}
-	var shared []dag.NodeID
-	for _, id := range g.TopoSort() {
-		if onPaths[id] > 1 {
-			shared = append(shared, id)
-		}
+	if !res.Feasible {
+		return res.Plan, math.Inf(1), false
 	}
-	// Exclusive interior of each path, in order.
-	interiors := make([][]dag.NodeID, len(paths))
-	for pi, p := range paths {
-		for _, id := range p {
-			if onPaths[id] == 1 {
-				interiors[pi] = append(interiors[pi], id)
-			}
-		}
-	}
-
-	bestCost := math.Inf(1)
-	var bestPlan map[dag.NodeID]hardware.Config
-	assign := make([]hardware.Config, len(shared))
-	var rec func(i int)
-	rec = func(i int) {
-		if i < len(shared) {
-			for _, cfg := range o.planConfigs(shared[i]) {
-				assign[i] = cfg
-				rec(i + 1)
-			}
-			return
-		}
-		// Shared nodes fixed: cost of shared nodes + per-path DP.
-		sharedCost := 0.0
-		sharedInfer := make(map[dag.NodeID]float64, len(shared))
-		for si, id := range shared {
-			c, inf, _ := o.nodeCost(id, assign[si], it)
-			sharedCost += c
-			sharedInfer[id] = inf
-		}
-		plan := make(map[dag.NodeID]hardware.Config, g.Len())
-		for si, id := range shared {
-			plan[id] = assign[si]
-		}
-		total := sharedCost
-		for pi, p := range paths {
-			used := 0.0
-			for _, id := range p {
-				if inf, ok := sharedInfer[id]; ok {
-					used += inf
-				}
-			}
-			cfgs, cost, ok := o.chainDP(interiors[pi], o.SLA*PlanMargin-used, it)
-			if !ok {
-				return
-			}
-			total += cost
-			for id, cfg := range cfgs {
-				plan[id] = cfg
-			}
-		}
-		if total < bestCost {
-			bestCost = total
-			bestPlan = plan
-		}
-	}
-	rec(0)
-	if bestPlan == nil {
-		// Infeasible SLA: fall back to the fastest config everywhere.
-		bestPlan = make(map[dag.NodeID]hardware.Config, g.Len())
-		for _, id := range g.Nodes() {
-			fast := o.Catalog.Configs[0]
-			for _, cfg := range o.Catalog.Configs {
-				if o.Profiles[id].InferenceTime(cfg, 1) < o.Profiles[id].InferenceTime(fast, 1) {
-					fast = cfg
-				}
-			}
-			bestPlan[id] = fast
-		}
-		return bestPlan, math.Inf(1), false
-	}
-	return bestPlan, bestCost, true
+	return res.Plan, res.Eval.CostPerInvocation, true
 }
 
 // Setup implements simulator.Driver: install the plan and schedule perfect
 // pre-warms at the true arrival times.
 func (o *OPT) Setup(sim simulator.ControlPlane) {
 	g := sim.App().Graph
-	var cost float64
-	o.configs, cost, o.Feasible = o.Plan(g)
-	o.PlanCost = cost
+	o.plan, _, _ = o.Plan(g)
 	o.installPlan(sim)
-	offsets := pathOffsets(g, o.Profiles, o.configs, 1)
+	offsets := pathOffsets(g, o.Profiles, o.plan.Configs, 1)
 	// Oracle pre-warming at the true arrival times; redundant pre-warms
 	// no-op when an instance is already live.
 	for _, at := range o.Arrivals {
@@ -324,16 +130,12 @@ func (o *OPT) Setup(sim simulator.ControlPlane) {
 	}
 }
 
-// OnWindow implements simulator.Driver: the oracle looks ahead over the
-// pre-warm horizon (longest initialization plus two windows) at the true
-// arrivals; before a burst lands it installs the Eq. 7/8 scaling plan and
-// launches the required instances so they are warm in time.
+// OnWindow implements simulator.Driver: the oracle looks five windows ahead
+// at the true arrivals; before a burst lands it installs the Eq. 7/8 scaling
+// plan and launches the required instances so they are warm in time.
 func (o *OPT) OnWindow(sim simulator.ControlPlane, now float64) {
 	w := sim.Window()
 	if o.winCounts == nil {
-		if o.maxInitT <= 0 {
-			o.maxInitT = o.maxInit()
-		}
 		n := 1
 		if len(o.Arrivals) > 0 {
 			n = int(o.Arrivals[len(o.Arrivals)-1]/w) + 2
@@ -366,8 +168,9 @@ func (o *OPT) OnWindow(sim simulator.ControlPlane, now float64) {
 	scaler := autoscaler.New(o.Catalog)
 	for _, id := range sim.App().Graph.Nodes() {
 		prof := o.Profiles[id]
-		is := prof.InferenceTime(o.configs[id], 1)
-		plan, err := scaler.DecideReactive(prof, g, w, is+prof.InitTime(o.configs[id]))
+		cfg := o.plan.Configs[id]
+		is := prof.InferenceTime(cfg, 1)
+		plan, err := scaler.DecideReactive(prof, g, w, is+prof.InitTime(cfg))
 		if err != nil {
 			plan, _ = scaler.DecideOrFallback(prof, g, w, is)
 		}
@@ -384,20 +187,6 @@ func (o *OPT) OnWindow(sim simulator.ControlPlane, now float64) {
 	}
 }
 
-// maxInit returns the largest initialization estimate across functions and
-// backends: the oracle's pre-warm lookahead.
-func (o *OPT) maxInit() float64 {
-	best := 0.0
-	for _, prof := range o.Profiles {
-		for _, cfg := range o.Catalog.Configs {
-			if t := prof.InitTime(cfg); t > best {
-				best = t
-			}
-		}
-	}
-	return best
-}
-
 // keepAliveHorizon derives the oracle's keep-alive from the true gap
 // distribution: long enough that almost no warm instance expires between
 // consecutive requests.
@@ -405,30 +194,18 @@ func (o *OPT) keepAliveHorizon() float64 {
 	if len(o.Arrivals) < 3 {
 		return PlatformKeepAlive
 	}
-	gaps := make([]float64, 0, len(o.Arrivals)-1)
-	for i := 1; i < len(o.Arrivals); i++ {
-		gaps = append(gaps, o.Arrivals[i]-o.Arrivals[i-1])
-	}
-	ka := mathx.Percentile(gaps, 99) * 1.2
-	if ka < 2 {
-		ka = 2
-	}
-	if ka > 240 {
-		ka = 240
-	}
-	return ka
+	return min(max(mathx.Percentile(o.gaps(), 99)*1.2, 2), 240)
 }
 
 // installPlan restores the static oracle directives.
 func (o *OPT) installPlan(sim simulator.ControlPlane) {
 	g := sim.App().Graph
 	it := o.trueIT()
-	offsets := pathOffsets(g, o.Profiles, o.configs, 1)
+	offsets := pathOffsets(g, o.Profiles, o.plan.Configs, 1)
 	ka := o.keepAliveHorizon()
 	for _, id := range g.Nodes() {
 		prof := o.Profiles[id]
-		cfg := o.configs[id]
-		_, _, d := o.nodeCost(id, cfg, it)
+		cfg, d := o.plan.Configs[id], o.plan.Decisions[id]
 		sim.SetDirective(id, simulator.Directive{
 			Config:      cfg,
 			Policy:      d.Policy,

@@ -11,9 +11,9 @@ import (
 )
 
 // Orion sizes each function's configuration under the right-pre-warming
-// assumption: initialization always overlaps upstream execution, so the
-// per-invocation cost of a config is (T+I)·U and the E2E latency is the
-// critical-path sum of inference times. Configurations are chosen greedily
+// assumption: initialization always overlaps upstream execution, so its
+// sizing model prices a config by inference time alone, I·U, and takes the
+// E2E latency as the critical-path sum of inference times. Configurations are chosen greedily
 // cheapest-first subject to the SLA — exactly the paper's reading of Orion's
 // sizing — and pre-warming is triggered reactively when a request arrives.
 // Inter-arrival dynamics are ignored entirely (§II-C2).
@@ -37,7 +37,7 @@ func (o *Orion) Name() string { return "Orion" }
 func (o *Orion) plan(g *dag.Graph) map[dag.NodeID]hardware.Config {
 	type cand struct {
 		cfg   hardware.Config
-		cost  float64 // (T+I)·U under the right-prewarming assumption
+		cost  float64 // I·U: right pre-warming hides initialization
 		infer float64
 	}
 	candsOf := func(id dag.NodeID) []cand {

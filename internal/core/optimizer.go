@@ -46,9 +46,9 @@ type Request struct {
 
 // Result is the optimizer's output. Its plan maps, Eval.PerFunction and path
 // traces are storage the Optimizer that returned it reuses, like the view
-// LSTM.Forward returns: they stay valid until the next successful Optimize
-// or OptimizeWithPaperCombine call on that Optimizer, which may rewrite them
-// in place. A failed call leaves them as they were. Clone what must outlive
+// LSTM.Forward returns: they stay valid until the next successful Optimize,
+// OptimizeWithPaperCombine or OptimizeExact call on that Optimizer, which
+// may rewrite them in place. A failed call leaves them as they were. Clone what must outlive
 // that.
 type Result struct {
 	Plan *coldstart.Plan

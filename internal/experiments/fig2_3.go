@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"smiless/internal/apps"
+	"smiless/internal/baselines"
 	"smiless/internal/coldstart"
 	"smiless/internal/core"
 	"smiless/internal/dag"
@@ -116,8 +117,9 @@ func Fig3() *Fig3Result {
 
 	// IceBreaker: per-function speedup-to-cost choice, keep-alive billing.
 	ice := coldstart.NewPlan()
+	icebreaker := baselines.NewIceBreaker(cat, profiles, sla)
 	for _, id := range app.Graph.Nodes() {
-		cfg := icebreakerChoice(profiles[id], cat, sla, app.Graph.Len())
+		cfg := icebreaker.ChooseConfig(id)
 		ice.Configs[id] = cfg
 		ice.Decisions[id] = coldstart.Decision{Policy: coldstart.KeepAlive}
 	}
@@ -195,30 +197,6 @@ func baselinePlanOrion(g *dag.Graph, profiles map[dag.NodeID]*perfmodel.Profile,
 		}
 	}
 	return configs
-}
-
-// icebreakerChoice is the speedup-to-cost-ratio selection.
-func icebreakerChoice(prof *perfmodel.Profile, cat *hardware.Catalog, sla float64, n int) hardware.Config {
-	base := hardware.Config{Kind: hardware.CPU, Cores: 1}
-	baseLat := prof.InferenceTime(base, 1)
-	baseCost := cat.UnitCost(base)
-	best := base
-	bestRatio := 1.0
-	for _, cfg := range cat.Configs {
-		ratio := (baseLat / prof.InferenceTime(cfg, 1)) / (cat.UnitCost(cfg) / baseCost)
-		if ratio > bestRatio {
-			bestRatio = ratio
-			best = cfg
-		}
-	}
-	if prof.InferenceTime(best, 1) > sla/float64(n) {
-		for _, cfg := range cat.Configs {
-			if prof.InferenceTime(cfg, 1) < prof.InferenceTime(best, 1) {
-				best = cfg
-			}
-		}
-	}
-	return best
 }
 
 // Table renders the comparison.

@@ -109,3 +109,18 @@ func TestCatalogsExported(t *testing.T) {
 		t.Error("CPU-only catalog should have 5 configs")
 	}
 }
+
+// TestOPTOnLongChain runs the oracle on a chain whose exclusive interior is
+// longer than one function, under traffic dense enough that some
+// configurations overload (their queue-aware latency is +Inf). The oracle
+// must plan and serve every request rather than panic.
+func TestOPTOnLongChain(t *testing.T) {
+	tr := smiless.AzureLikeTrace(rand.New(rand.NewSource(1)), smiless.DefaultAzureLike(600))
+	st, err := smiless.Evaluate(smiless.SystemOPT, smiless.Pipeline(6), tr, 2.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Completed != tr.Len() {
+		t.Fatalf("completed %d/%d", st.Completed, tr.Len())
+	}
+}
